@@ -41,7 +41,7 @@ from .measurement import (
     write_relays,
 )
 from .numerics import RngStream
-from .tomography import MsprtConfig, localize_all, score_results, write_report
+from .tomography import localize_all, score_results, write_report
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -140,9 +140,7 @@ def cmd_invert(args) -> int:
     net = cfg.network()
     grid = cfg.cell_grid()
     params = cfg.channel_params()
-    msprt_cfg = MsprtConfig(error=cfg.msprt_error,
-                            max_observations=cfg.observations)
-    results = localize_all(ms, net, grid, params, cfg.tomography(), msprt_cfg)
+    results = localize_all(ms, net, grid, params, cfg.tomography(), cfg.msprt())
     write_report(results, out / "report.txt")
     outputs = ["report.txt"]
     summary = f"invert: localized {sum(r.position is not None for r in results)}" \

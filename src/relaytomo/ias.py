@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelParams, HopPair, outage_capacity
+from .channel import ChannelParams, HopPair, outage_capacity, outage_capacity_array
 from .errors import DegenerateGeometryError, DomainError
 from .geometry import (
     AnglePair,
@@ -35,7 +35,7 @@ from .geometry import (
     dist_relay_destination,
     dist_source_relay,
 )
-from .numerics import QuadratureSpec, gauss_legendre
+from .numerics import QuadratureSpec, gauss_legendre, libm_map
 
 SINGULAR_TOL = 1e-12
 DEFAULT_MASS_FLOOR = 1e-12
@@ -281,14 +281,15 @@ def integrate_angle_cell(
     baseline: Baseline,
     cell: tuple[float, float, float, float],
     order: int = 16,
-    value_fn=None,
-) -> tuple[float, float]:
-    """(mass, weighted value) integrals of the joint angle pdf over a cell.
+) -> tuple[float, list[tuple[float, float, float]]]:
+    """Mass of the joint angle pdf over a cell, and the rule's weighted nodes.
 
-    mass = integral of the pdf over the cell; the second entry is the
-    integral of value_fn(omega, psi) * pdf (zero when value_fn is None).
-    The inner arrival-angle integral runs exactly over the chord interval
-    intersected with the cell, so both integrands stay smooth.
+    mass = integral of the pdf over the cell.  The second entry holds one
+    (omega, psi, weight * pdf) per quadrature node of non-zero pdf, in the
+    order the mass sums them: the integral of any g * pdf over the cell is
+    the sum of weight * pdf * g(omega, psi) over these nodes.  The inner
+    arrival-angle integral runs exactly over the chord interval intersected
+    with the cell, so the integrands stay smooth.
     """
     w_lo, w_hi, p_lo, p_hi = cell
     span = angular_span(
@@ -299,7 +300,7 @@ def integrate_angle_cell(
     w_lo = max(w_lo, span[0])
     w_hi = min(w_hi, span[1])
     if w_hi <= w_lo:
-        return 0.0, 0.0
+        return 0.0, []
     nodes, weights = gauss_legendre(order)
     events = _chord_events(region, baseline, w_lo, w_hi, p_lo, p_hi)
     # the chord length vanishes like a square root at the tangency angles;
@@ -313,7 +314,7 @@ def integrate_angle_cell(
         refined.extend(events[-1] - width * f for f in (1 / 256, 1 / 64, 1 / 16, 1 / 4))
     events = sorted(set(refined))
     mass = 0.0
-    value = 0.0
+    rows = []
     for a, b in zip(events[:-1], events[1:]):
         if b - a < 1e-14:
             continue
@@ -338,11 +339,11 @@ def integrate_angle_cell(
             for tp, wp in zip(nodes, weights):
                 psi = mid_p + half_p * tp
                 f = joint_angle_pdf(omega, psi, region, baseline)
-                scale = ww * wp * half_w * half_p
-                mass += scale * f
-                if value_fn is not None and f > 0.0:
-                    value += scale * f * value_fn(omega, psi)
-    return mass, value
+                weighted = ww * wp * half_w * half_p * f
+                mass += weighted
+                if f > 0.0:
+                    rows.append((omega, psi, weighted))
+    return mass, rows
 
 
 def angle_cell_mass(
@@ -410,26 +411,34 @@ def discrete_ias(
 
     Each cell's value is the outage capacity averaged under the joint angle
     pdf restricted to the cell; cells carrying less than mass_floor
-    probability are reported as empty (zero value, zero mass).
+    probability are reported as empty (zero value, zero mass).  The outage
+    capacities of every quadrature node of the grid come from one array
+    solve; each cell then sums its nodes in quadrature order.
     """
     check_region_clear_of_baseline(region, baseline)
-    length = baseline.length
-
-    def cell_capacity(omega: float, psi: float) -> float:
-        s = math.sin(omega + psi)
-        hops = HopPair(length * math.sin(psi) / s, length * math.sin(omega) / s)
-        return outage_capacity(hops, params)
-
     values = np.zeros((grid.n_aod, grid.n_aoa))
     masses = np.zeros_like(values)
+    kept, nodes = [], []
     for a, i in enumerate(range(grid.i_lo, grid.i_hi + 1)):
         for b, j in enumerate(range(grid.j_lo, grid.j_hi + 1)):
-            cell = grid.cell_bounds(i, j)
-            mass, weighted = integrate_angle_cell(
-                region, baseline, cell, order=quad.order, value_fn=cell_capacity
-            )
+            mass, cell_nodes = integrate_angle_cell(
+                region, baseline, grid.cell_bounds(i, j), order=quad.order)
             if mass < mass_floor:
                 continue
             masses[a, b] = mass
-            values[a, b] = weighted / mass
+            kept.append((a, b))
+            nodes.append(cell_nodes)
+    if not kept:
+        return DiscreteIas(grid, values, masses)
+    omega, psi, weight = np.array([n for cell_nodes in nodes for n in cell_nodes]).T
+    # the math module's sine, so the hops are the ones a scalar loop would build
+    s = libm_map(math.sin, omega + psi)
+    length = baseline.length
+    hops = HopPair(length * libm_map(math.sin, psi) / s, length * libm_map(math.sin, omega) / s)
+    terms = weight * outage_capacity_array(hops, params)
+    ends = np.cumsum([len(n) for n in nodes])
+    for (a, b), cell_terms in zip(kept, np.split(terms, ends[:-1])):
+        # a running sum adds the terms in node order, as a scalar loop would
+        weighted = float(np.cumsum(cell_terms)[-1]) if cell_terms.size else 0.0
+        values[a, b] = weighted / masses[a, b]
     return DiscreteIas(grid, values, masses)

@@ -214,16 +214,20 @@ def read_measurements(path) -> MeasurementSet:
     except OSError as exc:
         raise MeasurementError(f"cannot read measurement file {path}: {exc}") from exc
     with fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             tok = line.split()
             if len(tok) < 6:
                 raise MeasurementError(f"malformed measurement record: {line!r}")
-            records.append((int(tok[0]), int(tok[1]), int(tok[2]),
-                            math.radians(float(tok[3])), float(tok[4]),
-                            [float(v) for v in tok[5:]]))
+            try:
+                records.append((int(tok[0]), int(tok[1]), int(tok[2]),
+                                math.radians(float(tok[3])), float(tok[4]),
+                                [float(v) for v in tok[5:]]))
+            except ValueError as exc:
+                raise MeasurementError(
+                    f"{path}, line {lineno}: non-numeric field in {line!r}") from exc
     if not records:
         raise MeasurementError(f"no measurement records found in {path}")
     pairs = []

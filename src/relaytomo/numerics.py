@@ -20,7 +20,9 @@ from .errors import BracketError, DomainError
 _EPS = 1e-15
 _FPMIN = 1e-300
 _MAX_ITER = 500
-_SERIES_BLOCK = 32  # series iterations evaluated per array pass
+_SERIES_FIRST_BLOCK = 16  # series iterations in the first array pass
+_SERIES_BLOCK = 32  # series iterations in every later array pass
+_SERIES_CHUNK = 1024  # elements per series pass, so its blocks stay in cache
 
 
 @dataclass(frozen=True)
@@ -111,12 +113,15 @@ def _upper_gamma_cf(a: float, x: float) -> float:
     return math.exp(log_prefactor) * h
 
 
-def regularized_lower_gamma_array(a: float, x) -> np.ndarray:
+def regularized_lower_gamma_array(a: float, x, match_scalar: bool = False) -> np.ndarray:
     """Elementwise P(a, x) over an array of arguments, for one shape a.
 
     The same series / continued-fraction split, tolerance and iteration cap
     as `regularized_lower_gamma`; each element stops at the iteration where
-    its own scalar evaluation would, so the two agree to rounding.
+    its own scalar evaluation would, so the two agree to rounding.  numpy's
+    vectorized log and exp may round differently from the math module's;
+    with match_scalar the prefactor uses the latter (one Python call per
+    element), so every element equals the scalar form bit for bit.
     """
     if a <= 0.0:
         raise DomainError(f"shape parameter must be positive, got a={a}")
@@ -128,19 +133,35 @@ def regularized_lower_gamma_array(a: float, x) -> np.ndarray:
     series = (flat > 0.0) & (flat < a + 1.0)
     rest = ~series & (flat != 0.0)  # includes nan, which the fraction propagates
     if series.any():
-        out[series] = _lower_gamma_series_array(a, flat[series])
+        xs = flat[series]
+        out[series] = _lower_gamma_series_array(a, xs) * _prefactor(a, xs, match_scalar)
     if rest.any():
-        out[rest] = 1.0 - _upper_gamma_cf_array(a, flat[rest])
+        xs = flat[rest]
+        out[rest] = 1.0 - _prefactor(a, xs, match_scalar) * _upper_gamma_cf_array(a, xs)
     return out.reshape(x.shape)
 
 
-def _log_prefactor(a: float, x: np.ndarray) -> np.ndarray:
-    return a * np.log(x) - x - math.lgamma(a)
+def libm_map(fn: Callable[[float], float], x) -> np.ndarray:
+    """fn applied elementwise in Python: the math module's rounding, not numpy's."""
+    x = np.asarray(x, dtype=float)
+    return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
+
+
+def _prefactor(a: float, x: np.ndarray, match_scalar: bool) -> np.ndarray:
+    # x^a e^-x / Gamma(a), as exp(a log x - x - lgamma(a))
+    if match_scalar:
+        return libm_map(math.exp, a * libm_map(math.log, x) - x - math.lgamma(a))
+    return np.exp(a * np.log(x) - x - math.lgamma(a))
 
 
 def _lower_gamma_series_array(a: float, x: np.ndarray) -> np.ndarray:
-    # The scalar recurrences term *= x / ap and total += term, run _SERIES_BLOCK
-    # iterations at a time as a cumulative product and sum over one block.
+    # The scalar recurrences term *= x / ap and total += term, run a block of
+    # iterations at a time as a cumulative product and sum down the rows of
+    # an (iterations, elements) array.  Small arguments converge within a
+    # few terms, so the first block is short.
+    if x.size > _SERIES_CHUNK:
+        return np.concatenate([_lower_gamma_series_array(a, x[k:k + _SERIES_CHUNK])
+                               for k in range(0, x.size, _SERIES_CHUNK)])
     out = np.empty(x.shape)
     ids = np.arange(x.size)
     term = np.full(x.shape, 1.0 / a)
@@ -148,27 +169,29 @@ def _lower_gamma_series_array(a: float, x: np.ndarray) -> np.ndarray:
     ap = a
     done_iter = 0
     while ids.size and done_iter < _MAX_ITER:
-        width = min(_SERIES_BLOCK, _MAX_ITER - done_iter)
+        block = _SERIES_BLOCK if done_iter else _SERIES_FIRST_BLOCK
+        width = min(block, _MAX_ITER - done_iter)
         aps = []
         for _ in range(width):
             ap += 1.0
             aps.append(ap)
-        terms = np.empty((ids.size, width + 1))
-        terms[:, 0] = term
-        np.divide(x[ids, None], aps, out=terms[:, 1:])
-        np.cumprod(terms, axis=1, out=terms)
+        terms = np.empty((width + 1, ids.size))
+        terms[0] = term
+        np.divide(x[ids], np.array(aps)[:, None], out=terms[1:])
+        np.cumprod(terms, axis=0, out=terms)
         totals = terms.copy()
-        totals[:, 0] = total
-        np.cumsum(totals, axis=1, out=totals)
-        stop = np.abs(terms[:, 1:]) < np.abs(totals[:, 1:]) * _EPS
-        first = stop.argmax(axis=1)
-        done = stop[np.arange(ids.size), first]
-        out[ids[done]] = totals[done, first[done] + 1]
+        totals[0] = total
+        np.cumsum(totals, axis=0, out=totals)
+        stop = np.abs(terms[1:]) < np.abs(totals[1:]) * _EPS
+        first = stop.argmax(axis=0)
+        cols = np.arange(ids.size)
+        done = stop[first, cols]
+        out[ids[done]] = totals[first[done] + 1, cols[done]]
         keep = ~done
-        ids, term, total = ids[keep], terms[keep, -1], totals[keep, -1]
+        ids, term, total = ids[keep], terms[-1, keep], totals[-1, keep]
         done_iter += width
     out[ids] = total
-    return out * np.exp(_log_prefactor(a, x))
+    return out
 
 
 def _upper_gamma_cf_array(a: float, x: np.ndarray) -> np.ndarray:
@@ -198,7 +221,7 @@ def _upper_gamma_cf_array(a: float, x: np.ndarray) -> np.ndarray:
             if not ids.size:
                 break
     out[ids] = h
-    return np.exp(_log_prefactor(a, x)) * out
+    return out
 
 
 def solve_increasing_root(
@@ -249,20 +272,70 @@ def solve_increasing_root(
     return 0.5 * (lo + hi)
 
 
+def solve_increasing_roots(
+    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    n: int,
+    lo: float,
+    hi: float,
+    tol: float,
+) -> np.ndarray:
+    """Roots of n non-decreasing functions, bisected together.
+
+    f(x, ids) returns the values of functions ids[k] at x[k].  Every element
+    takes the steps `solve_increasing_root` would take on its own function:
+    the same start bracket, upper-bound doubling (at most 60 times, the
+    scalar default), stop once its own bracket width is <= tol or its
+    midpoint cannot split the bracket, and midpoint return.  Each element leaves the working arrays when it stops, so the
+    roots equal the scalar solves.
+    """
+    if tol <= 0.0:
+        raise DomainError(f"tolerance must be positive, got {tol}")
+    if hi <= lo:
+        raise BracketError(f"need lo < hi, got [{lo}, {hi}]")
+    roots = np.empty(n)
+    ids = np.arange(n)
+    flo = f(np.full(n, lo), ids)
+    if np.any(flo > 0.0):
+        k = int(np.argmax(flo > 0.0))
+        raise BracketError(f"f(lo)={flo[k]} is positive for element {k}; no root in bracket")
+    roots[flo == 0.0] = lo
+    ids = ids[flo != 0.0]
+    lows = np.full(ids.size, lo)
+    highs = np.full(ids.size, hi)
+    # every element still doubling has doubled as often as the others
+    doubling = np.flatnonzero(f(highs, ids) < 0.0)
+    doublings = 0
+    width = hi - lo
+    while doubling.size:
+        if doublings >= 60:
+            raise BracketError(
+                f"no sign change after 60 doublings (last hi={highs[doubling[0]]})"
+            )
+        lows[doubling] = highs[doubling]
+        width *= 2.0
+        highs[doubling] = lows[doubling] + width
+        doublings += 1
+        doubling = doubling[f(highs[doubling], ids[doubling]) < 0.0]
+    live = np.arange(ids.size)
+    while True:
+        l, h = lows[live], highs[live]
+        mid = 0.5 * (l + h)
+        keep = (h - l > tol) & (mid > l) & (mid < h)  # float exhaustion stops too
+        live, mid = live[keep], mid[keep]
+        if not live.size:
+            break
+        below = f(mid, ids[live]) < 0.0
+        lows[live[below]] = mid[below]
+        highs[live[~below]] = mid[~below]
+    roots[ids] = 0.5 * (lows + highs)
+    return roots
+
+
 @lru_cache(maxsize=64)
 def gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights on [-1, 1], cached per order."""
     nodes, weights = np.polynomial.legendre.leggauss(order)
     return nodes, weights
-
-
-def integrate_1d(f: Callable[[float], float], lo: float, hi: float, order: int) -> float:
-    if hi <= lo:
-        return 0.0
-    nodes, weights = gauss_legendre(order)
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    return half * sum(w * f(mid + half * t) for t, w in zip(nodes, weights))
 
 
 def integrate_2d(

@@ -254,6 +254,24 @@ def _angle_residual(
     return math.sqrt(sq)
 
 
+def _capacity_residual(
+    cap_row: np.ndarray, net: MeasurementNetwork, p: Point, params: ChannelParams
+) -> float:
+    """l2 norm of the outage-capacity residuals of the paths via p.
+
+    cap_row holds one estimate per ordered pair of `net.ordered_pairs()`;
+    both orderings of a pair share one solve, as they share one path.
+    """
+    caps: dict[tuple[int, int], float] = {}
+    sq = 0.0
+    for p_idx, pair in enumerate(net.ordered_pairs()):
+        key = (min(pair), max(pair))
+        if key not in caps:
+            caps[key] = outage_capacity(pair_hops(net, pair, p), params)
+        sq += (float(cap_row[p_idx]) - caps[key]) ** 2
+    return math.sqrt(sq)
+
+
 def localize_argmin(
     candidates: list[int],
     cap_row: np.ndarray,
@@ -266,18 +284,9 @@ def localize_argmin(
     """Candidate minimizing the l2 norm of outage-capacity residuals."""
     if not candidates:
         raise LocalizationError("argmin localization needs a non-empty candidate set")
-    pairs = net.ordered_pairs()
     best_w, best_err = None, math.inf
     for w in candidates:
-        cell = grid.cells[w]
-        sq = 0.0
-        cache: dict[tuple[int, int], float] = {}
-        for p_idx, pair in enumerate(pairs):
-            key = (min(pair), max(pair))
-            if key not in cache:
-                cache[key] = outage_capacity(pair_hops(net, pair, cell), params)
-            sq += (float(cap_row[p_idx]) - cache[key]) ** 2
-        err = math.sqrt(sq)
+        err = _capacity_residual(cap_row, net, grid.cells[w], params)
         if err < best_err:
             best_w, best_err = w, err
     pos = grid.cells[best_w]
@@ -389,18 +398,10 @@ def _finish(
 ) -> LocalizationResult:
     w = candidates[best_pos]
     pos = grid.cells[w]
-    e_angle = _angle_residual(ms, relay, net, pos) if ms is not None else 0.0
-    e_cap = 0.0
+    e_angle = e_cap = 0.0
     if ms is not None:
-        pairs = net.ordered_pairs()
-        cache: dict[tuple[int, int], float] = {}
-        sq = 0.0
-        for p_idx, pair in enumerate(pairs):
-            key = (min(pair), max(pair))
-            if key not in cache:
-                cache[key] = outage_capacity(pair_hops(net, pair, pos), params)
-            sq += (float(ms.cap_est[p_idx, relay]) - cache[key]) ** 2
-        e_cap = math.sqrt(sq)
+        e_angle = _angle_residual(ms, relay, net, pos)
+        e_cap = _capacity_residual(ms.cap_est[:, relay], net, pos, params)
     return LocalizationResult(
         relay, w, pos, len(candidates), kind, e_angle, e_cap, stopped, degenerate
     )

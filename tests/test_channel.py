@@ -6,11 +6,15 @@ import scipy.integrate
 import scipy.special
 
 from relaytomo.channel import (
+    _SIGN_MARGIN,
     ChannelParams,
     HopPair,
+    _outage_cdf_array,
+    _rho_scales,
     capacity_log_pdf,
     capacity_pdf,
     outage_capacity,
+    outage_capacity_array,
     outage_cdf,
     sample_instant_capacity,
 )
@@ -127,6 +131,46 @@ class TestOutageCapacity:
 
         i2 = solve_increasing_root(base2_cdf_shifted, 0.0, 1.0, 1e-13)
         assert i2 == pytest.approx(2.0 * i4, rel=1e-9)
+
+    @pytest.mark.parametrize("m", [0.5, 1.0, 2.0, 2.5, 4.0, 50.0, 1000.0])
+    def test_array_solve_matches_scalar(self, m):
+        gen = RngStream(31).generator()
+        d = np.exp(gen.uniform(math.log(0.2), math.log(300.0), (2, 3, 20)))
+        # short hops carry capacities above 1, so their brackets double
+        d[:, 0, :4] = [[0.2, 0.2, 0.3, 0.25], [0.2, 0.3, 0.2, 0.25]]
+        for p_out in (0.01, 0.5):
+            params = ChannelParams.from_db(30.0, m, -3.0, p_out)
+            got = outage_capacity_array(HopPair(d[0], d[1]), params)
+            want = [[outage_capacity(HopPair(float(a), float(b)), params)
+                     for a, b in zip(r1, r2)] for r1, r2 in zip(d[0], d[1])]
+            np.testing.assert_array_equal(got, want)
+            assert got.max() > 1.0
+        assert outage_capacity_array(REF_HOPS, REF_PARAMS).shape == ()
+
+    @pytest.mark.parametrize("m", [0.5, 1.0, 2.5, 4.0, 50.0, 1000.0])
+    def test_numpy_cdf_gap_far_below_sign_margin(self, m):
+        # the array solve trusts numpy's sign of cdf - target wherever the
+        # numpy cdf lies farther than _SIGN_MARGIN from the target; probe
+        # the cdf at and just around the scalar roots, where signs are decided
+        gen = RngStream(41).generator()
+        d = np.exp(gen.uniform(math.log(0.2), math.log(300.0), (2, 40)))
+        hops = [HopPair(float(a), float(b)) for a, b in zip(d[0], d[1])]
+        for p_out in (1e-4, 0.01, 0.3, 0.9):
+            params = ChannelParams.from_db(30.0, m, -3.0, p_out)
+            roots = np.array([outage_capacity(h, params) for h in hops])
+            s1, s2 = np.array([_rho_scales(h, params) for h in hops]).T
+            for rel in (-1e-3, -1e-9, 0.0, 1e-9, 1e-3):
+                i = roots * (1.0 + rel)
+                got = _outage_cdf_array(i, s1, s2, m, False)
+                want = [outage_cdf(float(x), h, params) for x, h in zip(i, hops)]
+                assert np.max(np.abs(got - want)) < 1e-2 * _SIGN_MARGIN
+
+    def test_array_solve_rejects_non_positive_hops(self):
+        with pytest.raises(DomainError):
+            outage_capacity_array(HopPair(np.array([10.0, 0.0]), np.array([10.0, 10.0])),
+                                  REF_PARAMS)
+        with pytest.raises(DomainError):
+            outage_capacity_array(HopPair(np.array([10.0]), -1.0), REF_PARAMS)
 
 
 class TestCapacityPdf:

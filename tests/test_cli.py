@@ -206,6 +206,20 @@ class TestExitCodes:
         missing = tmp_path / "absent.txt"
         assert main(["invert", str(missing), "--out", str(tmp_path / "o")]) == 3
 
+    def test_non_numeric_field_is_3(self, tmp_path, capsys):
+        sim = tmp_path / "sim"
+        assert main(["simulate", "--out", str(sim)]) == 0
+        lines = (sim / "measurements.txt").read_text().splitlines()
+        k = next(n for n, line in enumerate(lines) if not line.startswith("#"))
+        tok = lines[k].split()
+        tok[3] = "abc"  # the angle field
+        lines[k] = " ".join(tok)
+        bad = tmp_path / "bad.txt"
+        bad.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["invert", str(bad), "--out", str(tmp_path / "o")]) == 3
+        assert f"line {k + 1}" in capsys.readouterr().err
+
 
 def test_write_config_command(tmp_path):
     path = tmp_path / "ref.json"

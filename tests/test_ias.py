@@ -13,6 +13,7 @@ from relaytomo.geometry import (
     sample_relays,
 )
 from relaytomo.ias import (
+    DEFAULT_MASS_FLOOR,
     AngularGrid,
     DiscreteIas,
     FlowAtom,
@@ -21,6 +22,7 @@ from relaytomo.ias import (
     build_grid,
     continuous_ias,
     discrete_ias,
+    integrate_angle_cell,
     joint_angle_pdf,
 )
 from relaytomo.numerics import QuadratureSpec, RngStream
@@ -148,6 +150,28 @@ class TestBuildGrid:
             AngularGrid(0.1, 0.1, 2, 1, 0, 1)
 
 
+def scalar_spectrum(grid: AngularGrid, params: ChannelParams, quad: QuadratureSpec):
+    """The per-node scalar oracle of discrete_ias: one outage solve per node,
+    accumulated node by node."""
+    values = np.zeros((grid.n_aod, grid.n_aoa))
+    masses = np.zeros_like(values)
+    for a, i in enumerate(range(grid.i_lo, grid.i_hi + 1)):
+        for b, j in enumerate(range(grid.j_lo, grid.j_hi + 1)):
+            mass, nodes = integrate_angle_cell(REGION, BASELINE, grid.cell_bounds(i, j),
+                                               order=quad.order)
+            if mass < DEFAULT_MASS_FLOOR:
+                continue
+            value = 0.0
+            for omega, psi, weight in nodes:
+                s = math.sin(omega + psi)
+                hops = HopPair(BASELINE.length * math.sin(psi) / s,
+                               BASELINE.length * math.sin(omega) / s)
+                value += weight * outage_capacity(hops, params)
+            masses[a, b] = mass
+            values[a, b] = value / mass
+    return values, masses
+
+
 @pytest.fixture(scope="module")
 def reference_spectrum():
     grid = build_grid(REGION, BASELINE, math.radians(10), math.radians(10))
@@ -176,6 +200,17 @@ class TestDiscreteIas:
                         hops = HopPair(SX * math.sin(p) / s, SX * math.sin(w) / s)
                         probes.append(outage_capacity(hops, PARAMS))
                 assert min(probes) - 1e-12 <= spectrum.values[a, b] <= max(probes) + 1e-12
+
+    @pytest.mark.parametrize("m", [1.0, 2.5])
+    def test_matches_scalar_oracle(self, m):
+        grid = build_grid(REGION, BASELINE, math.radians(10), math.radians(10))
+        params = ChannelParams.from_db(30.0, m, -3.0, 0.01)
+        quad = QuadratureSpec(8)
+        spectrum = discrete_ias(grid, REGION, BASELINE, params, quad)
+        values, masses = scalar_spectrum(grid, params, quad)
+        assert (masses > 0.0).sum() > 10
+        np.testing.assert_array_equal(spectrum.masses, masses)
+        np.testing.assert_array_equal(spectrum.values, values)
 
     def test_refinement_tightens_cell_averages(self):
         # as the grid refines, cell averages approach the center capacities

@@ -16,6 +16,7 @@ from relaytomo.numerics import (
     regularized_lower_gamma_array,
     sample_gamma,
     solve_increasing_root,
+    solve_increasing_roots,
 )
 
 # reference scenario constants: snr 1000 (30 dB), hops 100 m, nu = -3,
@@ -55,11 +56,21 @@ class TestRegularizedLowerGamma:
     def test_array_form_matches_scalar(self, a):
         # both branches, the split point itself, zero and the far tail
         gen = RngStream(21).generator()
+        # series arguments that stop inside the first 16-wide block, inside
+        # the second block and (for a = 30) past 48 terms; more of them than
+        # one series pass takes
+        series = np.linspace(0.0, a + 1.0, 1202)[1:-1]
+        stops = {series_terms(a, float(x)) for x in series}
+        assert min(stops) <= 16 < max(stops)
+        assert (max(stops) > 48) == (a == 30.0)
         xs = np.concatenate([gen.exponential(a, 500), gen.uniform(0.0, 80.0, 500),
-                             [0.0, 1e-300, 1e-9, a + 1.0, 700.0]])  # 1005 = 5 x 201
+                             [0.0, 1e-300, 1e-9, a + 1.0, 700.0],
+                             series])  # 2205 = 5 x 441
         got = regularized_lower_gamma_array(a, xs.reshape(5, -1)).ravel()
         want = np.array([regularized_lower_gamma(a, float(x)) for x in xs])
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+        exact = regularized_lower_gamma_array(a, xs.reshape(5, -1), match_scalar=True)
+        np.testing.assert_array_equal(exact.ravel(), want)
 
     def test_array_form_domain_errors(self):
         with pytest.raises(DomainError):
@@ -74,6 +85,18 @@ class TestRegularizedLowerGamma:
             regularized_lower_gamma(-1.0, 1.0)
         with pytest.raises(DomainError):
             regularized_lower_gamma(1.0, -0.1)
+
+
+def series_terms(a: float, x: float) -> int:
+    """Iterations the scalar series of P(a, x) runs before it stops."""
+    ap, term, total = a, 1.0 / a, 1.0 / a
+    for n in range(1, 501):
+        ap += 1.0
+        term *= x / ap
+        total += term
+        if abs(term) < abs(total) * 1e-15:
+            return n
+    return 500
 
 
 class TestSolveIncreasingRoot:
@@ -114,6 +137,28 @@ class TestSolveIncreasingRoot:
         tol = 1e-9
         r = solve_increasing_root(f, root - span, root + span, tol)
         assert f(r - tol) <= 0.0 <= f(r + tol)
+
+
+class TestSolveIncreasingRoots:
+    def test_matches_scalar_solves(self):
+        # roots inside the start bracket, past ten doublings and at lo; the
+        # tiny tolerance ends every element on the float-exhaustion stop
+        roots = np.array([0.3, 2.0, 1000.0, 0.0, 1e-3, 1.0])
+        for tol in (1e-9, 1e-300):
+            got = solve_increasing_roots(lambda x, ids: x - roots[ids], roots.size,
+                                         0.0, 1.0, tol)
+            want = [solve_increasing_root(lambda x, r=r: x - r, 0.0, 1.0, tol) for r in roots]
+            np.testing.assert_array_equal(got, want)
+
+    def test_errors(self):
+        with pytest.raises(BracketError):
+            # element 1 never changes sign: the 60-doubling cap stops it
+            solve_increasing_roots(lambda x, ids: np.where(ids == 1, -1.0, x - 0.5), 2,
+                                   0.0, 1.0, 1e-9)
+        with pytest.raises(BracketError):
+            solve_increasing_roots(lambda x, ids: x + ids, 3, 0.0, 1.0, 1e-9)
+        with pytest.raises(DomainError):
+            solve_increasing_roots(lambda x, ids: x, 1, 0.0, 1.0, 0.0)
 
 
 class TestIntegrate2d:
