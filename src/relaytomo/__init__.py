@@ -24,6 +24,7 @@ from .geometry import (
     Point,
     RelayRegion,
     angles_from_point,
+    angles_from_points,
     angular_span,
     discretize_region,
     dist_relay_destination,
@@ -71,8 +72,8 @@ __all__ = [
     "DiscreteIas", "FlowAtom", "HopPair", "LocalizationResult",
     "MeasurementNetwork", "MeasurementSet", "MsprtConfig", "Point",
     "QuadratureSpec", "RelayRegion", "RngStream", "TomographyConfig",
-    "angles_from_point", "angular_span", "build_grid", "capacity_pdf",
-    "continuous_ias", "discrete_ias", "discretize_region",
+    "angles_from_point", "angles_from_points", "angular_span", "build_grid",
+    "capacity_pdf", "continuous_ias", "discrete_ias", "discretize_region",
     "dist_relay_destination", "dist_source_relay", "estimate_outage_capacity",
     "feasible_cells", "integrate_2d", "joint_angle_pdf", "localize_all",
     "localize_argmin", "msprt_localize", "outage_capacity", "outage_cdf",

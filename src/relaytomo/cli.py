@@ -32,7 +32,7 @@ from .config import (
 )
 from .errors import ConfigError, RelayTomoError
 from .geometry import sample_relays
-from .ias import angle_cell_mass, build_grid, continuous_ias, discrete_ias
+from .ias import angle_pdf_check, continuous_ias, discrete_ias
 from .measurement import (
     read_measurements,
     read_relays,
@@ -190,45 +190,13 @@ def _selftest_outage_solver(cfg: ScenarioConfig, n: int = 1_000_000) -> bool:
     return passed
 
 
-def _selftest_angle_pdf(cfg: ScenarioConfig, n: int = 1_000_000, bins: int = 20) -> bool:
+def _selftest_angle_pdf(cfg: ScenarioConfig, n: int = 1_000_000) -> bool:
     """Angle pdf normalization and a histogram match against relay sampling."""
-    baseline = cfg.baseline()
-    region = cfg.region()
-    grid = build_grid(region, baseline, math.radians(cfg.aod_resolution_deg),
-                      math.radians(cfg.aoa_resolution_deg))
-    w_lo = grid.i_lo * grid.d_aod - 0.5 * grid.d_aod
-    w_hi = grid.i_hi * grid.d_aod + 0.5 * grid.d_aod
-    p_lo = grid.j_lo * grid.d_aoa - 0.5 * grid.d_aoa
-    p_hi = grid.j_hi * grid.d_aoa + 0.5 * grid.d_aoa
-    w_edges = np.linspace(w_lo, w_hi, bins + 1)
-    p_edges = np.linspace(p_lo, p_hi, bins + 1)
-
-    expected = np.zeros((bins, bins))
-    for a in range(bins):
-        for b in range(bins):
-            expected[a, b] = angle_cell_mass(
-                region, baseline,
-                (w_edges[a], w_edges[a + 1], p_edges[b], p_edges[b + 1]),
-                order=12,
-            )
-    total = float(expected.sum())
+    total, frac = angle_pdf_check(cfg.region(), cfg.baseline(), cfg.angular_grid(),
+                                  RngStream(cfg.seed).child(102), n)
     norm_ok = abs(total - 1.0) <= 1e-4
     print(f"  angle-pdf normalization: {'PASS' if norm_ok else 'FAIL'} "
           f"(integral {total:.8f})")
-
-    from .geometry import angles_from_point
-    pts = region.sample(RngStream(cfg.seed).child(102), n)
-    ws = np.empty(n)
-    ps = np.empty(n)
-    for idx, p in enumerate(pts):
-        ang = angles_from_point(baseline, p)
-        ws[idx] = ang.aod
-        ps[idx] = ang.aoa
-    counts, _, _ = np.histogram2d(ws, ps, bins=[w_edges, p_edges])
-    nonempty = expected > 1e-9
-    se = np.sqrt(n * expected * (1.0 - expected))
-    within = np.abs(counts - n * expected) <= 3.0 * se
-    frac = float(within[nonempty].mean())
     hist_ok = frac >= 0.95
     print(f"  angle-pdf histogram: {'PASS' if hist_ok else 'FAIL'} "
           f"({frac:.3f} of nonempty cells within 3 sigma)")

@@ -105,18 +105,22 @@ class RelayRegion:
         c, r = self.center, self.radius
         return (c.x - r, c.x + r, c.y - r, c.y + r)
 
-    def sample(self, rng: RngStream | np.random.Generator, n: int) -> list[Point]:
-        """n i.i.d. uniform draws from the disc (uniform density only)."""
+    def sample_xy(
+        self, rng: RngStream | np.random.Generator, n: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """x and y arrays of n i.i.d. uniform draws from the disc (uniform density only)."""
         if self.density is not None:
             raise GeometryError("sampling is implemented for the uniform density only")
         gen = rng.generator() if isinstance(rng, RngStream) else rng
         radii = self.radius * np.sqrt(gen.random(n))
         theta = 2.0 * math.pi * gen.random(n)
-        return [
-            Point(float(self.center.x + r * math.cos(t)),
-                  float(self.center.y + r * math.sin(t)))
-            for r, t in zip(radii, theta)
-        ]
+        return (self.center.x + radii * np.cos(theta),
+                self.center.y + radii * np.sin(theta))
+
+    def sample(self, rng: RngStream | np.random.Generator, n: int) -> list[Point]:
+        """`sample_xy`'s draws as points."""
+        xs, ys = self.sample_xy(rng, n)
+        return [Point(x, y) for x, y in zip(xs.tolist(), ys.tolist())]
 
 
 @dataclass(frozen=True)
@@ -175,6 +179,41 @@ def angles_from_point(baseline: Baseline, relay: Point) -> AnglePair:
             f"relay at ({relay.x}, {relay.y}) is collinear with the baseline"
         )
     return AnglePair(aod, aoa)
+
+
+def angles_from_points(
+    baseline: Baseline, x: np.ndarray, y: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Array form of `angles_from_point`: (aod, aoa) of the relays at (x, y).
+
+    Same arithmetic (numpy's arctan2 may round one ulp away from the math
+    module's) and the same checks: GeometryError for a non-finite
+    coordinate or a violated triangle condition, DegenerateGeometryError
+    when any relay is collinear with the baseline to within COLLINEAR_TOL.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    bad = ~(np.isfinite(x) & np.isfinite(y))
+    if bad.any():
+        k = np.flatnonzero(bad)[0]
+        raise GeometryError(f"point coordinates must be finite, got ({x[k]}, {y[k]})")
+    s, d = baseline.source, baseline.destination
+    aod = _interior_angles(d.x - s.x, d.y - s.y, x - s.x, y - s.y)
+    aoa = _interior_angles(s.x - d.x, s.y - d.y, x - d.x, y - d.y)
+    bad = ((np.minimum(aod, aoa) < COLLINEAR_TOL)
+           | (np.maximum(aod, aoa) > math.pi - COLLINEAR_TOL))
+    if bad.any():
+        k = np.flatnonzero(bad)[0]
+        raise DegenerateGeometryError(
+            f"relay at ({x[k]}, {y[k]}) is collinear with the baseline")
+    if np.any(aod + aoa >= math.pi):
+        raise GeometryError("triangle condition violated: aod + aoa >= pi")
+    return aod, aoa
+
+
+def _interior_angles(vx: float, vy: float, wx: np.ndarray, wy: np.ndarray) -> np.ndarray:
+    """`_interior_angle` from one direction v to many directions w."""
+    return np.arctan2(np.abs(vx * wy - vy * wx), vx * wx + vy * wy)
 
 
 def _check_triangle(angles: AnglePair) -> None:

@@ -30,12 +30,13 @@ from .geometry import (
     Point,
     RelayRegion,
     angles_from_point,
+    angles_from_points,
     angular_span,
     check_region_clear_of_baseline,
     dist_relay_destination,
     dist_source_relay,
 )
-from .numerics import QuadratureSpec, gauss_legendre, libm_map
+from .numerics import QuadratureSpec, RngStream, gauss_legendre, libm_map
 
 SINGULAR_TOL = 1e-12
 DEFAULT_MASS_FLOOR = 1e-12
@@ -354,6 +355,40 @@ def angle_cell_mass(
 ) -> float:
     """Probability that a region-distributed relay maps into this angle cell."""
     return integrate_angle_cell(region, baseline, cell, order=order)[0]
+
+
+def angle_pdf_check(
+    region: RelayRegion,
+    baseline: Baseline,
+    grid: AngularGrid,
+    rng: RngStream,
+    n: int,
+) -> tuple[float, float]:
+    """Monte Carlo check of the joint angle pdf over the grid's angle box.
+
+    Integrates the pdf (order-12 rules) over a 20 x 20 lattice of cells
+    spanning the grid, and histograms the angles of n relays drawn from
+    the region.  Returns the total integral and the fraction of non-empty
+    cells whose count lies within 3 sigma of its binomial expectation.
+    """
+    bins = 20
+    w_edges = np.linspace(grid.i_lo * grid.d_aod - 0.5 * grid.d_aod,
+                          grid.i_hi * grid.d_aod + 0.5 * grid.d_aod, bins + 1)
+    p_edges = np.linspace(grid.j_lo * grid.d_aoa - 0.5 * grid.d_aoa,
+                          grid.j_hi * grid.d_aoa + 0.5 * grid.d_aoa, bins + 1)
+    expected = np.array([
+        [angle_cell_mass(region, baseline,
+                         (w_edges[a], w_edges[a + 1], p_edges[b], p_edges[b + 1]),
+                         order=12)
+         for b in range(bins)]
+        for a in range(bins)
+    ])
+    aod, aoa = angles_from_points(baseline, *region.sample_xy(rng, n))
+    counts, _, _ = np.histogram2d(aod, aoa, bins=[w_edges, p_edges])
+    nonempty = expected > 1e-9
+    se = np.sqrt(n * expected * (1.0 - expected))
+    within = np.abs(counts - n * expected) <= 3.0 * se
+    return float(expected.sum()), float(within[nonempty].mean())
 
 
 def angle_cell_mass_generic(

@@ -20,7 +20,7 @@ import numpy as np
 
 from .channel import ChannelParams, HopPair, sample_instant_capacity
 from .errors import DomainError, GeometryError, MeasurementError
-from .geometry import Point, RelayRegion, angular_span, dist, signed_angle
+from .geometry import Point, RelayRegion, _unit, angular_span, dist, signed_angle
 from .numerics import RngStream
 
 FORMAT_HEADER = "# relaytomo measurement-set v1"
@@ -58,17 +58,12 @@ class MeasurementNetwork:
         """Signed angle of p from node q's reference ray (toward region center)."""
         node = self.nodes[q]
         ref = (self.region.center.x - node.x, self.region.center.y - node.y)
-        return signed_angle(*_unit(ref), p.x - node.x, p.y - node.y)
+        return signed_angle(*_unit(*ref), p.x - node.x, p.y - node.y)
 
     def scan_range(self, q: int) -> tuple[float, float]:
         node = self.nodes[q]
         ref = (self.region.center.x - node.x, self.region.center.y - node.y)
         return angular_span(self.region, node, ref)
-
-
-def _unit(v: tuple[float, float]) -> tuple[float, float]:
-    n = math.hypot(*v)
-    return v[0] / n, v[1] / n
 
 
 @dataclass(frozen=True)
@@ -101,6 +96,22 @@ class MeasurementSet:
     @property
     def n_observations(self) -> int:
         return self.raw.shape[2]
+
+    def in_pair_order(self, pairs: list[tuple[int, int]]) -> MeasurementSet:
+        """This set with its rows in the given pair order.
+
+        Raises MeasurementError unless the set holds exactly these pairs,
+        once each.
+        """
+        pairs = tuple(pairs)
+        if self.pairs == pairs:
+            return self
+        if sorted(self.pairs) != sorted(pairs):
+            raise MeasurementError(
+                f"measured node pairs {list(self.pairs)} do not match the "
+                f"network's ordered pairs {list(pairs)}")
+        rows = [self.pairs.index(pair) for pair in pairs]
+        return MeasurementSet(pairs, self.aoa[rows], self.cap_est[rows], self.raw[rows])
 
     def observation_vector(self, relay: int, o: int) -> np.ndarray:
         """Instantaneous capacities of observation o across all ordered pairs."""

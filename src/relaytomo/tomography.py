@@ -49,7 +49,6 @@ class TomographyConfig:
     """Solver settings: discretization, residual bounds, step-4 variant."""
 
     cell_side: float = 5.0
-    epsilon_angle: float = 1e-9
     epsilon_capacity: float = math.inf
     mode: str = "msprt"
     apply_capacity_bound: bool = False
@@ -57,8 +56,8 @@ class TomographyConfig:
     def __post_init__(self) -> None:
         if self.cell_side <= 0.0:
             raise DomainError("cell side must be positive")
-        if self.epsilon_angle < 0.0 or self.epsilon_capacity < 0.0:
-            raise DomainError("residual tolerances must be non-negative")
+        if self.epsilon_capacity < 0.0:
+            raise DomainError("the capacity residual bound must be non-negative")
         if self.mode not in ("argmin", "msprt"):
             raise DomainError(f"mode must be 'argmin' or 'msprt', got {self.mode!r}")
 
@@ -417,10 +416,14 @@ def localize_all(
 ) -> list[LocalizationResult]:
     """Run the full pipeline for every relay, in relay order.
 
-    Argmin mode filters cells with `feasible_cells`; msprt mode with
-    `angle_likelihood`, whose shares weight the test's prior.  Relays whose
-    candidate set comes back empty are reported unlocalized.
+    The rows of ms are first put in `net.ordered_pairs()` order, so results
+    do not depend on the order of the records; a pair set that differs
+    from the network's raises MeasurementError.  Argmin mode filters cells
+    with `feasible_cells`; msprt mode with `angle_likelihood`, whose shares
+    weight the test's prior.  Relays whose candidate set comes back empty
+    are reported unlocalized.
     """
+    ms = ms.in_pair_order(net.ordered_pairs())
     results = []
     for l in range(ms.n_relays):
         if cfg.mode == "argmin":

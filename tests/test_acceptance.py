@@ -24,7 +24,7 @@ from relaytomo.channel import (
 )
 from relaytomo.config import default_config_dict, scenario_from_dict
 from relaytomo.geometry import angles_from_point, dist, sample_relays
-from relaytomo.ias import angle_cell_mass, build_grid, discrete_ias
+from relaytomo.ias import angle_pdf_check, build_grid, discrete_ias
 from relaytomo.measurement import (
     quantize_angle,
     read_measurements,
@@ -83,35 +83,10 @@ def test_criterion_2_angle_pdf_oracles():
     with criterion("2 joint-angle-pdf oracles"):
         start = time.monotonic()
         grid = build_grid(REGION, BASELINE, math.radians(10), math.radians(10))
-        w_lo = grid.i_lo * grid.d_aod - 0.5 * grid.d_aod
-        w_hi = grid.i_hi * grid.d_aod + 0.5 * grid.d_aod
-        p_lo = grid.j_lo * grid.d_aoa - 0.5 * grid.d_aoa
-        p_hi = grid.j_hi * grid.d_aoa + 0.5 * grid.d_aoa
-
-        bins = 20
-        w_edges = np.linspace(w_lo, w_hi, bins + 1)
-        p_edges = np.linspace(p_lo, p_hi, bins + 1)
-        expected = np.zeros((bins, bins))
-        for a in range(bins):
-            for b in range(bins):
-                expected[a, b] = angle_cell_mass(
-                    REGION, BASELINE,
-                    (w_edges[a], w_edges[a + 1], p_edges[b], p_edges[b + 1]),
-                    order=12)
-        assert float(expected.sum()) == pytest.approx(1.0, abs=1e-4)
-
-        n = 1_000_000
-        pts = REGION.sample(RngStream(1002), n)
-        ws = np.empty(n)
-        ps = np.empty(n)
-        for k, p in enumerate(pts):
-            ang = angles_from_point(BASELINE, p)
-            ws[k], ps[k] = ang.aod, ang.aoa
-        counts, _, _ = np.histogram2d(ws, ps, bins=[w_edges, p_edges])
-        nonempty = expected > 1e-9
-        se = np.sqrt(n * expected * (1.0 - expected))
-        within = np.abs(counts - n * expected) <= 3.0 * se
-        assert float(within[nonempty].mean()) >= 0.95
+        total, frac = angle_pdf_check(REGION, BASELINE, grid, RngStream(1002),
+                                      n=1_000_000)
+        assert total == pytest.approx(1.0, abs=1e-4)
+        assert frac >= 0.95
         assert time.monotonic() - start <= 60.0
 
 

@@ -1,9 +1,12 @@
 import json
 import math
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relaytomo.cli import main
 from relaytomo.config import (
@@ -186,6 +189,54 @@ class TestPipeline:
         dup = tmp_path / "dup.txt"
         write_measurements(read_measurements(src), dup)
         assert src.read_bytes() == dup.read_bytes()
+
+
+@pytest.fixture(scope="module")
+def reference_run(tmp_path_factory):
+    """A simulated reference scenario and its invert outputs in both modes."""
+    root = tmp_path_factory.mktemp("reference")
+    sim = root / "sim"
+    assert main(["simulate", "--out", str(sim)]) == 0
+    return sim, {mode: invert_outputs(sim / "measurements.txt", sim, mode, root / mode)
+                 for mode in ("msprt", "argmin")}
+
+
+def invert_outputs(measurements: Path, sim: Path, mode: str, out: Path) -> tuple[bytes, bytes]:
+    assert main(["invert", str(measurements), "--mode", mode, "--out", str(out),
+                 "--truth", str(sim / "relays_true.txt")]) == 0
+    return (out / "report.txt").read_bytes(), (out / "scoring.json").read_bytes()
+
+
+class TestRecordOrder:
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_invert_ignores_record_order(self, reference_run, data):
+        sim, expected = reference_run
+        lines = (sim / "measurements.txt").read_text().splitlines()
+        header = [line for line in lines if line.startswith("#")]
+        records = data.draw(st.permutations([line for line in lines
+                                             if not line.startswith("#")]))
+        with tempfile.TemporaryDirectory() as tmp:
+            shuffled = Path(tmp) / "shuffled.txt"
+            shuffled.write_text("\n".join(header + records) + "\n")
+            for mode in ("msprt", "argmin"):
+                assert invert_outputs(shuffled, sim, mode, Path(tmp) / mode) == expected[mode]
+
+    def test_missing_pair_is_3(self, reference_run, tmp_path, capsys):
+        sim, _ = reference_run
+        lines = (sim / "measurements.txt").read_text().splitlines()
+        kept = [line for line in lines if not line.startswith("2 1 ")]
+        assert len(kept) < len(lines)
+        bad = tmp_path / "missing_pair.txt"
+        bad.write_text("\n".join(kept) + "\n")
+        capsys.readouterr()
+        assert main(["invert", str(bad), "--out", str(tmp_path / "o")]) == 3
+        assert "do not match" in capsys.readouterr().err
+
+
+def test_selftest_passes(capsys):
+    assert main(["selftest"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "selftest: PASS"
 
 
 class TestExitCodes:

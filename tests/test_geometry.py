@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +16,7 @@ from relaytomo.geometry import (
     Point,
     RelayRegion,
     angles_from_point,
+    angles_from_points,
     angular_span,
     check_region_clear_of_baseline,
     discretize_region,
@@ -228,3 +230,78 @@ class TestRegion:
         for p in sample_relays(REGION, 2000, RngStream(8)):
             assert dist(p, REGION.center) <= REGION.radius
         assert sample_relays(REGION, 0, RngStream(8)) == []
+
+    def test_sample_xy_matches_points_bit_for_bit(self):
+        xs, ys = REGION.sample_xy(RngStream(33), 20_000)
+        pts = REGION.sample(RngStream(33), 20_000)
+        assert [p.x for p in pts] == xs.tolist()
+        assert [p.y for p in pts] == ys.tolist()
+        # the same draws through the math module, one point at a time
+        gen = RngStream(33).generator()
+        radii = REGION.radius * np.sqrt(gen.random(20_000))
+        theta = 2.0 * math.pi * gen.random(20_000)
+        assert xs.tolist() == [float(REGION.center.x + r * math.cos(t))
+                               for r, t in zip(radii, theta)]
+        assert ys.tolist() == [float(REGION.center.y + r * math.sin(t))
+                               for r, t in zip(radii, theta)]
+
+    def test_sample_xy_accepts_a_generator(self):
+        a = REGION.sample_xy(np.random.default_rng(5), 100)
+        b = REGION.sample_xy(np.random.default_rng(5), 100)
+        np.testing.assert_array_equal(a[0], b[0])
+        np.testing.assert_array_equal(a[1], b[1])
+
+
+class TestAnglesFromPoints:
+    N = 100_000
+
+    def scalar_angles(self, xs, ys):
+        pairs = [angles_from_point(BASELINE, Point(x, y))
+                 for x, y in zip(xs.tolist(), ys.tolist())]
+        return np.array([a.aod for a in pairs]), np.array([a.aoa for a in pairs])
+
+    def test_within_one_ulp_of_scalar_map(self):
+        xs, ys = REGION.sample_xy(RngStream(34), self.N)
+        aod, aoa = angles_from_points(BASELINE, xs, ys)
+        s_aod, s_aoa = self.scalar_angles(xs, ys)
+        assert np.all(np.abs(aod - s_aod) <= np.spacing(s_aod))
+        assert np.all(np.abs(aoa - s_aoa) <= np.spacing(s_aoa))
+
+    def test_same_histogram_as_scalar_map(self):
+        xs, ys = REGION.sample_xy(RngStream(35), self.N)
+        edges = np.linspace(0.0, 1.2, 21)
+        counts, _, _ = np.histogram2d(*angles_from_points(BASELINE, xs, ys),
+                                      bins=[edges, edges])
+        s_counts, _, _ = np.histogram2d(*self.scalar_angles(xs, ys), bins=[edges, edges])
+        assert counts.sum() == self.N
+        np.testing.assert_array_equal(counts, s_counts)
+
+    def test_collinear_point_in_batch_rejected(self):
+        xs, ys = REGION.sample_xy(RngStream(36), 1000)
+        for bad in ((50.0, 0.0), (50.0, 50.0 * 1e-12)):
+            x, y = xs.copy(), ys.copy()
+            x[417], y[417] = bad
+            with pytest.raises(DegenerateGeometryError, match="collinear"):
+                angles_from_points(BASELINE, x, y)
+
+    def test_non_finite_coordinate_rejected(self):
+        xs, ys = REGION.sample_xy(RngStream(37), 10)
+        for bad in (math.nan, math.inf):
+            x = xs.copy()
+            x[3] = bad
+            with pytest.raises(GeometryError, match="finite"):
+                angles_from_points(BASELINE, x, ys)
+            with pytest.raises(GeometryError, match="finite"):
+                angles_from_points(BASELINE, ys, x)
+
+    def test_triangle_condition_checked(self):
+        # so far out that both angles round to pi/2: both paths reject it
+        far = Point(CX, 1e20)
+        with pytest.raises(GeometryError, match="triangle"):
+            angles_from_point(BASELINE, far)
+        with pytest.raises(GeometryError, match="triangle"):
+            angles_from_points(BASELINE, np.array([CX, far.x]), np.array([50.0, far.y]))
+
+    def test_empty_batch(self):
+        aod, aoa = angles_from_points(BASELINE, np.empty(0), np.empty(0))
+        assert aod.shape == aoa.shape == (0,)
