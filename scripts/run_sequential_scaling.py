@@ -2,9 +2,11 @@
 """Correct-cell rate of the sequential test as the observation window grows.
 
 Draws one relay per scene, simulates a long observation window once, and
-evaluates the MAP decision on nested prefixes of the window.  More
-observations should never hurt on average; the printed rates show the
-consistency of the sequential objective.
+evaluates the MAP decision on nested prefixes of the window.  Candidates
+and their prior weights come from the footprint angle likelihood, as in
+`localize_all`'s msprt mode.  More observations should never hurt on
+average; the printed rates show the consistency of the sequential
+objective.
 
 Usage: python scripts/run_sequential_scaling.py [--scenes N] [--windows 1,10,100]
 """
@@ -15,7 +17,7 @@ from relaytomo.config import default_config_dict, scenario_from_dict
 from relaytomo.geometry import dist, sample_relays
 from relaytomo.measurement import simulate_measurements
 from relaytomo.numerics import RngStream
-from relaytomo.tomography import MsprtConfig, feasible_cells, msprt_localize
+from relaytomo.tomography import MsprtConfig, angle_likelihood, msprt_localize
 
 
 def run(n_scenes: int, windows: list[int], base: int = 6000) -> list[float]:
@@ -30,7 +32,7 @@ def run(n_scenes: int, windows: list[int], base: int = 6000) -> list[float]:
         rng = RngStream(base + k)
         relays = sample_relays(region, 1, rng.child(0))
         ms = simulate_measurements(net, relays, params, max_obs, rng.child(1))
-        candidates = feasible_cells(ms, 0, net, grid)
+        candidates, weights = angle_likelihood(ms, 0, net, grid)
         if not candidates:
             total += 1
             continue
@@ -40,7 +42,8 @@ def run(n_scenes: int, windows: list[int], base: int = 6000) -> list[float]:
         for o in windows:
             res = msprt_localize(
                 candidates, ms.raw[:, 0, :o], net, grid, params,
-                MsprtConfig(error=1e-12, max_observations=o), ms=ms, relay=0)
+                MsprtConfig(error=1e-12, max_observations=o), ms=ms, relay=0,
+                angle_weights=weights)
             if res.cell_index == true_cell:
                 correct[o] += 1
 

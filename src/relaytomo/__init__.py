@@ -51,9 +51,7 @@ from .measurement import (
 from .numerics import (
     QuadratureSpec,
     RngStream,
-    integrate_2d,
     regularized_lower_gamma,
-    sample_gamma,
     solve_increasing_root,
 )
 from .tomography import (
@@ -75,9 +73,9 @@ __all__ = [
     "angles_from_point", "angles_from_points", "angular_span", "build_grid",
     "capacity_pdf", "continuous_ias", "discrete_ias", "discretize_region",
     "dist_relay_destination", "dist_source_relay", "estimate_outage_capacity",
-    "feasible_cells", "integrate_2d", "joint_angle_pdf", "localize_all",
+    "feasible_cells", "joint_angle_pdf", "localize_all",
     "localize_argmin", "msprt_localize", "outage_capacity", "outage_cdf",
     "point_from_angles", "quantize_angle", "regularized_lower_gamma",
-    "sample_gamma", "sample_instant_capacity", "sample_relays",
+    "sample_instant_capacity", "sample_relays",
     "simulate_measurements", "solve_increasing_root",
 ]

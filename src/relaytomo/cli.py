@@ -19,10 +19,8 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from .channel import HopPair, outage_capacity, sample_instant_capacity
+from .channel import outage_solver_check
 from .config import (
     ScenarioConfig,
     default_config_dict,
@@ -30,7 +28,7 @@ from .config import (
     scenario_from_dict,
     write_config,
 )
-from .errors import ConfigError, RelayTomoError
+from .errors import ConfigError, MeasurementError, RelayTomoError
 from .geometry import sample_relays
 from .ias import angle_pdf_check, continuous_ias, discrete_ias
 from .measurement import (
@@ -137,6 +135,10 @@ def cmd_invert(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     ms = read_measurements(args.measurements)
+    if args.observations is not None and args.observations > ms.n_observations:
+        raise MeasurementError(
+            f"--observations {args.observations} exceeds the {ms.n_observations} "
+            f"observations per record of {args.measurements}")
     net = cfg.network()
     grid = cfg.cell_grid()
     params = cfg.channel_params()
@@ -170,17 +172,12 @@ def cmd_selftest(args) -> int:
 def _selftest_outage_solver(cfg: ScenarioConfig, n: int = 1_000_000) -> bool:
     """Outage solver vs the m=1 closed form and a Monte Carlo quantile."""
     params = cfg.channel_params()
-    hops = HopPair(100.0, 100.0)
-    solved = outage_capacity(hops, params)
+    solved, closed, empirical = outage_solver_check(
+        params, RngStream(cfg.seed).child(101), n)
     checks = []
-    if params.nakagami_m == 1.0:
-        s1 = 1.0 / (params.snr * hops.d_sr**params.path_loss_exp)
-        s2 = 1.0 / (params.snr * hops.d_rd**params.path_loss_exp)
-        closed = 0.5 * math.log2(1.0 - math.log1p(-params.outage_prob) / (s1 + s2))
+    if closed is not None:
         checks.append(("closed-form inversion", abs(solved - closed) <= 1e-9,
                        f"solver {solved:.12e} vs closed form {closed:.12e}"))
-    caps = sample_instant_capacity(hops, params, RngStream(cfg.seed).child(101), size=n)
-    empirical = float(np.quantile(caps, params.outage_prob))
     checks.append(("Monte Carlo quantile", abs(empirical - solved) <= 2e-4,
                    f"empirical {empirical:.6e} vs solver {solved:.6e}"))
     passed = True

@@ -136,14 +136,25 @@ class CellGrid:
         if self.cell_side <= 0.0:
             raise GeometryError(f"cell side must be positive, got {self.cell_side}")
 
+    # a grid is a cache key (see tomography): hash its thousands of cells
+    # once, which the frozen fields allow, and compare equal grids as arrays
     def __hash__(self) -> int:
-        # a grid is a cache key (see tomography); hash its thousands of
-        # cells once, which the frozen fields allow
         return self._hash
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, CellGrid):
+            return NotImplemented
+        return self is other or (self._hash == other._hash
+                                 and self.cell_side == other.cell_side
+                                 and np.array_equal(self._xy, other._xy))
 
     @cached_property
     def _hash(self) -> int:
         return hash((self.cells, self.cell_side))
+
+    @cached_property
+    def _xy(self) -> np.ndarray:
+        return np.array([(c.x, c.y) for c in self.cells])
 
 
 def _unit(dx: float, dy: float) -> tuple[float, float]:

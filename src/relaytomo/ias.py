@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelParams, HopPair, outage_capacity, outage_capacity_array
+from .channel import ChannelParams, HopPair, outage_capacity_array
 from .errors import DegenerateGeometryError, DomainError
 from .geometry import (
     AnglePair,
@@ -122,15 +122,11 @@ def continuous_ias(
     params: ChannelParams,
 ) -> list[FlowAtom]:
     """One atom per relay: its angle pair and the path outage capacity."""
-    atoms = []
-    for l, relay in enumerate(relays):
-        angles = angles_from_point(baseline, relay)
-        hops = HopPair(
-            dist_source_relay(baseline, angles),
-            dist_relay_destination(baseline, angles),
-        )
-        atoms.append(FlowAtom(angles.aod, angles.aoa, outage_capacity(hops, params), l))
-    return atoms
+    angles = [angles_from_point(baseline, relay) for relay in relays]
+    hops = HopPair(np.array([dist_source_relay(baseline, a) for a in angles]),
+                   np.array([dist_relay_destination(baseline, a) for a in angles]))
+    caps = outage_capacity_array(hops, params)
+    return [FlowAtom(a.aod, a.aoa, float(c), l) for l, (a, c) in enumerate(zip(angles, caps))]
 
 
 def _map_to_plane(baseline: Baseline, omega: float, psi: float) -> tuple[float, float]:

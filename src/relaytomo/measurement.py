@@ -15,12 +15,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
 from .channel import ChannelParams, HopPair, sample_instant_capacity
 from .errors import DomainError, GeometryError, MeasurementError
-from .geometry import Point, RelayRegion, _unit, angular_span, dist, signed_angle
+from .geometry import Point, RelayRegion, _unit, dist, signed_angle
 from .numerics import RngStream
 
 FORMAT_HEADER = "# relaytomo measurement-set v1"
@@ -59,11 +60,6 @@ class MeasurementNetwork:
         node = self.nodes[q]
         ref = (self.region.center.x - node.x, self.region.center.y - node.y)
         return signed_angle(*_unit(*ref), p.x - node.x, p.y - node.y)
-
-    def scan_range(self, q: int) -> tuple[float, float]:
-        node = self.nodes[q]
-        ref = (self.region.center.x - node.x, self.region.center.y - node.y)
-        return angular_span(self.region, node, ref)
 
 
 @dataclass(frozen=True)
@@ -113,10 +109,6 @@ class MeasurementSet:
         rows = [self.pairs.index(pair) for pair in pairs]
         return MeasurementSet(pairs, self.aoa[rows], self.cap_est[rows], self.raw[rows])
 
-    def observation_vector(self, relay: int, o: int) -> np.ndarray:
-        """Instantaneous capacities of observation o across all ordered pairs."""
-        return self.raw[:, relay, o]
-
 
 def quantize_angle(theta: float, d_theta: float) -> tuple[int, float]:
     """Nearest grid index and angle; ties round half away from zero."""
@@ -164,33 +156,18 @@ def simulate_measurements(
     aoa = np.zeros((n_pairs, n_relays))
     cap_est = np.zeros((n_pairs, n_relays))
     raw = np.zeros((n_pairs, n_relays, observations))
-
-    # visibility: a path is recorded only if both endpoints see the relay
-    # inside their scan ranges (always true for region-derived ranges)
-    scans = [net.scan_range(q) for q in range(net.n_nodes)]
-
-    caps_cache: dict[tuple[int, int, int], np.ndarray] = {}
-    for p_idx, (q1, q2) in enumerate(pairs):
-        lo, hi = min(q1, q2), max(q1, q2)
+    for lo, hi in combinations(range(net.n_nodes), 2):
+        # (lo, hi) is received at hi, (hi, lo) at lo; both share the draws
+        fwd, rev = pairs.index((lo, hi)), pairs.index((hi, lo))
         for l, relay in enumerate(relays):
-            angle = net.node_angle(q2, relay)
-            tx_angle = net.node_angle(q1, relay)
-            if not (scans[q2][0] - 1e-12 <= angle <= scans[q2][1] + 1e-12):
-                continue
-            if not (scans[q1][0] - 1e-12 <= tx_angle <= scans[q1][1] + 1e-12):
-                continue
-            _, aoa[p_idx, l] = quantize_angle(angle, net.resolution)
-            key = (lo, hi, l)
-            if key not in caps_cache:
-                hops = HopPair(dist(net.nodes[lo], relay), dist(relay, net.nodes[hi]))
-                stream = rng.child(lo * net.n_nodes + hi).child(l)
-                caps_cache[key] = sample_instant_capacity(
-                    hops, params, stream, size=observations
-                )
-            raw[p_idx, l, :] = caps_cache[key]
-            cap_est[p_idx, l] = estimate_outage_capacity(
-                caps_cache[key], params.outage_prob
-            )
+            _, aoa[fwd, l] = quantize_angle(net.node_angle(hi, relay), net.resolution)
+            _, aoa[rev, l] = quantize_angle(net.node_angle(lo, relay), net.resolution)
+            hops = HopPair(dist(net.nodes[lo], relay), dist(relay, net.nodes[hi]))
+            stream = rng.child(lo * net.n_nodes + hi).child(l)
+            raw[fwd, l] = raw[rev, l] = sample_instant_capacity(
+                hops, params, stream, size=observations)
+            cap_est[fwd, l] = cap_est[rev, l] = estimate_outage_capacity(
+                raw[fwd, l], params.outage_prob)
     return MeasurementSet(tuple(pairs), aoa, cap_est, raw)
 
 
@@ -219,7 +196,13 @@ def write_measurements(ms: MeasurementSet, path) -> None:
 
 
 def read_measurements(path) -> MeasurementSet:
-    records = []
+    """Parse a measurement file; rows keep the order of first appearance.
+
+    Raises MeasurementError naming the file and line for a malformed or
+    duplicated (q1, q2, relay) record, and naming the pair and relay when
+    a pair lacks a record of some relay.
+    """
+    records = {}
     try:
         fh = open(path, "r", encoding="utf-8")
     except OSError as exc:
@@ -233,31 +216,36 @@ def read_measurements(path) -> MeasurementSet:
             if len(tok) < 6:
                 raise MeasurementError(f"malformed measurement record: {line!r}")
             try:
-                records.append((int(tok[0]), int(tok[1]), int(tok[2]),
-                                math.radians(float(tok[3])), float(tok[4]),
-                                [float(v) for v in tok[5:]]))
+                key = (int(tok[0]), int(tok[1]), int(tok[2]))
+                record = (lineno, math.radians(float(tok[3])), float(tok[4]),
+                          [float(v) for v in tok[5:]])
             except ValueError as exc:
                 raise MeasurementError(
                     f"{path}, line {lineno}: non-numeric field in {line!r}") from exc
+            if key[2] < 0:
+                raise MeasurementError(f"{path}, line {lineno}: negative relay index")
+            if key in records:
+                raise MeasurementError(
+                    f"{path}, line {lineno}: duplicate record of pair {key[:2]}, "
+                    f"relay {key[2]} (first at line {records[key][0]})")
+            records[key] = record
     if not records:
         raise MeasurementError(f"no measurement records found in {path}")
-    pairs = []
-    for q1, q2, *_ in records:
-        if (q1, q2) not in pairs:
-            pairs.append((q1, q2))
-    n_relays = max(r[2] for r in records) + 1
-    n_obs = len(records[0][5])
+    pairs = list(dict.fromkeys(key[:2] for key in records))
+    n_relays = max(l for _, _, l in records) + 1
+    n_obs = len(next(iter(records.values()))[3])
     aoa = np.zeros((len(pairs), n_relays))
     cap_est = np.zeros((len(pairs), n_relays))
     raw = np.zeros((len(pairs), n_relays, n_obs))
-    index = {pair: k for k, pair in enumerate(pairs)}
-    for q1, q2, l, angle, cap, obs in records:
-        if len(obs) != n_obs:
-            raise MeasurementError("inconsistent observation counts across records")
-        p_idx = index[(q1, q2)]
-        aoa[p_idx, l] = angle
-        cap_est[p_idx, l] = cap
-        raw[p_idx, l, :] = obs
+    for p_idx, (q1, q2) in enumerate(pairs):
+        for l in range(n_relays):
+            if (q1, q2, l) not in records:
+                raise MeasurementError(
+                    f"{path}: pair ({q1}, {q2}) has no record of relay {l}")
+            _, aoa[p_idx, l], cap_est[p_idx, l], obs = records[(q1, q2, l)]
+            if len(obs) != n_obs:
+                raise MeasurementError("inconsistent observation counts across records")
+            raw[p_idx, l, :] = obs
     return MeasurementSet(tuple(pairs), aoa, cap_est, raw)
 
 

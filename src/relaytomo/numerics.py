@@ -336,50 +336,3 @@ def gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights on [-1, 1], cached per order."""
     nodes, weights = np.polynomial.legendre.leggauss(order)
     return nodes, weights
-
-
-def integrate_2d(
-    f: Callable[[float, float], float],
-    domain: tuple[float, float, float, float],
-    spec: QuadratureSpec = QuadratureSpec(),
-) -> float:
-    """Tensor-product Gauss-Legendre integral of f over [x0,x1] x [y0,y1].
-
-    Exact for bivariate polynomials of per-axis degree <= 2*order - 1.
-    A zero-area domain integrates to 0.
-    """
-    x0, x1, y0, y1 = domain
-    if x1 <= x0 or y1 <= y0:
-        return 0.0
-    nodes, weights = gauss_legendre(spec.order)
-    xm, xh = 0.5 * (x0 + x1), 0.5 * (x1 - x0)
-    ym, yh = 0.5 * (y0 + y1), 0.5 * (y1 - y0)
-    xs = xm + xh * nodes
-    ys = ym + yh * nodes
-    total = 0.0
-    for wx, x in zip(weights, xs):
-        row = 0.0
-        for wy, y in zip(weights, ys):
-            row += wy * f(x, y)
-        total += wx * row
-    return total * xh * yh
-
-
-def sample_gamma(
-    shape: float,
-    scale: float,
-    rng: RngStream | np.random.Generator,
-    size: int | None = None,
-):
-    """Draw from the gamma distribution G(shape, scale).
-
-    Returns a scalar for size=None, else an ndarray of length `size`.
-    A Generator may be passed directly when the caller manages stream
-    lifetime itself (e.g. inside a vectorized simulation loop).
-    """
-    if shape <= 0.0 or scale <= 0.0:
-        raise DomainError(f"gamma parameters must be positive, got shape={shape}, scale={scale}")
-    gen = rng.generator() if isinstance(rng, RngStream) else rng
-    if size is None:
-        return float(gen.gamma(shape, scale))
-    return gen.gamma(shape, scale, size=size)

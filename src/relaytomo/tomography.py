@@ -1,5 +1,16 @@
 """Inverse solver: locate relays from exterior angle/capacity measurements.
 
+Relay network tomography is an inverse problem.  Each cell of the grid is
+a hypothesis, and its forward model is the relay paths it predicts between
+the measuring nodes: one two-hop path per node pair, with its arrival
+angles and outage capacity.  One table per (network, grid), `_Footprint`,
+owns that geometry: each cell center's distance to every node, its angle
+and angle bin at every node (bit for bit `dist`,
+`MeasurementNetwork.node_angle` and `quantize_angle`), the unordered node
+pairs, and the bin of every footprint point.  The steps below read their
+bins, hops and angles from it and solve their outage capacities in one
+`outage_capacity_array` call each.
+
 Pipeline per relay: (1) reduce the grid to the cells the measured arrival
 angles allow; (2) pick one candidate either by minimizing the l2 capacity
 residual against the empirical outage estimates, or by a multi-hypothesis
@@ -18,22 +29,22 @@ are dropped and the share enters the test's prior.  The test counts each
 unordered node pair once, since reciprocal orderings carry the same
 fading draws.
 
-The capacity residual is reported for every result; thresholding on it is
-optional and off by default.
+Every result reports its capacity residual and its angle residual.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .channel import ChannelParams, HopPair, capacity_log_pdf, outage_capacity
+from .channel import ChannelParams, HopPair, capacity_log_pdf, outage_capacity_array
 from .errors import DomainError, LocalizationError
 from .geometry import CellGrid, Point, dist
 from .measurement import MeasurementNetwork, MeasurementSet, quantize_angle
+from .numerics import libm_map
 
 KIND_THRESHOLD = "threshold"
 KIND_FORCED_MAP = "forced-map"
@@ -46,18 +57,14 @@ _TEST_BLOCK = 1 << 18  # (hypothesis, rival, observation) margins compared per p
 
 @dataclass(frozen=True)
 class TomographyConfig:
-    """Solver settings: discretization, residual bounds, step-4 variant."""
+    """Solver settings: discretization and the localization objective."""
 
     cell_side: float = 5.0
-    epsilon_capacity: float = math.inf
     mode: str = "msprt"
-    apply_capacity_bound: bool = False
 
     def __post_init__(self) -> None:
         if self.cell_side <= 0.0:
             raise DomainError("cell side must be positive")
-        if self.epsilon_capacity < 0.0:
-            raise DomainError("the capacity residual bound must be non-negative")
         if self.mode not in ("argmin", "msprt"):
             raise DomainError(f"mode must be 'argmin' or 'msprt', got {self.mode!r}")
 
@@ -134,12 +141,6 @@ class LocalizationResult:
             raise DomainError(f"unknown decision kind {self.kind!r}")
 
 
-def pair_hops(net: MeasurementNetwork, pair: tuple[int, int], p: Point) -> HopPair:
-    """Hop lengths of the path via p for one ordered node pair."""
-    q1, q2 = pair
-    return HopPair(dist(net.nodes[q1], p), dist(p, net.nodes[q2]))
-
-
 def feasible_cells(
     ms: MeasurementSet,
     relay: int,
@@ -153,29 +154,24 @@ def feasible_cells(
     indices; an empty list signals a grid too coarse or inconsistent data
     (the caller decides how to proceed).
     """
-    pair_bins = []
+    fp = _footprint(net, grid)
+    keep = np.ones(len(grid.cells), dtype=bool)
     for p_idx, (q1, q2) in enumerate(ms.pairs):
-        measured = ms.aoa[p_idx, relay]
-        bin_index, _ = quantize_angle(float(measured), net.resolution)
-        pair_bins.append((q2, bin_index))
-
-    keep = []
-    for w, cell in enumerate(grid.cells):
-        ok = True
-        for q2, bin_index in pair_bins:
-            predicted = net.node_angle(q2, cell)
-            if quantize_angle(predicted, net.resolution)[0] != bin_index:
-                ok = False
-                break
-        if ok:
-            keep.append(w)
-    return keep
+        bin_index, _ = quantize_angle(float(ms.aoa[p_idx, relay]), net.resolution)
+        keep &= fp.center_bins[:, q2] == bin_index
+    return np.flatnonzero(keep).tolist()
 
 
 class _Footprint:
-    """Per (network, grid): the measuring bin of every footprint point.
+    """Per (network, grid): the geometry of every cell's hypothesis.
 
-    Each cell is sub-sampled on a FOOTPRINT_SAMPLES x FOOTPRINT_SAMPLES
+    dist[w, q] and angle[w, q] are cell w's center's distance to node q and
+    its angle at node q, and center_bins[w, q] is that angle's bin.  Each
+    unordered node pair counts once, as its ordered row (tx, rx) with
+    tx < rx; `rows` are those rows of `net.ordered_pairs()`, and col[p] is
+    the unordered pair of ordered row p.
+
+    Each cell is also sub-sampled on a FOOTPRINT_SAMPLES x FOOTPRINT_SAMPLES
     lattice of its square (the center included); `inside` marks the points
     in the region disc, which alone make up the footprint.  bins[q, w, s]
     is the bin index at node q of point s of cell w, and lo/hi bound the
@@ -183,6 +179,16 @@ class _Footprint:
     """
 
     def __init__(self, net: MeasurementNetwork, grid: CellGrid) -> None:
+        self.dist = np.array([[dist(node, c) for node in net.nodes] for c in grid.cells])
+        self.angle = np.array([[net.node_angle(q, c) for q in range(net.n_nodes)]
+                               for c in grid.cells])
+        self.center_bins = _bin_index(self.angle / net.resolution)
+        pairs = net.ordered_pairs()
+        once = [(q1, q2) for q1, q2 in pairs if q1 < q2]
+        self.rows = [pairs.index(pair) for pair in once]
+        self.tx, self.rx = np.array(once).T
+        self.col = np.array([once.index((min(pair), max(pair))) for pair in pairs])
+
         n = FOOTPRINT_SAMPLES
         offsets = ((np.arange(n) + 0.5) / n - 0.5) * grid.cell_side
         ox, oy = np.meshgrid(offsets, offsets)
@@ -197,13 +203,22 @@ class _Footprint:
             norm = math.hypot(rx, ry)
             rx, ry = rx / norm, ry / norm
             dx, dy = px - node.x, py - node.y
-            ratio = np.arctan2(rx * dy - ry * dx, rx * dx + ry * dy) / net.resolution
-            # quantize_angle's rounding: half away from zero
-            bins.append(np.where(ratio >= 0.0, np.floor(ratio + 0.5), np.ceil(ratio - 0.5)))
-        self.bins = np.array(bins, dtype=np.int32)
+            bins.append(_bin_index(np.arctan2(rx * dy - ry * dx, rx * dx + ry * dy)
+                                   / net.resolution))
+        self.bins = np.array(bins)
         big = np.iinfo(np.int32).max
         self.lo = np.where(self.inside, self.bins, big).min(axis=2)
         self.hi = np.where(self.inside, self.bins, -big).max(axis=2)
+
+    def hop_lengths(self, cells) -> tuple[np.ndarray, np.ndarray]:
+        """Hop lengths of each cell center's path per unordered pair, (cells, pairs)."""
+        d = self.dist[cells]
+        return d[:, self.tx], d[:, self.rx]
+
+
+def _bin_index(ratio: np.ndarray) -> np.ndarray:
+    # quantize_angle's rounding of angle / resolution: half away from zero
+    return np.where(ratio >= 0.0, np.floor(ratio + 0.5), np.ceil(ratio - 0.5)).astype(np.int32)
 
 
 @lru_cache(maxsize=8)
@@ -244,31 +259,27 @@ def angle_likelihood(
     return cells[keep].tolist(), share[keep]
 
 
-def _angle_residual(
-    ms: MeasurementSet, relay: int, net: MeasurementNetwork, p: Point
-) -> float:
-    sq = 0.0
-    for p_idx, (q1, q2) in enumerate(ms.pairs):
-        sq += (float(ms.aoa[p_idx, relay]) - net.node_angle(q2, p)) ** 2
-    return math.sqrt(sq)
+def _l2_norms(diff: np.ndarray) -> np.ndarray:
+    # l2 norm along the last axis: the math module's squares and a running
+    # sum, so the rounding and the order are a scalar loop's
+    return np.sqrt(np.cumsum(libm_map(lambda t: t ** 2, diff), axis=-1)[..., -1])
 
 
-def _capacity_residual(
-    cap_row: np.ndarray, net: MeasurementNetwork, p: Point, params: ChannelParams
-) -> float:
-    """l2 norm of the outage-capacity residuals of the paths via p.
+def _capacity_residuals(
+    fp: _Footprint, cells, cap_row: np.ndarray, params: ChannelParams
+) -> np.ndarray:
+    """l2 norm of the outage-capacity residuals of each cell's paths.
 
     cap_row holds one estimate per ordered pair of `net.ordered_pairs()`;
     both orderings of a pair share one solve, as they share one path.
     """
-    caps: dict[tuple[int, int], float] = {}
-    sq = 0.0
-    for p_idx, pair in enumerate(net.ordered_pairs()):
-        key = (min(pair), max(pair))
-        if key not in caps:
-            caps[key] = outage_capacity(pair_hops(net, pair, p), params)
-        sq += (float(cap_row[p_idx]) - caps[key]) ** 2
-    return math.sqrt(sq)
+    caps = outage_capacity_array(HopPair(*fp.hop_lengths(cells)), params)
+    return _l2_norms(cap_row - caps[:, fp.col])
+
+
+def _angle_residual(fp: _Footprint, ms: MeasurementSet, relay: int, w: int) -> float:
+    rx = [q2 for _, q2 in ms.pairs]
+    return float(_l2_norms(ms.aoa[:, relay] - fp.angle[w, rx]))
 
 
 def localize_argmin(
@@ -280,18 +291,19 @@ def localize_argmin(
     ms: MeasurementSet | None = None,
     relay: int = -1,
 ) -> LocalizationResult:
-    """Candidate minimizing the l2 norm of outage-capacity residuals."""
+    """Candidate minimizing the l2 norm of outage-capacity residuals.
+
+    Ties break to the first candidate.
+    """
     if not candidates:
         raise LocalizationError("argmin localization needs a non-empty candidate set")
-    best_w, best_err = None, math.inf
-    for w in candidates:
-        err = _capacity_residual(cap_row, net, grid.cells[w], params)
-        if err < best_err:
-            best_w, best_err = w, err
-    pos = grid.cells[best_w]
-    e_angle = _angle_residual(ms, relay, net, pos) if ms is not None else 0.0
+    fp = _footprint(net, grid)
+    errs = _capacity_residuals(fp, candidates, cap_row, params)
+    best = int(np.argmin(errs))
+    w = candidates[best]
+    e_angle = _angle_residual(fp, ms, relay, w) if ms is not None else 0.0
     return LocalizationResult(
-        relay, best_w, pos, len(candidates), KIND_ARGMIN, e_angle, best_err, 0
+        relay, w, grid.cells[w], len(candidates), KIND_ARGMIN, e_angle, float(errs[best]), 0
     )
 
 
@@ -338,12 +350,11 @@ def msprt_localize(
                        ms, relay, params, False)
     thresholds = cfg.threshold_matrix(k)
 
-    rows = [p_idx for p_idx, (q1, q2) in enumerate(pairs) if q1 < q2]
-    hops = np.array([[astuple(pair_hops(net, pairs[p_idx], grid.cells[w])) for p_idx in rows]
-                     for w in candidates])
+    fp = _footprint(net, grid)
+    d_sr, d_rd = fp.hop_lengths(candidates)
     # (candidates, unordered pairs, observations) -> evidence per observation
-    log_pdf = capacity_log_pdf(raw[rows, :n_obs],
-                               HopPair(hops[:, :, 0, None], hops[:, :, 1, None]), params)
+    log_pdf = capacity_log_pdf(raw[fp.rows, :n_obs],
+                               HopPair(d_sr[..., None], d_rd[..., None]), params)
     # column o: log likelihoods after o observations, summed in arrival order
     cum = np.cumsum(np.concatenate((log_prior[:, None], log_pdf.sum(axis=1)), axis=1), axis=1)
     log_lik = cum[:, 1:]
@@ -396,13 +407,13 @@ def _finish(
     degenerate,
 ) -> LocalizationResult:
     w = candidates[best_pos]
-    pos = grid.cells[w]
     e_angle = e_cap = 0.0
     if ms is not None:
-        e_angle = _angle_residual(ms, relay, net, pos)
-        e_cap = _capacity_residual(ms.cap_est[:, relay], net, pos, params)
+        fp = _footprint(net, grid)
+        e_angle = _angle_residual(fp, ms, relay, w)
+        e_cap = float(_capacity_residuals(fp, [w], ms.cap_est[:, relay], params)[0])
     return LocalizationResult(
-        relay, w, pos, len(candidates), kind, e_angle, e_cap, stopped, degenerate
+        relay, w, grid.cells[w], len(candidates), kind, e_angle, e_cap, stopped, degenerate
     )
 
 
@@ -437,10 +448,6 @@ def localize_all(
         if cfg.mode == "argmin":
             res = localize_argmin(candidates, ms.cap_est[:, l], net, grid,
                                   params, ms=ms, relay=l)
-            if cfg.apply_capacity_bound and res.e_capacity > cfg.epsilon_capacity:
-                res = LocalizationResult(
-                    l, None, None, len(candidates), KIND_UNLOCALIZED,
-                    res.e_angle, res.e_capacity, 0)
         else:
             mcfg = msprt_cfg if msprt_cfg is not None else MsprtConfig(
                 max_observations=ms.n_observations)

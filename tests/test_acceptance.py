@@ -20,7 +20,7 @@ from relaytomo.channel import (
     capacity_pdf,
     outage_capacity,
     outage_cdf,
-    sample_instant_capacity,
+    outage_solver_check,
 )
 from relaytomo.config import default_config_dict, scenario_from_dict
 from relaytomo.geometry import angles_from_point, dist, sample_relays
@@ -62,19 +62,12 @@ def criterion(name: str):
 def test_criterion_1_outage_capacity_oracles():
     with criterion("1 outage-capacity oracles"):
         start = time.monotonic()
-        hops = HopPair(100.0, 100.0)
-        solved = outage_capacity(hops, PARAMS)
-
-        # m=1 closed form: P(I) = 1 - exp(-(4^I - 1)(s1 + s2)) inverts to
-        # I = (1/2) log2(1 - ln(1 - p_out)/(s1 + s2)); with snr 1000, 100 m
-        # hops and nu = -3 each s_i = 1/(snr d^nu) = 1000.
-        s1 = 1.0 / (PARAMS.snr * hops.d_sr**PARAMS.path_loss_exp)
-        s2 = 1.0 / (PARAMS.snr * hops.d_rd**PARAMS.path_loss_exp)
-        closed = 0.5 * math.log2(1.0 - math.log1p(-PARAMS.outage_prob) / (s1 + s2))
+        # two 100 m hops; the m=1 closed form P(I) = 1 - exp(-(4^I - 1)(s1 + s2))
+        # inverts to I = (1/2) log2(1 - ln(1 - p_out)/(s1 + s2)); with snr
+        # 1000 and nu = -3 each s_i = 1/(snr d^nu) = 1000.
+        solved, closed, empirical = outage_solver_check(PARAMS, RngStream(1001), 10_000_000)
+        assert closed is not None
         assert solved == pytest.approx(closed, abs=1e-9)
-
-        draws = sample_instant_capacity(hops, PARAMS, RngStream(1001), size=10_000_000)
-        empirical = float(np.quantile(draws, PARAMS.outage_prob))
         assert empirical == pytest.approx(solved, abs=2e-4)
         assert time.monotonic() - start <= 30.0
 

@@ -5,7 +5,9 @@ import pytest
 import scipy.integrate
 import scipy.special
 
+from relaytomo import channel
 from relaytomo.channel import (
+    _ARRAY_SOLVE_MIN,
     _SIGN_MARGIN,
     ChannelParams,
     HopPair,
@@ -138,6 +140,7 @@ class TestOutageCapacity:
         d = np.exp(gen.uniform(math.log(0.2), math.log(300.0), (2, 3, 20)))
         # short hops carry capacities above 1, so their brackets double
         d[:, 0, :4] = [[0.2, 0.2, 0.3, 0.25], [0.2, 0.3, 0.2, 0.25]]
+        assert d[0].size >= _ARRAY_SOLVE_MIN  # one array bisection
         for p_out in (0.01, 0.5):
             params = ChannelParams.from_db(30.0, m, -3.0, p_out)
             got = outage_capacity_array(HopPair(d[0], d[1]), params)
@@ -146,6 +149,23 @@ class TestOutageCapacity:
             np.testing.assert_array_equal(got, want)
             assert got.max() > 1.0
         assert outage_capacity_array(REF_HOPS, REF_PARAMS).shape == ()
+
+    @pytest.mark.parametrize("m", [1.0, 2.5])
+    def test_solvers_agree_around_the_crossover(self, m, monkeypatch):
+        # fewer than _ARRAY_SOLVE_MIN paths are solved one by one, more in
+        # one array bisection; both give the scalar roots
+        bisections = []
+        array_solve = channel.solve_increasing_roots
+        monkeypatch.setattr(channel, "solve_increasing_roots",
+                            lambda f, n, *args: bisections.append(n) or array_solve(f, n, *args))
+        gen = RngStream(37).generator()
+        params = ChannelParams.from_db(30.0, m, -3.0, 0.01)
+        for n in (_ARRAY_SOLVE_MIN - 1, _ARRAY_SOLVE_MIN):
+            d = gen.uniform(5.0, 90.0, (2, n))
+            got = outage_capacity_array(HopPair(d[0], d[1]), params)
+            want = [outage_capacity(HopPair(float(a), float(b)), params) for a, b in d.T]
+            np.testing.assert_array_equal(got, want)
+        assert bisections == [_ARRAY_SOLVE_MIN]
 
     @pytest.mark.parametrize("m", [0.5, 1.0, 2.5, 4.0, 50.0, 1000.0])
     def test_numpy_cdf_gap_far_below_sign_margin(self, m):

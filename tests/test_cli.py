@@ -271,6 +271,38 @@ class TestExitCodes:
         assert main(["invert", str(bad), "--out", str(tmp_path / "o")]) == 3
         assert f"line {k + 1}" in capsys.readouterr().err
 
+    def test_duplicate_record_is_3(self, reference_run, tmp_path, capsys):
+        sim, _ = reference_run
+        lines = (sim / "measurements.txt").read_text().splitlines()
+        k = next(n for n, line in enumerate(lines) if not line.startswith("#"))
+        bad = tmp_path / "duplicate.txt"
+        bad.write_text("\n".join(lines + [lines[k]]) + "\n")
+        capsys.readouterr()
+        assert main(["invert", str(bad), "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert str(bad) in err and f"line {len(lines) + 1}" in err
+
+    def test_missing_relay_is_3(self, reference_run, tmp_path, capsys):
+        sim, _ = reference_run
+        lines = (sim / "measurements.txt").read_text().splitlines()
+        kept = [line for line in lines if line.startswith("#") or line.split()[2] != "2"]
+        assert len(kept) < len(lines)
+        bad = tmp_path / "missing_relay.txt"
+        bad.write_text("\n".join(kept) + "\n")
+        capsys.readouterr()
+        assert main(["invert", str(bad), "--out", str(tmp_path / "o")]) == 3
+        assert "pair (0, 1) has no record of relay 2" in capsys.readouterr().err
+
+    def test_observations_beyond_window_is_3(self, reference_run, tmp_path, capsys):
+        sim, _ = reference_run
+        measurements = str(sim / "measurements.txt")
+        capsys.readouterr()
+        assert main(["invert", measurements, "--observations", "11",
+                     "--out", str(tmp_path / "o")]) == 3
+        assert "--observations 11" in capsys.readouterr().err
+        assert main(["invert", measurements, "--observations", "10",
+                     "--out", str(tmp_path / "o")]) == 0
+
 
 def test_write_config_command(tmp_path):
     path = tmp_path / "ref.json"

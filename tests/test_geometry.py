@@ -13,6 +13,7 @@ from relaytomo.errors import (
 from relaytomo.geometry import (
     AnglePair,
     Baseline,
+    CellGrid,
     Point,
     RelayRegion,
     angles_from_point,
@@ -172,6 +173,16 @@ class TestDiscretize:
     def test_empty_grid_error(self):
         with pytest.raises(EmptyGridError):
             discretize_region(RelayRegion(Point(0, 0), 1.0), 20.0)
+
+    def test_equality_is_by_value(self):
+        # grids key the solver's cache: value-equal grids must match there
+        grid, again = discretize_region(REGION, 5.0), discretize_region(REGION, 5.0)
+        assert grid is not again and grid == again and hash(grid) == hash(again)
+        moved = CellGrid(grid.cells[:-1] + (Point(grid.cells[-1].x, 0.0),), 5.0)
+        assert grid != moved
+        assert grid != CellGrid(grid.cells[:-1], 5.0)
+        assert grid != CellGrid(grid.cells, 4.0)
+        assert grid != grid.cells
 
 
 class TestAngularSpan:

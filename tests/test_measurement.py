@@ -149,7 +149,7 @@ class TestSimulate:
         ms = simulate_measurements(net, relays, PARAMS, 7, RngStream(68))
         for l in range(ms.n_relays):
             for o in range(ms.n_observations):
-                vec = ms.observation_vector(l, o)
+                vec = ms.raw[:, l, o]
                 assert vec.shape == (len(ms.pairs),)
                 assert np.all(np.isfinite(vec)) and np.all(vec >= 0.0)
 
@@ -223,6 +223,9 @@ class TestSerialization:
         bad = tmp_path / "bad.txt"
         bad.write_text("0 1 0\n")
         with pytest.raises(MeasurementError):
+            read_measurements(bad)
+        bad.write_text("0 1 -1 10.0 0.5 0.5\n")
+        with pytest.raises(MeasurementError, match="negative relay index"):
             read_measurements(bad)
 
     def test_shape_validation(self):

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 import scipy.special
-import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,10 +10,8 @@ from relaytomo.errors import BracketError, DomainError
 from relaytomo.numerics import (
     QuadratureSpec,
     RngStream,
-    integrate_2d,
     regularized_lower_gamma,
     regularized_lower_gamma_array,
-    sample_gamma,
     solve_increasing_root,
     solve_increasing_roots,
 )
@@ -161,58 +158,10 @@ class TestSolveIncreasingRoots:
             solve_increasing_roots(lambda x, ids: x, 1, 0.0, 1.0, 0.0)
 
 
-class TestIntegrate2d:
-    def test_unit_square(self):
-        assert integrate_2d(lambda x, y: 1.0, (0, 1, 0, 1)) == pytest.approx(1.0, abs=1e-14)
-
-    def test_product(self):
-        assert integrate_2d(lambda x, y: x * y, (0, 2, 0, 2)) == pytest.approx(4.0, abs=1e-12)
-
-    def test_degenerate_domain(self):
-        assert integrate_2d(lambda x, y: 7.0, (1, 1, 0, 2)) == 0.0
-
-    def test_polynomial_exactness(self):
-        rng = np.random.default_rng(3)
-        spec = QuadratureSpec(order=6)  # exact through per-axis degree 11
-        for _ in range(20):
-            cx = rng.normal(size=8)
-            cy = rng.normal(size=10)
-            f = lambda x, y: float(np.polyval(cx, x) * np.polyval(cy, y))
-            a, b = sorted(rng.uniform(-2, 2, size=2))
-            c, d = sorted(rng.uniform(-2, 2, size=2))
-            got = integrate_2d(f, (a, b, c, d), spec)
-            ix = np.polyval(np.polyint(cx), b) - np.polyval(np.polyint(cx), a)
-            iy = np.polyval(np.polyint(cy), d) - np.polyval(np.polyint(cy), c)
-            assert got == pytest.approx(ix * iy, rel=1e-12, abs=1e-12)
-
+class TestQuadratureSpec:
     def test_order_invariant(self):
         with pytest.raises(DomainError):
             QuadratureSpec(order=1)
-
-
-class TestSampleGamma:
-    def test_exponential_ks(self):
-        draws = sample_gamma(1.0, 2.0, RngStream(11), size=1_000_000)
-        stat = scipy.stats.kstest(draws, lambda x: 1.0 - np.exp(-x / 2.0)).statistic
-        assert stat < 0.002
-
-    def test_mean(self):
-        draws = sample_gamma(3.0, 2.0, RngStream(12), size=1_000_000)
-        assert float(draws.mean()) == pytest.approx(6.0, abs=0.02)
-
-    def test_variance(self):
-        draws = sample_gamma(0.5, 1.0, RngStream(13), size=1_000_000)
-        assert float(draws.var()) == pytest.approx(0.5, abs=0.01)
-
-    def test_domain_errors(self):
-        with pytest.raises(DomainError):
-            sample_gamma(0.0, 1.0, RngStream(1))
-        with pytest.raises(DomainError):
-            sample_gamma(1.0, -1.0, RngStream(1))
-
-    def test_scalar_draw(self):
-        val = sample_gamma(2.0, 3.0, RngStream(5))
-        assert isinstance(val, float) and val > 0.0
 
 
 class TestRngStream:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from relaytomo.channel import ChannelParams, capacity_log_pdf, outage_capacity
+from relaytomo.channel import ChannelParams, HopPair, capacity_log_pdf, outage_capacity
 from relaytomo.config import default_config_dict, scenario_from_dict
 from relaytomo.errors import DomainError, LocalizationError
 from relaytomo.geometry import CellGrid, Point, RelayRegion, dist, sample_relays
@@ -25,7 +25,6 @@ from relaytomo.tomography import (
     localize_all,
     localize_argmin,
     msprt_localize,
-    pair_hops,
     score_results,
     write_report,
 )
@@ -42,9 +41,15 @@ def true_cell_of(p: Point) -> int:
     return min(range(len(GRID.cells)), key=lambda w: dist(GRID.cells[w], p))
 
 
+def hops_via(pair: tuple[int, int], p: Point) -> HopPair:
+    """Hop lengths of the path q1 -> p -> q2."""
+    q1, q2 = pair
+    return HopPair(dist(NET.nodes[q1], p), dist(p, NET.nodes[q2]))
+
+
 def exact_capacity_row(cell: Point) -> np.ndarray:
     return np.array([
-        outage_capacity(pair_hops(NET, pair, cell), PARAMS)
+        outage_capacity(hops_via(pair, cell), PARAMS)
         for pair in NET.ordered_pairs()
     ])
 
@@ -68,8 +73,7 @@ def sequential_oracle(candidates, weights, raw, cfg):
             for p_idx, pair in enumerate(pairs):
                 if pair[0] < pair[1]:
                     log_lik[ki] += capacity_log_pdf(float(raw[p_idx, o]),
-                                                    pair_hops(NET, pair, GRID.cells[w]),
-                                                    PARAMS)
+                                                    hops_via(pair, GRID.cells[w]), PARAMS)
         if not np.any(np.isfinite(log_lik)):
             return candidates[0], KIND_FORCED_MAP, o + 1
         winners = [ki for ki in range(k)
@@ -95,6 +99,22 @@ class TestFeasibleCells:
         for w in cand:
             predicted = NET.node_angle(q2, GRID.cells[w])
             assert quantize_angle(predicted, NET.resolution)[0] == measured_bin
+
+    def test_matches_per_cell_oracle(self):
+        # the cells whose center quantizes into every measured bin, with one
+        # node_angle call per cell and pair
+        relays = sample_relays(REGION, 40, RngStream(82))
+        ms = synthetic_set(relays, seed=83)
+        nonempty = 0
+        for l in range(len(relays)):
+            bins = [(q2, quantize_angle(float(ms.aoa[p_idx, l]), NET.resolution)[0])
+                    for p_idx, (_, q2) in enumerate(ms.pairs)]
+            want = [w for w, cell in enumerate(GRID.cells)
+                    if all(quantize_angle(NET.node_angle(q2, cell), NET.resolution)[0] == b
+                           for q2, b in bins)]
+            assert feasible_cells(ms, l, NET, GRID) == want
+            nonempty += bool(want)
+        assert nonempty >= 20
 
     def test_contradictory_bins_empty(self):
         relay = sample_relays(REGION, 1, RngStream(81))[0]
@@ -296,18 +316,15 @@ class TestMsprt:
         gaps = np.zeros(n_obs)
         n_seeds = 200
         pairs = NET.ordered_pairs()
-        from relaytomo.channel import capacity_log_pdf
-        hop0 = [pair_hops(NET, pr, cand_cells.cells[0]) for pr in pairs]
-        hop1 = [pair_hops(NET, pr, cand_cells.cells[1]) for pr in pairs]
+        # hop lengths per (candidate, ordered pair), broadcast against the
+        # (ordered pair, observation) draws
+        d = np.array([[(dist(NET.nodes[q1], c), dist(c, NET.nodes[q2])) for q1, q2 in pairs]
+                      for c in cand_cells.cells])
+        hops = HopPair(d[..., 0, None], d[..., 1, None])
         for seed in range(n_seeds):
             ms = simulate_measurements(NET, [relay], PARAMS, n_obs, RngStream(8700 + seed))
-            gap = 0.0
-            for o in range(n_obs):
-                for p_idx in range(len(pairs)):
-                    i = float(ms.raw[p_idx, 0, o])
-                    gap += capacity_log_pdf(i, hop0[p_idx], PARAMS)
-                    gap -= capacity_log_pdf(i, hop1[p_idx], PARAMS)
-                gaps[o] += gap / n_seeds
+            log_pdf = capacity_log_pdf(ms.raw[:, 0, :], hops, PARAMS)
+            gaps += np.cumsum((log_pdf[0] - log_pdf[1]).sum(axis=0)) / n_seeds
         assert all(b >= a - 1e-9 for a, b in zip(gaps, gaps[1:]))
 
     def test_all_zero_density_falls_back_uniform(self):
