@@ -18,19 +18,15 @@ from relaytomo.config import default_config_dict, scenario_from_dict
 from relaytomo.geometry import sample_relays
 from relaytomo.measurement import simulate_measurements
 from relaytomo.numerics import RngStream
-from relaytomo.tomography import (
-    MsprtConfig,
-    TomographyConfig,
-    localize_all,
-    score_results,
-)
+from relaytomo.tomography import TomographyConfig, localize_all, score_results
 
 
-def run(n_seeds: int, base: int, compare_argmin: bool) -> None:
+def run(n_seeds: int, base: int, compare_argmin: bool) -> tuple[list[float], list[float]]:
+    """Per-seed fractions within one cell: msprt, and argmin (empty unless compared)."""
     cfg = scenario_from_dict(default_config_dict())
     net, grid, params = cfg.network(), cfg.cell_grid(), cfg.channel_params()
     region = cfg.region()
-    mcfg = MsprtConfig(error=cfg.msprt_error, max_observations=cfg.observations)
+    mcfg = cfg.msprt()
 
     scores_m, scores_a = [], []
     for k in range(n_seeds):
@@ -56,6 +52,7 @@ def run(n_seeds: int, base: int, compare_argmin: bool) -> None:
     print(f"\nmsprt mean fraction within one cell: {mean:.3f} +- {se:.3f}")
     if compare_argmin:
         print(f"argmin mean fraction within one cell: {np.mean(scores_a):.3f}")
+    return scores_m, scores_a
 
 
 if __name__ == "__main__":

@@ -139,6 +139,11 @@ def cmd_invert(args) -> int:
         raise MeasurementError(
             f"--observations {args.observations} exceeds the {ms.n_observations} "
             f"observations per record of {args.measurements}")
+    truth = None if args.truth is None else read_relays(args.truth)
+    if truth is not None and len(truth) != ms.n_relays:
+        raise MeasurementError(
+            f"{args.truth} holds {len(truth)} relays, {args.measurements} "
+            f"measures {ms.n_relays}")
     net = cfg.network()
     grid = cfg.cell_grid()
     params = cfg.channel_params()
@@ -147,8 +152,7 @@ def cmd_invert(args) -> int:
     outputs = ["report.txt"]
     summary = f"invert: localized {sum(r.position is not None for r in results)}" \
               f"/{ms.n_relays} relays ({cfg.mode}) -> {out / 'report.txt'}"
-    if args.truth is not None:
-        truth = read_relays(args.truth)
+    if truth is not None:
         score = score_results(results, truth, cfg.cell_side_m)
         with open(out / "scoring.json", "w", encoding="utf-8") as fh:
             json.dump(score, fh, indent=2, sort_keys=True)

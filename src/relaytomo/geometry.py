@@ -321,19 +321,6 @@ def angular_span(
     return (mid - half, mid + half)
 
 
-def span_angle(
-    region: RelayRegion,
-    node: Point,
-    reference: tuple[float, float],
-    p: Point,
-) -> float:
-    """Angle of p seen from the node, in the angular_span orientation."""
-    rx, ry = _unit(*reference)
-    center_angle = signed_angle(rx, ry, region.center.x - node.x, region.center.y - node.y)
-    orient = -1.0 if center_angle < 0.0 else 1.0
-    return orient * signed_angle(rx, ry, p.x - node.x, p.y - node.y)
-
-
 def sample_relays(region: RelayRegion, n: int, rng: RngStream) -> list[Point]:
     """Relay positions drawn from the region density (uniform disc)."""
     if n < 0:

@@ -387,49 +387,6 @@ def angle_pdf_check(
     return float(expected.sum()), float(within[nonempty].mean())
 
 
-def angle_cell_mass_generic(
-    region: RelayRegion,
-    baseline: Baseline,
-    cell: tuple[float, float, float, float],
-    order: int = 16,
-    max_depth: int = 4,
-) -> float:
-    """Indicator-based fallback: plain tensor quadrature with recursive
-    subdivision of cells that straddle the region boundary.
-
-    Kept for regions without a closed-form chord and as a cross-check; the
-    exact-support rule above is both faster and more accurate for discs.
-    """
-    w_lo, w_hi, p_lo, p_hi = cell
-    if w_hi <= w_lo or p_hi <= p_lo:
-        return 0.0
-    nodes, weights = gauss_legendre(order)
-
-    def pdf_or_zero(omega: float, psi: float) -> float:
-        if abs(math.sin(omega + psi)) < SINGULAR_TOL:
-            return 0.0
-        return joint_angle_pdf(omega, psi, region, baseline)
-
-    def recurse(wl, wh, pl, ph, depth):
-        mid_w, half_w = 0.5 * (wl + wh), 0.5 * (wh - wl)
-        mid_p, half_p = 0.5 * (pl + ph), 0.5 * (ph - pl)
-        vals = np.empty((order, order))
-        for a, tw in enumerate(nodes):
-            for b, tp in enumerate(nodes):
-                vals[a, b] = pdf_or_zero(mid_w + half_w * tw, mid_p + half_p * tp)
-        n_zero = int(np.count_nonzero(vals == 0.0))
-        straddles = 0 < n_zero < vals.size
-        if not straddles or depth >= max_depth:
-            return half_w * half_p * float(weights @ vals @ weights)
-        return sum(
-            recurse(a0, a1, b0, b1, depth + 1)
-            for a0, a1 in ((wl, mid_w), (mid_w, wh))
-            for b0, b1 in ((pl, mid_p), (mid_p, ph))
-        )
-
-    return recurse(w_lo, w_hi, p_lo, p_hi, 0)
-
-
 def discrete_ias(
     grid: AngularGrid,
     region: RelayRegion,

@@ -258,19 +258,37 @@ def write_relays(relays: list[Point], path) -> None:
 
 
 def read_relays(path) -> list[Point]:
-    relays = []
+    """Parse a relay file; relay l is the record of index l.
+
+    Raises MeasurementError naming the file (and line) for a malformed
+    record, a negative or duplicate index, or a gap in 0..n-1.
+    """
+    relays = {}
     try:
         fh = open(path, "r", encoding="utf-8")
     except OSError as exc:
         raise MeasurementError(f"cannot read relay file {path}: {exc}") from exc
     with fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             tok = line.split()
             if len(tok) != 3:
-                raise MeasurementError(f"malformed relay record: {line!r}")
-            relays.append((int(tok[0]), Point(float(tok[1]), float(tok[2]))))
-    relays.sort(key=lambda r: r[0])
-    return [p for _, p in relays]
+                raise MeasurementError(f"{path}, line {lineno}: malformed relay record {line!r}")
+            try:
+                l, point = int(tok[0]), Point(float(tok[1]), float(tok[2]))
+            except ValueError as exc:
+                raise MeasurementError(
+                    f"{path}, line {lineno}: non-numeric field in {line!r}") from exc
+            if l < 0:
+                raise MeasurementError(f"{path}, line {lineno}: negative relay index")
+            if l in relays:
+                raise MeasurementError(
+                    f"{path}, line {lineno}: duplicate record of relay {l} "
+                    f"(first at line {relays[l][0]})")
+            relays[l] = (lineno, point)
+    gaps = set(range(len(relays))) - relays.keys()
+    if gaps:
+        raise MeasurementError(f"{path}: no record of relay {min(gaps)}")
+    return [relays[l][1] for l in range(len(relays))]

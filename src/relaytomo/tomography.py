@@ -8,8 +8,10 @@ owns that geometry: each cell center's distance to every node, its angle
 and angle bin at every node (bit for bit `dist`,
 `MeasurementNetwork.node_angle` and `quantize_angle`), the unordered node
 pairs, and the bin of every footprint point.  The steps below read their
-bins, hops and angles from it and solve their outage capacities in one
-`outage_capacity_array` call each.
+bins, hops and angles from it.  A second table per (network, grid,
+channel), the capacity column, holds each cell center's outage capacity
+per unordered pair; it fills on demand, each read solving the cells it
+lacks in one `outage_capacity_array` call, so a process solves a cell once.
 
 Pipeline per relay: (1) reduce the grid to the cells the measured arrival
 angles allow; (2) pick one candidate either by minimizing the l2 capacity
@@ -35,7 +37,7 @@ Every result reports its capacity residual and its angle residual.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -265,16 +267,50 @@ def _l2_norms(diff: np.ndarray) -> np.ndarray:
     return np.sqrt(np.cumsum(libm_map(lambda t: t ** 2, diff), axis=-1)[..., -1])
 
 
-def _capacity_residuals(
-    fp: _Footprint, cells, cap_row: np.ndarray, params: ChannelParams
-) -> np.ndarray:
+@lru_cache(maxsize=8)
+def _capacity_column(net, grid, params) -> np.ndarray:
+    # (cells, unordered pairs) center-path outage capacities, NaN until solved
+    return np.full((len(grid.cells), len(_footprint(net, grid).rows)), np.nan)
+
+
+def _center_capacities(net, grid, params, cells) -> np.ndarray:
+    """Outage capacities of the cells' center paths, (cells, unordered pairs).
+
+    The cells the capacity column of (net, grid, params) lacks are solved
+    first, in one `outage_capacity_array` call.
+    """
+    column = _capacity_column(net, grid, params)
+    cells = np.asarray(cells, dtype=np.intp)
+    todo = sorted(set(cells[np.isnan(column[cells, 0])].tolist()))
+    if todo:
+        column[todo] = outage_capacity_array(
+            HopPair(*_footprint(net, grid).hop_lengths(todo)), params)
+    return column[cells]
+
+
+def _capacity_residuals(net, grid, params, cells, cap_row: np.ndarray) -> np.ndarray:
     """l2 norm of the outage-capacity residuals of each cell's paths.
 
     cap_row holds one estimate per ordered pair of `net.ordered_pairs()`;
     both orderings of a pair share one solve, as they share one path.
     """
-    caps = outage_capacity_array(HopPair(*fp.hop_lengths(cells)), params)
-    return _l2_norms(cap_row - caps[:, fp.col])
+    caps = _center_capacities(net, grid, params, cells)
+    return _l2_norms(cap_row - caps[:, _footprint(net, grid).col])
+
+
+def _capacity_evidence(fp: _Footprint, groups, raws, params) -> list[np.ndarray]:
+    """Sequential-test evidence of several relays in one `capacity_log_pdf` call.
+
+    groups[j] are relay j's candidate cells and raws[j] its observations,
+    (unordered pairs, observations).  Returns per relay the log-density of
+    each observation under each candidate's center paths, (candidates,
+    unordered pairs, observations).
+    """
+    sizes = [len(g) for g in groups]
+    d_sr, d_rd = fp.hop_lengths(np.concatenate(groups))
+    raw = np.repeat(np.stack(raws), sizes, axis=0)
+    log_pdf = capacity_log_pdf(raw, HopPair(d_sr[..., None], d_rd[..., None]), params)
+    return np.split(log_pdf, np.cumsum(sizes)[:-1])
 
 
 def _angle_residual(fp: _Footprint, ms: MeasurementSet, relay: int, w: int) -> float:
@@ -297,11 +333,10 @@ def localize_argmin(
     """
     if not candidates:
         raise LocalizationError("argmin localization needs a non-empty candidate set")
-    fp = _footprint(net, grid)
-    errs = _capacity_residuals(fp, candidates, cap_row, params)
+    errs = _capacity_residuals(net, grid, params, candidates, cap_row)
     best = int(np.argmin(errs))
     w = candidates[best]
-    e_angle = _angle_residual(fp, ms, relay, w) if ms is not None else 0.0
+    e_angle = _angle_residual(_footprint(net, grid), ms, relay, w) if ms is not None else 0.0
     return LocalizationResult(
         relay, w, grid.cells[w], len(candidates), KIND_ARGMIN, e_angle, float(errs[best]), 0
     )
@@ -317,6 +352,7 @@ def msprt_localize(
     ms: MeasurementSet | None = None,
     relay: int = -1,
     angle_weights: np.ndarray | None = None,
+    log_pdf: np.ndarray | None = None,
 ) -> LocalizationResult:
     """Multi-hypothesis sequential test over the raw capacity observations.
 
@@ -331,7 +367,9 @@ def msprt_localize(
     otherwise it returns the MAP hypothesis after the final observation.
     Ties break to the lowest cell index.  If an observation is impossible
     under every hypothesis, the result is the first candidate, flagged
-    degenerate.
+    degenerate.  log_pdf, when given, is the test's evidence as
+    `_capacity_evidence` computes it from raw; `localize_all` passes each
+    relay its slice of one batched call.
     """
     if not candidates:
         raise LocalizationError("sequential test needs a non-empty candidate set")
@@ -350,11 +388,9 @@ def msprt_localize(
                        ms, relay, params, False)
     thresholds = cfg.threshold_matrix(k)
 
-    fp = _footprint(net, grid)
-    d_sr, d_rd = fp.hop_lengths(candidates)
-    # (candidates, unordered pairs, observations) -> evidence per observation
-    log_pdf = capacity_log_pdf(raw[fp.rows, :n_obs],
-                               HopPair(d_sr[..., None], d_rd[..., None]), params)
+    if log_pdf is None:
+        fp = _footprint(net, grid)
+        log_pdf, = _capacity_evidence(fp, [candidates], [raw[fp.rows, :n_obs]], params)
     # column o: log likelihoods after o observations, summed in arrival order
     cum = np.cumsum(np.concatenate((log_prior[:, None], log_pdf.sum(axis=1)), axis=1), axis=1)
     log_lik = cum[:, 1:]
@@ -407,14 +443,18 @@ def _finish(
     degenerate,
 ) -> LocalizationResult:
     w = candidates[best_pos]
-    e_angle = e_cap = 0.0
-    if ms is not None:
-        fp = _footprint(net, grid)
-        e_angle = _angle_residual(fp, ms, relay, w)
-        e_cap = float(_capacity_residuals(fp, [w], ms.cap_est[:, relay], params)[0])
-    return LocalizationResult(
-        relay, w, grid.cells[w], len(candidates), kind, e_angle, e_cap, stopped, degenerate
+    res = LocalizationResult(
+        relay, w, grid.cells[w], len(candidates), kind, 0.0, 0.0, stopped, degenerate
     )
+    return _with_residuals(res, ms, net, grid, params) if ms is not None else res
+
+
+def _with_residuals(res, ms, net, grid, params) -> LocalizationResult:
+    # res with its cell's angle and capacity residuals against its relay in ms
+    w, relay = res.cell_index, res.relay
+    e_cap = float(_capacity_residuals(net, grid, params, [w], ms.cap_est[:, relay])[0])
+    return replace(res, e_angle=_angle_residual(_footprint(net, grid), ms, relay, w),
+                   e_capacity=e_cap)
 
 
 def localize_all(
@@ -433,29 +473,48 @@ def localize_all(
     with `feasible_cells`; msprt mode with `angle_likelihood`, whose shares
     weight the test's prior.  Relays whose candidate set comes back empty
     are reported unlocalized.
+
+    Argmin mode filters and decides relay by relay; each decision fills
+    the capacity column with the candidates it lacks.  Msprt mode computes
+    the evidence of every relay with more than one candidate in one
+    `_capacity_evidence` call, and the capacity residuals of all chosen
+    cells after one fill of the column.
     """
     ms = ms.in_pair_order(net.ordered_pairs())
-    results = []
-    for l in range(ms.n_relays):
-        if cfg.mode == "argmin":
-            candidates = feasible_cells(ms, l, net, grid)
-        else:
-            candidates, likelihood = angle_likelihood(ms, l, net, grid)
-        if not candidates:
-            results.append(LocalizationResult(
-                l, None, None, 0, KIND_UNLOCALIZED, math.nan, math.nan, 0))
-            continue
-        if cfg.mode == "argmin":
-            res = localize_argmin(candidates, ms.cap_est[:, l], net, grid,
-                                  params, ms=ms, relay=l)
-        else:
-            mcfg = msprt_cfg if msprt_cfg is not None else MsprtConfig(
-                max_observations=ms.n_observations)
-            res = msprt_localize(candidates, ms.raw[:, l, :], net, grid,
-                                 params, mcfg, ms=ms, relay=l,
-                                 angle_weights=likelihood)
-        results.append(res)
-    return results
+    if cfg.mode == "argmin":
+        return [_argmin_relay(ms, l, net, grid, params) for l in range(ms.n_relays)]
+    mcfg = msprt_cfg if msprt_cfg is not None else MsprtConfig(
+        max_observations=ms.n_observations)
+    fp = _footprint(net, grid)
+    found = [angle_likelihood(ms, l, net, grid) for l in range(ms.n_relays)]
+    multi = [l for l, (candidates, _) in enumerate(found) if len(candidates) > 1]
+    evidence = {}
+    if multi:
+        n_obs = min(ms.n_observations, mcfg.max_observations)
+        evidence = dict(zip(multi, _capacity_evidence(
+            fp, [found[l][0] for l in multi], [ms.raw[fp.rows, l, :n_obs] for l in multi],
+            params)))
+    results = [
+        msprt_localize(candidates, ms.raw[:, l, :], net, grid, params, mcfg,
+                       relay=l, angle_weights=likelihood, log_pdf=evidence.get(l))
+        if candidates else _unlocalized(l)
+        for l, (candidates, likelihood) in enumerate(found)
+    ]
+    _center_capacities(net, grid, params, [r.cell_index for r in results
+                                           if r.cell_index is not None])
+    return [r if r.cell_index is None else _with_residuals(r, ms, net, grid, params)
+            for r in results]
+
+
+def _argmin_relay(ms, l, net, grid, params) -> LocalizationResult:
+    candidates = feasible_cells(ms, l, net, grid)
+    if not candidates:
+        return _unlocalized(l)
+    return localize_argmin(candidates, ms.cap_est[:, l], net, grid, params, ms=ms, relay=l)
+
+
+def _unlocalized(relay: int) -> LocalizationResult:
+    return LocalizationResult(relay, None, None, 0, KIND_UNLOCALIZED, math.nan, math.nan, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -303,6 +303,38 @@ class TestExitCodes:
         assert main(["invert", measurements, "--observations", "10",
                      "--out", str(tmp_path / "o")]) == 0
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda recs: ["0 abc" + recs[0][recs[0].rindex(" "):]] + recs[1:],
+         "line 3: non-numeric field"),
+        (lambda recs: recs + [recs[2]], "line 8: duplicate record of relay 2 (first at line 5)"),
+        (lambda recs: ["-1" + recs[0][1:]] + recs[1:], "line 3: negative relay index"),
+        (lambda recs: recs[:1] + recs[2:], "no record of relay 1"),
+        (lambda recs: recs[:-1], "holds 4 relays"),
+    ], ids=["non_numeric", "duplicate", "negative", "gap", "short"])
+    def test_bad_truth_file_is_3(self, reference_run, tmp_path, capsys, edit, message):
+        sim, _ = reference_run
+        lines = (sim / "relays_true.txt").read_text().splitlines()
+        header = [line for line in lines if line.startswith("#")]
+        bad = tmp_path / "truth.txt"
+        bad.write_text("\n".join(header + edit(lines[len(header):])) + "\n")
+        capsys.readouterr()
+        assert main(["invert", str(sim / "measurements.txt"), "--truth", str(bad),
+                     "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert str(bad) in err and message in err
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("mode", ["msprt", "argmin"])
+def test_invert_matches_golden_outputs(reference_run, mode):
+    # `simulate` then `invert` on the reference scenario reproduce the
+    # committed report and scoring byte for byte
+    _, outputs = reference_run
+    assert outputs[mode] == ((GOLDEN / f"invert_{mode}" / "report.txt").read_bytes(),
+                             (GOLDEN / f"invert_{mode}" / "scoring.json").read_bytes())
+
 
 def test_write_config_command(tmp_path):
     path = tmp_path / "ref.json"

@@ -16,6 +16,7 @@ from relaytomo.geometry import (
     CellGrid,
     Point,
     RelayRegion,
+    _unit,
     angles_from_point,
     angles_from_points,
     angular_span,
@@ -26,7 +27,7 @@ from relaytomo.geometry import (
     dist_source_relay,
     point_from_angles,
     sample_relays,
-    span_angle,
+    signed_angle,
 )
 from relaytomo.numerics import RngStream
 
@@ -138,6 +139,19 @@ def test_baseline_distinct_points():
 def test_point_finite():
     with pytest.raises(GeometryError):
         Point(math.nan, 0.0)
+
+
+def span_angle(
+    region: RelayRegion,
+    node: Point,
+    reference: tuple[float, float],
+    p: Point,
+) -> float:
+    """Oracle: angle of p seen from the node, in the angular_span orientation."""
+    rx, ry = _unit(*reference)
+    center_angle = signed_angle(rx, ry, region.center.x - node.x, region.center.y - node.y)
+    orient = -1.0 if center_angle < 0.0 else 1.0
+    return orient * signed_angle(rx, ry, p.x - node.x, p.y - node.y)
 
 
 class TestDiscretize:

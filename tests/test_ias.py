@@ -15,18 +15,18 @@ from relaytomo.geometry import (
 )
 from relaytomo.ias import (
     DEFAULT_MASS_FLOOR,
+    SINGULAR_TOL,
     AngularGrid,
     DiscreteIas,
     FlowAtom,
     angle_cell_mass,
-    angle_cell_mass_generic,
     build_grid,
     continuous_ias,
     discrete_ias,
     integrate_angle_cell,
     joint_angle_pdf,
 )
-from relaytomo.numerics import QuadratureSpec, RngStream
+from relaytomo.numerics import QuadratureSpec, RngStream, gauss_legendre
 
 SX = 100.0 * math.sqrt(3.0)
 CX = 50.0 * math.sqrt(3.0)
@@ -44,6 +44,44 @@ def spans_box(grid: AngularGrid) -> tuple[float, float, float, float]:
             grid.j_lo * grid.d_aoa - 0.5 * grid.d_aoa,
             grid.j_hi * grid.d_aoa + 0.5 * grid.d_aoa)
 
+
+def angle_cell_mass_generic(
+    region: RelayRegion,
+    baseline: Baseline,
+    cell: tuple[float, float, float, float],
+    order: int = 16,
+    max_depth: int = 4,
+) -> float:
+    """Oracle for `angle_cell_mass`: plain tensor quadrature of the pdf,
+    recursively subdividing cells that straddle the region boundary."""
+    w_lo, w_hi, p_lo, p_hi = cell
+    if w_hi <= w_lo or p_hi <= p_lo:
+        return 0.0
+    nodes, weights = gauss_legendre(order)
+
+    def pdf_or_zero(omega: float, psi: float) -> float:
+        if abs(math.sin(omega + psi)) < SINGULAR_TOL:
+            return 0.0
+        return joint_angle_pdf(omega, psi, region, baseline)
+
+    def recurse(wl, wh, pl, ph, depth):
+        mid_w, half_w = 0.5 * (wl + wh), 0.5 * (wh - wl)
+        mid_p, half_p = 0.5 * (pl + ph), 0.5 * (ph - pl)
+        vals = np.empty((order, order))
+        for a, tw in enumerate(nodes):
+            for b, tp in enumerate(nodes):
+                vals[a, b] = pdf_or_zero(mid_w + half_w * tw, mid_p + half_p * tp)
+        n_zero = int(np.count_nonzero(vals == 0.0))
+        straddles = 0 < n_zero < vals.size
+        if not straddles or depth >= max_depth:
+            return half_w * half_p * float(weights @ vals @ weights)
+        return sum(
+            recurse(a0, a1, b0, b1, depth + 1)
+            for a0, a1 in ((wl, mid_w), (mid_w, wh))
+            for b0, b1 in ((pl, mid_p), (mid_p, ph))
+        )
+
+    return recurse(w_lo, w_hi, p_lo, p_hi, 0)
 
 class TestContinuousIas:
     def test_single_relay_reference_atom(self):

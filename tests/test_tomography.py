@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,10 +15,12 @@ from relaytomo.measurement import (
     simulate_measurements,
 )
 from relaytomo.numerics import RngStream
+from relaytomo import tomography
 from relaytomo.tomography import (
     KIND_FORCED_MAP,
     KIND_THRESHOLD,
     KIND_UNLOCALIZED,
+    LocalizationResult,
     MsprtConfig,
     TomographyConfig,
     angle_likelihood,
@@ -444,3 +447,71 @@ class TestLocalizeAll:
         assert score["relays"] == 5
         assert 0.0 <= score["fraction_within_one_cell"] <= 1.0
         assert score["within_one_cell"] <= score["localized"]
+
+
+def localize_reprs(ms, params=PARAMS, mode="msprt") -> str:
+    tomo = TomographyConfig(cell_side=CFG.cell_side_m, mode=mode)
+    return repr(localize_all(ms, NET, GRID, params, tomo, CFG.msprt()))
+
+
+class TestCapacityColumn:
+    @pytest.mark.parametrize("m", [1.0, 2.5])
+    def test_entries_equal_scalar_solves(self, m):
+        params = replace(PARAMS, nakagami_m=m)
+        tomography._capacity_column.cache_clear()
+        cells = np.arange(len(GRID.cells))
+        # a partial fill first, so the full read also solves in one batch
+        tomography._center_capacities(NET, GRID, params, cells[::7])
+        caps = tomography._center_capacities(NET, GRID, params, cells)
+        pairs = [pair for pair in NET.ordered_pairs() if pair[0] < pair[1]]
+        assert caps.shape == (len(GRID.cells), len(pairs))
+        for w, cell in enumerate(GRID.cells):
+            for p, pair in enumerate(pairs):
+                assert caps[w, p] == outage_capacity(hops_via(pair, cell), params)
+
+    @pytest.mark.parametrize("mode", ["msprt", "argmin"])
+    def test_results_do_not_depend_on_history(self, mode):
+        scenes = [synthetic_set(sample_relays(REGION, 5, RngStream(s)), seed=s + 1)
+                  for s in range(120, 126)]
+        m25 = replace(PARAMS, nakagami_m=2.5)
+        tomography._capacity_column.cache_clear()
+        cold = localize_reprs(scenes[0], mode=mode)
+        tomography._capacity_column.cache_clear()
+        cold_m25 = localize_reprs(scenes[0], m25, mode)
+        for ms in scenes[1:]:
+            localize_reprs(ms, mode=mode)
+            localize_reprs(ms, m25, mode)
+        for _ in range(2):
+            assert localize_reprs(scenes[0], mode=mode) == cold
+            assert localize_reprs(scenes[0], m25, mode) == cold_m25
+
+    def test_batched_evidence_equals_per_relay_test(self):
+        single = Point(67.35482724448657, 52.94261260624085)
+        relays = [single] + sample_relays(REGION, 4, RngStream(128))
+        ms_full = synthetic_set(relays, seed=129)
+        aoa = ms_full.aoa.copy()
+        index = {pair: k for k, pair in enumerate(ms_full.pairs)}
+        aoa[index[(0, 1)], 2] = 0.0  # contradictory bins: relay 2 unlocalized
+        aoa[index[(2, 1)], 2] = math.radians(40.0)
+        ms = MeasurementSet(ms_full.pairs, aoa, ms_full.cap_est, ms_full.raw)
+        cfg = CFG.msprt()
+        found = [angle_likelihood(ms, l, NET, GRID) for l in range(5)]
+        sizes = [len(candidates) for candidates, _ in found]
+        assert sizes[0] == 1 and sizes[2] == 0 and min(sizes[1:2] + sizes[3:]) > 1
+        expected = [
+            msprt_localize(candidates, ms.raw[:, l, :], NET, GRID, PARAMS, cfg, ms=ms,
+                           relay=l, angle_weights=weights)
+            if candidates else
+            LocalizationResult(l, None, None, 0, KIND_UNLOCALIZED, math.nan, math.nan, 0)
+            for l, (candidates, weights) in enumerate(found)
+        ]
+        got = localize_all(ms, NET, GRID, PARAMS, CFG.tomography(), cfg)
+        assert repr(got) == repr(expected)
+
+        fp = tomography._footprint(NET, GRID)
+        many = [1, 3, 4]
+        raws = [ms.raw[fp.rows, l, :] for l in many]
+        batched = tomography._capacity_evidence(fp, [found[l][0] for l in many], raws, PARAMS)
+        for l, raw, log_pdf in zip(many, raws, batched):
+            alone, = tomography._capacity_evidence(fp, [found[l][0]], [raw], PARAMS)
+            assert np.array_equal(log_pdf, alone)
