@@ -42,7 +42,7 @@ def run(n_scenes: int, windows: list[int], base: int = 6000) -> list[float]:
         for o in windows:
             res = msprt_localize(
                 candidates, ms.raw[:, 0, :o], net, grid, params,
-                MsprtConfig(error=1e-12, max_observations=o), ms=ms, relay=0,
+                MsprtConfig(error=1e-12, max_observations=o), relay=0,
                 angle_weights=weights)
             if res.cell_index == true_cell:
                 correct[o] += 1

@@ -54,10 +54,10 @@ class ChannelParams:
     outage_prob: float
 
     def __post_init__(self) -> None:
-        if self.snr <= 0.0:
-            raise DomainError(f"snr must be positive, got {self.snr}")
-        if self.nakagami_m <= 0.0:
-            raise DomainError(f"nakagami shape must be positive, got {self.nakagami_m}")
+        if not 0.0 < self.snr < math.inf:
+            raise DomainError(f"snr must be positive and finite, got {self.snr}")
+        if not 0.0 < self.nakagami_m < math.inf:
+            raise DomainError(f"nakagami shape must be positive and finite, got {self.nakagami_m}")
         if not math.isfinite(self.path_loss_exp):
             raise DomainError("path loss exponent must be finite")
         if not (0.0 < self.outage_prob < 1.0):
@@ -72,7 +72,11 @@ class ChannelParams:
         outage_prob: float,
     ) -> "ChannelParams":
         """Build from an SNR quoted in dB (the only dB conversion point)."""
-        return cls(10.0 ** (snr_db / 10.0), nakagami_m, path_loss_exp, outage_prob)
+        try:
+            snr = 10.0 ** (snr_db / 10.0)
+        except OverflowError:
+            raise DomainError(f"snr of {snr_db} dB overflows a float") from None
+        return cls(snr, nakagami_m, path_loss_exp, outage_prob)
 
 
 @dataclass(frozen=True)

@@ -173,21 +173,26 @@ def _get(section: dict, section_name: str, key: str, kind, default=None):
         if default is not None:
             return default
         raise ConfigError(f"missing config key {section_name}.{key}")
-    value = section[key]
     try:
-        return kind(value)
-    except (TypeError, ValueError) as exc:
+        value = kind(section[key])
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"config key {section_name}.{key}: {exc}") from exc
+    if kind is float and not math.isfinite(value):
+        raise ConfigError(f"config key {section_name}.{key} must be finite, got {value}")
+    return value
 
 
 def _point(section: dict, section_name: str, key: str) -> Point:
-    value = _get(section, section_name, key, list)
-    if len(value) != 2:
-        raise ConfigError(f"config key {section_name}.{key} must be [x, y]")
+    return _xy(_get(section, section_name, key, list), f"{section_name}.{key}")
+
+
+def _xy(value, label: str) -> Point:
+    if not isinstance(value, list) or len(value) != 2:
+        raise ConfigError(f"config key {label} must be [x, y]")
     try:
         return Point(float(value[0]), float(value[1]))
     except (TypeError, ValueError, RelayTomoError) as exc:
-        raise ConfigError(f"config key {section_name}.{key}: {exc}") from exc
+        raise ConfigError(f"config key {label}: {exc}") from exc
 
 
 def scenario_from_dict(raw: dict) -> ScenarioConfig:
@@ -196,12 +201,8 @@ def scenario_from_dict(raw: dict) -> ScenarioConfig:
             raise ConfigError(f"missing config section {name!r}")
     geo, chan, grid, exp = raw["geometry"], raw["channel"], raw["grid"], raw["experiment"]
 
-    nodes_raw = _get(geo, "geometry", "nodes", list)
-    nodes = []
-    for idx, entry in enumerate(nodes_raw):
-        if not isinstance(entry, list) or len(entry) != 2:
-            raise ConfigError(f"config key geometry.nodes[{idx}] must be [x, y]")
-        nodes.append(Point(float(entry[0]), float(entry[1])))
+    nodes = [_xy(entry, f"geometry.nodes[{idx}]")
+             for idx, entry in enumerate(_get(geo, "geometry", "nodes", list))]
 
     cfg = ScenarioConfig(
         source=_point(geo, "geometry", "source"),
@@ -249,8 +250,8 @@ def validate_scenario(cfg: ScenarioConfig) -> None:
             ("grid.node_resolution_deg", cfg.node_resolution_deg),
             ("grid.cell_side_m", cfg.cell_side_m),
         ):
-            if value <= 0.0:
-                raise ConfigError(f"{key} must be positive, got {value}")
+            if not 0.0 < value < math.inf:
+                raise ConfigError(f"{key} must be positive and finite, got {value}")
     except ConfigError:
         raise
     except RelayTomoError as exc:

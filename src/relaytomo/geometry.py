@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
@@ -75,17 +74,10 @@ class AnglePair:
 
 @dataclass(frozen=True)
 class RelayRegion:
-    """Disc-shaped relay region with a position density over it.
-
-    density is a callable (x, y) -> probability density; None means uniform
-    over the disc.  The density must integrate to 1 over the disc; the
-    uniform default does by construction, custom callables are the caller's
-    responsibility (see tests for a quadrature check).
-    """
+    """Disc-shaped relay region; relay positions are uniform over the disc."""
 
     center: Point
     radius: float
-    density: Callable[[float, float], float] | None = None
 
     def __post_init__(self) -> None:
         if not (self.radius > 0.0 and math.isfinite(self.radius)):
@@ -95,11 +87,10 @@ class RelayRegion:
         return dist(p, self.center) <= self.radius
 
     def density_at(self, x: float, y: float) -> float:
+        """The uniform density of relay positions at (x, y); 0 outside the disc."""
         if math.hypot(x - self.center.x, y - self.center.y) > self.radius:
             return 0.0
-        if self.density is None:
-            return 1.0 / (math.pi * self.radius * self.radius)
-        return self.density(x, y)
+        return 1.0 / (math.pi * self.radius * self.radius)
 
     def bounding_box(self) -> tuple[float, float, float, float]:
         c, r = self.center, self.radius
@@ -108,9 +99,7 @@ class RelayRegion:
     def sample_xy(
         self, rng: RngStream | np.random.Generator, n: int
     ) -> tuple[np.ndarray, np.ndarray]:
-        """x and y arrays of n i.i.d. uniform draws from the disc (uniform density only)."""
-        if self.density is not None:
-            raise GeometryError("sampling is implemented for the uniform density only")
+        """x and y arrays of n i.i.d. uniform draws from the disc."""
         gen = rng.generator() if isinstance(rng, RngStream) else rng
         radii = self.radius * np.sqrt(gen.random(n))
         theta = 2.0 * math.pi * gen.random(n)
@@ -237,12 +226,18 @@ def _check_triangle(angles: AnglePair) -> None:
 def point_from_angles(baseline: Baseline, angles: AnglePair) -> Point:
     """Unique point on the network side of the baseline with these angles."""
     _check_triangle(angles)
+    return Point(*plane_xy(baseline, angles.aod, angles.aoa))
+
+
+def plane_xy(baseline: Baseline, aod: float, aoa: float) -> tuple[float, float]:
+    """(x, y) of `point_from_angles`, unchecked: the two angle rays' crossing."""
     s, d = baseline.source, baseline.destination
-    ux, uy = _unit(s.x - d.x, s.y - d.y)       # destination -> source axis
-    nx, ny = -uy, ux                            # CCW normal: the network side
-    r = dist_relay_destination(baseline, angles)
-    ca, sa = math.cos(angles.aoa), math.sin(angles.aoa)
-    return Point(d.x + r * (ca * ux + sa * nx), d.y + r * (ca * uy + sa * ny))
+    length = baseline.length
+    ux, uy = (s.x - d.x) / length, (s.y - d.y) / length    # destination -> source axis
+    nx, ny = -uy, ux                                        # CCW normal: the network side
+    r = length * math.sin(aod) / math.sin(aod + aoa)       # law of sines
+    ca, sa = math.cos(aoa), math.sin(aoa)
+    return d.x + r * (ca * ux + sa * nx), d.y + r * (ca * uy + sa * ny)
 
 
 def dist_relay_destination(baseline: Baseline, angles: AnglePair) -> float:

@@ -35,6 +35,7 @@ from .geometry import (
     check_region_clear_of_baseline,
     dist_relay_destination,
     dist_source_relay,
+    plane_xy,
 )
 from .numerics import QuadratureSpec, RngStream, gauss_legendre, libm_map
 
@@ -129,19 +130,6 @@ def continuous_ias(
     return [FlowAtom(a.aod, a.aoa, float(c), l) for l, (a, c) in enumerate(zip(angles, caps))]
 
 
-def _map_to_plane(baseline: Baseline, omega: float, psi: float) -> tuple[float, float]:
-    # intersection point of the two angle rays, on the network side
-    s = math.sin(omega + psi)
-    d = baseline.destination
-    src = baseline.source
-    length = baseline.length
-    ux, uy = (src.x - d.x) / length, (src.y - d.y) / length
-    nx, ny = -uy, ux
-    r = length * math.sin(omega) / s
-    ca, sa = math.cos(psi), math.sin(psi)
-    return d.x + r * (ca * ux + sa * nx), d.y + r * (ca * uy + sa * ny)
-
-
 def joint_angle_pdf(
     omega: float,
     psi: float,
@@ -159,7 +147,7 @@ def joint_angle_pdf(
         raise DegenerateGeometryError(
             f"angle sum {omega + psi} is singular (sin within {SINGULAR_TOL} of 0)"
         )
-    x, y = _map_to_plane(baseline, omega, psi)
+    x, y = plane_xy(baseline, omega, psi)
     density = region.density_at(x, y)
     if density == 0.0:
         return 0.0
@@ -393,12 +381,11 @@ def discrete_ias(
     baseline: Baseline,
     params: ChannelParams,
     quad: QuadratureSpec = QuadratureSpec(),
-    mass_floor: float = DEFAULT_MASS_FLOOR,
 ) -> DiscreteIas:
     """Discrete spectrum on the grid: per-cell conditional mean capacities.
 
     Each cell's value is the outage capacity averaged under the joint angle
-    pdf restricted to the cell; cells carrying less than mass_floor
+    pdf restricted to the cell; cells carrying less than DEFAULT_MASS_FLOOR
     probability are reported as empty (zero value, zero mass).  The outage
     capacities of every quadrature node of the grid come from one array
     solve; each cell then sums its nodes in quadrature order.
@@ -411,7 +398,7 @@ def discrete_ias(
         for b, j in enumerate(range(grid.j_lo, grid.j_hi + 1)):
             mass, cell_nodes = integrate_angle_cell(
                 region, baseline, grid.cell_bounds(i, j), order=quad.order)
-            if mass < mass_floor:
+            if mass < DEFAULT_MASS_FLOOR:
                 continue
             masses[a, b] = mass
             kept.append((a, b))

@@ -41,8 +41,9 @@ class MeasurementNetwork:
             raise GeometryError(
                 f"need at least 3 measuring nodes for unambiguous triangulation, got {len(self.nodes)}"
             )
-        if self.resolution <= 0.0:
-            raise DomainError(f"angular resolution must be positive, got {self.resolution}")
+        if not 0.0 < self.resolution < math.inf:
+            raise DomainError(
+                f"angular resolution must be positive and finite, got {self.resolution}")
         for q, node in enumerate(self.nodes):
             if dist(node, self.region.center) <= self.region.radius:
                 raise GeometryError(f"measuring node {q} lies inside the relay region")
@@ -82,6 +83,8 @@ class MeasurementSet:
             raise MeasurementError("measurement matrices have inconsistent shapes")
         if len(self.pairs) != p:
             raise MeasurementError("pair list does not match matrix rows")
+        if not all(np.isfinite(a).all() for a in (self.aoa, self.cap_est, self.raw)):
+            raise MeasurementError("angles and capacities must be finite")
         if np.any(self.cap_est < 0.0) or np.any(self.raw < 0.0):
             raise MeasurementError("capacities must be non-negative")
 
@@ -112,11 +115,19 @@ class MeasurementSet:
 
 def quantize_angle(theta: float, d_theta: float) -> tuple[int, float]:
     """Nearest grid index and angle; ties round half away from zero."""
-    if d_theta <= 0.0:
+    if not d_theta > 0.0:
         raise DomainError(f"resolution must be positive, got {d_theta}")
     ratio = theta / d_theta
     index = math.floor(ratio + 0.5) if ratio >= 0.0 else math.ceil(ratio - 0.5)
     return index, index * d_theta
+
+
+def angle_bins(theta: np.ndarray, d_theta: float) -> np.ndarray:
+    """Array form of `quantize_angle`'s index, bit for bit: int32 bin indices."""
+    if not d_theta > 0.0:
+        raise DomainError(f"resolution must be positive, got {d_theta}")
+    ratio = np.asarray(theta) / d_theta
+    return np.where(ratio >= 0.0, np.floor(ratio + 0.5), np.ceil(ratio - 0.5)).astype(np.int32)
 
 
 def estimate_outage_capacity(samples, p_out: float) -> float:
@@ -198,9 +209,9 @@ def write_measurements(ms: MeasurementSet, path) -> None:
 def read_measurements(path) -> MeasurementSet:
     """Parse a measurement file; rows keep the order of first appearance.
 
-    Raises MeasurementError naming the file and line for a malformed or
-    duplicated (q1, q2, relay) record, and naming the pair and relay when
-    a pair lacks a record of some relay.
+    Raises MeasurementError naming the file and line for a malformed,
+    non-finite or duplicated (q1, q2, relay) record, and naming the pair
+    and relay when a pair lacks a record of some relay.
     """
     records = {}
     try:
@@ -217,11 +228,16 @@ def read_measurements(path) -> MeasurementSet:
                 raise MeasurementError(f"malformed measurement record: {line!r}")
             try:
                 key = (int(tok[0]), int(tok[1]), int(tok[2]))
-                record = (lineno, math.radians(float(tok[3])), float(tok[4]),
-                          [float(v) for v in tok[5:]])
+                values = [float(v) for v in tok[3:]]
             except ValueError as exc:
                 raise MeasurementError(
                     f"{path}, line {lineno}: non-numeric field in {line!r}") from exc
+            if not all(map(math.isfinite, values)):
+                k = next(k for k, v in enumerate(values) if not math.isfinite(v))
+                field = ("aoa_deg", "cap_est")[k] if k < 2 else f"obs_{k - 2}"
+                raise MeasurementError(
+                    f"{path}, line {lineno}: non-finite {field} {tok[3 + k]!r}")
+            record = (lineno, math.radians(values[0]), values[1], values[2:])
             if key[2] < 0:
                 raise MeasurementError(f"{path}, line {lineno}: negative relay index")
             if key in records:

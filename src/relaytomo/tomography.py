@@ -29,15 +29,17 @@ a cell's weight is the share of its square that lies in the region disc
 jointly, taken over a fixed sub-sample of the square.  Cells of zero share
 are dropped and the share enters the test's prior.  The test counts each
 unordered node pair once, since reciprocal orderings carry the same
-fading draws.
+fading draws, and stops once the leading hypothesis beats the runner-up
+by log((1 - error) / error).
 
-Every result reports its capacity residual and its angle residual.
+Every result of `localize_all` reports its capacity residual and its
+angle residual, computed for all relays in one batched step.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -45,7 +47,7 @@ import numpy as np
 from .channel import ChannelParams, HopPair, capacity_log_pdf, outage_capacity_array
 from .errors import DomainError, LocalizationError
 from .geometry import CellGrid, Point, dist
-from .measurement import MeasurementNetwork, MeasurementSet, quantize_angle
+from .measurement import MeasurementNetwork, MeasurementSet, angle_bins
 from .numerics import libm_map
 
 KIND_THRESHOLD = "threshold"
@@ -54,7 +56,6 @@ KIND_ARGMIN = "argmin"
 KIND_UNLOCALIZED = "unlocalized"
 
 FOOTPRINT_SAMPLES = 9  # sub-sample points per cell axis for the angle likelihood
-_TEST_BLOCK = 1 << 18  # (hypothesis, rival, observation) margins compared per pass
 
 
 @dataclass(frozen=True)
@@ -65,8 +66,8 @@ class TomographyConfig:
     mode: str = "msprt"
 
     def __post_init__(self) -> None:
-        if self.cell_side <= 0.0:
-            raise DomainError("cell side must be positive")
+        if not 0.0 < self.cell_side < math.inf:
+            raise DomainError(f"cell side must be positive and finite, got {self.cell_side}")
         if self.mode not in ("argmin", "msprt"):
             raise DomainError(f"mode must be 'argmin' or 'msprt', got {self.mode!r}")
 
@@ -75,36 +76,32 @@ class TomographyConfig:
 class MsprtConfig:
     """Sequential-test settings.
 
-    error is the tolerated probability of picking hypothesis k2 when k1 is
-    true; a scalar broadcasts over every hypothesis pair, or pass a full
-    (K, K) matrix.  priors maps cell index -> prior weight; None means
-    uniform.  The test's prior is this weight times the angle likelihood
-    of each candidate (when the caller has one), renormalized over the
-    candidate set.
+    error is the tolerated probability of picking a wrong hypothesis, a
+    number in (0, 1); the test stops once the leading hypothesis beats its
+    runner-up by `threshold`.  priors maps cell index -> prior weight; None
+    means uniform.  The test's prior is this weight times the angle
+    likelihood of each candidate (when the caller has one), renormalized
+    over the candidate set.
     """
 
-    error: float | np.ndarray = 0.01
+    error: float = 0.01
     max_observations: int = 10
     priors: dict[int, float] | None = None
 
     def __post_init__(self) -> None:
-        err = np.asarray(self.error, dtype=float)
-        if np.any(err <= 0.0) or np.any(err >= 1.0):
-            raise DomainError("pairwise error probabilities must lie in (0, 1)")
+        if not isinstance(self.error, (int, float)) or not 0.0 < self.error < 1.0:
+            raise DomainError(f"error probability must be a number in (0, 1), got {self.error!r}")
         if self.max_observations < 1:
             raise DomainError("need at least one observation")
         if self.priors is not None:
             if any(v < 0.0 for v in self.priors.values()):
                 raise DomainError("priors must be non-negative")
 
-    def threshold_matrix(self, k: int) -> np.ndarray:
-        """log((1 - eps) / eps) per hypothesis pair, shape (k, k)."""
-        err = np.asarray(self.error, dtype=float)
-        if err.ndim == 0:
-            err = np.full((k, k), float(err))
-        elif err.shape != (k, k):
-            raise DomainError(f"error matrix must have shape ({k}, {k}), got {err.shape}")
-        return np.log((1.0 - err) / err)
+    @property
+    def threshold(self) -> float:
+        """log((1 - error) / error): the margin a decision needs."""
+        # numpy's log: math.log rounds some of these one ulp apart
+        return float(np.log((1.0 - self.error) / self.error))
 
     def log_priors(
         self, candidates: list[int], likelihood: np.ndarray | None = None
@@ -156,12 +153,14 @@ def feasible_cells(
     indices; an empty list signals a grid too coarse or inconsistent data
     (the caller decides how to proceed).
     """
-    fp = _footprint(net, grid)
-    keep = np.ones(len(grid.cells), dtype=bool)
-    for p_idx, (q1, q2) in enumerate(ms.pairs):
-        bin_index, _ = quantize_angle(float(ms.aoa[p_idx, relay]), net.resolution)
-        keep &= fp.center_bins[:, q2] == bin_index
-    return np.flatnonzero(keep).tolist()
+    receivers = [q2 for _, q2 in ms.pairs]
+    keep = _footprint(net, grid).center_bins[:, receivers] == _measured_bins(ms, relay, net)
+    return np.flatnonzero(keep.all(axis=1)).tolist()
+
+
+def _measured_bins(ms: MeasurementSet, relay: int, net: MeasurementNetwork) -> np.ndarray:
+    # the bin index of the relay's measured angle on each pair of ms
+    return angle_bins(ms.aoa[:, relay], net.resolution)
 
 
 class _Footprint:
@@ -184,7 +183,7 @@ class _Footprint:
         self.dist = np.array([[dist(node, c) for node in net.nodes] for c in grid.cells])
         self.angle = np.array([[net.node_angle(q, c) for q in range(net.n_nodes)]
                                for c in grid.cells])
-        self.center_bins = _bin_index(self.angle / net.resolution)
+        self.center_bins = angle_bins(self.angle, net.resolution)
         pairs = net.ordered_pairs()
         once = [(q1, q2) for q1, q2 in pairs if q1 < q2]
         self.rows = [pairs.index(pair) for pair in once]
@@ -205,8 +204,8 @@ class _Footprint:
             norm = math.hypot(rx, ry)
             rx, ry = rx / norm, ry / norm
             dx, dy = px - node.x, py - node.y
-            bins.append(_bin_index(np.arctan2(rx * dy - ry * dx, rx * dx + ry * dy)
-                                   / net.resolution))
+            bins.append(angle_bins(np.arctan2(rx * dy - ry * dx, rx * dx + ry * dy),
+                                   net.resolution))
         self.bins = np.array(bins)
         big = np.iinfo(np.int32).max
         self.lo = np.where(self.inside, self.bins, big).min(axis=2)
@@ -216,11 +215,6 @@ class _Footprint:
         """Hop lengths of each cell center's path per unordered pair, (cells, pairs)."""
         d = self.dist[cells]
         return d[:, self.tx], d[:, self.rx]
-
-
-def _bin_index(ratio: np.ndarray) -> np.ndarray:
-    # quantize_angle's rounding of angle / resolution: half away from zero
-    return np.where(ratio >= 0.0, np.floor(ratio + 0.5), np.ceil(ratio - 0.5)).astype(np.int32)
 
 
 @lru_cache(maxsize=8)
@@ -245,10 +239,8 @@ def angle_likelihood(
     shares; an empty list signals inconsistent data.
     """
     fp = _footprint(net, grid)
-    measured = sorted({
-        (q2, quantize_angle(float(ms.aoa[p_idx, relay]), net.resolution)[0])
-        for p_idx, (q1, q2) in enumerate(ms.pairs)
-    })
+    measured = sorted({(q2, b) for (_, q2), b
+                       in zip(ms.pairs, _measured_bins(ms, relay, net).tolist())})
     reach = np.ones(len(grid.cells), dtype=bool)
     for q, b in measured:
         reach &= (fp.lo[q] <= b) & (b <= fp.hi[q])
@@ -288,14 +280,15 @@ def _center_capacities(net, grid, params, cells) -> np.ndarray:
     return column[cells]
 
 
-def _capacity_residuals(net, grid, params, cells, cap_row: np.ndarray) -> np.ndarray:
+def _capacity_residuals(net, grid, params, cells, cap_rows: np.ndarray) -> np.ndarray:
     """l2 norm of the outage-capacity residuals of each cell's paths.
 
-    cap_row holds one estimate per ordered pair of `net.ordered_pairs()`;
-    both orderings of a pair share one solve, as they share one path.
+    cap_rows holds one estimate per ordered pair of `net.ordered_pairs()`,
+    either one row for every cell or one row per cell; both orderings of
+    a pair share one solve, as they share one path.
     """
     caps = _center_capacities(net, grid, params, cells)
-    return _l2_norms(cap_row - caps[:, _footprint(net, grid).col])
+    return _l2_norms(cap_rows - caps[:, _footprint(net, grid).col])
 
 
 def _capacity_evidence(fp: _Footprint, groups, raws, params) -> list[np.ndarray]:
@@ -313,32 +306,26 @@ def _capacity_evidence(fp: _Footprint, groups, raws, params) -> list[np.ndarray]
     return np.split(log_pdf, np.cumsum(sizes)[:-1])
 
 
-def _angle_residual(fp: _Footprint, ms: MeasurementSet, relay: int, w: int) -> float:
-    rx = [q2 for _, q2 in ms.pairs]
-    return float(_l2_norms(ms.aoa[:, relay] - fp.angle[w, rx]))
-
-
 def localize_argmin(
     candidates: list[int],
     cap_row: np.ndarray,
     net: MeasurementNetwork,
     grid: CellGrid,
     params: ChannelParams,
-    ms: MeasurementSet | None = None,
     relay: int = -1,
 ) -> LocalizationResult:
     """Candidate minimizing the l2 norm of outage-capacity residuals.
 
-    Ties break to the first candidate.
+    Ties break to the first candidate.  The result carries that minimum as
+    its capacity residual.
     """
     if not candidates:
         raise LocalizationError("argmin localization needs a non-empty candidate set")
     errs = _capacity_residuals(net, grid, params, candidates, cap_row)
     best = int(np.argmin(errs))
     w = candidates[best]
-    e_angle = _angle_residual(_footprint(net, grid), ms, relay, w) if ms is not None else 0.0
     return LocalizationResult(
-        relay, w, grid.cells[w], len(candidates), KIND_ARGMIN, e_angle, float(errs[best]), 0
+        relay, w, grid.cells[w], len(candidates), KIND_ARGMIN, 0.0, float(errs[best]), 0
     )
 
 
@@ -349,7 +336,6 @@ def msprt_localize(
     grid: CellGrid,
     params: ChannelParams,
     cfg: MsprtConfig,
-    ms: MeasurementSet | None = None,
     relay: int = -1,
     angle_weights: np.ndarray | None = None,
     log_pdf: np.ndarray | None = None,
@@ -363,17 +349,18 @@ def msprt_localize(
     times `angle_weights` when given) and add, per observation, the sum
     over unordered pairs of the capacity log-density at the hypothesis
     cell's hop lengths.  The test stops at the first observation after
-    which some hypothesis beats every rival by its pairwise log threshold;
-    otherwise it returns the MAP hypothesis after the final observation.
-    Ties break to the lowest cell index.  If an observation is impossible
-    under every hypothesis, the result is the first candidate, flagged
-    degenerate.  log_pdf, when given, is the test's evidence as
-    `_capacity_evidence` computes it from raw; `localize_all` passes each
-    relay its slice of one batched call.
+    which the leading hypothesis (the first of the highest likelihood)
+    beats the runner-up by more than `cfg.threshold`, and so beats every
+    rival; otherwise it returns the MAP hypothesis after the final
+    observation.  Ties break to the lowest cell index.  If an observation
+    is impossible under every hypothesis, the result is the first
+    candidate, flagged degenerate.  log_pdf, when given, is the test's
+    evidence as `_capacity_evidence` computes it from raw; `localize_all`
+    passes each relay its slice of one batched call.  The result's
+    residuals are 0; `localize_all` fills them in.
     """
     if not candidates:
         raise LocalizationError("sequential test needs a non-empty candidate set")
-    k = len(candidates)
     pairs = net.ordered_pairs()
     if raw.ndim != 2 or raw.shape[0] != len(pairs):
         raise LocalizationError(
@@ -382,11 +369,9 @@ def msprt_localize(
     n_obs = min(int(raw.shape[1]), cfg.max_observations)
 
     log_prior = cfg.log_priors(candidates, angle_weights)
-    if k == 1:
-        # the pairwise stopping condition is vacuous with a single hypothesis
-        return _finish(candidates, 0, KIND_THRESHOLD, 0, net, grid,
-                       ms, relay, params, False)
-    thresholds = cfg.threshold_matrix(k)
+    if len(candidates) == 1:
+        # the stopping condition is vacuous with a single hypothesis
+        return _decision(relay, candidates, 0, KIND_THRESHOLD, 0, grid)
 
     if log_pdf is None:
         fp = _footprint(net, grid)
@@ -397,64 +382,48 @@ def msprt_localize(
 
     impossible = ~np.isfinite(log_lik).any(axis=0)
     first_impossible = int(impossible.argmax()) if impossible.any() else n_obs
-    stop = _first_stop(log_lik[:, :first_impossible], thresholds)
+    stop = _first_stop(log_lik[:, :first_impossible], cfg.threshold)
     if stop is not None:
-        o, satisfying = stop
-        # at most one winner for error rates < 1/2; otherwise prefer the
-        # highest likelihood, ties to the lowest cell index
-        best = max(satisfying, key=lambda ki: (log_lik[ki, o], -ki))
-        return _finish(candidates, best, KIND_THRESHOLD, o + 1,
-                       net, grid, ms, relay, params, False)
+        o, best = stop
+        return _decision(relay, candidates, best, KIND_THRESHOLD, o + 1, grid)
     if first_impossible < n_obs:
         # observation impossible under every hypothesis: fall back to a
         # uniform-prior MAP (a tie, broken to the lowest cell index) and
         # flag the degeneracy
-        return _finish(candidates, 0, KIND_FORCED_MAP, first_impossible + 1, net,
-                       grid, ms, relay, params, True)
+        return _decision(relay, candidates, 0, KIND_FORCED_MAP, first_impossible + 1, grid,
+                         degenerate=True)
     best = int(np.argmax(cum[:, -1]))
-    return _finish(candidates, best, KIND_FORCED_MAP, n_obs, net,
-                   grid, ms, relay, params, False)
+    return _decision(relay, candidates, best, KIND_FORCED_MAP, n_obs, grid)
 
 
-def _first_stop(
-    log_lik: np.ndarray, thresholds: np.ndarray
-) -> tuple[int, list[int]] | None:
-    """First observation at which some hypothesis beats every rival.
+def _first_stop(log_lik: np.ndarray, threshold: float) -> tuple[int, int] | None:
+    """First observation at which the leader beats the runner-up by > threshold.
 
-    log_lik is (hypotheses, observations).  Returns that observation's
-    index and the hypotheses that pass there, or None.
+    log_lik is (hypotheses, observations), at least two hypotheses.  The
+    leader of a column is its first maximum.  Floating-point subtraction
+    is monotone, so beating the runner-up is beating every rival, and no
+    other hypothesis can beat every rival where the leader does not.  A
+    column holding NaN never passes: its leader is a NaN.  Returns the
+    observation's index and its leader's position, or None.
     """
-    k, n_obs = log_lik.shape
-    self_pair = np.eye(k, dtype=bool)[:, :, None]
-    step = max(1, _TEST_BLOCK // (k * k))
-    for lo in range(0, n_obs, step):
-        block = log_lik[:, lo:lo + step]
-        beats = (block[:, None, :] - block[None, :, :] > thresholds[:, :, None]) | self_pair
-        passing = beats.all(axis=1)
-        any_pass = passing.any(axis=0)
-        if any_pass.any():
-            o = int(any_pass.argmax())
-            return lo + o, np.flatnonzero(passing[:, o]).tolist()
-    return None
+    n_obs = log_lik.shape[1]
+    columns = np.arange(n_obs)
+    leader = log_lik.argmax(axis=0)
+    rivals = log_lik.copy()
+    rivals[leader, columns] = -np.inf
+    passing = log_lik[leader, columns] - rivals.max(axis=0) > threshold
+    if not passing.any():
+        return None
+    o = int(passing.argmax())
+    return o, int(leader[o])
 
 
-def _finish(
-    candidates, best_pos, kind, stopped, net, grid, ms, relay, params,
-    degenerate,
-) -> LocalizationResult:
+def _decision(relay, candidates, best_pos, kind, stopped, grid,
+              degenerate=False) -> LocalizationResult:
     w = candidates[best_pos]
-    res = LocalizationResult(
+    return LocalizationResult(
         relay, w, grid.cells[w], len(candidates), kind, 0.0, 0.0, stopped, degenerate
     )
-    return _with_residuals(res, ms, net, grid, params) if ms is not None else res
-
-
-def _with_residuals(res, ms, net, grid, params) -> LocalizationResult:
-    # res with its cell's angle and capacity residuals against its relay in ms
-    w, relay = res.cell_index, res.relay
-    e_cap = float(_capacity_residuals(net, grid, params, [w], ms.cap_est[:, relay])[0])
-    return replace(res, e_angle=_angle_residual(_footprint(net, grid), ms, relay, w),
-                   e_capacity=e_cap)
 
 
 def localize_all(
@@ -477,12 +446,13 @@ def localize_all(
     Argmin mode filters and decides relay by relay; each decision fills
     the capacity column with the candidates it lacks.  Msprt mode computes
     the evidence of every relay with more than one candidate in one
-    `_capacity_evidence` call, and the capacity residuals of all chosen
-    cells after one fill of the column.
+    `_capacity_evidence` call.  Both modes then compute the angle and
+    capacity residuals of every localized relay in one step.
     """
     ms = ms.in_pair_order(net.ordered_pairs())
     if cfg.mode == "argmin":
-        return [_argmin_relay(ms, l, net, grid, params) for l in range(ms.n_relays)]
+        decisions = [_argmin_relay(ms, l, net, grid, params) for l in range(ms.n_relays)]
+        return _with_residuals(decisions, ms, net, grid, params)
     mcfg = msprt_cfg if msprt_cfg is not None else MsprtConfig(
         max_observations=ms.n_observations)
     fp = _footprint(net, grid)
@@ -494,23 +464,42 @@ def localize_all(
         evidence = dict(zip(multi, _capacity_evidence(
             fp, [found[l][0] for l in multi], [ms.raw[fp.rows, l, :n_obs] for l in multi],
             params)))
-    results = [
+    decisions = [
         msprt_localize(candidates, ms.raw[:, l, :], net, grid, params, mcfg,
                        relay=l, angle_weights=likelihood, log_pdf=evidence.get(l))
         if candidates else _unlocalized(l)
         for l, (candidates, likelihood) in enumerate(found)
     ]
-    _center_capacities(net, grid, params, [r.cell_index for r in results
-                                           if r.cell_index is not None])
-    return [r if r.cell_index is None else _with_residuals(r, ms, net, grid, params)
-            for r in results]
+    return _with_residuals(decisions, ms, net, grid, params)
+
+
+def _with_residuals(decisions, ms, net, grid, params) -> list[LocalizationResult]:
+    """The decisions with each localized relay's residuals against ms.
+
+    ms has its rows in `net.ordered_pairs()` order.  One l2 norm covers the
+    capacity residual rows of all localized relays, one the angle rows;
+    the capacity column is filled with their cells first, in one solve.
+    """
+    done = [r for r in decisions if r.cell_index is not None]
+    relays = [r.relay for r in done]
+    cells = [r.cell_index for r in done]
+    e_capacity = _capacity_residuals(net, grid, params, cells, ms.cap_est[:, relays].T)
+    receivers = [q2 for _, q2 in ms.pairs]
+    e_angle = _l2_norms(ms.aoa[:, relays].T - _footprint(net, grid).angle[cells][:, receivers])
+    residuals = iter(zip(e_angle.tolist(), e_capacity.tolist()))
+    return [
+        r if r.cell_index is None else LocalizationResult(
+            r.relay, r.cell_index, r.position, r.n_candidates, r.kind,
+            *next(residuals), r.stopped_at, r.degenerate)
+        for r in decisions
+    ]
 
 
 def _argmin_relay(ms, l, net, grid, params) -> LocalizationResult:
     candidates = feasible_cells(ms, l, net, grid)
     if not candidates:
         return _unlocalized(l)
-    return localize_argmin(candidates, ms.cap_est[:, l], net, grid, params, ms=ms, relay=l)
+    return localize_argmin(candidates, ms.cap_est[:, l], net, grid, params, relay=l)
 
 
 def _unlocalized(relay: int) -> LocalizationResult:

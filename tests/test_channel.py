@@ -317,6 +317,11 @@ class TestParams:
             ChannelParams(1.0, 0.0, -3.0, 0.01)
         with pytest.raises(DomainError):
             ChannelParams(1.0, 1.0, -3.0, 1.5)
+        for snr, m in ((math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, math.inf)):
+            with pytest.raises(DomainError):
+                ChannelParams(snr, m, -3.0, 0.01)
+        with pytest.raises(DomainError, match="overflows"):
+            ChannelParams.from_db(5000.0, 1.0, -3.0, 0.01)
         with pytest.raises(DomainError):
             HopPair(0.0, 1.0)
         with pytest.raises(DomainError):

@@ -271,6 +271,41 @@ class TestExitCodes:
         assert main(["invert", str(bad), "--out", str(tmp_path / "o")]) == 3
         assert f"line {k + 1}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("column, value, field", [
+        (3, "nan", "aoa_deg"), (4, "nan", "cap_est"), (4, "inf", "cap_est"),
+        (7, "nan", "obs_2"), (5, "-inf", "obs_0"),
+    ], ids=["aoa_nan", "cap_nan", "cap_inf", "obs_nan", "obs_neg_inf"])
+    def test_non_finite_field_is_3(self, reference_run, tmp_path, capsys, column, value, field):
+        sim, _ = reference_run
+        lines = (sim / "measurements.txt").read_text().splitlines()
+        k = next(n for n, line in enumerate(lines) if not line.startswith("#")) + 4
+        tok = lines[k].split()
+        tok[column] = value
+        lines[k] = " ".join(tok)
+        bad = tmp_path / "non_finite.txt"
+        bad.write_text("\n".join(lines) + "\n")
+        for mode in ("msprt", "argmin"):
+            capsys.readouterr()
+            assert main(["invert", str(bad), "--mode", mode, "--out", str(tmp_path / "o")]) == 3
+            err = capsys.readouterr().err
+            assert f"{bad}, line {k + 1}: non-finite {field} {value!r}" in err
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("channel", "snr_db", math.nan), ("channel", "snr_db", math.inf),
+        ("channel", "nakagami_m", math.nan), ("grid", "node_resolution_deg", math.nan),
+        ("grid", "cell_side_m", math.nan), ("experiment", "msprt_error", math.nan),
+    ], ids=["snr_nan", "snr_inf", "nakagami_nan", "node_resolution_nan", "cell_side_nan",
+            "msprt_error_nan"])
+    def test_non_finite_config_number_is_2(self, tmp_path, capsys, section, key, value):
+        raw = default_config_dict()
+        raw[section][key] = value
+        path = tmp_path / "non_finite.json"
+        write_config(raw, path)
+        for command in ("simulate", "direct"):
+            capsys.readouterr()
+            assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+            assert f"{section}.{key}" in capsys.readouterr().err
+
     def test_duplicate_record_is_3(self, reference_run, tmp_path, capsys):
         sim, _ = reference_run
         lines = (sim / "measurements.txt").read_text().splitlines()

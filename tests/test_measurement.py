@@ -12,6 +12,7 @@ from relaytomo.geometry import Point, RelayRegion, dist, sample_relays
 from relaytomo.measurement import (
     MeasurementNetwork,
     MeasurementSet,
+    angle_bins,
     estimate_outage_capacity,
     quantize_angle,
     read_measurements,
@@ -64,6 +65,20 @@ class TestQuantizeAngle:
     def test_bad_resolution(self):
         with pytest.raises(DomainError):
             quantize_angle(1.0, 0.0)
+        with pytest.raises(DomainError):
+            quantize_angle(1.0, math.nan)
+        with pytest.raises(DomainError):
+            angle_bins(np.ones(3), math.nan)
+
+    def test_array_form_matches_scalar(self):
+        # bin edges, ties, signed zeros and random angles
+        d_theta = math.radians(10.0)
+        theta = np.concatenate((
+            (np.arange(-40, 41) + 0.5) * d_theta, np.arange(-40, 41) * d_theta,
+            [0.0, -0.0, 1e-300, -1e-300],
+            RngStream(17).generator().uniform(-math.pi, math.pi, 2000)))
+        want = [quantize_angle(t, d_theta)[0] for t in theta.tolist()]
+        assert angle_bins(theta, d_theta).tolist() == want
 
 
 class TestQuantileEstimator:
@@ -102,6 +117,11 @@ class TestNetwork:
     def test_requires_three_nodes(self):
         with pytest.raises(GeometryError):
             MeasurementNetwork((Point(0, 0), Point(1, 0)), 0.1, REGION)
+
+    @pytest.mark.parametrize("resolution", [0.0, math.nan, math.inf])
+    def test_rejects_bad_resolution(self, resolution):
+        with pytest.raises(DomainError):
+            MeasurementNetwork(three_node_net().nodes, resolution, REGION)
 
     def test_rejects_interior_node(self):
         with pytest.raises(GeometryError):
@@ -227,6 +247,15 @@ class TestSerialization:
         bad.write_text("0 1 -1 10.0 0.5 0.5\n")
         with pytest.raises(MeasurementError, match="negative relay index"):
             read_measurements(bad)
+
+    @pytest.mark.parametrize("field", ["aoa", "cap_est", "raw"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_rejected(self, field, value):
+        arrays = {"aoa": np.zeros((1, 2)), "cap_est": np.zeros((1, 2)),
+                  "raw": np.zeros((1, 2, 3))}
+        arrays[field][(0, 1) if field != "raw" else (0, 1, 2)] = value
+        with pytest.raises(MeasurementError, match="finite"):
+            MeasurementSet(((0, 1),), arrays["aoa"], arrays["cap_est"], arrays["raw"])
 
     def test_shape_validation(self):
         with pytest.raises(MeasurementError):

@@ -61,15 +61,22 @@ def synthetic_set(relays, observations=10, seed=99) -> MeasurementSet:
     return simulate_measurements(NET, relays, PARAMS, observations, RngStream(seed))
 
 
+def all_pairs_winners(log_lik, threshold) -> list[int]:
+    """Positions of the hypotheses that beat every rival by more than threshold."""
+    k = len(log_lik)
+    return [ki for ki in range(k)
+            if all(log_lik[ki] - log_lik[k2] > threshold for k2 in range(k) if k2 != ki)]
+
+
 def sequential_oracle(candidates, weights, raw, cfg):
-    """The sequential test one observation at a time over the q1 < q2 rows:
+    """The sequential test one observation at a time over the q1 < q2 rows,
+    stopping when some hypothesis beats every rival by cfg.threshold:
     (cell index, decision kind, stopping index)."""
     pairs = NET.ordered_pairs()
     k = len(candidates)
     log_lik = cfg.log_priors(candidates, weights)
     if k == 1:
         return candidates[0], KIND_THRESHOLD, 0
-    thresholds = cfg.threshold_matrix(k)
     n_obs = min(raw.shape[1], cfg.max_observations)
     for o in range(n_obs):
         for ki, w in enumerate(candidates):
@@ -79,13 +86,30 @@ def sequential_oracle(candidates, weights, raw, cfg):
                                                     hops_via(pair, GRID.cells[w]), PARAMS)
         if not np.any(np.isfinite(log_lik)):
             return candidates[0], KIND_FORCED_MAP, o + 1
-        winners = [ki for ki in range(k)
-                   if all(log_lik[ki] - log_lik[k2] > thresholds[ki, k2]
-                          for k2 in range(k) if k2 != ki)]
+        winners = all_pairs_winners(log_lik, cfg.threshold)
         if winners:
             best = max(winners, key=lambda ki: (log_lik[ki], -ki))
             return candidates[best], KIND_THRESHOLD, o + 1
     return candidates[int(np.argmax(log_lik))], KIND_FORCED_MAP, n_obs
+
+
+def l2_oracle(values) -> float:
+    # a scalar loop of squares and sums, in pair order
+    total = 0.0
+    for v in values:
+        total += v ** 2
+    return math.sqrt(total)
+
+
+def residuals_oracle(ms, relay, w) -> tuple[float, float]:
+    """(e_angle, e_capacity) of cell w against relay's rows of ms, by scalar solves."""
+    cell = GRID.cells[w]
+    e_angle = l2_oracle(float(ms.aoa[p, relay]) - NET.node_angle(q2, cell)
+                        for p, (_, q2) in enumerate(ms.pairs))
+    e_capacity = l2_oracle(
+        float(ms.cap_est[p, relay]) - outage_capacity(hops_via(pair, cell), PARAMS)
+        for p, pair in enumerate(ms.pairs))
+    return e_angle, e_capacity
 
 
 class TestFeasibleCells:
@@ -357,7 +381,7 @@ class TestMsprt:
         assert (localize_all(overwritten, NET, GRID, PARAMS, tomo, CFG.msprt())
                 == localize_all(ms, NET, GRID, PARAMS, tomo, CFG.msprt()))
 
-    @pytest.mark.parametrize("error", [0.01, 0.2, 0.6])
+    @pytest.mark.parametrize("error", [1e-12, 0.01, 0.2, 0.6, 0.7])
     def test_matches_sequential_oracle(self, error):
         # the array evaluation takes the decision an observation-by-observation
         # test would: same cell, decision kind and stopping index
@@ -370,6 +394,36 @@ class TestMsprt:
                                  angle_weights=shares)
             want = sequential_oracle(cand, shares, ms.raw[:, 0, :], cfg)
             assert (res.cell_index, res.kind, res.stopped_at) == want
+
+    @pytest.mark.parametrize("error", [1e-12, 0.01, 0.7])
+    def test_leader_margin_equals_all_pairs_rule(self, error):
+        # the stopping rule (the leader beats the runner-up) takes the
+        # all-pairs rule's decision on every column, ties, infinities and
+        # NaN included; errors above 1/2 have a negative threshold
+        threshold = MsprtConfig(error=error).threshold
+        gen = RngStream(131).generator()
+        k = 4
+        columns = [scale * gen.integers(-3, 4, k) for scale in (0.25, 1.0, 10.0, 40.0)
+                   for _ in range(50)]
+        inf, nan = math.inf, math.nan
+        columns += [
+            [5.0, 5.0, 1.0, 0.0], [2.0, 2.0, 2.0, 2.0], [1.0, 40.0, 40.0, -3.0],
+            [3.0, -inf, -inf, -inf], [-inf, -inf, -inf, -inf], [-inf, 7.0, -inf, 6.5],
+            [inf, 1.0, 2.0, 3.0], [inf, inf, 1.0, 2.0], [1.0, inf, -inf, 0.0],
+            [nan, 1.0, 2.0, 3.0], [50.0, nan, 1.0, 2.0], [100.0, 0.0, 0.0, nan],
+            [nan, nan, nan, nan], [-inf, nan, 3.0, -inf],
+        ]
+        log_lik = np.array(columns, dtype=float).T
+        expected = None
+        with np.errstate(invalid="ignore"):  # inf - inf and NaN margins
+            for o, column in enumerate(log_lik.T):
+                winners = all_pairs_winners(column, threshold)
+                want = (0, max(winners, key=lambda ki: (column[ki], -ki))) if winners else None
+                assert tomography._first_stop(column[:, None], threshold) == want
+                if expected is None and want is not None:
+                    expected = (o, want[1])
+            assert expected is not None
+            assert tomography._first_stop(log_lik, threshold) == expected
 
     def test_priors_multiply_angle_weights(self):
         relay = sample_relays(REGION, 1, RngStream(87))[0]
@@ -398,6 +452,12 @@ class TestMsprt:
             MsprtConfig(error=0.0)
         with pytest.raises(DomainError):
             MsprtConfig(error=1.0)
+        with pytest.raises(DomainError):
+            MsprtConfig(error=math.nan)
+        with pytest.raises(DomainError):
+            MsprtConfig(error=np.full((2, 2), 0.01))
+        with pytest.raises(DomainError):
+            TomographyConfig(cell_side=math.nan)
         with pytest.raises(DomainError):
             MsprtConfig(max_observations=0)
         with pytest.raises(DomainError):
@@ -486,25 +546,17 @@ class TestCapacityColumn:
             assert localize_reprs(scenes[0], m25, mode) == cold_m25
 
     def test_batched_evidence_equals_per_relay_test(self):
-        single = Point(67.35482724448657, 52.94261260624085)
-        relays = [single] + sample_relays(REGION, 4, RngStream(128))
-        ms_full = synthetic_set(relays, seed=129)
-        aoa = ms_full.aoa.copy()
-        index = {pair: k for k, pair in enumerate(ms_full.pairs)}
-        aoa[index[(0, 1)], 2] = 0.0  # contradictory bins: relay 2 unlocalized
-        aoa[index[(2, 1)], 2] = math.radians(40.0)
-        ms = MeasurementSet(ms_full.pairs, aoa, ms_full.cap_est, ms_full.raw)
+        ms, found = mixed_scene()
         cfg = CFG.msprt()
-        found = [angle_likelihood(ms, l, NET, GRID) for l in range(5)]
-        sizes = [len(candidates) for candidates, _ in found]
-        assert sizes[0] == 1 and sizes[2] == 0 and min(sizes[1:2] + sizes[3:]) > 1
-        expected = [
-            msprt_localize(candidates, ms.raw[:, l, :], NET, GRID, PARAMS, cfg, ms=ms,
-                           relay=l, angle_weights=weights)
-            if candidates else
-            LocalizationResult(l, None, None, 0, KIND_UNLOCALIZED, math.nan, math.nan, 0)
-            for l, (candidates, weights) in enumerate(found)
-        ]
+        expected = []
+        for l, (candidates, weights) in enumerate(found):
+            if not candidates:
+                expected.append(unlocalized(l))
+                continue
+            res = msprt_localize(candidates, ms.raw[:, l, :], NET, GRID, PARAMS, cfg,
+                                 relay=l, angle_weights=weights)
+            e_angle, e_capacity = residuals_oracle(ms, l, res.cell_index)
+            expected.append(replace(res, e_angle=e_angle, e_capacity=e_capacity))
         got = localize_all(ms, NET, GRID, PARAMS, CFG.tomography(), cfg)
         assert repr(got) == repr(expected)
 
@@ -515,3 +567,39 @@ class TestCapacityColumn:
         for l, raw, log_pdf in zip(many, raws, batched):
             alone, = tomography._capacity_evidence(fp, [found[l][0]], [raw], PARAMS)
             assert np.array_equal(log_pdf, alone)
+
+    def test_batched_residuals_equal_per_relay_argmin(self):
+        ms, _ = mixed_scene()
+        expected = []
+        for l in range(ms.n_relays):
+            candidates = feasible_cells(ms, l, NET, GRID)
+            if not candidates:
+                expected.append(unlocalized(l))
+                continue
+            res = localize_argmin(candidates, ms.cap_est[:, l], NET, GRID, PARAMS, relay=l)
+            e_angle, e_capacity = residuals_oracle(ms, l, res.cell_index)
+            assert e_capacity == res.e_capacity  # the minimum the decision picked
+            expected.append(replace(res, e_angle=e_angle))
+        tomo = TomographyConfig(cell_side=CFG.cell_side_m, mode="argmin")
+        assert repr(localize_all(ms, NET, GRID, PARAMS, tomo)) == repr(expected)
+
+
+def mixed_scene() -> tuple[MeasurementSet, list]:
+    """Five relays: one with a single candidate, one unlocalized, three with
+    many; and each relay's `angle_likelihood`."""
+    single = Point(67.35482724448657, 52.94261260624085)
+    relays = [single] + sample_relays(REGION, 4, RngStream(128))
+    ms_full = synthetic_set(relays, seed=129)
+    aoa = ms_full.aoa.copy()
+    index = {pair: k for k, pair in enumerate(ms_full.pairs)}
+    aoa[index[(0, 1)], 2] = 0.0  # contradictory bins: relay 2 unlocalized
+    aoa[index[(2, 1)], 2] = math.radians(40.0)
+    ms = MeasurementSet(ms_full.pairs, aoa, ms_full.cap_est, ms_full.raw)
+    found = [angle_likelihood(ms, l, NET, GRID) for l in range(5)]
+    sizes = [len(candidates) for candidates, _ in found]
+    assert sizes[0] == 1 and sizes[2] == 0 and min(sizes[1:2] + sizes[3:]) > 1
+    return ms, found
+
+
+def unlocalized(relay: int) -> LocalizationResult:
+    return LocalizationResult(relay, None, None, 0, KIND_UNLOCALIZED, math.nan, math.nan, 0)
