@@ -2,17 +2,17 @@
 """Direct problem demo: continuous atoms and the discrete angular spectrum.
 
 Runs the reference scenario, prints the spectrum matrix to stdout, and
-leaves plot-ready CSVs in the output directory.
+leaves plot-ready CSVs in the output directory.  The matrix is read back
+from the `discrete.csv` that `direct` wrote, so the spectrum is solved once.
 
 Usage: python scripts/run_direct_demo.py [--out OUT] [--seed N]
 """
 
 import argparse
-import math
+import csv
+from pathlib import Path
 
 from relaytomo.cli import main as cli_main
-from relaytomo.config import default_config_dict, scenario_from_dict
-from relaytomo.ias import discrete_ias
 
 
 def run(out: str, seed: int | None) -> None:
@@ -23,17 +23,18 @@ def run(out: str, seed: int | None) -> None:
     if rc != 0:
         raise SystemExit(rc)
 
-    cfg = scenario_from_dict(default_config_dict())
-    spectrum = discrete_ias(cfg.angular_grid(), cfg.region(), cfg.baseline(),
-                            cfg.channel_params(), cfg.quadrature())
-    grid = spectrum.grid
+    with open(Path(out) / "discrete.csv", newline="", encoding="utf-8") as fh:
+        cells = list(csv.DictReader(fh))
+    aod = list(dict.fromkeys(float(c["aod_deg"]) for c in cells))
+    aoa = list(dict.fromkeys(float(c["aoa_deg"]) for c in cells))
+    values = [float(c["value"]) for c in cells]  # row-major: departure, then arrival
     print("\ndiscrete spectrum, bits/s/Hz (rows: departure angle, cols: arrival angle)")
-    header = "        " + " ".join(f"{math.degrees(a):7.0f}d" for a in grid.aoa_angles())
-    print(header)
-    for a, w in enumerate(grid.aod_angles()):
-        row = " ".join(f"{v:8.2e}" if v > 0 else "       ." for v in spectrum.values[a])
-        print(f"{math.degrees(w):6.0f}d {row}")
-    print(f"\ntotal angular probability mass: {spectrum.masses.sum():.6f}")
+    print("        " + " ".join(f"{p:7.0f}d" for p in aoa))
+    for a, w in enumerate(aod):
+        row = values[a * len(aoa):(a + 1) * len(aoa)]
+        print(f"{w:6.0f}d " + " ".join(f"{v:8.2e}" if v > 0 else "       ." for v in row))
+    total = sum(float(c["mass"]) for c in cells)
+    print(f"\ntotal angular probability mass: {total:.6f}")
 
 
 if __name__ == "__main__":

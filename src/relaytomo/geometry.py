@@ -55,6 +55,13 @@ class Baseline:
     def length(self) -> float:
         return dist(self.source, self.destination)
 
+    @property
+    def axes(self) -> tuple[float, float, float, float]:
+        """Unit destination->source axis (ux, uy) and its CCW normal (nx, ny), the network side."""
+        s, d, length = self.source, self.destination, self.length
+        ux, uy = (s.x - d.x) / length, (s.y - d.y) / length
+        return ux, uy, -uy, ux
+
 
 @dataclass(frozen=True)
 class AnglePair:
@@ -231,10 +238,8 @@ def point_from_angles(baseline: Baseline, angles: AnglePair) -> Point:
 
 def plane_xy(baseline: Baseline, aod: float, aoa: float) -> tuple[float, float]:
     """(x, y) of `point_from_angles`, unchecked: the two angle rays' crossing."""
-    s, d = baseline.source, baseline.destination
-    length = baseline.length
-    ux, uy = (s.x - d.x) / length, (s.y - d.y) / length    # destination -> source axis
-    nx, ny = -uy, ux                                        # CCW normal: the network side
+    d, length = baseline.destination, baseline.length
+    ux, uy, nx, ny = baseline.axes
     r = length * math.sin(aod) / math.sin(aod + aoa)       # law of sines
     ca, sa = math.cos(aoa), math.sin(aoa)
     return d.x + r * (ca * ux + sa * nx), d.y + r * (ca * uy + sa * ny)

@@ -10,9 +10,14 @@ atoms of any sampled relay set scatter around it.
 Cell integrals are evaluated with Gauss-Legendre rules on the *exact*
 angular support of the region: for a fixed departure angle the set of
 arrival angles whose intersection point lies inside the disc is a single
-interval (the ray-chord), computed in closed form.  This keeps the
-integrands smooth and the quadrature spectrally accurate even though the
-density jumps to zero at the region boundary.
+interval (the ray-chord), computed in closed form.  The chord clipped to a
+cell kinks where a chord end crosses an arrival edge of the cell; that is
+where the edge's arrival ray meets the circle, so the kinks are solved in
+closed form too (one ray/disc quadratic per edge), and the departure range
+is split there.  This keeps the integrands smooth and the quadrature
+spectrally accurate even though the density jumps to zero at the region
+boundary.  Each cell's nodes and weights are evaluated as arrays in one
+pass; every node lies inside the disc by construction.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from .geometry import (
     Baseline,
     Point,
     RelayRegion,
+    _interior_angles,
     angles_from_point,
     angles_from_points,
     angular_span,
@@ -151,8 +157,12 @@ def joint_angle_pdf(
     density = region.density_at(x, y)
     if density == 0.0:
         return 0.0
-    jac = baseline.length**2 * abs(math.sin(omega) * math.sin(psi)) / abs(s) ** 3
-    return jac * density
+    return float(_angle_jacobian(baseline.length, omega, psi)) * density
+
+
+def _angle_jacobian(length: float, omega, psi):
+    """|d(x, y) / d(omega, psi)| = d^2 sin(omega) sin(psi) / sin^3(omega + psi), elementwise."""
+    return length**2 * np.abs(np.sin(omega) * np.sin(psi)) / np.abs(np.sin(omega + psi)) ** 3
 
 
 def build_grid(
@@ -182,83 +192,61 @@ def build_grid(
 # exact-support cell quadrature
 
 
-def _aoa_chord(
-    region: RelayRegion,
-    baseline: Baseline,
-    omega: float,
-) -> tuple[float, float] | None:
+# the chord length vanishes like a square root at the tangency angles; split
+# the interval next to each tangency geometrically toward it, at these
+# fractions of its width, so the rule stays accurate
+_TANGENCY_SPLITS = np.array([1 / 256, 1 / 64, 1 / 16, 1 / 4])
+_MIN_INTERVAL = 1e-14  # radians; departure intervals narrower than this are skipped
+
+
+def _ray_disc(region: RelayRegion, origin: Point, rx, ry) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Entry and exit points, as (x, y) arrays, of the unit rays origin + t (rx, ry).
+
+    The origin lies outside the disc, so a ray crosses the circle twice
+    only if it also points toward the center; NaN marks a ray that misses
+    (or only touches) the circle.
+    """
+    cx, cy = region.center.x - origin.x, region.center.y - origin.y
+    b = rx * cx + ry * cy
+    disc = b * b - (cx * cx + cy * cy - region.radius * region.radius)
+    root = np.sqrt(np.where((disc > 0.0) & (b > 0.0), disc, np.nan))
+    return [(origin.x + t * rx, origin.y + t * ry) for t in (b - root, b + root)]
+
+
+def _aoa_chord(region: RelayRegion, baseline: Baseline,
+               omega: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Arrival-angle interval whose intersection point lies inside the disc.
 
     For fixed omega the intersection point slides monotonically along the
     departure ray as the arrival angle grows, so the inside set is the single
-    interval spanned by the ray's chord through the disc (None if no hit).
+    interval spanned by the ray's chord through the disc.  Returns the
+    interval's ends per departure angle, NaN where the ray misses.
     """
     s, d = baseline.source, baseline.destination
-    length = baseline.length
-    ux, uy = (s.x - d.x) / length, (s.y - d.y) / length
-    nx, ny = -uy, ux
-    # departure ray from the source, rotated off the source->destination axis
-    rx = -ux * math.cos(omega) + nx * math.sin(omega)
-    ry = -uy * math.cos(omega) + ny * math.sin(omega)
-    cx, cy = region.center.x - s.x, region.center.y - s.y
-    b = rx * cx + ry * cy
-    c = cx * cx + cy * cy - region.radius * region.radius
-    disc = b * b - c
-    if disc <= 0.0:
-        return None
-    root = math.sqrt(disc)
-    t1, t2 = b - root, b + root
-    if t2 <= 0.0:
-        return None
-    t1 = max(t1, 0.0)
-
-    def aoa_at(t: float) -> float:
-        px, py = s.x + t * rx - d.x, s.y + t * ry - d.y
-        return math.atan2(abs(ux * py - uy * px), ux * px + uy * py)
-
-    return aoa_at(t1), aoa_at(t2)
+    ux, uy, nx, ny = baseline.axes
+    # departure rays from the source, rotated off the source->destination axis
+    c, sn = np.cos(omega), np.sin(omega)
+    ends = _ray_disc(region, s, -ux * c + nx * sn, -uy * c + ny * sn)
+    return tuple(_interior_angles(ux, uy, x - d.x, y - d.y) for x, y in ends)
 
 
-def _chord_events(
-    region: RelayRegion,
-    baseline: Baseline,
-    w_lo: float,
-    w_hi: float,
-    p_lo: float,
-    p_hi: float,
-    scan: int = 33,
-) -> list[float]:
-    """Split points of [w_lo, w_hi] where the clipped chord interval kinks."""
+def _chord_kinks(region: RelayRegion, baseline: Baseline, w_lo: float, w_hi: float,
+                 p_lo: float, p_hi: float) -> np.ndarray:
+    """Sorted departure angles in (w_lo, w_hi) where the clipped chord kinks.
 
-    def endpoint(omega: float, which: int) -> float | None:
-        chord = _aoa_chord(region, baseline, omega)
-        return None if chord is None else chord[which]
-
-    events = {w_lo, w_hi}
-    omegas = np.linspace(w_lo, w_hi, scan)
-    for which in (0, 1):
-        for edge in (p_lo, p_hi):
-            prev_w, prev_v = None, None
-            for w in omegas:
-                v = endpoint(float(w), which)
-                if v is not None and prev_v is not None:
-                    if (prev_v - edge) * (v - edge) < 0.0:
-                        events.add(_bisect_event(
-                            lambda om: endpoint(om, which) - edge, prev_w, w))
-                prev_w, prev_v = float(w), v
-    return sorted(events)
-
-
-def _bisect_event(g, lo: float, hi: float, iters: int = 60) -> float:
-    glo = g(lo)
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        gm = g(mid)
-        if glo * gm <= 0.0:
-            hi = mid
-        else:
-            lo, glo = mid, gm
-    return 0.5 * (lo + hi)
+    A chord end crosses the cell edge psi_e where the departure ray meets
+    the arrival ray at psi_e on the circle, so the kinks are the departure
+    angles of the (at most two) points where each edge's arrival ray
+    crosses the circle.
+    """
+    s, d = baseline.source, baseline.destination
+    ux, uy, nx, ny = baseline.axes
+    edges = np.array([p_lo, p_hi])
+    c, sn = np.cos(edges), np.sin(edges)
+    ends = _ray_disc(region, d, ux * c + nx * sn, uy * c + ny * sn)
+    kinks = np.concatenate([_interior_angles(d.x - s.x, d.y - s.y, x - s.x, y - s.y)
+                            for x, y in ends])
+    return np.unique(kinks[(w_lo < kinks) & (kinks < w_hi)])
 
 
 def integrate_angle_cell(
@@ -266,15 +254,16 @@ def integrate_angle_cell(
     baseline: Baseline,
     cell: tuple[float, float, float, float],
     order: int = 16,
-) -> tuple[float, list[tuple[float, float, float]]]:
+) -> tuple[float, np.ndarray]:
     """Mass of the joint angle pdf over a cell, and the rule's weighted nodes.
 
     mass = integral of the pdf over the cell.  The second entry holds one
-    (omega, psi, weight * pdf) per quadrature node of non-zero pdf, in the
-    order the mass sums them: the integral of any g * pdf over the cell is
-    the sum of weight * pdf * g(omega, psi) over these nodes.  The inner
-    arrival-angle integral runs exactly over the chord interval intersected
-    with the cell, so the integrands stay smooth.
+    row (omega, psi, weight * pdf) per quadrature node, in the order the
+    mass sums them: the integral of any g * pdf over the cell is the sum of
+    weight * pdf * g(omega, psi) over these rows.  The departure range is
+    split at the chord kinks, and each node's arrival-angle rule runs
+    exactly over its chord interval intersected with the cell, so the
+    integrands stay smooth and every node lies inside the disc.
     """
     w_lo, w_hi, p_lo, p_hi = cell
     span = angular_span(
@@ -285,50 +274,39 @@ def integrate_angle_cell(
     w_lo = max(w_lo, span[0])
     w_hi = min(w_hi, span[1])
     if w_hi <= w_lo:
-        return 0.0, []
+        return 0.0, np.empty((0, 3))
     nodes, weights = gauss_legendre(order)
-    events = _chord_events(region, baseline, w_lo, w_hi, p_lo, p_hi)
-    # the chord length vanishes like a square root at the tangency angles;
-    # refine geometrically toward those endpoints so the rule stays accurate
-    refined = list(events)
-    if events and abs(events[0] - span[0]) < 1e-13:
-        width = events[1] - events[0]
-        refined.extend(events[0] + width * f for f in (1 / 256, 1 / 64, 1 / 16, 1 / 4))
-    if events and abs(events[-1] - span[1]) < 1e-13:
-        width = events[-1] - events[-2]
-        refined.extend(events[-1] - width * f for f in (1 / 256, 1 / 64, 1 / 16, 1 / 4))
-    events = sorted(set(refined))
-    mass = 0.0
-    rows = []
-    for a, b in zip(events[:-1], events[1:]):
-        if b - a < 1e-14:
-            continue
-        chord = _aoa_chord(region, baseline, 0.5 * (a + b))
-        if chord is None:
-            continue
-        if min(chord[1], p_hi) <= max(chord[0], p_lo):
-            continue
-        half_w = 0.5 * (b - a)
-        mid_w = 0.5 * (a + b)
-        for tw, ww in zip(nodes, weights):
-            omega = mid_w + half_w * tw
-            chord = _aoa_chord(region, baseline, omega)
-            if chord is None:
-                continue
-            lo = max(chord[0], p_lo)
-            hi = min(chord[1], p_hi)
-            if hi <= lo:
-                continue
-            half_p = 0.5 * (hi - lo)
-            mid_p = 0.5 * (hi + lo)
-            for tp, wp in zip(nodes, weights):
-                psi = mid_p + half_p * tp
-                f = joint_angle_pdf(omega, psi, region, baseline)
-                weighted = ww * wp * half_w * half_p * f
-                mass += weighted
-                if f > 0.0:
-                    rows.append((omega, psi, weighted))
-    return mass, rows
+    events = np.concatenate(([w_lo], _chord_kinks(region, baseline, w_lo, w_hi, p_lo, p_hi),
+                             [w_hi]))
+    splits = [events]
+    if abs(events[0] - span[0]) < 1e-13:
+        splits.append(events[0] + (events[1] - events[0]) * _TANGENCY_SPLITS)
+    if abs(events[-1] - span[1]) < 1e-13:
+        splits.append(events[-1] - (events[-1] - events[-2]) * _TANGENCY_SPLITS)
+    events = np.unique(np.concatenate(splits))
+    a, b = events[:-1], events[1:]
+    wide = b - a >= _MIN_INTERVAL
+    n = int(wide.sum())
+    # departure nodes, interval by interval
+    half_w = np.repeat(0.5 * (b - a)[wide], order)
+    omega = np.repeat(0.5 * (a + b)[wide], order) + half_w * np.tile(nodes, n)
+    weight_w = np.tile(weights, n)
+    chord_lo, chord_hi = _aoa_chord(region, baseline, omega)
+    lo = np.maximum(chord_lo, p_lo)
+    hi = np.minimum(chord_hi, p_hi)
+    live = hi > lo    # False where the ray misses (NaN)
+    omega, weight_w, half_w, lo, hi = (v[live] for v in (omega, weight_w, half_w, lo, hi))
+    # each live departure node's arrival nodes, one row per departure node
+    half_p = 0.5 * (hi - lo)
+    psi = 0.5 * (hi + lo)[:, None] + half_p[:, None] * nodes
+    omega = np.broadcast_to(omega[:, None], psi.shape)
+    # the density is uniform: its value at the center holds at every node
+    pdf = _angle_jacobian(baseline.length, omega, psi) * region.density_at(
+        region.center.x, region.center.y)
+    weighted = weight_w[:, None] * weights * half_w[:, None] * half_p[:, None] * pdf
+    # a running sum adds the nodes in order, as a scalar loop would
+    mass = float(np.cumsum(weighted)[-1]) if weighted.size else 0.0
+    return mass, np.stack((omega, psi, weighted), axis=-1).reshape(-1, 3)
 
 
 def angle_cell_mass(
@@ -405,7 +383,7 @@ def discrete_ias(
             nodes.append(cell_nodes)
     if not kept:
         return DiscreteIas(grid, values, masses)
-    omega, psi, weight = np.array([n for cell_nodes in nodes for n in cell_nodes]).T
+    omega, psi, weight = np.concatenate(nodes).T
     # the math module's sine, so the hops are the ones a scalar loop would build
     s = libm_map(math.sin, omega + psi)
     length = baseline.length

@@ -158,39 +158,46 @@ def _lower_gamma_series_array(a: float, x: np.ndarray) -> np.ndarray:
     # The scalar recurrences term *= x / ap and total += term, run a block of
     # iterations at a time as a cumulative product and sum down the rows of
     # an (iterations, elements) array.  Small arguments converge within a
-    # few terms, so the first block is short.
-    if x.size > _SERIES_CHUNK:
-        return np.concatenate([_lower_gamma_series_array(a, x[k:k + _SERIES_CHUNK])
-                               for k in range(0, x.size, _SERIES_CHUNK)])
+    # few terms, so the first block is short.  Elements go through in chunks
+    # small enough for the blocks to stay in cache.  Every pass lays its
+    # blocks out contiguously at the start of the same three buffers, so the
+    # passes allocate no blocks of their own (allocating them per pass made
+    # the heap trim and refault between passes).
     out = np.empty(x.shape)
-    ids = np.arange(x.size)
-    term = np.full(x.shape, 1.0 / a)
-    total = term.copy()
-    ap = a
-    done_iter = 0
-    while ids.size and done_iter < _MAX_ITER:
-        block = _SERIES_BLOCK if done_iter else _SERIES_FIRST_BLOCK
-        width = min(block, _MAX_ITER - done_iter)
-        aps = []
-        for _ in range(width):
-            ap += 1.0
-            aps.append(ap)
-        terms = np.empty((width + 1, ids.size))
-        terms[0] = term
-        np.divide(x[ids], np.array(aps)[:, None], out=terms[1:])
-        np.cumprod(terms, axis=0, out=terms)
-        totals = terms.copy()
-        totals[0] = total
-        np.cumsum(totals, axis=0, out=totals)
-        stop = np.abs(terms[1:]) < np.abs(totals[1:]) * _EPS
-        first = stop.argmax(axis=0)
-        cols = np.arange(ids.size)
-        done = stop[first, cols]
-        out[ids[done]] = totals[first[done] + 1, cols[done]]
-        keep = ~done
-        ids, term, total = ids[keep], terms[-1, keep], totals[-1, keep]
-        done_iter += width
-    out[ids] = total
+    n = (_SERIES_BLOCK + 1) * min(x.size, _SERIES_CHUNK)
+    terms_block, totals_block, stop_block = np.empty(n), np.empty(n), np.empty(n, dtype=bool)
+    for start in range(0, x.size, _SERIES_CHUNK):
+        ids = np.arange(start, min(start + _SERIES_CHUNK, x.size))
+        term = np.full(ids.size, 1.0 / a)
+        total = term.copy()
+        ap = a
+        done_iter = 0
+        while ids.size and done_iter < _MAX_ITER:
+            block = _SERIES_BLOCK if done_iter else _SERIES_FIRST_BLOCK
+            width = min(block, _MAX_ITER - done_iter)
+            aps = []
+            for _ in range(width):
+                ap += 1.0
+                aps.append(ap)
+            shape = (width + 1, ids.size)
+            terms = terms_block[:shape[0] * shape[1]].reshape(shape)
+            totals = totals_block[:terms.size].reshape(shape)
+            terms[0] = term
+            np.divide(x[ids], np.array(aps)[:, None], out=terms[1:])
+            np.cumprod(terms, axis=0, out=terms)
+            totals[0] = total
+            totals[1:] = terms[1:]
+            np.cumsum(totals, axis=0, out=totals)
+            stop = np.less(np.abs(terms[1:]), np.abs(totals[1:]) * _EPS,
+                           out=stop_block[:width * ids.size].reshape(width, ids.size))
+            first = stop.argmax(axis=0)
+            cols = np.arange(ids.size)
+            done = stop[first, cols]
+            out[ids[done]] = totals[first[done] + 1, cols[done]]
+            keep = ~done
+            ids, term, total = ids[keep], terms[-1, keep], totals[-1, keep]
+            done_iter += width
+        out[ids] = total
     return out
 
 

@@ -446,8 +446,10 @@ def localize_all(
     Argmin mode filters and decides relay by relay; each decision fills
     the capacity column with the candidates it lacks.  Msprt mode computes
     the evidence of every relay with more than one candidate in one
-    `_capacity_evidence` call.  Both modes then compute the angle and
-    capacity residuals of every localized relay in one step.
+    `_capacity_evidence` call.  Both modes then compute the angle
+    residuals of every localized relay in one step.  Argmin decisions keep
+    the capacity residual they minimized; msprt mode computes those of all
+    its decisions in one step too.
     """
     ms = ms.in_pair_order(net.ordered_pairs())
     if cfg.mode == "argmin":
@@ -477,16 +479,22 @@ def _with_residuals(decisions, ms, net, grid, params) -> list[LocalizationResult
     """The decisions with each localized relay's residuals against ms.
 
     ms has its rows in `net.ordered_pairs()` order.  One l2 norm covers the
-    capacity residual rows of all localized relays, one the angle rows;
-    the capacity column is filled with their cells first, in one solve.
+    angle rows of all localized relays.  Argmin decisions already carry
+    their capacity residual, the minimum they chose; otherwise one l2 norm
+    covers the capacity rows, after one solve fills the capacity column
+    with the chosen cells.
     """
     done = [r for r in decisions if r.cell_index is not None]
     relays = [r.relay for r in done]
     cells = [r.cell_index for r in done]
-    e_capacity = _capacity_residuals(net, grid, params, cells, ms.cap_est[:, relays].T)
+    if all(r.kind == KIND_ARGMIN for r in done):
+        e_capacity = [r.e_capacity for r in done]
+    else:
+        e_capacity = _capacity_residuals(net, grid, params, cells,
+                                         ms.cap_est[:, relays].T).tolist()
     receivers = [q2 for _, q2 in ms.pairs]
     e_angle = _l2_norms(ms.aoa[:, relays].T - _footprint(net, grid).angle[cells][:, receivers])
-    residuals = iter(zip(e_angle.tolist(), e_capacity.tolist()))
+    residuals = iter(zip(e_angle.tolist(), e_capacity))
     return [
         r if r.cell_index is None else LocalizationResult(
             r.relay, r.cell_index, r.position, r.n_candidates, r.kind,

@@ -19,6 +19,7 @@ from relaytomo.ias import (
     AngularGrid,
     DiscreteIas,
     FlowAtom,
+    _chord_kinks,
     angle_cell_mass,
     build_grid,
     continuous_ias,
@@ -83,6 +84,43 @@ def angle_cell_mass_generic(
 
     return recurse(w_lo, w_hi, p_lo, p_hi, 0)
 
+
+def chord_ends(omega: np.ndarray) -> np.ndarray:
+    """Arrival angles, (2, ...), where the departure rays at omega enter and
+    leave the disc, in the test frame (destination at the origin, source on
+    the positive x axis, region above it); NaN where a ray misses."""
+    dx, dy = -np.cos(omega), np.sin(omega)
+    cx, cy = REGION.center.x - SX, REGION.center.y
+    b = dx * cx + dy * cy
+    disc = b * b - (cx * cx + cy * cy - REGION.radius**2)
+    root = np.sqrt(np.where(disc > 0.0, disc, np.nan))
+    return np.array([np.arctan2(t * dy, SX + t * dx) for t in (b - root, b + root)])
+
+
+def scanned_kinks(cells, n: int = 4001) -> list[np.ndarray]:
+    """Oracle for `_chord_kinks`: each chord end is scanned at n departure
+    angles across each cell against both arrival edges, and every sign
+    change is bisected down to rounding."""
+    brackets = []  # (cell, lower omega, upper omega, chord end, edge)
+    for k, (w_lo, w_hi, p_lo, p_hi) in enumerate(cells):
+        omegas = np.linspace(w_lo, w_hi, n)
+        ends = chord_ends(omegas)
+        for which in (0, 1):
+            for edge in (p_lo, p_hi):
+                g = ends[which] - edge
+                for s in np.flatnonzero(g[:-1] * g[1:] < 0.0):
+                    brackets.append((k, omegas[s], omegas[s + 1], which, edge))
+    cell, lo, hi, which, edge = (np.array(col) for col in zip(*brackets))
+    rows = np.arange(len(brackets))
+    g_lo = chord_ends(lo)[which, rows] - edge
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        same = (chord_ends(mid)[which, rows] - edge) * g_lo > 0.0
+        lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)
+    kinks = 0.5 * (lo + hi)
+    return [np.sort(kinks[cell == k]) for k in range(len(cells))]
+
+
 class TestContinuousIas:
     def test_single_relay_reference_atom(self):
         atoms = continuous_ias([Point(CX, 50.0)], BASELINE, PARAMS)
@@ -137,6 +175,34 @@ class TestJointAnglePdf:
             for j in range(grid.j_lo, grid.j_hi + 1)
         )
         assert total == pytest.approx(1.0, abs=1e-6)
+
+    @pytest.mark.parametrize("deg", [5.0, 2.5])
+    def test_fine_grid_masses_sum_to_one(self, deg):
+        grid = build_grid(REGION, BASELINE, math.radians(deg), math.radians(deg))
+        total = sum(
+            angle_cell_mass(REGION, BASELINE, grid.cell_bounds(i, j))
+            for i in range(grid.i_lo, grid.i_hi + 1)
+            for j in range(grid.j_lo, grid.j_hi + 1)
+        )
+        assert abs(total - 1.0) <= 1e-9
+
+    def test_kinks_match_dense_scan(self):
+        grid = build_grid(REGION, BASELINE, math.radians(2.5), math.radians(2.5))
+        s, d = BASELINE.source, BASELINE.destination
+        span = angular_span(REGION, s, (d.x - s.x, d.y - s.y))
+        cells = []
+        for i in range(grid.i_lo, grid.i_hi + 1):
+            for j in range(grid.j_lo, grid.j_hi + 1):
+                w_lo, w_hi, p_lo, p_hi = grid.cell_bounds(i, j)
+                w_lo, w_hi = max(w_lo, span[0]), min(w_hi, span[1])
+                if w_lo < w_hi:
+                    cells.append((w_lo, w_hi, p_lo, p_hi))
+        expected = scanned_kinks(cells)
+        assert len(cells) == 399 and sum(k.size for k in expected) > 60
+        for cell, want in zip(cells, expected):
+            got = _chord_kinks(REGION, BASELINE, *cell)
+            assert got.shape == want.shape, cell
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
 
     def test_cell_mass_against_monte_carlo(self):
         grid = build_grid(REGION, BASELINE, math.radians(10), math.radians(10))
