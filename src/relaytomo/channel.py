@@ -39,8 +39,9 @@ _LN4 = math.log(4.0)
 # 3e-13 for Nakagami shapes up to 1000), so a numpy cdf farther than this
 # from the outage target has the scalar cdf's sign.
 _SIGN_MARGIN = 1e-9
-# paths per call from which one array bisection beats scalar solves: it
-# costs a fixed 3.5-7 ms, a scalar solve 0.1-0.3 ms (break-even 40-50 paths)
+# paths per call from which one array bisection replaces scalar solves: on
+# 8-90 m hops at 30 dB it costs 10-22 ms for 30-60 paths, a scalar solve
+# 0.2-0.36 ms (break-even near 50 paths at m = 1, near 70 at m = 2.5)
 _ARRAY_SOLVE_MIN = 40
 
 

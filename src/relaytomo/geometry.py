@@ -8,8 +8,10 @@ source-relay-destination triangle, both in (0, pi) with their sum < pi.
 The network is assumed to lie on one fixed side of the baseline: the
 counter-clockwise side of the directed destination->source axis (the upper
 half-plane when the destination sits at the origin and the source on the
-positive x axis).  `point_from_angles` always returns the point on that
-side, which makes it the exact inverse of `angles_from_point` there.
+positive x axis).  `point_from_angles` and `plane_xy` (so also
+`ias.joint_angle_pdf`) always return the point on that side, which makes
+`point_from_angles` the exact inverse of `angles_from_point` there.  The
+spectrum's cell quadrature instead faces the side the region lies on.
 """
 
 from __future__ import annotations

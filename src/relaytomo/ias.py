@@ -92,9 +92,6 @@ class AngularGrid:
     def aod_angles(self) -> np.ndarray:
         return self.d_aod * np.arange(self.i_lo, self.i_hi + 1)
 
-    def aoa_angles(self) -> np.ndarray:
-        return self.d_aoa * np.arange(self.j_lo, self.j_hi + 1)
-
     def cell_bounds(self, i: int, j: int) -> tuple[float, float, float, float]:
         """(aod_lo, aod_hi, aoa_lo, aoa_hi) of grid cell (i, j), absolute indices."""
         w = i * self.d_aod
@@ -213,6 +210,14 @@ def _ray_disc(region: RelayRegion, origin: Point, rx, ry) -> list[tuple[np.ndarr
     return [(origin.x + t * rx, origin.y + t * ry) for t in (b - root, b + root)]
 
 
+def _region_axes(region: RelayRegion, baseline: Baseline) -> tuple[float, float, float, float]:
+    """`Baseline.axes` with the normal turned toward the region's side of the baseline."""
+    ux, uy, nx, ny = baseline.axes
+    side = math.copysign(1.0, nx * (region.center.x - baseline.destination.x)
+                         + ny * (region.center.y - baseline.destination.y))
+    return ux, uy, side * nx, side * ny
+
+
 def _aoa_chord(region: RelayRegion, baseline: Baseline,
                omega: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Arrival-angle interval whose intersection point lies inside the disc.
@@ -223,7 +228,7 @@ def _aoa_chord(region: RelayRegion, baseline: Baseline,
     interval's ends per departure angle, NaN where the ray misses.
     """
     s, d = baseline.source, baseline.destination
-    ux, uy, nx, ny = baseline.axes
+    ux, uy, nx, ny = _region_axes(region, baseline)
     # departure rays from the source, rotated off the source->destination axis
     c, sn = np.cos(omega), np.sin(omega)
     ends = _ray_disc(region, s, -ux * c + nx * sn, -uy * c + ny * sn)
@@ -240,7 +245,7 @@ def _chord_kinks(region: RelayRegion, baseline: Baseline, w_lo: float, w_hi: flo
     crosses the circle.
     """
     s, d = baseline.source, baseline.destination
-    ux, uy, nx, ny = baseline.axes
+    ux, uy, nx, ny = _region_axes(region, baseline)
     edges = np.array([p_lo, p_hi])
     c, sn = np.cos(edges), np.sin(edges)
     ends = _ray_disc(region, d, ux * c + nx * sn, uy * c + ny * sn)

@@ -210,7 +210,8 @@ def read_measurements(path) -> MeasurementSet:
     """Parse a measurement file; rows keep the order of first appearance.
 
     Raises MeasurementError naming the file and line for a malformed,
-    non-finite or duplicated (q1, q2, relay) record, and naming the pair
+    non-finite or duplicated (q1, q2, relay) record or one whose
+    observation count differs from the first record's, and naming the pair
     and relay when a pair lacks a record of some relay.
     """
     records = {}
@@ -225,7 +226,8 @@ def read_measurements(path) -> MeasurementSet:
                 continue
             tok = line.split()
             if len(tok) < 6:
-                raise MeasurementError(f"malformed measurement record: {line!r}")
+                raise MeasurementError(
+                    f"{path}, line {lineno}: malformed measurement record {line!r}")
             try:
                 key = (int(tok[0]), int(tok[1]), int(tok[2]))
                 values = [float(v) for v in tok[3:]]
@@ -249,7 +251,8 @@ def read_measurements(path) -> MeasurementSet:
         raise MeasurementError(f"no measurement records found in {path}")
     pairs = list(dict.fromkeys(key[:2] for key in records))
     n_relays = max(l for _, _, l in records) + 1
-    n_obs = len(next(iter(records.values()))[3])
+    first_line, _, _, first_obs = next(iter(records.values()))
+    n_obs = len(first_obs)
     aoa = np.zeros((len(pairs), n_relays))
     cap_est = np.zeros((len(pairs), n_relays))
     raw = np.zeros((len(pairs), n_relays, n_obs))
@@ -258,9 +261,10 @@ def read_measurements(path) -> MeasurementSet:
             if (q1, q2, l) not in records:
                 raise MeasurementError(
                     f"{path}: pair ({q1}, {q2}) has no record of relay {l}")
-            _, aoa[p_idx, l], cap_est[p_idx, l], obs = records[(q1, q2, l)]
+            lineno, aoa[p_idx, l], cap_est[p_idx, l], obs = records[(q1, q2, l)]
             if len(obs) != n_obs:
-                raise MeasurementError("inconsistent observation counts across records")
+                raise MeasurementError(f"{path}, line {lineno}: {len(obs)} observations, "
+                                       f"but the first record (line {first_line}) has {n_obs}")
             raw[p_idx, l, :] = obs
     return MeasurementSet(tuple(pairs), aoa, cap_est, raw)
 

@@ -20,9 +20,6 @@ from .errors import BracketError, DomainError
 _EPS = 1e-15
 _FPMIN = 1e-300
 _MAX_ITER = 500
-_SERIES_FIRST_BLOCK = 16  # series iterations in the first array pass
-_SERIES_BLOCK = 32  # series iterations in every later array pass
-_SERIES_CHUNK = 1024  # elements per series pass, so its blocks stay in cache
 
 
 @dataclass(frozen=True)
@@ -61,7 +58,9 @@ def regularized_lower_gamma(a: float, x: float) -> float:
 
     Series expansion for x < a + 1, continued fraction for the complement
     otherwise (the standard split).  Absolute accuracy is well below 1e-12
-    for a <= 50.
+    for a <= 50.  Raises DomainError if the expansion has not converged
+    within _MAX_ITER iterations (shapes far larger, e.g. a = 1e6 at x = a);
+    a nan argument gives nan.
     """
     if a <= 0.0:
         raise DomainError(f"shape parameter must be positive, got a={a}")
@@ -85,6 +84,8 @@ def _lower_gamma_series(a: float, x: float) -> float:
         total += term
         if abs(term) < abs(total) * _EPS:
             break
+    else:
+        raise _no_convergence(a, x)
     log_prefactor = a * math.log(x) - x - math.lgamma(a)
     return total * math.exp(log_prefactor)
 
@@ -107,8 +108,10 @@ def _upper_gamma_cf(a: float, x: float) -> float:
         d = 1.0 / d
         delta = d * c
         h *= delta
-        if abs(delta - 1.0) < _EPS:
+        if abs(delta - 1.0) < _EPS or math.isnan(delta):  # nan x propagates
             break
+    else:
+        raise _no_convergence(a, x)
     log_prefactor = a * math.log(x) - x - math.lgamma(a)
     return math.exp(log_prefactor) * h
 
@@ -155,55 +158,31 @@ def _prefactor(a: float, x: np.ndarray, match_scalar: bool) -> np.ndarray:
 
 
 def _lower_gamma_series_array(a: float, x: np.ndarray) -> np.ndarray:
-    # The scalar recurrences term *= x / ap and total += term, run a block of
-    # iterations at a time as a cumulative product and sum down the rows of
-    # an (iterations, elements) array.  Small arguments converge within a
-    # few terms, so the first block is short.  Elements go through in chunks
-    # small enough for the blocks to stay in cache.  Every pass lays its
-    # blocks out contiguously at the start of the same three buffers, so the
-    # passes allocate no blocks of their own (allocating them per pass made
-    # the heap trim and refault between passes).
+    # The scalar series on every element at once: each element runs exactly
+    # its scalar iterations and adds its terms in the same order, and
+    # leaves the working arrays when it stops.
+    term = np.full(x.shape, 1.0 / a)
+    total = term.copy()
     out = np.empty(x.shape)
-    n = (_SERIES_BLOCK + 1) * min(x.size, _SERIES_CHUNK)
-    terms_block, totals_block, stop_block = np.empty(n), np.empty(n), np.empty(n, dtype=bool)
-    for start in range(0, x.size, _SERIES_CHUNK):
-        ids = np.arange(start, min(start + _SERIES_CHUNK, x.size))
-        term = np.full(ids.size, 1.0 / a)
-        total = term.copy()
-        ap = a
-        done_iter = 0
-        while ids.size and done_iter < _MAX_ITER:
-            block = _SERIES_BLOCK if done_iter else _SERIES_FIRST_BLOCK
-            width = min(block, _MAX_ITER - done_iter)
-            aps = []
-            for _ in range(width):
-                ap += 1.0
-                aps.append(ap)
-            shape = (width + 1, ids.size)
-            terms = terms_block[:shape[0] * shape[1]].reshape(shape)
-            totals = totals_block[:terms.size].reshape(shape)
-            terms[0] = term
-            np.divide(x[ids], np.array(aps)[:, None], out=terms[1:])
-            np.cumprod(terms, axis=0, out=terms)
-            totals[0] = total
-            totals[1:] = terms[1:]
-            np.cumsum(totals, axis=0, out=totals)
-            stop = np.less(np.abs(terms[1:]), np.abs(totals[1:]) * _EPS,
-                           out=stop_block[:width * ids.size].reshape(width, ids.size))
-            first = stop.argmax(axis=0)
-            cols = np.arange(ids.size)
-            done = stop[first, cols]
-            out[ids[done]] = totals[first[done] + 1, cols[done]]
+    ids = np.arange(x.size)
+    ap = a
+    for _ in range(_MAX_ITER):
+        ap += 1.0
+        term = term * (x / ap)
+        total = total + term
+        done = np.abs(term) < np.abs(total) * _EPS
+        if done.any():
+            out[ids[done]] = total[done]
             keep = ~done
-            ids, term, total = ids[keep], terms[-1, keep], totals[-1, keep]
-            done_iter += width
-        out[ids] = total
-    return out
+            ids, x, term, total = ids[keep], x[keep], term[keep], total[keep]
+            if not ids.size:
+                return out
+    raise _no_convergence(a, x[0])
 
 
 def _upper_gamma_cf_array(a: float, x: np.ndarray) -> np.ndarray:
-    # The scalar Lentz iteration on every element at once; finished elements
-    # leave the working arrays.
+    # The scalar Lentz iteration on every element at once, in the same shape
+    # as the series above.
     b = x + 1.0 - a
     c = np.full(x.shape, 1.0 / _FPMIN)
     d = 1.0 / b
@@ -220,15 +199,19 @@ def _upper_gamma_cf_array(a: float, x: np.ndarray) -> np.ndarray:
         d = 1.0 / d
         delta = d * c
         h = h * delta
-        done = np.abs(delta - 1.0) < _EPS
+        done = (np.abs(delta - 1.0) < _EPS) | np.isnan(delta)
         if done.any():
             out[ids[done]] = h[done]
             keep = ~done
             ids, b, c, d, h = ids[keep], b[keep], c[keep], d[keep], h[keep]
             if not ids.size:
-                break
-    out[ids] = h
-    return out
+                return out
+    raise _no_convergence(a, x[ids[0]])
+
+
+def _no_convergence(a: float, x: float) -> DomainError:
+    return DomainError(f"incomplete gamma P(a={a}, x={x}) did not converge "
+                       f"within {_MAX_ITER} iterations")
 
 
 def solve_increasing_root(

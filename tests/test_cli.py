@@ -25,6 +25,18 @@ def config_path(tmp_path):
     return path
 
 
+@pytest.fixture()
+def mirror_config_path(tmp_path):
+    """The reference scenario mirrored across the baseline (the x axis)."""
+    raw = default_config_dict()
+    geometry = raw["geometry"]
+    for point in [geometry["region_center"], *geometry["nodes"]]:
+        point[1] = -point[1]
+    path = tmp_path / "mirror.json"
+    write_config(raw, path)
+    return path
+
+
 def read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
     lines = path.read_text().strip().split("\n")
     header = lines[0].split(",")
@@ -106,6 +118,14 @@ class TestDirect:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["experiment"]["seed"] == 9
         assert "atoms.csv" in manifest["outputs"]
+
+    def test_mirrored_region_gives_the_same_spectrum(self, tmp_path, mirror_config_path):
+        # mirroring the scene across the baseline keeps every angle pair
+        assert main(["direct", "--out", str(tmp_path / "ref")]) == 0
+        assert main(["direct", "--config", str(mirror_config_path),
+                     "--out", str(tmp_path / "mirror")]) == 0
+        assert ((tmp_path / "mirror" / "discrete.csv").read_bytes()
+                == (tmp_path / "ref" / "discrete.csv").read_bytes())
 
 
 class TestPipeline:
@@ -239,6 +259,11 @@ def test_selftest_passes(capsys):
     assert capsys.readouterr().out.splitlines()[-1] == "selftest: PASS"
 
 
+def test_selftest_passes_on_mirrored_region(mirror_config_path, capsys):
+    assert main(["selftest", "--config", str(mirror_config_path)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "selftest: PASS"
+
+
 class TestExitCodes:
     def test_config_error_is_2(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -337,6 +362,34 @@ class TestExitCodes:
         assert "--observations 11" in capsys.readouterr().err
         assert main(["invert", measurements, "--observations", "10",
                      "--out", str(tmp_path / "o")]) == 0
+
+    @pytest.mark.parametrize("keep, message", [
+        (5, "line {k}: malformed measurement record"),
+        (-1, "line {k}: 9 observations, but the first record (line {first}) has 10"),
+    ], ids=["short_record", "observation_count"])
+    def test_bad_record_names_its_line(self, reference_run, tmp_path, capsys, keep, message):
+        sim, _ = reference_run
+        lines = (sim / "measurements.txt").read_text().splitlines()
+        first = next(n for n, line in enumerate(lines) if not line.startswith("#"))
+        k = first + 4
+        lines[k] = " ".join(lines[k].split()[:keep])
+        bad = tmp_path / "bad_record.txt"
+        bad.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["invert", str(bad), "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert f"{bad}, " + message.format(k=k + 1, first=first + 1) in err
+
+    def test_unconverged_outage_model_is_3(self, tmp_path, capsys):
+        # at m = 1e6 the incomplete gamma reaches its iteration cap short of
+        # convergence; the truncated sum gave a wrong outage capacity
+        raw = default_config_dict()
+        raw["channel"]["nakagami_m"] = 1e6
+        path = tmp_path / "huge_m.json"
+        write_config(raw, path)
+        capsys.readouterr()
+        assert main(["direct", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
+        assert "did not converge" in capsys.readouterr().err
 
     @pytest.mark.parametrize("edit, message", [
         (lambda recs: ["0 abc" + recs[0][recs[0].rindex(" "):]] + recs[1:],

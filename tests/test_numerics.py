@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -74,6 +75,19 @@ class TestRegularizedLowerGamma:
             regularized_lower_gamma_array(0.0, np.ones(3))
         with pytest.raises(DomainError):
             regularized_lower_gamma_array(1.0, np.array([1.0, -0.1]))
+
+    @pytest.mark.parametrize("x", [1e6, 1e6 + 1.0], ids=["series", "fraction"])
+    def test_iteration_cap_raises(self, x):
+        # at a = 1e6 near x = a neither expansion converges within 500 terms
+        with pytest.raises(DomainError, match=re.escape(f"a=1000000.0, x={x}")):
+            regularized_lower_gamma(1e6, x)
+        with pytest.raises(DomainError, match=r"a=1000000\.0"):
+            regularized_lower_gamma_array(1e6, np.array([0.5, x]))
+
+    def test_nan_argument_gives_nan(self):
+        assert math.isnan(regularized_lower_gamma(2.0, math.nan))
+        got = regularized_lower_gamma_array(2.0, np.array([math.nan, 1.0]))
+        assert math.isnan(got[0]) and got[1] == pytest.approx(regularized_lower_gamma(2.0, 1.0))
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
