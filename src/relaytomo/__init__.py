@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 from .channel import (
     ChannelParams,
     HopPair,
-    capacity_pdf,
     outage_capacity,
     outage_cdf,
     sample_instant_capacity,
@@ -71,7 +70,7 @@ __all__ = [
     "MeasurementNetwork", "MeasurementSet", "MsprtConfig", "Point",
     "QuadratureSpec", "RelayRegion", "RngStream", "TomographyConfig",
     "angles_from_point", "angles_from_points", "angular_span", "build_grid",
-    "capacity_pdf", "continuous_ias", "discrete_ias", "discretize_region",
+    "continuous_ias", "discrete_ias", "discretize_region",
     "dist_relay_destination", "dist_source_relay", "estimate_outage_capacity",
     "feasible_cells", "joint_angle_pdf", "localize_all",
     "localize_argmin", "msprt_localize", "outage_capacity", "outage_cdf",

@@ -13,7 +13,8 @@ minimum over the two hops.  Its cdf in closed form is
 
 with P(a, x) the regularized lower incomplete gamma function.  The outage
 capacity is the I at which this cdf equals the target outage probability;
-`capacity_pdf` is the exact derivative of the cdf.
+`capacity_log_pdf` is the log of the cdf's derivative, the density the
+sequential test weighs observations with.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .errors import DomainError
 from .numerics import (
     RngStream,
     libm_map,
+    log_upper_gamma_array,
     regularized_lower_gamma,
     regularized_lower_gamma_array,
     solve_increasing_root,
@@ -177,58 +179,40 @@ def outage_capacity_array(hops: HopPair, params: ChannelParams) -> np.ndarray:
     return solve_increasing_roots(shifted, s1.size, 0.0, 1.0, 1e-12).reshape(d_sr.shape)
 
 
-def capacity_pdf(i: float, hops: HopPair, params: ChannelParams) -> float:
-    """Density of the end-to-end instantaneous capacity (exact cdf derivative)."""
-    if i < 0.0:
-        raise DomainError(f"spectral efficiency must be non-negative, got {i}")
-    x = math.expm1(i * _LN4)
-    s1, s2 = _rho_scales(hops, params)
-    m = params.nakagami_m
-    rho1, rho2 = s1 * x, s2 * x
-    q2 = 1.0 - regularized_lower_gamma(m, rho2) if rho2 > 0.0 else 1.0
-    q1 = 1.0 - regularized_lower_gamma(m, rho1) if rho1 > 0.0 else 1.0
-    t1 = s1 * _pow_exp(rho1, m) * q2
-    t2 = s2 * _pow_exp(rho2, m) * q1
-    return _LN4 * (1.0 + x) * (t1 + t2) / math.gamma(m)
-
-
-def _pow_exp(rho: float, m: float) -> float:
-    # rho^(m-1) e^(-rho) with the right limits at rho = 0
-    if rho == 0.0:
-        if m > 1.0:
-            return 0.0
-        if m == 1.0:
-            return 1.0
-        return math.inf
-    return math.exp((m - 1.0) * math.log(rho) - rho)
-
-
 def capacity_log_pdf(i, hops: HopPair, params: ChannelParams):
-    """log of capacity_pdf; -inf where the density underflows to zero.
+    """Log density of the end-to-end instantaneous capacity (the cdf's derivative).
 
-    Broadcasts over the capacities i and the hop lengths of `hops`, and
-    returns a float when every input is a scalar.
+    With rho_k = s_k (4^I - 1) and Q = 1 - P, the density is
+
+        ln4 4^I Q(m, rho1) Q(m, rho2) (s1 u(rho1) + s2 u(rho2)),
+
+    s_k u(rho_k) being hop k's hazard rate: u = g / Q(m, .), g the
+    unit-scale gamma density rho^(m-1) e^-rho / Gamma(m).  u tends to 1 in
+    the tail and is exactly 1 for m = 1.  The log Q terms come from
+    `log_upper_gamma_array`, so the log density is -inf only where the
+    density is exactly 0 (at i = 0 for m > 1), never because a hop's Q is
+    below the smallest float.  Broadcasts over the capacities i and the
+    hop lengths of `hops`, and returns a float when every input is a
+    scalar.
     """
     i = np.asarray(i, dtype=float)
     if np.any(i < 0.0):
         raise DomainError("spectral efficiency must be non-negative")
-    x = np.expm1(i * _LN4)
+    log_4i = i * _LN4
+    x = np.expm1(log_4i)
     s1, s2 = _rho_scales(hops, params)
     m = params.nakagami_m
-    rho1, rho2 = np.broadcast_arrays(s1 * x, s2 * x)
-    p1, p2 = regularized_lower_gamma_array(m, np.stack((rho1, rho2)))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t1 = s1 * _pow_exp_array(rho1, m) * (1.0 - p2)
-        t2 = s2 * _pow_exp_array(rho2, m) * (1.0 - p1)
-        value = _LN4 * (1.0 + x) * (t1 + t2) / math.gamma(m)
-        out = np.where(value <= 0.0, -np.inf, np.log(value))
+    rho1, rho2 = s1 * x, s2 * x
+    log_q1, log_q2 = log_upper_gamma_array(m, rho1), log_upper_gamma_array(m, rho2)
+    with np.errstate(divide="ignore"):  # rho = 0 at i = 0
+        if m == 1.0:
+            rate = s1 + s2
+        else:
+            u1, u2 = (np.exp((m - 1.0) * np.log(rho) - rho - math.lgamma(m) - log_q)
+                      for rho, log_q in ((rho1, log_q1), (rho2, log_q2)))
+            rate = s1 * u1 + s2 * u2
+        out = math.log(_LN4) + np.log(rate) + log_4i + log_q1 + log_q2
     return float(out) if out.ndim == 0 else out
-
-
-def _pow_exp_array(rho: np.ndarray, m: float) -> np.ndarray:
-    # elementwise _pow_exp; log(0) warnings are the caller's to silence
-    at_zero = 0.0 if m > 1.0 else 1.0 if m == 1.0 else math.inf
-    return np.where(rho == 0.0, at_zero, np.exp((m - 1.0) * np.log(rho) - rho))
 
 
 def sample_instant_capacity(

@@ -89,9 +89,6 @@ class AngularGrid:
     def n_aoa(self) -> int:
         return self.j_hi - self.j_lo + 1
 
-    def aod_angles(self) -> np.ndarray:
-        return self.d_aod * np.arange(self.i_lo, self.i_hi + 1)
-
     def cell_bounds(self, i: int, j: int) -> tuple[float, float, float, float]:
         """(aod_lo, aod_hi, aoa_lo, aoa_hi) of grid cell (i, j), absolute indices."""
         w = i * self.d_aod

@@ -20,6 +20,12 @@ from .errors import BracketError, DomainError
 _EPS = 1e-15
 _FPMIN = 1e-300
 _MAX_ITER = 500
+# largest integer shape m whose log Q takes the finite sum, which costs
+# m - 1 array passes, in place of the series / continued fraction: on 100k
+# arguments near x = m (gamma(m, 1) draws times e^U(-1.5, 1.5)) the sum
+# took 33-37 ms at m = 128 and 57-64 ms at m = 256, the other branch
+# 65-68 ms at both (CPU time, median of 15, one core of a 2-core Xeon)
+_INTEGER_SUM_MAX = 256
 
 
 @dataclass(frozen=True)
@@ -126,21 +132,66 @@ def regularized_lower_gamma_array(a: float, x, match_scalar: bool = False) -> np
     with match_scalar the prefactor uses the latter (one Python call per
     element), so every element equals the scalar form bit for bit.
     """
-    if a <= 0.0:
-        raise DomainError(f"shape parameter must be positive, got a={a}")
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 0.0):
-        raise DomainError("argument must be non-negative")
+    return _by_branch(a, _gamma_args(a, x),
+                      lambda xs, total: total * _prefactor(a, xs, match_scalar),
+                      lambda xs, h: 1.0 - _prefactor(a, xs, match_scalar) * h)
+
+
+def log_upper_gamma_array(a: float, x) -> np.ndarray:
+    """Elementwise log Q(a, x), Q = 1 - P, over an array of arguments, for one shape a.
+
+    Computed in log space, so it stays finite wherever Q is positive,
+    however far Q is below the smallest float.  An integer shape up to
+    _INTEGER_SUM_MAX takes the finite sum Q(m, x) = e^-x sum_{k<m} x^k / k!
+    (log Q(1, x) = -x); every other shape the series / continued-fraction
+    split of `regularized_lower_gamma_array`, as log1p(-P) on the series
+    branch and as the log of the prefactor plus the log of the fraction on
+    the other.  A nan argument gives nan.
+    """
+    x = _gamma_args(a, x)
+    if float(a).is_integer() and a <= _INTEGER_SUM_MAX:
+        return _log_upper_gamma_integer(int(a), x)
+    return _by_branch(a, x,
+                      lambda xs, total: np.log1p(-total * _prefactor(a, xs, False)),
+                      lambda xs, h: _log_prefactor(a, xs) + np.log(h))
+
+
+def _by_branch(a: float, x: np.ndarray, on_series, on_fraction) -> np.ndarray:
+    # the standard split: on_series(xs, sum) where 0 < x < a + 1, with the
+    # series sum, and on_fraction(xs, h) elsewhere, with the continued
+    # fraction h; x = 0 gives 0, which is both P and log Q there
     flat = x.ravel()
     out = np.zeros(flat.shape)
     series = (flat > 0.0) & (flat < a + 1.0)
     rest = ~series & (flat != 0.0)  # includes nan, which the fraction propagates
     if series.any():
         xs = flat[series]
-        out[series] = _lower_gamma_series_array(a, xs) * _prefactor(a, xs, match_scalar)
+        out[series] = on_series(xs, _lower_gamma_series_array(a, xs))
     if rest.any():
         xs = flat[rest]
-        out[rest] = 1.0 - _prefactor(a, xs, match_scalar) * _upper_gamma_cf_array(a, xs)
+        out[rest] = on_fraction(xs, _upper_gamma_cf_array(a, xs))
+    return out.reshape(x.shape)
+
+
+def _log_upper_gamma_integer(m: int, x: np.ndarray) -> np.ndarray:
+    # log Q(m, x) = -x + log sum_{k<m} x^k / k!, by Horner's rule from the
+    # sum's larger end: from k = 0 where x < m - 1 (no partial sum exceeds
+    # e^x), else with the k = m - 1 term, the largest, factored out
+    flat = x.ravel()
+    out = -flat
+    if m > 1:
+        small = flat < m - 1
+        xs = flat[small]
+        h = np.ones(xs.shape)
+        for k in range(m - 1, 1, -1):
+            h = 1.0 + h * xs / k
+        out[small] += np.log1p(xs * h)
+        big = ~small  # includes nan
+        xb = flat[big]
+        h = np.ones(xb.shape)
+        for k in range(1, m):
+            h = 1.0 + h * k / xb
+        out[big] += (m - 1) * np.log(xb) - math.lgamma(m) + np.log(h)
     return out.reshape(x.shape)
 
 
@@ -150,11 +201,25 @@ def libm_map(fn: Callable[[float], float], x) -> np.ndarray:
     return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
+def _gamma_args(a: float, x) -> np.ndarray:
+    # the incomplete gamma's arguments, checked: a > 0 and x >= 0
+    if a <= 0.0:
+        raise DomainError(f"shape parameter must be positive, got a={a}")
+    x = np.asarray(x, dtype=float)
+    if np.any(x < 0.0):
+        raise DomainError("argument must be non-negative")
+    return x
+
+
 def _prefactor(a: float, x: np.ndarray, match_scalar: bool) -> np.ndarray:
     # x^a e^-x / Gamma(a), as exp(a log x - x - lgamma(a))
     if match_scalar:
         return libm_map(math.exp, a * libm_map(math.log, x) - x - math.lgamma(a))
-    return np.exp(a * np.log(x) - x - math.lgamma(a))
+    return np.exp(_log_prefactor(a, x))
+
+
+def _log_prefactor(a: float, x: np.ndarray) -> np.ndarray:
+    return a * np.log(x) - x - math.lgamma(a)
 
 
 def _lower_gamma_series_array(a: float, x: np.ndarray) -> np.ndarray:

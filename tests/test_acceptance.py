@@ -14,10 +14,10 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
+from oracles import capacity_pdf
 from relaytomo.channel import (
     ChannelParams,
     HopPair,
-    capacity_pdf,
     outage_capacity,
     outage_cdf,
     outage_solver_check,

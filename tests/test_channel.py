@@ -5,6 +5,8 @@ import pytest
 import scipy.integrate
 import scipy.special
 
+import oracles
+from oracles import capacity_pdf
 from relaytomo import channel
 from relaytomo.channel import (
     _ARRAY_SOLVE_MIN,
@@ -14,7 +16,6 @@ from relaytomo.channel import (
     _outage_cdf_array,
     _rho_scales,
     capacity_log_pdf,
-    capacity_pdf,
     outage_capacity,
     outage_capacity_array,
     outage_cdf,
@@ -253,22 +254,47 @@ class TestCapacityPdf:
     @pytest.mark.parametrize("m", [0.5, 1.0, 2.0, 2.5, 4.0])
     def test_log_pdf_broadcast_matches_scalar(self, m):
         # one (hops, hops, capacities) array against the scalar density, at
-        # i = 0 and far enough into the tail that the density underflows
+        # i = 0 and far enough into the tail that the density underflows.
+        # The scalar density forms each hop's Q as 1 - P, which keeps 12
+        # digits only while Q >= 1e-3; scipy's log-space form judges the
+        # rest, where the scalar density is off or 0
         params = ChannelParams(1000.0, m, -3.0, 0.01)
         gen = RngStream(49, (int(m * 2),)).generator()
         d_sr = gen.uniform(5.0, 120.0, (4, 3, 1))
         d_rd = gen.uniform(5.0, 120.0, (4, 3, 1))
         i = np.concatenate([[0.0, 1e-12, 5.0, 40.0], gen.exponential(0.05, 16)])
-        got = capacity_log_pdf(i, HopPair(d_sr, d_rd), params)
+        hops = HopPair(d_sr, d_rd)
+        got = capacity_log_pdf(i, hops, params)
         assert got.shape == (4, 3, i.size)
-        want = np.empty(got.shape)
+        value = np.empty(got.shape)
         for (a, b, o), _ in np.ndenumerate(got):
-            value = capacity_pdf(float(i[o]), HopPair(float(d_sr[a, b, 0]),
-                                                      float(d_rd[a, b, 0])), params)
-            want[a, b, o] = math.log(value) if value > 0.0 else -math.inf
-        assert np.isneginf(want).any()
-        np.testing.assert_array_equal(np.isneginf(got), np.isneginf(want))
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+            value[a, b, o] = capacity_pdf(float(i[o]), HopPair(float(d_sr[a, b, 0]),
+                                                               float(d_rd[a, b, 0])), params)
+        s1, s2 = oracles.rho_scales(hops, params)
+        x = np.expm1(i * oracles.LN4)
+        log_q = np.minimum(oracles.log_upper_gamma(m, s1 * x), oracles.log_upper_gamma(m, s2 * x))
+        scalar = (value > 0.0) & (log_q >= math.log(1e-3))
+        assert scalar.sum() >= 30 and (value == 0.0).any()
+        np.testing.assert_allclose(got[scalar], np.log(value[scalar]), rtol=1e-12, atol=0.0)
+        tail = oracles.capacity_log_pdf(i, hops, params)[~scalar]
+        np.testing.assert_allclose(got[~scalar], tail, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("m", [0.5, 1.0, 2.0, 2.5, 4.0])
+    def test_log_pdf_far_tail_matches_scipy(self, m):
+        # capacities up to 6 bits/s/Hz on 5-90 m hops at 30 dB drive hop Q
+        # values far below the smallest float: the log density stays finite
+        # and within 1e-12 of scipy's log-space form (relative past 1 nat)
+        params = ChannelParams.from_db(30.0, m, -3.0, 0.01)
+        gen = RngStream(53, (int(m * 2),)).generator()
+        n = 20_000
+        i = gen.uniform(0.0, 6.0, n)
+        hops = HopPair(gen.uniform(5.0, 90.0, n), gen.uniform(5.0, 90.0, n))
+        got = capacity_log_pdf(i, hops, params)
+        want = oracles.capacity_log_pdf(i, hops, params)
+        assert np.isfinite(want).all()
+        assert (want < -745.0).sum() > n // 2  # e^-745 is below the smallest float
+        assert np.isfinite(got).all()
+        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
 
     def test_log_pdf_scalar_inputs_give_float(self):
         assert isinstance(capacity_log_pdf(0.3, REF_HOPS, REF_PARAMS), float)

@@ -230,8 +230,8 @@ class TestBuildGrid:
         grid = build_grid(REGION, BASELINE, math.radians(10), math.radians(10))
         assert (grid.i_lo, grid.i_hi) == (0, 6)
         assert (grid.j_lo, grid.j_hi) == (0, 6)
-        np.testing.assert_allclose(np.degrees(grid.aod_angles()),
-                                   np.arange(0.0, 61.0, 10.0), atol=1e-12)
+        aod = grid.d_aod * np.arange(grid.i_lo, grid.i_hi + 1)
+        np.testing.assert_allclose(np.degrees(aod), np.arange(0.0, 61.0, 10.0), atol=1e-12)
 
     def test_resolution_wider_than_span(self):
         # floor/ceil bounds always bracket the span, so a resolution wider

@@ -7,10 +7,12 @@ import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from relaytomo.errors import BracketError, DomainError
 from relaytomo.numerics import (
     QuadratureSpec,
     RngStream,
+    log_upper_gamma_array,
     regularized_lower_gamma,
     regularized_lower_gamma_array,
     solve_increasing_root,
@@ -21,6 +23,51 @@ from relaytomo.numerics import (
 # outage target 1%; the m=1 closed-form outage capacity is
 #   0.5 * log2(1 - ln(0.99) / (rho1 + rho2)),  rho_i = 1/(snr * d_i^nu) = 1000
 REF_CAPACITY = 0.5 * math.log2(1.0 - math.log(0.99) / 2000.0)
+
+
+def log_q_integer(m: int, x: float) -> float:
+    """log Q(m, x) = -x + log sum_{k<m} x^k / k!, the sum taken in log space."""
+    logs = [k * math.log(x) - math.lgamma(k + 1) for k in range(m)]
+    top = max(logs)
+    return -x + top + math.log(math.fsum(math.exp(t - top) for t in logs))
+
+
+class TestLogUpperGamma:
+    @pytest.mark.parametrize("a", [0.5, 1.0, 2.0, 2.5, 4.0])
+    def test_matches_scipy_into_far_tail(self, a):
+        # both branches and far past the x ~ 700 where Q underflows: finite
+        # wherever scipy's log-space form is, and within 1e-12 of it
+        # (relative past 1 nat)
+        gen = RngStream(23).generator()
+        xs = np.concatenate([gen.exponential(a, 500), gen.uniform(0.0, 80.0, 500),
+                             10.0 ** gen.uniform(-12.0, 7.0, 1500),
+                             [0.0, 1e-300, max(a - 1.0, 1e-3), a + 1.0, 700.0, 800.0]])
+        got = log_upper_gamma_array(a, xs.reshape(2, -1)).ravel()
+        want = oracles.log_upper_gamma(a, xs)
+        assert np.isfinite(want).all() and (want < -745.0).sum() > 300
+        assert np.isfinite(got).all()
+        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+    @pytest.mark.parametrize("m", [1, 2, 4, 30, 256, 257])
+    def test_integer_shapes_past_scipy_underflow(self, m):
+        # the finite sum up to the largest shape that takes it, and the
+        # general branch just past it, against the sum in log space
+        gen = RngStream(24, (m,)).generator()
+        xs = np.concatenate([gen.gamma(m, 1.0, 200), 10.0 ** gen.uniform(-6.0, 6.0, 200),
+                             [m - 1.0 or 1e-3, m, 800.0, 1e6]])
+        got = log_upper_gamma_array(float(m), xs)
+        want = np.array([log_q_integer(m, float(x)) for x in xs])
+        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+    def test_limits_and_domain(self):
+        assert log_upper_gamma_array(1.0, 800.0) == -800.0  # scipy's Q is 0 there
+        for a in (0.5, 3.0):
+            got = log_upper_gamma_array(a, np.array([0.0, math.nan]))
+            assert got[0] == 0.0 and math.isnan(got[1])
+            with pytest.raises(DomainError):
+                log_upper_gamma_array(a, np.array([1.0, -0.1]))
+        with pytest.raises(DomainError):
+            log_upper_gamma_array(0.0, np.ones(3))
 
 
 class TestRegularizedLowerGamma:

@@ -365,6 +365,33 @@ class TestMsprt:
         assert res.cell_index == 5
         assert res.stopped_at == 1
 
+    def test_far_tail_observation_decides(self):
+        # one observation of 3 bits/s/Hz on every pair puts each hop's Q
+        # below 1e-17 under every candidate; the evidence still ranks them,
+        # and the m = 1 closed form of the log density,
+        # log(ln4 (s1 + s2)) + i ln4 - (s1 + s2)(4^i - 1), names the leader
+        assert PARAMS.nakagami_m == 1.0
+        i, candidates = 3.0, [0, 104, 207]
+        x = 4.0**i - 1.0
+        log_lik = []
+        for w in candidates:
+            total = 0.0
+            for pair in NET.ordered_pairs():
+                if pair[0] < pair[1]:
+                    hops = hops_via(pair, GRID.cells[w])
+                    s1, s2 = (1.0 / (PARAMS.snr * d**PARAMS.path_loss_exp)
+                              for d in (hops.d_sr, hops.d_rd))
+                    assert min(s1, s2) * x > 40.0  # Q = e^-rho < 1e-17
+                    total += math.log(math.log(4.0) * (s1 + s2)) + i * math.log(4.0) - (s1 + s2) * x
+            log_lik.append(total)
+        best = int(np.argmax(log_lik))
+        cfg = MsprtConfig(max_observations=1)
+        assert best != 0 and log_lik[best] - sorted(log_lik)[-2] > cfg.threshold
+        raw = np.full((len(NET.ordered_pairs()), 1), i)
+        res = msprt_localize(candidates, raw, NET, GRID, PARAMS, cfg)
+        assert (res.cell_index, res.kind, res.stopped_at, res.degenerate) == (
+            candidates[best], KIND_THRESHOLD, 1, False)
+
     def test_reciprocal_rows_ignored(self):
         # reciprocal orderings repeat the same fading draws, so the (q2, q1)
         # rows with q1 < q2 carry no evidence of their own
