@@ -190,25 +190,27 @@ def capacity_log_pdf(i, hops: HopPair, params: ChannelParams):
     unit-scale gamma density rho^(m-1) e^-rho / Gamma(m).  u tends to 1 in
     the tail and is exactly 1 for m = 1.  The log Q terms come from
     `log_upper_gamma_array`, so the log density is -inf only where the
-    density is exactly 0 (at i = 0 for m > 1), never because a hop's Q is
-    below the smallest float.  Broadcasts over the capacities i and the
-    hop lengths of `hops`, and returns a float when every input is a
-    scalar.
+    density is exactly 0 (at i = 0 for m > 1) or 4^I overflows (past
+    i ~ 512), never because a hop's Q is below the smallest float.
+    Broadcasts over the capacities i and the hop lengths of `hops`, and
+    returns a float when every input is a scalar.
     """
     i = np.asarray(i, dtype=float)
     if np.any(i < 0.0):
         raise DomainError("spectral efficiency must be non-negative")
     log_4i = i * _LN4
-    x = np.expm1(log_4i)
     s1, s2 = _rho_scales(hops, params)
     m = params.nakagami_m
-    rho1, rho2 = s1 * x, s2 * x
-    log_q1, log_q2 = log_upper_gamma_array(m, rho1), log_upper_gamma_array(m, rho2)
-    with np.errstate(divide="ignore"):  # rho = 0 at i = 0
+    # rho = 0 at i = 0, and rho = inf past i ~ 512, where 4^I overflows
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        x = np.expm1(log_4i)
+        rho1, rho2 = s1 * x, s2 * x
+        log_q1, log_q2 = log_upper_gamma_array(m, rho1), log_upper_gamma_array(m, rho2)
         if m == 1.0:
             rate = s1 + s2
         else:
-            u1, u2 = (np.exp((m - 1.0) * np.log(rho) - rho - math.lgamma(m) - log_q)
+            u1, u2 = (np.where(np.isposinf(rho), 1.0,  # u's limit, not inf - inf
+                               np.exp((m - 1.0) * np.log(rho) - rho - math.lgamma(m) - log_q))
                       for rho, log_q in ((rho1, log_q1), (rho2, log_q2)))
             rate = s1 * u1 + s2 * u2
         out = math.log(_LN4) + np.log(rate) + log_4i + log_q1 + log_q2

@@ -20,12 +20,6 @@ from .errors import BracketError, DomainError
 _EPS = 1e-15
 _FPMIN = 1e-300
 _MAX_ITER = 500
-# largest integer shape m whose log Q takes the finite sum, which costs
-# m - 1 array passes, in place of the series / continued fraction: on 100k
-# arguments near x = m (gamma(m, 1) draws times e^U(-1.5, 1.5)) the sum
-# took 33-37 ms at m = 128 and 57-64 ms at m = 256, the other branch
-# 65-68 ms at both (CPU time, median of 15, one core of a 2-core Xeon)
-_INTEGER_SUM_MAX = 256
 
 
 @dataclass(frozen=True)
@@ -141,19 +135,21 @@ def log_upper_gamma_array(a: float, x) -> np.ndarray:
     """Elementwise log Q(a, x), Q = 1 - P, over an array of arguments, for one shape a.
 
     Computed in log space, so it stays finite wherever Q is positive,
-    however far Q is below the smallest float.  An integer shape up to
-    _INTEGER_SUM_MAX takes the finite sum Q(m, x) = e^-x sum_{k<m} x^k / k!
-    (log Q(1, x) = -x); every other shape the series / continued-fraction
-    split of `regularized_lower_gamma_array`, as log1p(-P) on the series
-    branch and as the log of the prefactor plus the log of the fraction on
-    the other.  A nan argument gives nan.
+    however far Q is below the smallest float, and is -inf at x = inf.
+    At a = 1 it is exactly -x; every other shape takes the series /
+    continued-fraction split of `regularized_lower_gamma_array`, as
+    log1p(-P) on the series branch and as the log of the prefactor plus
+    the log of the fraction on the other.  A nan argument gives nan.
     """
     x = _gamma_args(a, x)
-    if float(a).is_integer() and a <= _INTEGER_SUM_MAX:
-        return _log_upper_gamma_integer(int(a), x)
-    return _by_branch(a, x,
-                      lambda xs, total: np.log1p(-total * _prefactor(a, xs, False)),
-                      lambda xs, h: _log_prefactor(a, xs) + np.log(h))
+    if a == 1.0:
+        return -x
+    at_inf = np.isposinf(x)  # kept out of the fraction, where it gives inf - inf
+    out = _by_branch(a, np.where(at_inf, 0.0, x),
+                     lambda xs, total: np.log1p(-total * _prefactor(a, xs, False)),
+                     lambda xs, h: _log_prefactor(a, xs) + np.log(h))
+    out[at_inf] = -np.inf
+    return out
 
 
 def _by_branch(a: float, x: np.ndarray, on_series, on_fraction) -> np.ndarray:
@@ -170,28 +166,6 @@ def _by_branch(a: float, x: np.ndarray, on_series, on_fraction) -> np.ndarray:
     if rest.any():
         xs = flat[rest]
         out[rest] = on_fraction(xs, _upper_gamma_cf_array(a, xs))
-    return out.reshape(x.shape)
-
-
-def _log_upper_gamma_integer(m: int, x: np.ndarray) -> np.ndarray:
-    # log Q(m, x) = -x + log sum_{k<m} x^k / k!, by Horner's rule from the
-    # sum's larger end: from k = 0 where x < m - 1 (no partial sum exceeds
-    # e^x), else with the k = m - 1 term, the largest, factored out
-    flat = x.ravel()
-    out = -flat
-    if m > 1:
-        small = flat < m - 1
-        xs = flat[small]
-        h = np.ones(xs.shape)
-        for k in range(m - 1, 1, -1):
-            h = 1.0 + h * xs / k
-        out[small] += np.log1p(xs * h)
-        big = ~small  # includes nan
-        xb = flat[big]
-        h = np.ones(xb.shape)
-        for k in range(1, m):
-            h = 1.0 + h * k / xb
-        out[big] += (m - 1) * np.log(xb) - math.lgamma(m) + np.log(h)
     return out.reshape(x.shape)
 
 

@@ -296,6 +296,13 @@ class TestCapacityPdf:
         assert np.isfinite(got).all()
         assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
 
+    @pytest.mark.parametrize("m", [0.5, 1.0, 2.5])
+    def test_log_pdf_past_overflow_is_minus_inf(self, m):
+        # past i ~ 512 4^I overflows: the density is 0 to any float, not nan
+        params = ChannelParams(1000.0, m, -3.0, 0.01)
+        got = capacity_log_pdf(np.array([600.0, 1.0]), HopPair(50.0, 60.0), params)
+        assert got[0] == -math.inf and np.isfinite(got[1])
+
     def test_log_pdf_scalar_inputs_give_float(self):
         assert isinstance(capacity_log_pdf(0.3, REF_HOPS, REF_PARAMS), float)
 

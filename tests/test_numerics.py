@@ -50,8 +50,8 @@ class TestLogUpperGamma:
 
     @pytest.mark.parametrize("m", [1, 2, 4, 30, 256, 257])
     def test_integer_shapes_past_scipy_underflow(self, m):
-        # the finite sum up to the largest shape that takes it, and the
-        # general branch just past it, against the sum in log space
+        # m = 1's closed form and the general branch at larger integer
+        # shapes, against the finite sum taken in log space
         gen = RngStream(24, (m,)).generator()
         xs = np.concatenate([gen.gamma(m, 1.0, 200), 10.0 ** gen.uniform(-6.0, 6.0, 200),
                              [m - 1.0 or 1e-3, m, 800.0, 1e6]])
@@ -61,9 +61,9 @@ class TestLogUpperGamma:
 
     def test_limits_and_domain(self):
         assert log_upper_gamma_array(1.0, 800.0) == -800.0  # scipy's Q is 0 there
-        for a in (0.5, 3.0):
-            got = log_upper_gamma_array(a, np.array([0.0, math.nan]))
-            assert got[0] == 0.0 and math.isnan(got[1])
+        for a in (0.5, 1.0, 2.0, 3.0):
+            got = log_upper_gamma_array(a, np.array([0.0, math.nan, math.inf]))
+            assert got[0] == 0.0 and math.isnan(got[1]) and got[2] == -math.inf
             with pytest.raises(DomainError):
                 log_upper_gamma_array(a, np.array([1.0, -0.1]))
         with pytest.raises(DomainError):
