@@ -51,7 +51,6 @@ from .numerics import (
     QuadratureSpec,
     RngStream,
     regularized_lower_gamma,
-    solve_increasing_root,
 )
 from .tomography import (
     LocalizationResult,
@@ -76,5 +75,5 @@ __all__ = [
     "localize_argmin", "msprt_localize", "outage_capacity", "outage_cdf",
     "point_from_angles", "quantize_angle", "regularized_lower_gamma",
     "sample_instant_capacity", "sample_relays",
-    "simulate_measurements", "solve_increasing_root",
+    "simulate_measurements",
 ]

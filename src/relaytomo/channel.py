@@ -27,24 +27,18 @@ import numpy as np
 from .errors import DomainError
 from .numerics import (
     RngStream,
-    libm_map,
+    log_upper_gamma_and_slope,
     log_upper_gamma_array,
     regularized_lower_gamma,
-    regularized_lower_gamma_array,
-    solve_increasing_root,
-    solve_increasing_roots,
 )
 
 _LN4 = math.log(4.0)
-# numpy's vectorized exp, log and expm1 may round differently from the math
-# module's.  The outage cdf moves by far less than this (measured: below
-# 3e-13 for Nakagami shapes up to 1000), so a numpy cdf farther than this
-# from the outage target has the scalar cdf's sign.
-_SIGN_MARGIN = 1e-9
-# paths per call from which one array bisection replaces scalar solves: on
-# 8-90 m hops at 30 dB it costs 10-22 ms for 30-60 paths, a scalar solve
-# 0.2-0.36 ms (break-even near 50 paths at m = 1, near 70 at m = 2.5)
-_ARRAY_SOLVE_MIN = 40
+# steps of the outage solve before it gives up; a path takes 1 to 8 for
+# shapes from 0.1 to 1000
+_MAX_STEPS = 100
+# the largest log rho_k an iterate of the outage solve takes: e^700 is a
+# float, and -log Q there is far past -log(1 - p) for any p below 1
+_LOG_RHO_MAX = 700.0
 
 
 @dataclass(frozen=True)
@@ -123,60 +117,80 @@ def outage_cdf(i: float, hops: HopPair, params: ChannelParams) -> float:
     return 1.0 - q1 * q2
 
 
-def outage_capacity(hops: HopPair, params: ChannelParams, tol: float = 1e-12) -> float:
-    """The unique I >= 0 with outage_cdf(I) == outage_prob.
-
-    Monotone bisection with automatic upper-bound doubling; safe even where
-    the cdf derivative is tiny near zero.
-    """
-    target = params.outage_prob
-
-    def shifted(i: float) -> float:
-        return outage_cdf(i, hops, params) - target
-
-    return solve_increasing_root(shifted, 0.0, 1.0, tol)
-
-
-def _outage_cdf_array(
-    i: np.ndarray, s1: np.ndarray, s2: np.ndarray, m: float, match_scalar: bool
-) -> np.ndarray:
-    # outage_cdf at rate i[k] of the path with rho scales (s1[k], s2[k]);
-    # match_scalar takes the math module's rounding for exp, log and expm1
-    x = libm_map(math.expm1, i * _LN4) if match_scalar else np.expm1(i * _LN4)
-    p1, p2 = regularized_lower_gamma_array(m, np.stack((s1 * x, s2 * x)), match_scalar)
-    return 1.0 - (1.0 - p1) * (1.0 - p2)
+def outage_capacity(hops: HopPair, params: ChannelParams) -> float:
+    """The unique I >= 0 with outage_cdf(I) == outage_prob: the one path of
+    `hops` through `outage_capacity_array`."""
+    return float(outage_capacity_array(hops, params))
 
 
 def outage_capacity_array(hops: HopPair, params: ChannelParams) -> np.ndarray:
-    """`outage_capacity` of every path of `hops`, bit for bit.
+    """The outage capacity of every path of `hops`, broadcast over its hop lengths.
 
-    The one entry point for batches of any size; it broadcasts over the hop
-    lengths.  Fewer than _ARRAY_SOLVE_MIN paths are solved one by one with
-    `outage_capacity`.  More are bisected together: each element takes the
-    scalar solve's steps, and each step's sign of cdf - target is the
-    scalar cdf's, because numpy decides the points whose cdf lies farther
-    than _SIGN_MARGIN from the target and the nearer ones are evaluated
-    again with the math module's rounding.
+    One bracketed Newton iteration serves every batch size, and each path's
+    result depends on its own hops alone.  With u = log(4^I - 1) and
+    rho_k = s_k e^u, it solves the increasing equation
+
+        h(u) = log(-log Q(m, rho_1) - log Q(m, rho_2)) - log(-log(1 - p)) = 0
+
+    from the root of -log Q's small-rho expansion, which is exact at m = 1.
+    A path stops after the Newton step that moves u by at most 1e-6, which,
+    as convergence is quadratic, lands about 1e-13 from the root; a step
+    that leaves the path's bracket of signs of h becomes a bisection step,
+    of 2 while one end is open.
+    Returns I = log1p(e^u) / ln 4; raises DomainError if a path has not
+    converged within _MAX_STEPS steps.
     """
-    paths = np.broadcast(hops.d_sr, hops.d_rd)
-    if paths.size < _ARRAY_SOLVE_MIN:
-        roots = [outage_capacity(HopPair(float(a), float(b)), params) for a, b in paths]
-        return np.array(roots, dtype=float).reshape(paths.shape)
-    m, snr, nu = params.nakagami_m, params.snr, params.path_loss_exp
-    d_sr, d_rd = np.broadcast_arrays(hops.d_sr, hops.d_rd)
-    s1 = (m / (snr * libm_map(lambda d: d**nu, d_sr))).ravel()
-    s2 = (m / (snr * libm_map(lambda d: d**nu, d_rd))).ravel()
-    target = params.outage_prob
-
-    def shifted(i: np.ndarray, ids: np.ndarray) -> np.ndarray:
-        f = _outage_cdf_array(i, s1[ids], s2[ids], m, False) - target
-        near = np.abs(f) <= _SIGN_MARGIN
-        if near.any():
-            k = ids[near]
-            f[near] = _outage_cdf_array(i[near], s1[k], s2[k], m, True) - target
-        return f
-
-    return solve_increasing_roots(shifted, s1.size, 0.0, 1.0, 1e-12).reshape(d_sr.shape)
+    d = np.array(np.broadcast_arrays(hops.d_sr, hops.d_rd), dtype=float)
+    m = params.nakagami_m
+    log_s = (math.log(m) - math.log(params.snr)) - params.path_loss_exp * np.log(d.reshape(2, -1))
+    if not np.isfinite(log_s).all():
+        raise DomainError("hop lengths must be finite")
+    target = math.log(-math.log1p(-params.outage_prob))
+    # -log Q(m, rho) = rho^m (1 - m rho / (m + 1) + ...) / Gamma(m + 1): the
+    # first term gives u in closed form, and the second corrects it by
+    # rho / (m + 1) averaged with weights s_k^m (capped at 1: it holds for
+    # small rho only)
+    log_sum = np.logaddexp(*(m * log_s))
+    u = (math.lgamma(m + 1.0) + target - log_sum) / m
+    if m != 1.0:
+        log_mean_s = np.logaddexp(*((m + 1.0) * log_s)) - log_sum
+        u += np.exp(np.minimum(u + (log_mean_s - math.log(m + 1.0)), 0.0))
+    u_max = _LOG_RHO_MAX - np.maximum(*log_s)
+    u = np.minimum(u, u_max)
+    lo, hi = np.full(u.shape, -np.inf), np.full(u.shape, np.inf)
+    out = np.empty(u.shape)
+    ids = np.arange(u.size)
+    if not ids.size:
+        return out.reshape(d.shape[1:])
+    # far below the root the hazard sum underflows to 0: there h = -inf and
+    # its slope is nan, which the bracket turns into a bisection step
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(_MAX_STEPS):
+            log_q, slope = log_upper_gamma_and_slope(m, np.exp(log_s + u).ravel())
+            n = ids.size
+            hazard = -(log_q[:n] + log_q[n:])
+            h = np.log(hazard) - target
+            step = u - h * hazard / (slope[:n] + slope[n:])
+            lo = np.where(h < 0.0, u, lo)
+            hi = np.where(h > 0.0, u, hi)
+            newton = (step >= lo) & (step <= hi)
+            if np.count_nonzero(newton) < n:
+                bad = ~newton
+                l, r = lo[bad], hi[bad]
+                step[bad] = np.where(r == np.inf, l + 2.0,
+                                     np.where(l == -np.inf, r - 2.0, 0.5 * (l + r)))
+            done = newton & (np.abs(step - u) <= 1e-6)
+            finished = np.count_nonzero(done)
+            if finished:
+                out[ids[done]] = step[done]
+                if finished == n:
+                    return np.logaddexp(0.0, out).reshape(d.shape[1:]) / _LN4
+                keep = ~done
+                ids, step, lo, hi = ids[keep], step[keep], lo[keep], hi[keep]
+                u_max, log_s = u_max[keep], log_s[:, keep]
+            u = np.minimum(step, u_max)
+    raise DomainError(f"outage capacity did not converge within {_MAX_STEPS} steps "
+                      f"(hops {d[0].ravel()[ids[0]]}, {d[1].ravel()[ids[0]]})")
 
 
 def capacity_log_pdf(i, hops: HopPair, params: ChannelParams):
@@ -243,18 +257,21 @@ def sample_instant_capacity(
 
 def outage_solver_check(
     params: ChannelParams, rng: RngStream, n: int
-) -> tuple[float, float | None, float]:
+) -> tuple[float, float | None, float, int]:
     """The outage solve on two 100 m hops, with its two oracles.
 
     Returns the solved capacity, the m = 1 closed form (None for any other
-    shape) and the outage_prob-quantile of n Monte Carlo capacity draws.
+    shape), and the outage_prob-quantile of n Monte Carlo capacity draws
+    and how many of them fall below the solved capacity.
     """
     hops = HopPair(100.0, 100.0)
-    solved = float(outage_capacity_array(hops, params))
+    solved = outage_capacity(hops, params)
     closed = None
     if params.nakagami_m == 1.0:
-        # P(I) = 1 - exp(-(4^I - 1)(s1 + s2)) inverts in closed form
+        # P(I) = 1 - exp(-(4^I - 1)(s1 + s2)) inverts in closed form; log1p
+        # keeps the digits that forming 1 + (a tiny ratio) would lose
         s1, s2 = _rho_scales(hops, params)
-        closed = 0.5 * math.log2(1.0 - math.log1p(-params.outage_prob) / (s1 + s2))
+        closed = 0.5 * math.log1p(-math.log1p(-params.outage_prob) / (s1 + s2)) / math.log(2.0)
     caps = sample_instant_capacity(hops, params, rng, size=n)
-    return solved, closed, float(np.quantile(caps, params.outage_prob))
+    return (solved, closed, float(np.quantile(caps, params.outage_prob)),
+            int(np.count_nonzero(caps < solved)))

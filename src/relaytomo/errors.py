@@ -9,10 +9,6 @@ class DomainError(RelayTomoError, ValueError):
     """An argument lies outside a function's mathematical domain."""
 
 
-class BracketError(RelayTomoError, RuntimeError):
-    """A root bracket could not be established or maintained."""
-
-
 class GeometryError(RelayTomoError, ValueError):
     """A geometric precondition is violated (bad region, node placement, ...)."""
 

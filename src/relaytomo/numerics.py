@@ -1,5 +1,5 @@
-"""Self-contained numerical kernels: special functions, root finding,
-tensor-product quadrature, and reproducible random streams.
+"""Self-contained numerical kernels: special functions, tensor-product
+quadrature, and reproducible random streams.
 
 The incomplete-gamma implementation is deliberately dependency-free so the
 whole numerical chain stays auditable; everything else leans on numpy for
@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import BracketError, DomainError
+from .errors import DomainError
 
 _EPS = 1e-15
 _FPMIN = 1e-300
@@ -74,15 +74,16 @@ def regularized_lower_gamma(a: float, x: float) -> float:
 
 
 def _lower_gamma_series(a: float, x: float) -> float:
-    # P(a,x) = x^a e^-x / Gamma(a) * sum_n x^n / (a (a+1) ... (a+n))
+    # P(a,x) = x^a e^-x / Gamma(a) * sum_n x^n / (a (a+1) ... (a+n)); the
+    # stop rule is tested on every 4th term, as in the array form
     ap = a
     term = 1.0 / a
     total = term
-    for _ in range(_MAX_ITER):
+    for n in range(1, _MAX_ITER + 1):
         ap += 1.0
         term *= x / ap
         total += term
-        if abs(term) < abs(total) * _EPS:
+        if n % 4 == 0 and abs(term) < abs(total) * _EPS:
             break
     else:
         raise _no_convergence(a, x)
@@ -116,19 +117,16 @@ def _upper_gamma_cf(a: float, x: float) -> float:
     return math.exp(log_prefactor) * h
 
 
-def regularized_lower_gamma_array(a: float, x, match_scalar: bool = False) -> np.ndarray:
+def regularized_lower_gamma_array(a: float, x) -> np.ndarray:
     """Elementwise P(a, x) over an array of arguments, for one shape a.
 
     The same series / continued-fraction split, tolerance and iteration cap
     as `regularized_lower_gamma`; each element stops at the iteration where
-    its own scalar evaluation would, so the two agree to rounding.  numpy's
-    vectorized log and exp may round differently from the math module's;
-    with match_scalar the prefactor uses the latter (one Python call per
-    element), so every element equals the scalar form bit for bit.
+    its own scalar evaluation would, so the two agree to rounding.
     """
     return _by_branch(a, _gamma_args(a, x),
-                      lambda xs, total: total * _prefactor(a, xs, match_scalar),
-                      lambda xs, h: 1.0 - _prefactor(a, xs, match_scalar) * h)
+                      lambda xs, total: total * _prefactor(a, xs),
+                      lambda xs, h: 1.0 - _prefactor(a, xs) * h)
 
 
 def log_upper_gamma_array(a: float, x) -> np.ndarray:
@@ -146,10 +144,47 @@ def log_upper_gamma_array(a: float, x) -> np.ndarray:
         return -x
     at_inf = np.isposinf(x)  # kept out of the fraction, where it gives inf - inf
     out = _by_branch(a, np.where(at_inf, 0.0, x),
-                     lambda xs, total: np.log1p(-total * _prefactor(a, xs, False)),
+                     lambda xs, total: np.log1p(-total * _prefactor(a, xs)),
                      lambda xs, h: _log_prefactor(a, xs) + np.log(h))
     out[at_inf] = -np.inf
     return out
+
+
+def log_upper_gamma_and_slope(a: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """log Q(a, x) as `log_upper_gamma_array` gives it, and its slope
+    -d log Q / d log x = x^a e^-x / (Gamma(a) Q), for a flat array of
+    arguments 0 <= x < inf that the caller has checked (x = 0 gives 0 and
+    0 by way of log 0 = -inf, which numpy reports as the caller's errstate
+    says).
+
+    On the fraction branch Q is the prefactor x^a e^-x / Gamma(a) times
+    the continued fraction h, so the slope is 1 / h, with no cancellation
+    however large x is.
+    """
+    if a == 1.0:
+        return -x, x
+    series = x < a + 1.0
+    n = np.count_nonzero(series)
+    if n == x.size:
+        return _log_q_series(a, x)
+    if n == 0:
+        return _log_q_fraction(a, x)
+    log_q, slope = np.empty(x.shape), np.empty(x.shape)
+    log_q[series], slope[series] = _log_q_series(a, x[series])
+    rest = ~series
+    log_q[rest], slope[rest] = _log_q_fraction(a, x[rest])
+    return log_q, slope
+
+
+def _log_q_series(a: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    log_pre = _log_prefactor(a, x)
+    log_q = np.log1p(-_lower_gamma_series_array(a, x) * np.exp(log_pre))
+    return log_q, np.exp(log_pre - log_q)
+
+
+def _log_q_fraction(a: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    h = _upper_gamma_cf_array(a, x)
+    return _log_prefactor(a, x) + np.log(h), 1.0 / h
 
 
 def _by_branch(a: float, x: np.ndarray, on_series, on_fraction) -> np.ndarray:
@@ -185,10 +220,8 @@ def _gamma_args(a: float, x) -> np.ndarray:
     return x
 
 
-def _prefactor(a: float, x: np.ndarray, match_scalar: bool) -> np.ndarray:
+def _prefactor(a: float, x: np.ndarray) -> np.ndarray:
     # x^a e^-x / Gamma(a), as exp(a log x - x - lgamma(a))
-    if match_scalar:
-        return libm_map(math.exp, a * libm_map(math.log, x) - x - math.lgamma(a))
     return np.exp(_log_prefactor(a, x))
 
 
@@ -199,18 +232,22 @@ def _log_prefactor(a: float, x: np.ndarray) -> np.ndarray:
 def _lower_gamma_series_array(a: float, x: np.ndarray) -> np.ndarray:
     # The scalar series on every element at once: each element runs exactly
     # its scalar iterations and adds its terms in the same order, and
-    # leaves the working arrays when it stops.
+    # leaves the working arrays when it stops.  Like the scalar form it
+    # tests the stop rule on every 4th term only, which saves passes over
+    # the arrays; the terms are positive, so it needs no abs.
     term = np.full(x.shape, 1.0 / a)
     total = term.copy()
     out = np.empty(x.shape)
     ids = np.arange(x.size)
     ap = a
-    for _ in range(_MAX_ITER):
+    for n in range(1, _MAX_ITER + 1):
         ap += 1.0
-        term = term * (x / ap)
-        total = total + term
-        done = np.abs(term) < np.abs(total) * _EPS
-        if done.any():
+        term *= x / ap
+        total += term
+        if n % 4:
+            continue
+        done = term < total * _EPS
+        if np.count_nonzero(done):
             out[ids[done]] = total[done]
             keep = ~done
             ids, x, term, total = ids[keep], x[keep], term[keep], total[keep]
@@ -251,113 +288,6 @@ def _upper_gamma_cf_array(a: float, x: np.ndarray) -> np.ndarray:
 def _no_convergence(a: float, x: float) -> DomainError:
     return DomainError(f"incomplete gamma P(a={a}, x={x}) did not converge "
                        f"within {_MAX_ITER} iterations")
-
-
-def solve_increasing_root(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    tol: float,
-    max_doublings: int = 60,
-) -> float:
-    """Root of a continuous non-decreasing f with f(lo) <= 0 <= f(hi).
-
-    Plain bisection: unconditionally safe even where f' is tiny.  If f(hi)
-    is still negative the upper bound is doubled (at most `max_doublings`
-    times) before giving up.  Returns the bracket midpoint once the bracket
-    width is <= tol.
-    """
-    if tol <= 0.0:
-        raise DomainError(f"tolerance must be positive, got {tol}")
-    if hi <= lo:
-        raise BracketError(f"need lo < hi, got [{lo}, {hi}]")
-    flo = f(lo)
-    if flo > 0.0:
-        raise BracketError(f"f(lo)={flo} is positive; no root in bracket")
-    if flo == 0.0:
-        return lo
-    fhi = f(hi)
-    doublings = 0
-    width = hi - lo
-    while fhi < 0.0:
-        if doublings >= max_doublings:
-            raise BracketError(
-                f"no sign change after {max_doublings} doublings (last hi={hi})"
-            )
-        lo, flo = hi, fhi
-        width *= 2.0
-        hi = lo + width
-        doublings += 1
-        fhi = f(hi)
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:  # float exhaustion
-            break
-        fmid = f(mid)
-        if fmid < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def solve_increasing_roots(
-    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    n: int,
-    lo: float,
-    hi: float,
-    tol: float,
-) -> np.ndarray:
-    """Roots of n non-decreasing functions, bisected together.
-
-    f(x, ids) returns the values of functions ids[k] at x[k].  Every element
-    takes the steps `solve_increasing_root` would take on its own function:
-    the same start bracket, upper-bound doubling (at most 60 times, the
-    scalar default), stop once its own bracket width is <= tol or its
-    midpoint cannot split the bracket, and midpoint return.  Each element leaves the working arrays when it stops, so the
-    roots equal the scalar solves.
-    """
-    if tol <= 0.0:
-        raise DomainError(f"tolerance must be positive, got {tol}")
-    if hi <= lo:
-        raise BracketError(f"need lo < hi, got [{lo}, {hi}]")
-    roots = np.empty(n)
-    ids = np.arange(n)
-    flo = f(np.full(n, lo), ids)
-    if np.any(flo > 0.0):
-        k = int(np.argmax(flo > 0.0))
-        raise BracketError(f"f(lo)={flo[k]} is positive for element {k}; no root in bracket")
-    roots[flo == 0.0] = lo
-    ids = ids[flo != 0.0]
-    lows = np.full(ids.size, lo)
-    highs = np.full(ids.size, hi)
-    # every element still doubling has doubled as often as the others
-    doubling = np.flatnonzero(f(highs, ids) < 0.0)
-    doublings = 0
-    width = hi - lo
-    while doubling.size:
-        if doublings >= 60:
-            raise BracketError(
-                f"no sign change after 60 doublings (last hi={highs[doubling[0]]})"
-            )
-        lows[doubling] = highs[doubling]
-        width *= 2.0
-        highs[doubling] = lows[doubling] + width
-        doublings += 1
-        doubling = doubling[f(highs[doubling], ids[doubling]) < 0.0]
-    live = np.arange(ids.size)
-    while True:
-        l, h = lows[live], highs[live]
-        mid = 0.5 * (l + h)
-        keep = (h - l > tol) & (mid > l) & (mid < h)  # float exhaustion stops too
-        live, mid = live[keep], mid[keep]
-        if not live.size:
-            break
-        below = f(mid, ids[live]) < 0.0
-        lows[live[below]] = mid[below]
-        highs[live[~below]] = mid[~below]
-    roots[ids] = 0.5 * (lows + highs)
-    return roots
 
 
 @lru_cache(maxsize=64)

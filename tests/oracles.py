@@ -3,16 +3,20 @@
 `capacity_pdf` is the capacity density one float at a time in linear
 space, from the scalar incomplete gamma; it underflows to 0 in the far
 tail.  `log_upper_gamma` and `capacity_log_pdf` are scipy's log-space
-forms, finite past that underflow.
+forms, finite past that underflow.  `outage_capacity` is scipy's root of
+the outage equation in log space, and `solve_increasing_root` a plain
+bisection.
 """
 
 import math
+from typing import Callable
 
 import numpy as np
+import scipy.optimize
 import scipy.special
 
 from relaytomo.channel import ChannelParams, HopPair
-from relaytomo.errors import DomainError
+from relaytomo.errors import DomainError, RelayTomoError
 from relaytomo.numerics import regularized_lower_gamma
 
 LN4 = math.log(4.0)
@@ -72,3 +76,86 @@ def capacity_log_pdf(i, hops: HopPair, params: ChannelParams) -> np.ndarray:
     log_g2 = np.log(s2) + scipy.special.xlogy(m - 1.0, rho2) - rho2
     return (math.log(LN4) - scipy.special.gammaln(m) + i * LN4
             + np.logaddexp(log_g1 + log_upper_gamma(m, rho2), log_g2 + log_upper_gamma(m, rho1)))
+
+
+def log_q_small_p(a: float, x: float) -> float:
+    """`log_upper_gamma` at one argument, but log1p(-P) where P < 0.5:
+    log(gammaincc) loses the digits of a Q near 1 there."""
+    p = scipy.special.gammainc(a, x)
+    return math.log1p(-p) if p < 0.5 else float(log_upper_gamma(a, x))
+
+
+def outage_capacity(d_sr: float, d_rd: float, params: ChannelParams) -> float:
+    """scipy's outage capacity of one path: brentq on u = log(4^I - 1) of
+    log(-log Q(m, rho_1) - log Q(m, rho_2)) = log(-log(1 - p))."""
+    m = params.nakagami_m
+    log_s = [math.log(m / (params.snr * d**params.path_loss_exp)) for d in (d_sr, d_rd)]
+    target = math.log(-math.log1p(-params.outage_prob))
+
+    def h(u: float) -> float:
+        hazard = -sum(log_q_small_p(m, math.exp(ls + u)) for ls in log_s)
+        return math.log(hazard) - target if hazard > 0.0 else -math.inf
+
+    # bracketed from rho = m on the hop with the larger s: downward in
+    # doubling steps, upward in steps of 1/4, short of the rho where
+    # scipy's far-tail form overflows
+    lo = hi = math.log(m) - max(log_s)
+    width = 0.25
+    while h(lo) > 0.0:
+        lo, width = lo - width, 2.0 * width
+    while h(hi) < 0.0:
+        hi += 0.25
+    u = scipy.optimize.brentq(h, lo, hi, xtol=1e-300, rtol=4 * np.finfo(float).eps,
+                              maxiter=500)
+    return math.log1p(math.exp(u)) / LN4
+
+
+class BracketError(RelayTomoError, RuntimeError):
+    """A root bracket could not be established or maintained."""
+
+
+def solve_increasing_root(
+    f: Callable[[float], float],
+    lo: float,
+    hi: float,
+    tol: float,
+    max_doublings: int = 60,
+) -> float:
+    """Root of a continuous non-decreasing f with f(lo) <= 0 <= f(hi).
+
+    Plain bisection.  If f(hi) is still negative the upper bound is doubled
+    (at most `max_doublings` times) before giving up.  Returns the bracket
+    midpoint once the bracket width is <= tol.
+    """
+    if tol <= 0.0:
+        raise DomainError(f"tolerance must be positive, got {tol}")
+    if hi <= lo:
+        raise BracketError(f"need lo < hi, got [{lo}, {hi}]")
+    flo = f(lo)
+    if flo > 0.0:
+        raise BracketError(f"f(lo)={flo} is positive; no root in bracket")
+    if flo == 0.0:
+        return lo
+    fhi = f(hi)
+    doublings = 0
+    width = hi - lo
+    while fhi < 0.0:
+        if doublings >= max_doublings:
+            raise BracketError(
+                f"no sign change after {max_doublings} doublings (last hi={hi})"
+            )
+        lo, flo = hi, fhi
+        width *= 2.0
+        hi = lo + width
+        doublings += 1
+        fhi = f(hi)
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:  # float exhaustion
+            break
+        fmid = f(mid)
+        if fmid < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)

@@ -65,10 +65,15 @@ def test_criterion_1_outage_capacity_oracles():
         # two 100 m hops; the m=1 closed form P(I) = 1 - exp(-(4^I - 1)(s1 + s2))
         # inverts to I = (1/2) log2(1 - ln(1 - p_out)/(s1 + s2)); with snr
         # 1000 and nu = -3 each s_i = 1/(snr d^nu) = 1000.
-        solved, closed, empirical = outage_solver_check(PARAMS, RngStream(1001), 10_000_000)
+        n = 10_000_000
+        solved, closed, empirical, below = outage_solver_check(PARAMS, RngStream(1001), n)
         assert closed is not None
         assert solved == pytest.approx(closed, abs=1e-9)
+        assert solved == pytest.approx(closed, rel=1e-12)
         assert empirical == pytest.approx(solved, abs=2e-4)
+        # the draws below the solved capacity, within 6 sigma of n p
+        p = PARAMS.outage_prob
+        assert abs(below - n * p) <= 6.0 * math.sqrt(n * p * (1.0 - p))
         assert time.monotonic() - start <= 30.0
 
 

@@ -6,15 +6,10 @@ import scipy.integrate
 import scipy.special
 
 import oracles
-from oracles import capacity_pdf
-from relaytomo import channel
+from oracles import capacity_pdf, solve_increasing_root
 from relaytomo.channel import (
-    _ARRAY_SOLVE_MIN,
-    _SIGN_MARGIN,
     ChannelParams,
     HopPair,
-    _outage_cdf_array,
-    _rho_scales,
     capacity_log_pdf,
     outage_capacity,
     outage_capacity_array,
@@ -22,7 +17,7 @@ from relaytomo.channel import (
     sample_instant_capacity,
 )
 from relaytomo.errors import DomainError
-from relaytomo.numerics import RngStream, regularized_lower_gamma, solve_increasing_root
+from relaytomo.numerics import RngStream, regularized_lower_gamma
 
 REF_PARAMS = ChannelParams.from_db(30.0, 1.0, -3.0, 0.01)
 REF_HOPS = HopPair(100.0, 100.0)
@@ -137,11 +132,12 @@ class TestOutageCapacity:
 
     @pytest.mark.parametrize("m", [0.5, 1.0, 2.0, 2.5, 4.0, 50.0, 1000.0])
     def test_array_solve_matches_scalar(self, m):
+        # every path of a batch equals its own one-path solve, bit for bit,
+        # and scipy's root to 1e-11
         gen = RngStream(31).generator()
         d = np.exp(gen.uniform(math.log(0.2), math.log(300.0), (2, 3, 20)))
-        # short hops carry capacities above 1, so their brackets double
+        # short hops carry capacities above 1
         d[:, 0, :4] = [[0.2, 0.2, 0.3, 0.25], [0.2, 0.3, 0.2, 0.25]]
-        assert d[0].size >= _ARRAY_SOLVE_MIN  # one array bisection
         for p_out in (0.01, 0.5):
             params = ChannelParams.from_db(30.0, m, -3.0, p_out)
             got = outage_capacity_array(HopPair(d[0], d[1]), params)
@@ -149,42 +145,81 @@ class TestOutageCapacity:
                      for a, b in zip(r1, r2)] for r1, r2 in zip(d[0], d[1])]
             np.testing.assert_array_equal(got, want)
             assert got.max() > 1.0
-        assert outage_capacity_array(REF_HOPS, REF_PARAMS).shape == ()
+            scipy_roots = [oracles.outage_capacity(float(a), float(b), params)
+                           for a, b in zip(d[0].ravel()[::3], d[1].ravel()[::3])]
+            np.testing.assert_allclose(got.ravel()[::3], scipy_roots, rtol=1e-11, atol=0.0)
 
-    @pytest.mark.parametrize("m", [1.0, 2.5])
-    def test_solvers_agree_around_the_crossover(self, m, monkeypatch):
-        # fewer than _ARRAY_SOLVE_MIN paths are solved one by one, more in
-        # one array bisection; both give the scalar roots
-        bisections = []
-        array_solve = channel.solve_increasing_roots
-        monkeypatch.setattr(channel, "solve_increasing_roots",
-                            lambda f, n, *args: bisections.append(n) or array_solve(f, n, *args))
-        gen = RngStream(37).generator()
-        params = ChannelParams.from_db(30.0, m, -3.0, 0.01)
-        for n in (_ARRAY_SOLVE_MIN - 1, _ARRAY_SOLVE_MIN):
-            d = gen.uniform(5.0, 90.0, (2, n))
+    @pytest.mark.parametrize("m", [0.5, 1.0, 2.5, 4.0])
+    def test_every_path_equals_its_own_solve(self, m):
+        # a 200-path batch, as the spectrum and the capacity column solve
+        # them, path by path against one-path solves; hops of 0.2-300 m
+        # spread the series lengths, so a stop rule shared across the batch
+        # would show
+        d = np.exp(RngStream(32).generator().uniform(math.log(0.2), math.log(300.0), (2, 200)))
+        for p_out in (0.01, 0.5, 0.9):
+            params = ChannelParams.from_db(30.0, m, -3.0, p_out)
             got = outage_capacity_array(HopPair(d[0], d[1]), params)
             want = [outage_capacity(HopPair(float(a), float(b)), params) for a, b in d.T]
-            np.testing.assert_array_equal(got, want)
-        assert bisections == [_ARRAY_SOLVE_MIN]
+            np.testing.assert_array_equal(got, want, err_msg=f"p = {p_out}")
 
-    @pytest.mark.parametrize("m", [0.5, 1.0, 2.5, 4.0, 50.0, 1000.0])
-    def test_numpy_cdf_gap_far_below_sign_margin(self, m):
-        # the array solve trusts numpy's sign of cdf - target wherever the
-        # numpy cdf lies farther than _SIGN_MARGIN from the target; probe
-        # the cdf at and just around the scalar roots, where signs are decided
-        gen = RngStream(41).generator()
-        d = np.exp(gen.uniform(math.log(0.2), math.log(300.0), (2, 40)))
-        hops = [HopPair(float(a), float(b)) for a, b in zip(d[0], d[1])]
-        for p_out in (1e-4, 0.01, 0.3, 0.9):
-            params = ChannelParams.from_db(30.0, m, -3.0, p_out)
-            roots = np.array([outage_capacity(h, params) for h in hops])
-            s1, s2 = np.array([_rho_scales(h, params) for h in hops]).T
-            for rel in (-1e-3, -1e-9, 0.0, 1e-9, 1e-3):
-                i = roots * (1.0 + rel)
-                got = _outage_cdf_array(i, s1, s2, m, False)
-                want = [outage_cdf(float(x), h, params) for x, h in zip(i, hops)]
-                assert np.max(np.abs(got - want)) < 1e-2 * _SIGN_MARGIN
+    @pytest.mark.parametrize("m", [0.1, 0.5, 1.0, 2.5, 4.0, 50.0, 100.0, 1000.0])
+    def test_stress_grid_matches_scipy(self, m):
+        # outage targets from 1e-6 to 0.999 at 0, 30 and 60 dB on 8-90 m
+        # hops, to 1e-11 relative of scipy's log-space root; these corners
+        # include every-argument-in-one-branch batches and starts far from
+        # the root
+        gen = RngStream(33, (int(m * 10),)).generator()
+        d = gen.uniform(8.0, 90.0, (2, 6))
+        d[:, 0] = 8.0, 90.0
+        for p_out in (1e-6, 0.01, 0.5, 0.9, 0.999):
+            for snr_db in (0.0, 30.0, 60.0):
+                params = ChannelParams.from_db(snr_db, m, -3.0, p_out)
+                got = outage_capacity_array(HopPair(d[0], d[1]), params)
+                want = [oracles.outage_capacity(float(a), float(b), params) for a, b in d.T]
+                np.testing.assert_allclose(got, want, rtol=1e-11, atol=0.0,
+                                           err_msg=f"p = {p_out}, {snr_db} dB")
+
+    def test_zero_db_half_shape(self):
+        # at 0 dB and m = 0.5 the capacities are 5e-11 to 8e-9, so only a
+        # stop rule relative to the root meets 1e-11 here
+        params = ChannelParams.from_db(0.0, 0.5, -3.0, 0.01)
+        d = RngStream(34).generator().uniform(8.0, 90.0, (2, 50))
+        got = outage_capacity_array(HopPair(d[0], d[1]), params)
+        want = [oracles.outage_capacity(float(a), float(b), params) for a, b in d.T]
+        np.testing.assert_allclose(got, want, rtol=1e-11, atol=0.0)
+
+    def test_batch_shapes(self):
+        params = ChannelParams.from_db(30.0, 2.5, -3.0, 0.01)
+        one = outage_capacity_array(HopPair(40.0, 60.0), params)
+        assert one.shape == () and float(one) == outage_capacity(HopPair(40.0, 60.0), params)
+        assert outage_capacity_array(HopPair(np.array([]), np.array([])), params).shape == (0,)
+        assert outage_capacity_array(HopPair(np.ones((0, 3)), 60.0), params).shape == (0, 3)
+        grid = outage_capacity_array(HopPair(np.array([[40.0], [50.0]]), np.array([60.0, 70.0, 80.0])),
+                                     params)
+        assert grid.shape == (2, 3)
+        assert grid[1, 2] == outage_capacity(HopPair(50.0, 80.0), params)
+        assert outage_capacity_array(REF_HOPS, REF_PARAMS).shape == ()
+
+    def test_extreme_shapes(self):
+        # at m = 0.003 and p near 1 the start lies past rho = e^700, where
+        # the solve caps it; at m = 0.03 and p = 1e-13 the root's rho is
+        # below the smallest float, and the solve bisects up to its step cap
+        d = RngStream(35).generator().uniform(8.0, 90.0, (2, 5))
+        params = ChannelParams.from_db(30.0, 0.003, -3.0, 1.0 - 1e-12)
+        got = outage_capacity_array(HopPair(d[0], d[1]), params)
+        want = [oracles.outage_capacity(float(a), float(b), params) for a, b in d.T]
+        np.testing.assert_allclose(got, want, rtol=1e-11, atol=0.0)
+        with pytest.raises(DomainError, match="did not converge within 100 steps"):
+            outage_capacity_array(HopPair(d[0], d[1]), ChannelParams.from_db(30.0, 0.03, -3.0, 1e-13))
+
+    def test_unsolvable_inputs_raise(self):
+        with pytest.raises(DomainError, match="finite"):
+            outage_capacity_array(HopPair(np.array([10.0, math.inf]), 10.0), REF_PARAMS)
+        with pytest.raises(DomainError, match="finite"):
+            outage_capacity_array(HopPair(math.nan, 10.0), REF_PARAMS)
+        # the incomplete gamma's iteration cap
+        with pytest.raises(DomainError, match="did not converge"):
+            outage_capacity(REF_HOPS, ChannelParams(1000.0, 1e6, -3.0, 0.01))
 
     def test_array_solve_rejects_non_positive_hops(self):
         with pytest.raises(DomainError):

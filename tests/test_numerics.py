@@ -8,15 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from relaytomo.errors import BracketError, DomainError
+from oracles import BracketError, solve_increasing_root
+from relaytomo.errors import DomainError
 from relaytomo.numerics import (
     QuadratureSpec,
     RngStream,
+    log_upper_gamma_and_slope,
     log_upper_gamma_array,
     regularized_lower_gamma,
     regularized_lower_gamma_array,
-    solve_increasing_root,
-    solve_increasing_roots,
 )
 
 # reference scenario constants: snr 1000 (30 dB), hops 100 m, nu = -3,
@@ -58,6 +58,21 @@ class TestLogUpperGamma:
         got = log_upper_gamma_array(float(m), xs)
         want = np.array([log_q_integer(m, float(x)) for x in xs])
         assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+    @pytest.mark.parametrize("a", [0.1, 0.5, 1.0, 2.5, 50.0])
+    def test_slope_matches_scipy(self, a):
+        # the solver's kernel: log Q bit for bit as the checked form gives
+        # it, and its slope x^a e^-x / (Gamma(a) Q) on both branches,
+        # against scipy's log-space form
+        gen = RngStream(25).generator()
+        xs = np.concatenate([10.0 ** gen.uniform(-12.0, 3.0, 400), [a + 1.0, 700.0, 1e200]])
+        log_q, slope = log_upper_gamma_and_slope(a, xs)
+        np.testing.assert_array_equal(log_q, log_upper_gamma_array(a, xs))
+        want_log = oracles.log_upper_gamma(a, xs)
+        want = np.exp(a * np.log(xs) - xs - scipy.special.gammaln(a) - want_log)
+        big = xs > 1e6  # the exponent cancels there; the slope tends to x
+        np.testing.assert_allclose(slope[~big], want[~big], rtol=1e-11)
+        np.testing.assert_allclose(slope[big], xs[big], rtol=1e-5)
 
     def test_limits_and_domain(self):
         assert log_upper_gamma_array(1.0, 800.0) == -800.0  # scipy's Q is 0 there
@@ -101,9 +116,8 @@ class TestRegularizedLowerGamma:
     def test_array_form_matches_scalar(self, a):
         # both branches, the split point itself, zero and the far tail
         gen = RngStream(21).generator()
-        # series arguments that stop inside the first 16-wide block, inside
-        # the second block and (for a = 30) past 48 terms; more of them than
-        # one series pass takes
+        # series arguments that stop within 16 terms, past 16 and (for
+        # a = 30) past 48
         series = np.linspace(0.0, a + 1.0, 1202)[1:-1]
         stops = {series_terms(a, float(x)) for x in series}
         assert min(stops) <= 16 < max(stops)
@@ -114,8 +128,6 @@ class TestRegularizedLowerGamma:
         got = regularized_lower_gamma_array(a, xs.reshape(5, -1)).ravel()
         want = np.array([regularized_lower_gamma(a, float(x)) for x in xs])
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
-        exact = regularized_lower_gamma_array(a, xs.reshape(5, -1), match_scalar=True)
-        np.testing.assert_array_equal(exact.ravel(), want)
 
     def test_array_form_domain_errors(self):
         with pytest.raises(DomainError):
@@ -146,13 +158,14 @@ class TestRegularizedLowerGamma:
 
 
 def series_terms(a: float, x: float) -> int:
-    """Iterations the scalar series of P(a, x) runs before it stops."""
+    """Iterations the scalar series of P(a, x) runs before it stops: the
+    first multiple of 4 at which its term is below 1e-15 of its sum."""
     ap, term, total = a, 1.0 / a, 1.0 / a
     for n in range(1, 501):
         ap += 1.0
         term *= x / ap
         total += term
-        if abs(term) < abs(total) * 1e-15:
+        if n % 4 == 0 and abs(term) < abs(total) * 1e-15:
             return n
     return 500
 
@@ -195,28 +208,6 @@ class TestSolveIncreasingRoot:
         tol = 1e-9
         r = solve_increasing_root(f, root - span, root + span, tol)
         assert f(r - tol) <= 0.0 <= f(r + tol)
-
-
-class TestSolveIncreasingRoots:
-    def test_matches_scalar_solves(self):
-        # roots inside the start bracket, past ten doublings and at lo; the
-        # tiny tolerance ends every element on the float-exhaustion stop
-        roots = np.array([0.3, 2.0, 1000.0, 0.0, 1e-3, 1.0])
-        for tol in (1e-9, 1e-300):
-            got = solve_increasing_roots(lambda x, ids: x - roots[ids], roots.size,
-                                         0.0, 1.0, tol)
-            want = [solve_increasing_root(lambda x, r=r: x - r, 0.0, 1.0, tol) for r in roots]
-            np.testing.assert_array_equal(got, want)
-
-    def test_errors(self):
-        with pytest.raises(BracketError):
-            # element 1 never changes sign: the 60-doubling cap stops it
-            solve_increasing_roots(lambda x, ids: np.where(ids == 1, -1.0, x - 0.5), 2,
-                                   0.0, 1.0, 1e-9)
-        with pytest.raises(BracketError):
-            solve_increasing_roots(lambda x, ids: x + ids, 3, 0.0, 1.0, 1e-9)
-        with pytest.raises(DomainError):
-            solve_increasing_roots(lambda x, ids: x, 1, 0.0, 1.0, 0.0)
 
 
 class TestQuadratureSpec:
