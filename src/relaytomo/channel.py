@@ -25,12 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .numerics import (
-    RngStream,
-    log_upper_gamma_and_slope,
-    log_upper_gamma_array,
-    regularized_lower_gamma,
-)
+from .numerics import RngStream, log_upper_gamma
 
 _LN4 = math.log(4.0)
 # steps of the outage solve before it gives up; a path takes 1 to 8 for
@@ -107,14 +102,11 @@ def outage_cdf(i: float, hops: HopPair, params: ChannelParams) -> float:
     """Probability that the end-to-end instantaneous capacity falls below i."""
     if i < 0.0:
         raise DomainError(f"spectral efficiency must be non-negative, got {i}")
-    if i == 0.0:
-        return 0.0
-    x = math.expm1(i * _LN4)  # 4^i - 1, accurate for tiny i
-    s1, s2 = _rho_scales(hops, params)
-    m = params.nakagami_m
-    q1 = 1.0 - regularized_lower_gamma(m, s1 * x)
-    q2 = 1.0 - regularized_lower_gamma(m, s2 * x)
-    return 1.0 - q1 * q2
+    with np.errstate(over="ignore"):  # 4^i - 1 is inf past i ~ 512, where the cdf is 1
+        x = np.expm1(i * _LN4)
+    scales = np.array(_rho_scales(hops, params))
+    log_q1, log_q2 = log_upper_gamma(params.nakagami_m, scales * x)[0]
+    return float(0.0 - np.expm1(log_q1 + log_q2))  # +0, not -0, at i = 0
 
 
 def outage_capacity(hops: HopPair, params: ChannelParams) -> float:
@@ -166,7 +158,7 @@ def outage_capacity_array(hops: HopPair, params: ChannelParams) -> np.ndarray:
     # its slope is nan, which the bracket turns into a bisection step
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(_MAX_STEPS):
-            log_q, slope = log_upper_gamma_and_slope(m, np.exp(log_s + u).ravel())
+            log_q, slope = log_upper_gamma(m, np.exp(log_s + u).ravel())
             n = ids.size
             hazard = -(log_q[:n] + log_q[n:])
             h = np.log(hazard) - target
@@ -203,7 +195,7 @@ def capacity_log_pdf(i, hops: HopPair, params: ChannelParams):
     s_k u(rho_k) being hop k's hazard rate: u = g / Q(m, .), g the
     unit-scale gamma density rho^(m-1) e^-rho / Gamma(m).  u tends to 1 in
     the tail and is exactly 1 for m = 1.  The log Q terms come from
-    `log_upper_gamma_array`, so the log density is -inf only where the
+    `log_upper_gamma`, so the log density is -inf only where the
     density is exactly 0 (at i = 0 for m > 1) or 4^I overflows (past
     i ~ 512), never because a hop's Q is below the smallest float.
     Broadcasts over the capacities i and the hop lengths of `hops`, and
@@ -219,7 +211,7 @@ def capacity_log_pdf(i, hops: HopPair, params: ChannelParams):
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         x = np.expm1(log_4i)
         rho1, rho2 = s1 * x, s2 * x
-        log_q1, log_q2 = log_upper_gamma_array(m, rho1), log_upper_gamma_array(m, rho2)
+        log_q1, log_q2 = log_upper_gamma(m, rho1)[0], log_upper_gamma(m, rho2)[0]
         if m == 1.0:
             rate = s1 + s2
         else:

@@ -173,8 +173,13 @@ def _get(section: dict, section_name: str, key: str, kind, default=None):
         if default is not None:
             return default
         raise ConfigError(f"missing config key {section_name}.{key}")
+    raw = section[key]
+    if kind in (int, float) and isinstance(raw, bool):
+        raise ConfigError(f"config key {section_name}.{key} must be a number, got {raw}")
+    if kind is int and isinstance(raw, float) and not raw.is_integer():
+        raise ConfigError(f"config key {section_name}.{key} must be an integer, got {raw}")
     try:
-        value = kind(section[key])
+        value = kind(raw)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"config key {section_name}.{key}: {exc}") from exc
     if kind is float and not math.isfinite(value):
@@ -244,6 +249,8 @@ def validate_scenario(cfg: ScenarioConfig) -> None:
             raise ConfigError("experiment.relays must be non-negative")
         if cfg.observations < 1:
             raise ConfigError("experiment.observations must be at least 1")
+        if cfg.seed < 0:
+            raise ConfigError("experiment.seed must be non-negative")
         for key, value in (
             ("grid.aod_resolution_deg", cfg.aod_resolution_deg),
             ("grid.aoa_resolution_deg", cfg.aoa_resolution_deg),

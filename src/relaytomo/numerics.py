@@ -53,127 +53,57 @@ class RngStream:
         return RngStream(self.seed, self.path + (index,))
 
 
-def regularized_lower_gamma(a: float, x: float) -> float:
-    """Regularized lower incomplete gamma function P(a, x) = gamma(a, x) / Gamma(a).
+def log_upper_gamma(a: float, x) -> tuple[np.ndarray, np.ndarray]:
+    """log Q(a, x), Q = 1 - P the regularized upper incomplete gamma, and
+    its slope -d log Q / d log x = x^a e^-x / (Gamma(a) Q), elementwise
+    over an array of arguments x >= 0 of any shape, for one shape a > 0.
 
-    Series expansion for x < a + 1, continued fraction for the complement
-    otherwise (the standard split).  Absolute accuracy is well below 1e-12
-    for a <= 50.  Raises DomainError if the expansion has not converged
-    within _MAX_ITER iterations (shapes far larger, e.g. a = 1e6 at x = a);
-    a nan argument gives nan.
+    At a = 1 both are exact: log Q = -x and the slope is x.  Every other
+    shape takes the standard split: the series of P where 0 < x < a + 1,
+    with log Q = log1p(-P), and the continued fraction h of Q elsewhere,
+    with log Q the log of the prefactor x^a e^-x / Gamma(a) plus log h and
+    the slope 1 / h, so neither cancels nor underflows however large x is.
+    x = 0 gives (0, 0), x = inf gives (-inf, inf) and nan gives nan.
+    Raises DomainError for a <= 0 or x < 0, and if an element has not
+    converged within _MAX_ITER iterations (shapes far larger than 1000,
+    e.g. a = 1e6 at x = a).
     """
     if a <= 0.0:
         raise DomainError(f"shape parameter must be positive, got a={a}")
-    if x < 0.0:
-        raise DomainError(f"argument must be non-negative, got x={x}")
-    if x == 0.0:
-        return 0.0
-    if x < a + 1.0:
-        return _lower_gamma_series(a, x)
-    return 1.0 - _upper_gamma_cf(a, x)
-
-
-def _lower_gamma_series(a: float, x: float) -> float:
-    # P(a,x) = x^a e^-x / Gamma(a) * sum_n x^n / (a (a+1) ... (a+n)); the
-    # stop rule is tested on every 4th term, as in the array form
-    ap = a
-    term = 1.0 / a
-    total = term
-    for n in range(1, _MAX_ITER + 1):
-        ap += 1.0
-        term *= x / ap
-        total += term
-        if n % 4 == 0 and abs(term) < abs(total) * _EPS:
-            break
-    else:
-        raise _no_convergence(a, x)
-    log_prefactor = a * math.log(x) - x - math.lgamma(a)
-    return total * math.exp(log_prefactor)
-
-
-def _upper_gamma_cf(a: float, x: float) -> float:
-    # Q(a,x) via modified Lentz continued fraction, valid for x >= a + 1.
-    b = x + 1.0 - a
-    c = 1.0 / _FPMIN
-    d = 1.0 / b
-    h = d
-    for i in range(1, _MAX_ITER + 1):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = b + an / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _EPS or math.isnan(delta):  # nan x propagates
-            break
-    else:
-        raise _no_convergence(a, x)
-    log_prefactor = a * math.log(x) - x - math.lgamma(a)
-    return math.exp(log_prefactor) * h
-
-
-def regularized_lower_gamma_array(a: float, x) -> np.ndarray:
-    """Elementwise P(a, x) over an array of arguments, for one shape a.
-
-    The same series / continued-fraction split, tolerance and iteration cap
-    as `regularized_lower_gamma`; each element stops at the iteration where
-    its own scalar evaluation would, so the two agree to rounding.
-    """
-    return _by_branch(a, _gamma_args(a, x),
-                      lambda xs, total: total * _prefactor(a, xs),
-                      lambda xs, h: 1.0 - _prefactor(a, xs) * h)
-
-
-def log_upper_gamma_array(a: float, x) -> np.ndarray:
-    """Elementwise log Q(a, x), Q = 1 - P, over an array of arguments, for one shape a.
-
-    Computed in log space, so it stays finite wherever Q is positive,
-    however far Q is below the smallest float, and is -inf at x = inf.
-    At a = 1 it is exactly -x; every other shape takes the series /
-    continued-fraction split of `regularized_lower_gamma_array`, as
-    log1p(-P) on the series branch and as the log of the prefactor plus
-    the log of the fraction on the other.  A nan argument gives nan.
-    """
-    x = _gamma_args(a, x)
-    if a == 1.0:
-        return -x
-    at_inf = np.isposinf(x)  # kept out of the fraction, where it gives inf - inf
-    out = _by_branch(a, np.where(at_inf, 0.0, x),
-                     lambda xs, total: np.log1p(-total * _prefactor(a, xs)),
-                     lambda xs, h: _log_prefactor(a, xs) + np.log(h))
-    out[at_inf] = -np.inf
-    return out
-
-
-def log_upper_gamma_and_slope(a: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """log Q(a, x) as `log_upper_gamma_array` gives it, and its slope
-    -d log Q / d log x = x^a e^-x / (Gamma(a) Q), for a flat array of
-    arguments 0 <= x < inf that the caller has checked (x = 0 gives 0 and
-    0 by way of log 0 = -inf, which numpy reports as the caller's errstate
-    says).
-
-    On the fraction branch Q is the prefactor x^a e^-x / Gamma(a) times
-    the continued fraction h, so the slope is 1 / h, with no cancellation
-    however large x is.
-    """
+    x = np.asarray(x, dtype=float)
+    flat = x.ravel()
+    # the outage solve calls this on every step with a few elements, where
+    # np.count_nonzero costs a fraction of np.any
+    if np.count_nonzero(flat < 0.0):
+        raise DomainError("argument must be non-negative")
     if a == 1.0:
         return -x, x
-    series = x < a + 1.0
-    n = np.count_nonzero(series)
-    if n == x.size:
-        return _log_q_series(a, x)
-    if n == 0:
-        return _log_q_fraction(a, x)
-    log_q, slope = np.empty(x.shape), np.empty(x.shape)
-    log_q[series], slope[series] = _log_q_series(a, x[series])
-    rest = ~series
-    log_q[rest], slope[rest] = _log_q_fraction(a, x[rest])
-    return log_q, slope
+    # most calls lie on one branch and skip the masks below
+    n = np.count_nonzero(flat < a + 1.0)  # not nan or inf
+    if flat.size and n == flat.size == np.count_nonzero(flat):
+        return _shaped(x, _log_q_series(a, flat))
+    if flat.size and not n and np.count_nonzero(np.isfinite(flat)) == flat.size:
+        return _shaped(x, _log_q_fraction(a, flat))
+    series = (flat > 0.0) & (flat < a + 1.0)
+    at_inf = flat == np.inf
+    fraction = ~(series | at_inf | (flat == 0.0))  # includes nan, which the fraction propagates
+    log_q, slope = np.zeros(flat.shape), np.zeros(flat.shape)
+    for branch, on in ((_log_q_series, series), (_log_q_fraction, fraction)):
+        if on.any():
+            log_q[on], slope[on] = branch(a, flat[on])
+    log_q[at_inf], slope[at_inf] = -np.inf, np.inf
+    return _shaped(x, (log_q, slope))
+
+
+def regularized_lower_gamma(a: float, x):
+    """P(a, x) = 1 - Q(a, x) as -expm1(log Q) from `log_upper_gamma`,
+    elementwise; a float for a scalar x."""
+    p = 0.0 - np.expm1(log_upper_gamma(a, x)[0])  # +0, not -0, at x = 0
+    return float(p) if p.ndim == 0 else p
+
+
+def _shaped(x: np.ndarray, pair: tuple[np.ndarray, np.ndarray]):
+    return pair[0].reshape(x.shape), pair[1].reshape(x.shape)
 
 
 def _log_q_series(a: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -187,21 +117,9 @@ def _log_q_fraction(a: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _log_prefactor(a, x) + np.log(h), 1.0 / h
 
 
-def _by_branch(a: float, x: np.ndarray, on_series, on_fraction) -> np.ndarray:
-    # the standard split: on_series(xs, sum) where 0 < x < a + 1, with the
-    # series sum, and on_fraction(xs, h) elsewhere, with the continued
-    # fraction h; x = 0 gives 0, which is both P and log Q there
-    flat = x.ravel()
-    out = np.zeros(flat.shape)
-    series = (flat > 0.0) & (flat < a + 1.0)
-    rest = ~series & (flat != 0.0)  # includes nan, which the fraction propagates
-    if series.any():
-        xs = flat[series]
-        out[series] = on_series(xs, _lower_gamma_series_array(a, xs))
-    if rest.any():
-        xs = flat[rest]
-        out[rest] = on_fraction(xs, _upper_gamma_cf_array(a, xs))
-    return out.reshape(x.shape)
+def _log_prefactor(a: float, x: np.ndarray) -> np.ndarray:
+    # log of x^a e^-x / Gamma(a)
+    return a * np.log(x) - x - math.lgamma(a)
 
 
 def libm_map(fn: Callable[[float], float], x) -> np.ndarray:
@@ -210,31 +128,12 @@ def libm_map(fn: Callable[[float], float], x) -> np.ndarray:
     return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
-def _gamma_args(a: float, x) -> np.ndarray:
-    # the incomplete gamma's arguments, checked: a > 0 and x >= 0
-    if a <= 0.0:
-        raise DomainError(f"shape parameter must be positive, got a={a}")
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 0.0):
-        raise DomainError("argument must be non-negative")
-    return x
-
-
-def _prefactor(a: float, x: np.ndarray) -> np.ndarray:
-    # x^a e^-x / Gamma(a), as exp(a log x - x - lgamma(a))
-    return np.exp(_log_prefactor(a, x))
-
-
-def _log_prefactor(a: float, x: np.ndarray) -> np.ndarray:
-    return a * np.log(x) - x - math.lgamma(a)
-
-
 def _lower_gamma_series_array(a: float, x: np.ndarray) -> np.ndarray:
-    # The scalar series on every element at once: each element runs exactly
-    # its scalar iterations and adds its terms in the same order, and
-    # leaves the working arrays when it stops.  Like the scalar form it
-    # tests the stop rule on every 4th term only, which saves passes over
-    # the arrays; the terms are positive, so it needs no abs.
+    # P(a, x) = x^a e^-x / Gamma(a) * sum_n x^n / (a (a+1) ... (a+n)): the
+    # sum, on every element at once.  Each element leaves the working
+    # arrays when its term falls below _EPS of its sum; the stop rule is
+    # tested on every 4th term only, which saves passes over the arrays,
+    # and the terms are positive, so it needs no abs.
     term = np.full(x.shape, 1.0 / a)
     total = term.copy()
     out = np.empty(x.shape)
@@ -257,8 +156,8 @@ def _lower_gamma_series_array(a: float, x: np.ndarray) -> np.ndarray:
 
 
 def _upper_gamma_cf_array(a: float, x: np.ndarray) -> np.ndarray:
-    # The scalar Lentz iteration on every element at once, in the same shape
-    # as the series above.
+    # Q(a, x) over its prefactor, by the modified Lentz continued fraction,
+    # on every element at once, in the same shape as the series above.
     b = x + 1.0 - a
     c = np.full(x.shape, 1.0 / _FPMIN)
     d = 1.0 / b

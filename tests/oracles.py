@@ -1,7 +1,7 @@
 """Reference implementations the tests judge the library against.
 
 `capacity_pdf` is the capacity density one float at a time in linear
-space, from the scalar incomplete gamma; it underflows to 0 in the far
+space, from scipy's incomplete gamma; it underflows to 0 in the far
 tail.  `log_upper_gamma` and `capacity_log_pdf` are scipy's log-space
 forms, finite past that underflow.  `outage_capacity` is scipy's root of
 the outage equation in log space, and `solve_increasing_root` a plain
@@ -17,7 +17,6 @@ import scipy.special
 
 from relaytomo.channel import ChannelParams, HopPair
 from relaytomo.errors import DomainError, RelayTomoError
-from relaytomo.numerics import regularized_lower_gamma
 
 LN4 = math.log(4.0)
 
@@ -36,8 +35,8 @@ def capacity_pdf(i: float, hops: HopPair, params: ChannelParams) -> float:
     s1, s2 = rho_scales(hops, params)
     m = params.nakagami_m
     rho1, rho2 = s1 * x, s2 * x
-    q2 = 1.0 - regularized_lower_gamma(m, rho2) if rho2 > 0.0 else 1.0
-    q1 = 1.0 - regularized_lower_gamma(m, rho1) if rho1 > 0.0 else 1.0
+    q1 = 1.0 - scipy.special.gammainc(m, rho1)
+    q2 = 1.0 - scipy.special.gammainc(m, rho2)
     t1 = s1 * _pow_exp(rho1, m) * q2
     t2 = s2 * _pow_exp(rho2, m) * q1
     return LN4 * (1.0 + x) * (t1 + t2) / math.gamma(m)

@@ -17,7 +17,7 @@ from relaytomo.channel import (
     sample_instant_capacity,
 )
 from relaytomo.errors import DomainError
-from relaytomo.numerics import RngStream, regularized_lower_gamma
+from relaytomo.numerics import RngStream
 
 REF_PARAMS = ChannelParams.from_db(30.0, 1.0, -3.0, 0.01)
 REF_HOPS = HopPair(100.0, 100.0)
@@ -43,6 +43,11 @@ def analytic_cdf(i, hops: HopPair, params: ChannelParams):
 class TestOutageCdf:
     def test_zero_rate(self):
         assert outage_cdf(0.0, REF_HOPS, REF_PARAMS) == 0.0
+
+    @pytest.mark.parametrize("m", [0.5, 1.0, 2.5])
+    def test_past_float_range_is_one(self, m):
+        # 4^600 overflows a float; the cdf is 1 there, not an OverflowError
+        assert outage_cdf(600.0, REF_HOPS, ChannelParams(1000.0, m, -3.0, 0.01)) == 1.0
 
     def test_reference_scenario_target(self):
         i_star = closed_form_capacity(REF_HOPS, REF_PARAMS)
@@ -123,8 +128,8 @@ class TestOutageCapacity:
         def base2_cdf_shifted(i):
             x = math.expm1(i * math.log(2.0))
             m = params.nakagami_m
-            q1 = 1.0 - regularized_lower_gamma(m, s1 * x)
-            q2 = 1.0 - regularized_lower_gamma(m, s2 * x)
+            q1 = 1.0 - scipy.special.gammainc(m, s1 * x)
+            q2 = 1.0 - scipy.special.gammainc(m, s2 * x)
             return 1.0 - q1 * q2 - params.outage_prob
 
         i2 = solve_increasing_root(base2_cdf_shifted, 0.0, 1.0, 1e-13)

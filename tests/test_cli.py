@@ -277,6 +277,7 @@ class TestExitCodes:
         write_config(raw, path)
         assert main(["simulate", "--config", str(path),
                      "--out", str(tmp_path / "o")]) == 2
+        assert main(["simulate", "--seed", "-1", "--out", str(tmp_path / "o")]) == 2
 
     def test_numerical_error_is_3(self, tmp_path):
         missing = tmp_path / "absent.txt"
@@ -319,8 +320,12 @@ class TestExitCodes:
         ("channel", "snr_db", math.nan), ("channel", "snr_db", math.inf),
         ("channel", "nakagami_m", math.nan), ("grid", "node_resolution_deg", math.nan),
         ("grid", "cell_side_m", math.nan), ("experiment", "msprt_error", math.nan),
+        ("experiment", "seed", -5), ("experiment", "observations", 2.5),
+        ("experiment", "relays", True), ("experiment", "quad_order", 2.9),
+        ("channel", "snr_db", True),
     ], ids=["snr_nan", "snr_inf", "nakagami_nan", "node_resolution_nan", "cell_side_nan",
-            "msprt_error_nan"])
+            "msprt_error_nan", "seed_negative", "observations_fraction", "relays_bool",
+            "quad_order_fraction", "snr_bool"])
     def test_non_finite_config_number_is_2(self, tmp_path, capsys, section, key, value):
         raw = default_config_dict()
         raw[section][key] = value
