@@ -147,6 +147,8 @@ def cmd_invert(args) -> int:
     net = cfg.network()
     grid = cfg.cell_grid()
     params = cfg.channel_params()
+    # both modes see the same window: argmin's estimates come from its draws
+    ms = ms.first_observations(cfg.observations, params.outage_prob)
     results = localize_all(ms, net, grid, params, cfg.tomography(), cfg.msprt())
     write_report(results, out / "report.txt")
     outputs = ["report.txt"]

@@ -174,16 +174,26 @@ def _get(section: dict, section_name: str, key: str, kind, default=None):
             return default
         raise ConfigError(f"missing config key {section_name}.{key}")
     raw = section[key]
-    if kind in (int, float) and isinstance(raw, bool):
-        raise ConfigError(f"config key {section_name}.{key} must be a number, got {raw}")
+    if kind in (int, float):
+        return _number(raw, f"{section_name}.{key}", kind)
+    if not isinstance(raw, kind):
+        raise ConfigError(f"config key {section_name}.{key} must be a {kind.__name__}, "
+                          f"got {raw!r}")
+    return raw
+
+
+def _number(raw, label: str, kind=float):
+    # a JSON int or float: bools and strings are not numbers
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+        raise ConfigError(f"config key {label} must be a number, got {raw!r}")
     if kind is int and isinstance(raw, float) and not raw.is_integer():
-        raise ConfigError(f"config key {section_name}.{key} must be an integer, got {raw}")
+        raise ConfigError(f"config key {label} must be an integer, got {raw}")
     try:
         value = kind(raw)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"config key {section_name}.{key}: {exc}") from exc
+    except OverflowError as exc:
+        raise ConfigError(f"config key {label}: {exc}") from exc
     if kind is float and not math.isfinite(value):
-        raise ConfigError(f"config key {section_name}.{key} must be finite, got {value}")
+        raise ConfigError(f"config key {label} must be finite, got {value}")
     return value
 
 
@@ -194,10 +204,7 @@ def _point(section: dict, section_name: str, key: str) -> Point:
 def _xy(value, label: str) -> Point:
     if not isinstance(value, list) or len(value) != 2:
         raise ConfigError(f"config key {label} must be [x, y]")
-    try:
-        return Point(float(value[0]), float(value[1]))
-    except (TypeError, ValueError, RelayTomoError) as exc:
-        raise ConfigError(f"config key {label}: {exc}") from exc
+    return Point(*(_number(v, label) for v in value))
 
 
 def scenario_from_dict(raw: dict) -> ScenarioConfig:

@@ -43,7 +43,7 @@ from .geometry import (
     dist_source_relay,
     plane_xy,
 )
-from .numerics import QuadratureSpec, RngStream, gauss_legendre, libm_map
+from .numerics import QuadratureSpec, RngStream, gauss_legendre
 
 SINGULAR_TOL = 1e-12
 DEFAULT_MASS_FLOOR = 1e-12
@@ -386,10 +386,9 @@ def discrete_ias(
     if not kept:
         return DiscreteIas(grid, values, masses)
     omega, psi, weight = np.concatenate(nodes).T
-    # the math module's sine, so the hops are the ones a scalar loop would build
-    s = libm_map(math.sin, omega + psi)
+    s = np.sin(omega + psi)
     length = baseline.length
-    hops = HopPair(length * libm_map(math.sin, psi) / s, length * libm_map(math.sin, omega) / s)
+    hops = HopPair(length * np.sin(psi) / s, length * np.sin(omega) / s)
     terms = weight * outage_capacity_array(hops, params)
     ends = np.cumsum([len(n) for n in nodes])
     for (a, b), cell_terms in zip(kept, np.split(terms, ends[:-1])):

@@ -112,6 +112,15 @@ class MeasurementSet:
         rows = [self.pairs.index(pair) for pair in pairs]
         return MeasurementSet(pairs, self.aoa[rows], self.cap_est[rows], self.raw[rows])
 
+    def first_observations(self, n: int, p_out: float) -> MeasurementSet:
+        """This set cut to its first n observations, cap_est re-estimated from them."""
+        if n >= self.n_observations:
+            return self
+        raw = self.raw[:, :, :n]
+        cap_est = np.array([[estimate_outage_capacity(draws, p_out) for draws in row]
+                            for row in raw])
+        return MeasurementSet(self.pairs, self.aoa, cap_est, raw)
+
 
 def quantize_angle(theta: float, d_theta: float) -> tuple[int, float]:
     """Nearest grid index and angle; ties round half away from zero."""

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 
@@ -120,12 +119,6 @@ def _log_q_fraction(a: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _log_prefactor(a: float, x: np.ndarray) -> np.ndarray:
     # log of x^a e^-x / Gamma(a)
     return a * np.log(x) - x - math.lgamma(a)
-
-
-def libm_map(fn: Callable[[float], float], x) -> np.ndarray:
-    """fn applied elementwise in Python: the math module's rounding, not numpy's."""
-    x = np.asarray(x, dtype=float)
-    return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
 def _lower_gamma_series_array(a: float, x: np.ndarray) -> np.ndarray:

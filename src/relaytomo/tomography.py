@@ -10,8 +10,8 @@ and angle bin at every node (bit for bit `dist`,
 pairs, and the bin of every footprint point.  The steps below read their
 bins, hops and angles from it.  A second table per (network, grid,
 channel), the capacity column, holds each cell center's outage capacity
-per unordered pair; it fills on demand, each read solving the cells it
-lacks in one `outage_capacity_array` call, so a process solves a cell once.
+per unordered pair; its first use solves every cell in one
+`outage_capacity_array` call, so a process solves a cell once.
 
 Pipeline per relay: (1) reduce the grid to the cells the measured arrival
 angles allow; (2) pick one candidate either by minimizing the l2 capacity
@@ -45,10 +45,9 @@ from functools import lru_cache
 import numpy as np
 
 from .channel import ChannelParams, HopPair, capacity_log_pdf, outage_capacity_array
-from .errors import DomainError, LocalizationError
+from .errors import DomainError, LocalizationError, MeasurementError
 from .geometry import CellGrid, Point, dist
 from .measurement import MeasurementNetwork, MeasurementSet, angle_bins
-from .numerics import libm_map
 
 KIND_THRESHOLD = "threshold"
 KIND_FORCED_MAP = "forced-map"
@@ -211,7 +210,7 @@ class _Footprint:
         self.lo = np.where(self.inside, self.bins, big).min(axis=2)
         self.hi = np.where(self.inside, self.bins, -big).max(axis=2)
 
-    def hop_lengths(self, cells) -> tuple[np.ndarray, np.ndarray]:
+    def hop_lengths(self, cells=slice(None)) -> tuple[np.ndarray, np.ndarray]:
         """Hop lengths of each cell center's path per unordered pair, (cells, pairs)."""
         d = self.dist[cells]
         return d[:, self.tx], d[:, self.rx]
@@ -254,30 +253,20 @@ def angle_likelihood(
 
 
 def _l2_norms(diff: np.ndarray) -> np.ndarray:
-    # l2 norm along the last axis: the math module's squares and a running
-    # sum, so the rounding and the order are a scalar loop's
-    return np.sqrt(np.cumsum(libm_map(lambda t: t ** 2, diff), axis=-1)[..., -1])
+    # l2 norm along the last axis: a running sum adds the squares in order,
+    # as a scalar loop would (numpy's pairwise sum does not past 7 terms)
+    return np.sqrt(np.cumsum(diff * diff, axis=-1)[..., -1])
 
 
 @lru_cache(maxsize=8)
 def _capacity_column(net, grid, params) -> np.ndarray:
-    # (cells, unordered pairs) center-path outage capacities, NaN until solved
-    return np.full((len(grid.cells), len(_footprint(net, grid).rows)), np.nan)
+    """Outage capacities of every cell center's paths, (cells, unordered pairs).
 
-
-def _center_capacities(net, grid, params, cells) -> np.ndarray:
-    """Outage capacities of the cells' center paths, (cells, unordered pairs).
-
-    The cells the capacity column of (net, grid, params) lacks are solved
-    first, in one `outage_capacity_array` call.
+    Solved in one `outage_capacity_array` call on first use; read-only.
     """
-    column = _capacity_column(net, grid, params)
-    cells = np.asarray(cells, dtype=np.intp)
-    todo = sorted(set(cells[np.isnan(column[cells, 0])].tolist()))
-    if todo:
-        column[todo] = outage_capacity_array(
-            HopPair(*_footprint(net, grid).hop_lengths(todo)), params)
-    return column[cells]
+    column = outage_capacity_array(HopPair(*_footprint(net, grid).hop_lengths()), params)
+    column.flags.writeable = False
+    return column
 
 
 def _capacity_residuals(net, grid, params, cells, cap_rows: np.ndarray) -> np.ndarray:
@@ -287,7 +276,7 @@ def _capacity_residuals(net, grid, params, cells, cap_rows: np.ndarray) -> np.nd
     either one row for every cell or one row per cell; both orderings of
     a pair share one solve, as they share one path.
     """
-    caps = _center_capacities(net, grid, params, cells)
+    caps = _capacity_column(net, grid, params)[cells]
     return _l2_norms(cap_rows - caps[:, _footprint(net, grid).col])
 
 
@@ -443,17 +432,27 @@ def localize_all(
     weight the test's prior.  Relays whose candidate set comes back empty
     are reported unlocalized.
 
-    Argmin mode filters and decides relay by relay; each decision fills
-    the capacity column with the candidates it lacks.  Msprt mode computes
+    Argmin mode filters and decides relay by relay.  Msprt mode computes
     the evidence of every relay with more than one candidate in one
-    `_capacity_evidence` call.  Both modes then compute the angle
-    residuals of every localized relay in one step.  Argmin decisions keep
-    the capacity residual they minimized; msprt mode computes those of all
-    its decisions in one step too.
+    `_capacity_evidence` call.  Both modes then compute the residuals of
+    every localized relay in one step.  A measured angle beyond
+    pi + resolution / 2, where no node angle quantizes, raises
+    MeasurementError naming its pair and relay.
     """
     ms = ms.in_pair_order(net.ordered_pairs())
+    outside = np.argwhere(np.abs(ms.aoa) > math.pi + net.resolution / 2)
+    if outside.size:
+        p, l = outside[0]
+        raise MeasurementError(
+            f"pair {ms.pairs[p]}, relay {l}: measured angle {math.degrees(ms.aoa[p, l]):g} "
+            f"deg lies beyond 180 deg plus half the node resolution, where no node "
+            f"angle quantizes")
     if cfg.mode == "argmin":
-        decisions = [_argmin_relay(ms, l, net, grid, params) for l in range(ms.n_relays)]
+        decisions = []
+        for l in range(ms.n_relays):
+            candidates = feasible_cells(ms, l, net, grid)
+            decisions.append(localize_argmin(candidates, ms.cap_est[:, l], net, grid, params,
+                                             relay=l) if candidates else _unlocalized(l))
         return _with_residuals(decisions, ms, net, grid, params)
     mcfg = msprt_cfg if msprt_cfg is not None else MsprtConfig(
         max_observations=ms.n_observations)
@@ -479,35 +478,21 @@ def _with_residuals(decisions, ms, net, grid, params) -> list[LocalizationResult
     """The decisions with each localized relay's residuals against ms.
 
     ms has its rows in `net.ordered_pairs()` order.  One l2 norm covers the
-    angle rows of all localized relays.  Argmin decisions already carry
-    their capacity residual, the minimum they chose; otherwise one l2 norm
-    covers the capacity rows, after one solve fills the capacity column
-    with the chosen cells.
+    angle rows of all localized relays, and one their capacity rows.
     """
     done = [r for r in decisions if r.cell_index is not None]
     relays = [r.relay for r in done]
     cells = [r.cell_index for r in done]
-    if all(r.kind == KIND_ARGMIN for r in done):
-        e_capacity = [r.e_capacity for r in done]
-    else:
-        e_capacity = _capacity_residuals(net, grid, params, cells,
-                                         ms.cap_est[:, relays].T).tolist()
+    e_capacity = _capacity_residuals(net, grid, params, cells, ms.cap_est[:, relays].T)
     receivers = [q2 for _, q2 in ms.pairs]
     e_angle = _l2_norms(ms.aoa[:, relays].T - _footprint(net, grid).angle[cells][:, receivers])
-    residuals = iter(zip(e_angle.tolist(), e_capacity))
+    residuals = iter(zip(e_angle.tolist(), e_capacity.tolist()))
     return [
         r if r.cell_index is None else LocalizationResult(
             r.relay, r.cell_index, r.position, r.n_candidates, r.kind,
             *next(residuals), r.stopped_at, r.degenerate)
         for r in decisions
     ]
-
-
-def _argmin_relay(ms, l, net, grid, params) -> LocalizationResult:
-    candidates = feasible_cells(ms, l, net, grid)
-    if not candidates:
-        return _unlocalized(l)
-    return localize_argmin(candidates, ms.cap_est[:, l], net, grid, params, relay=l)
 
 
 def _unlocalized(relay: int) -> LocalizationResult:

@@ -16,6 +16,7 @@ from relaytomo.config import (
     write_config,
 )
 from relaytomo.errors import ConfigError
+from relaytomo.measurement import estimate_outage_capacity
 
 
 @pytest.fixture()
@@ -221,9 +222,10 @@ def reference_run(tmp_path_factory):
                  for mode in ("msprt", "argmin")}
 
 
-def invert_outputs(measurements: Path, sim: Path, mode: str, out: Path) -> tuple[bytes, bytes]:
+def invert_outputs(measurements: Path, sim: Path, mode: str, out: Path,
+                   *options: str) -> tuple[bytes, bytes]:
     assert main(["invert", str(measurements), "--mode", mode, "--out", str(out),
-                 "--truth", str(sim / "relays_true.txt")]) == 0
+                 "--truth", str(sim / "relays_true.txt"), *options]) == 0
     return (out / "report.txt").read_bytes(), (out / "scoring.json").read_bytes()
 
 
@@ -322,10 +324,14 @@ class TestExitCodes:
         ("grid", "cell_side_m", math.nan), ("experiment", "msprt_error", math.nan),
         ("experiment", "seed", -5), ("experiment", "observations", 2.5),
         ("experiment", "relays", True), ("experiment", "quad_order", 2.9),
-        ("channel", "snr_db", True),
+        ("channel", "snr_db", True), ("channel", "snr_db", "30"),
+        ("experiment", "relays", "5"), ("experiment", "seed", "7"),
+        ("experiment", "msprt_error", "0.05"), ("geometry", "source", "12"),
+        ("geometry", "nodes", [["1", "2"]] + default_config_dict()["geometry"]["nodes"][1:]),
     ], ids=["snr_nan", "snr_inf", "nakagami_nan", "node_resolution_nan", "cell_side_nan",
             "msprt_error_nan", "seed_negative", "observations_fraction", "relays_bool",
-            "quad_order_fraction", "snr_bool"])
+            "quad_order_fraction", "snr_bool", "snr_string", "relays_string", "seed_string",
+            "msprt_error_string", "source_string", "node_strings"])
     def test_non_finite_config_number_is_2(self, tmp_path, capsys, section, key, value):
         raw = default_config_dict()
         raw[section][key] = value
@@ -335,6 +341,23 @@ class TestExitCodes:
             capsys.readouterr()
             assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
             assert f"{section}.{key}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["1e12", "-1e300"])
+    def test_out_of_range_angle_is_3(self, reference_run, tmp_path, capsys, value):
+        # no node angle quantizes beyond 180 deg plus half a bin
+        sim, _ = reference_run
+        lines = (sim / "measurements.txt").read_text().splitlines()
+        k = next(n for n, line in enumerate(lines) if not line.startswith("#")) + 4
+        tok = lines[k].split()
+        tok[3] = value
+        lines[k] = " ".join(tok)
+        bad = tmp_path / "far_angle.txt"
+        bad.write_text("\n".join(lines) + "\n")
+        for mode in ("msprt", "argmin"):
+            capsys.readouterr()
+            assert main(["invert", str(bad), "--mode", mode, "--out", str(tmp_path / "o")]) == 3
+            assert f"pair ({tok[0]}, {tok[1]}), relay {tok[2]}: measured angle" in \
+                capsys.readouterr().err
 
     def test_duplicate_record_is_3(self, reference_run, tmp_path, capsys):
         sim, _ = reference_run
@@ -418,6 +441,39 @@ class TestExitCodes:
 
 
 GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("mode", ["msprt", "argmin"])
+def test_observation_window_cuts_both_modes(reference_run, tmp_path, mode):
+    # invert --observations 3 reads what a file of the first 3 draws holds,
+    # its outage estimates re-made from those draws
+    sim, _ = reference_run
+    full = sim / "measurements.txt"
+    p_out = default_config_dict()["channel"]["outage_prob"]
+    cut = []
+    for line in full.read_text().splitlines():
+        if not line.startswith("#"):
+            tok = line.split()
+            estimate = estimate_outage_capacity([float(v) for v in tok[5:8]], p_out)
+            line = " ".join(tok[:4] + [repr(estimate)] + tok[5:8])
+        cut.append(line)
+    short = tmp_path / "short.txt"
+    short.write_text("\n".join(cut) + "\n")
+    windowed = invert_outputs(full, sim, mode, tmp_path / "windowed", "--observations", "3")
+    assert windowed == invert_outputs(short, sim, mode, tmp_path / "short")
+    assert windowed != invert_outputs(full, sim, mode, tmp_path / "full")
+
+
+@pytest.mark.parametrize("m, name", [(1.0, "direct_m1"), (2.5, "direct_m25")])
+def test_direct_matches_golden_outputs(tmp_path, m, name):
+    # the continuous atoms and the discrete spectrum, byte for byte
+    raw = default_config_dict()
+    raw["channel"]["nakagami_m"] = m
+    path = tmp_path / "scenario.json"
+    write_config(raw, path)
+    assert main(["direct", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+    for csv in ("atoms.csv", "discrete.csv"):
+        assert (tmp_path / "o" / csv).read_bytes() == (GOLDEN / name / csv).read_bytes()
 
 
 @pytest.mark.parametrize("mode", ["msprt", "argmin"])

@@ -186,6 +186,18 @@ class TestSimulate:
             simulate_measurements(three_node_net(), [Point(CX, 50.0)], PARAMS, 0,
                                   RngStream(71))
 
+    def test_first_observations_re_estimates(self):
+        relays = sample_relays(REGION, 3, RngStream(72))
+        ms = simulate_measurements(three_node_net(), relays, PARAMS, 10, RngStream(73))
+        assert ms.first_observations(10, PARAMS.outage_prob) is ms
+        cut = ms.first_observations(4, PARAMS.outage_prob)
+        assert cut.pairs == ms.pairs and np.array_equal(cut.aoa, ms.aoa)
+        np.testing.assert_array_equal(cut.raw, ms.raw[:, :, :4])
+        for p_idx in range(len(ms.pairs)):
+            for l in range(ms.n_relays):
+                assert cut.cap_est[p_idx, l] == estimate_outage_capacity(
+                    ms.raw[p_idx, l, :4], PARAMS.outage_prob)
+
 
 class TestSerialization:
     def build_reference_set(self) -> MeasurementSet:

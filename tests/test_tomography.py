@@ -94,21 +94,23 @@ def sequential_oracle(candidates, weights, raw, cfg):
 
 
 def l2_oracle(values) -> float:
-    # a scalar loop of squares and sums, in pair order
+    # a scalar loop of squares and sums, in pair order; v * v is the
+    # correctly rounded square, which libm's pow(v, 2) misses on rare inputs
     total = 0.0
     for v in values:
-        total += v ** 2
+        total += v * v
     return math.sqrt(total)
 
 
-def residuals_oracle(ms, relay, w) -> tuple[float, float]:
+def residuals_oracle(ms, relay, w, net=NET) -> tuple[float, float]:
     """(e_angle, e_capacity) of cell w against relay's rows of ms, by scalar solves."""
     cell = GRID.cells[w]
-    e_angle = l2_oracle(float(ms.aoa[p, relay]) - NET.node_angle(q2, cell)
+    e_angle = l2_oracle(float(ms.aoa[p, relay]) - net.node_angle(q2, cell)
                         for p, (_, q2) in enumerate(ms.pairs))
     e_capacity = l2_oracle(
-        float(ms.cap_est[p, relay]) - outage_capacity(hops_via(pair, cell), PARAMS)
-        for p, pair in enumerate(ms.pairs))
+        float(ms.cap_est[p, relay])
+        - outage_capacity(HopPair(dist(net.nodes[q1], cell), dist(cell, net.nodes[q2])), PARAMS)
+        for p, (q1, q2) in enumerate(ms.pairs))
     return e_angle, e_capacity
 
 
@@ -546,15 +548,20 @@ class TestCapacityColumn:
     def test_entries_equal_scalar_solves(self, m):
         params = replace(PARAMS, nakagami_m=m)
         tomography._capacity_column.cache_clear()
-        cells = np.arange(len(GRID.cells))
-        # a partial fill first, so the full read also solves in one batch
-        tomography._center_capacities(NET, GRID, params, cells[::7])
-        caps = tomography._center_capacities(NET, GRID, params, cells)
+        caps = tomography._capacity_column(NET, GRID, params)
         pairs = [pair for pair in NET.ordered_pairs() if pair[0] < pair[1]]
         assert caps.shape == (len(GRID.cells), len(pairs))
         for w, cell in enumerate(GRID.cells):
             for p, pair in enumerate(pairs):
                 assert caps[w, p] == outage_capacity(hops_via(pair, cell), params)
+
+    def test_column_is_solved_once_and_read_only(self):
+        tomography._capacity_column.cache_clear()
+        caps = tomography._capacity_column(NET, GRID, PARAMS)
+        assert tomography._capacity_column(NET, GRID, PARAMS) is caps
+        assert not caps.flags.writeable
+        with pytest.raises(ValueError):
+            caps[0, 0] = 0.0
 
     @pytest.mark.parametrize("mode", ["msprt", "argmin"])
     def test_results_do_not_depend_on_history(self, mode):
@@ -609,6 +616,24 @@ class TestCapacityColumn:
             expected.append(replace(res, e_angle=e_angle))
         tomo = TomographyConfig(cell_side=CFG.cell_side_m, mode="argmin")
         assert repr(localize_all(ms, NET, GRID, PARAMS, tomo)) == repr(expected)
+
+
+    @pytest.mark.parametrize("mode", ["msprt", "argmin"])
+    def test_residuals_of_twelve_pair_rows(self, mode):
+        # rows of 8 or more pairs are where a running sum and numpy's
+        # pairwise sum part ways
+        ring = 48.0
+        node = Point(CX + ring * math.cos(5 * math.pi / 4), 50.0 + ring * math.sin(5 * math.pi / 4))
+        net = MeasurementNetwork(NET.nodes + (node,), NET.resolution, REGION)
+        assert len(net.ordered_pairs()) == 12
+        relays = sample_relays(REGION, 8, RngStream(132))
+        ms = simulate_measurements(net, relays, PARAMS, 10, RngStream(133))
+        tomo = TomographyConfig(cell_side=CFG.cell_side_m, mode=mode)
+        results = localize_all(ms, net, GRID, PARAMS, tomo, CFG.msprt())
+        localized = [r for r in results if r.cell_index is not None]
+        assert len(localized) >= 6
+        for r in localized:
+            assert (r.e_angle, r.e_capacity) == residuals_oracle(ms, r.relay, r.cell_index, net)
 
 
 def mixed_scene() -> tuple[MeasurementSet, list]:
