@@ -44,7 +44,6 @@ from .measurement import (
     MeasurementNetwork,
     MeasurementSet,
     estimate_outage_capacity,
-    quantize_angle,
     simulate_measurements,
 )
 from .numerics import (
@@ -73,7 +72,7 @@ __all__ = [
     "dist_relay_destination", "dist_source_relay", "estimate_outage_capacity",
     "feasible_cells", "joint_angle_pdf", "localize_all",
     "localize_argmin", "msprt_localize", "outage_capacity", "outage_cdf",
-    "point_from_angles", "quantize_angle", "regularized_lower_gamma",
+    "point_from_angles", "regularized_lower_gamma",
     "sample_instant_capacity", "sample_relays",
     "simulate_measurements",
 ]

@@ -144,12 +144,8 @@ def cmd_invert(args) -> int:
         raise MeasurementError(
             f"{args.truth} holds {len(truth)} relays, {args.measurements} "
             f"measures {ms.n_relays}")
-    net = cfg.network()
-    grid = cfg.cell_grid()
-    params = cfg.channel_params()
-    # both modes see the same window: argmin's estimates come from its draws
-    ms = ms.first_observations(cfg.observations, params.outage_prob)
-    results = localize_all(ms, net, grid, params, cfg.tomography(), cfg.msprt())
+    results = localize_all(ms, cfg.network(), cfg.cell_grid(), cfg.channel_params(),
+                           cfg.tomography(), cfg.msprt())
     write_report(results, out / "report.txt")
     outputs = ["report.txt"]
     summary = f"invert: localized {sum(r.position is not None for r in results)}" \

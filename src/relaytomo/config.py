@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .channel import ChannelParams
-from .errors import ConfigError, RelayTomoError
+from .errors import ConfigError, DomainError, RelayTomoError
 from .geometry import (
     Baseline,
     CellGrid,
@@ -248,7 +248,10 @@ def validate_scenario(cfg: ScenarioConfig) -> None:
         region = cfg.region()
         check_region_clear_of_baseline(region, baseline)
         cfg.channel_params()
-        cfg.network()
+        try:
+            cfg.network()
+        except DomainError as exc:
+            raise ConfigError(f"grid.node_resolution_deg: {exc}") from exc
         cfg.quadrature()
         cfg.tomography()
         cfg.msprt()
@@ -261,7 +264,6 @@ def validate_scenario(cfg: ScenarioConfig) -> None:
         for key, value in (
             ("grid.aod_resolution_deg", cfg.aod_resolution_deg),
             ("grid.aoa_resolution_deg", cfg.aoa_resolution_deg),
-            ("grid.node_resolution_deg", cfg.node_resolution_deg),
             ("grid.cell_side_m", cfg.cell_side_m),
         ):
             if not 0.0 < value < math.inf:

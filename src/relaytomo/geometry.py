@@ -144,14 +144,15 @@ class CellGrid:
             return NotImplemented
         return self is other or (self._hash == other._hash
                                  and self.cell_side == other.cell_side
-                                 and np.array_equal(self._xy, other._xy))
+                                 and np.array_equal(self.xy, other.xy))
 
     @cached_property
     def _hash(self) -> int:
         return hash((self.cells, self.cell_side))
 
     @cached_property
-    def _xy(self) -> np.ndarray:
+    def xy(self) -> np.ndarray:
+        """The cell centers as a (cells, 2) array."""
         return np.array([(c.x, c.y) for c in self.cells])
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -30,7 +31,9 @@ RELAY_HEADER = "# relaytomo relay-positions v1"
 
 @dataclass(frozen=True)
 class MeasurementNetwork:
-    """Q measuring nodes placed outside the relay region."""
+    """Q measuring nodes placed outside the relay region, and the forward
+    model the simulator and the inverse solver share: the node pairs and
+    the rows they label, and each point's distance, angle and bin at a node."""
 
     nodes: tuple[Point, ...]
     resolution: float
@@ -44,6 +47,8 @@ class MeasurementNetwork:
         if not 0.0 < self.resolution < math.inf:
             raise DomainError(
                 f"angular resolution must be positive and finite, got {self.resolution}")
+        if math.pi / self.resolution + 1.0 >= 2**31:
+            raise DomainError(f"angular resolution {self.resolution} overflows 32-bit bins")
         for q, node in enumerate(self.nodes):
             if dist(node, self.region.center) <= self.region.radius:
                 raise GeometryError(f"measuring node {q} lies inside the relay region")
@@ -56,11 +61,58 @@ class MeasurementNetwork:
         q = self.n_nodes
         return [(q1, q2) for q1 in range(q) for q2 in range(q) if q2 != q1]
 
+    @cached_property
+    def row_of(self) -> dict[tuple[int, int], int]:
+        """The row of each ordered pair (q1, q2), in `ordered_pairs()` order."""
+        return {pair: k for k, pair in enumerate(self.ordered_pairs())}
+
+    @cached_property
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        """The unordered node pairs (lo, hi), lo < hi; both orderings share one path."""
+        return tuple(combinations(range(self.n_nodes), 2))
+
+    @cached_property
+    def pair_rows(self) -> list[int]:
+        """The row (lo, hi) of each unordered pair."""
+        return [self.row_of[pair] for pair in self.pairs]
+
+    @cached_property
+    def pair_of_row(self) -> np.ndarray:
+        """The unordered pair of each row."""
+        return np.array([self.pairs.index((min(pair), max(pair))) for pair in self.row_of])
+
+    @cached_property
+    def receivers(self) -> np.ndarray:
+        """The receiving node q2 of each row."""
+        return np.array([q2 for _, q2 in self.row_of])
+
+    @cached_property
+    def _refs(self) -> list[tuple[float, float]]:
+        # each node's unit reference ray, toward the region center
+        return [_unit(self.region.center.x - n.x, self.region.center.y - n.y) for n in self.nodes]
+
     def node_angle(self, q: int, p: Point) -> float:
         """Signed angle of p from node q's reference ray (toward region center)."""
         node = self.nodes[q]
-        ref = (self.region.center.x - node.x, self.region.center.y - node.y)
-        return signed_angle(*_unit(*ref), p.x - node.x, p.y - node.y)
+        return signed_angle(*self._refs[q], p.x - node.x, p.y - node.y)
+
+    def table(self, points) -> tuple[np.ndarray, np.ndarray]:
+        """Distance and angle of each point at each node, (points, nodes) each, from
+        `dist` and `node_angle`: numpy's hypot and arctan2 round some one ulp apart."""
+        shape = (len(points), self.n_nodes)
+        d = [dist(node, p) for p in points for node in self.nodes]
+        a = [self.node_angle(q, p) for p in points for q in range(self.n_nodes)]
+        return np.reshape(d, shape), np.reshape(a, shape)
+
+    def lattice_bins(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Angle bin of each point (x, y) at each node, (nodes, *x.shape), on numpy's
+        arctan2: for the footprint lattice, whose angles feed only bins."""
+        bins = []
+        for node, (rx, ry) in zip(self.nodes, self._refs):
+            dx, dy = x - node.x, y - node.y
+            bins.append(angle_bins(np.arctan2(rx * dy - ry * dx, rx * dx + ry * dy),
+                                   self.resolution))
+        return np.array(bins)
 
 
 @dataclass(frozen=True)
@@ -117,42 +169,33 @@ class MeasurementSet:
         if n >= self.n_observations:
             return self
         raw = self.raw[:, :, :n]
-        cap_est = np.array([[estimate_outage_capacity(draws, p_out) for draws in row]
-                            for row in raw])
-        return MeasurementSet(self.pairs, self.aoa, cap_est, raw)
-
-
-def quantize_angle(theta: float, d_theta: float) -> tuple[int, float]:
-    """Nearest grid index and angle; ties round half away from zero."""
-    if not d_theta > 0.0:
-        raise DomainError(f"resolution must be positive, got {d_theta}")
-    ratio = theta / d_theta
-    index = math.floor(ratio + 0.5) if ratio >= 0.0 else math.ceil(ratio - 0.5)
-    return index, index * d_theta
+        return MeasurementSet(self.pairs, self.aoa, estimate_outage_capacity(raw, p_out), raw)
 
 
 def angle_bins(theta: np.ndarray, d_theta: float) -> np.ndarray:
-    """Array form of `quantize_angle`'s index, bit for bit: int32 bin indices."""
+    """int32 index of the nearest multiple of d_theta; ties round half away from zero."""
     if not d_theta > 0.0:
         raise DomainError(f"resolution must be positive, got {d_theta}")
     ratio = np.asarray(theta) / d_theta
     return np.where(ratio >= 0.0, np.floor(ratio + 0.5), np.ceil(ratio - 0.5)).astype(np.int32)
 
 
-def estimate_outage_capacity(samples, p_out: float) -> float:
+def estimate_outage_capacity(samples, p_out: float) -> float | np.ndarray:
     """Empirical p_out-quantile: order statistic at ceil(p_out * n), clamped.
 
-    A window too short to resolve the target quantile degrades to the sample
-    minimum, which is exactly why the sequential test exists.
+    Taken along the last axis, the window; a float for one window.  A
+    window too short to resolve the target quantile degrades to the
+    sample minimum, which is exactly why the sequential test exists.
     """
-    n = len(samples)
+    samples = np.asarray(samples, dtype=float)
+    n = samples.shape[-1]
     if n == 0:
         raise MeasurementError("cannot estimate a quantile from zero samples")
     if not (0.0 < p_out < 1.0):
         raise DomainError(f"outage probability must be in (0,1), got {p_out}")
-    ordered = np.sort(np.asarray(samples, dtype=float))
     index = min(max(math.ceil(p_out * n) - 1, 0), n - 1)
-    return float(ordered[index])
+    estimate = np.sort(samples, axis=-1)[..., index]
+    return float(estimate) if estimate.ndim == 0 else estimate
 
 
 def simulate_measurements(
@@ -171,24 +214,17 @@ def simulate_measurements(
     """
     if observations < 1:
         raise DomainError(f"need at least one observation, got {observations}")
-    pairs = net.ordered_pairs()
-    n_pairs, n_relays = len(pairs), len(relays)
-    aoa = np.zeros((n_pairs, n_relays))
-    cap_est = np.zeros((n_pairs, n_relays))
-    raw = np.zeros((n_pairs, n_relays, observations))
-    for lo, hi in combinations(range(net.n_nodes), 2):
-        # (lo, hi) is received at hi, (hi, lo) at lo; both share the draws
-        fwd, rev = pairs.index((lo, hi)), pairs.index((hi, lo))
-        for l, relay in enumerate(relays):
-            _, aoa[fwd, l] = quantize_angle(net.node_angle(hi, relay), net.resolution)
-            _, aoa[rev, l] = quantize_angle(net.node_angle(lo, relay), net.resolution)
-            hops = HopPair(dist(net.nodes[lo], relay), dist(relay, net.nodes[hi]))
+    d, angle = net.table(relays)
+    raw = np.zeros((len(net.pairs), len(relays), observations))
+    for k, (lo, hi) in enumerate(net.pairs):
+        for l in range(len(relays)):
             stream = rng.child(lo * net.n_nodes + hi).child(l)
-            raw[fwd, l] = raw[rev, l] = sample_instant_capacity(
-                hops, params, stream, size=observations)
-            cap_est[fwd, l] = cap_est[rev, l] = estimate_outage_capacity(
-                raw[fwd, l], params.outage_prob)
-    return MeasurementSet(tuple(pairs), aoa, cap_est, raw)
+            raw[k, l] = sample_instant_capacity(
+                HopPair(float(d[l, lo]), float(d[l, hi])), params, stream, size=observations)
+    raw = raw[net.pair_of_row]
+    aoa = (angle_bins(angle, net.resolution) * net.resolution).T[net.receivers]
+    return MeasurementSet(tuple(net.ordered_pairs()), aoa,
+                          estimate_outage_capacity(raw, params.outage_prob), raw)
 
 
 # ---------------------------------------------------------------------------

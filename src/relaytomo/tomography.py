@@ -3,37 +3,23 @@
 Relay network tomography is an inverse problem.  Each cell of the grid is
 a hypothesis, and its forward model is the relay paths it predicts between
 the measuring nodes: one two-hop path per node pair, with its arrival
-angles and outage capacity.  One table per (network, grid), `_Footprint`,
-owns that geometry: each cell center's distance to every node, its angle
-and angle bin at every node (bit for bit `dist`,
-`MeasurementNetwork.node_angle` and `quantize_angle`), the unordered node
-pairs, and the bin of every footprint point.  The steps below read their
-bins, hops and angles from it.  A second table per (network, grid,
-channel), the capacity column, holds each cell center's outage capacity
-per unordered pair; its first use solves every cell in one
-`outage_capacity_array` call, so a process solves a cell once.
+angles and outage capacity.  `MeasurementNetwork` owns that forward model
+for the simulator and this solver alike: the node pairs and the rows they
+label, each point's distance and angle at every node, and the angle bins.
+`_Footprint`, one per (network, grid), holds its tables for the grid's
+cell centers and footprint lattice; the capacity column, one per
+(network, grid, channel), holds each cell center's outage capacity per
+unordered pair, solved for every cell in one call on first use.
 
 Pipeline per relay: (1) reduce the grid to the cells the measured arrival
 angles allow; (2) pick one candidate either by minimizing the l2 capacity
-residual against the empirical outage estimates, or by a multi-hypothesis
+residual against the empirical outage estimates (`feasible_cells`, whose
+*center* quantizes into every measured bin), or by a multi-hypothesis
 sequential probability ratio test over the raw instantaneous-capacity
-observations.
-
-The angle step differs by mode.  Argmin keeps the cells whose *center*
-quantizes into the measured bin at every receiving node (`feasible_cells`):
-a capacity residual has no way to weigh a cell that matches only in part.
-The sequential test uses the angle likelihood the simulator implies
-(`angle_likelihood`): the simulator quantizes the relay's own position, so
-a cell's weight is the share of its square that lies in the region disc
-(its footprint) and lands in the measured bin at every receiving node
-jointly, taken over a fixed sub-sample of the square.  Cells of zero share
-are dropped and the share enters the test's prior.  The test counts each
-unordered node pair once, since reciprocal orderings carry the same
-fading draws, and stops once the leading hypothesis beats the runner-up
-by log((1 - error) / error).
-
-Every result of `localize_all` reports its capacity residual and its
-angle residual, computed for all relays in one batched step.
+observations (`angle_likelihood`, the share of each cell's footprint that
+quantizes into every measured bin, as the simulator quantizes the relay's
+own position).  Every result of `localize_all` reports its capacity
+residual and its angle residual, computed for all relays in one step.
 """
 
 from __future__ import annotations
@@ -152,60 +138,43 @@ def feasible_cells(
     indices; an empty list signals a grid too coarse or inconsistent data
     (the caller decides how to proceed).
     """
-    receivers = [q2 for _, q2 in ms.pairs]
-    keep = _footprint(net, grid).center_bins[:, receivers] == _measured_bins(ms, relay, net)
+    receivers, measured = _measured_bins(ms, relay, net)
+    keep = _footprint(net, grid).center_bins[:, receivers] == measured
     return np.flatnonzero(keep.all(axis=1)).tolist()
 
 
-def _measured_bins(ms: MeasurementSet, relay: int, net: MeasurementNetwork) -> np.ndarray:
-    # the bin index of the relay's measured angle on each pair of ms
-    return angle_bins(ms.aoa[:, relay], net.resolution)
+def _measured_bins(ms: MeasurementSet, relay: int, net: MeasurementNetwork):
+    # the receiving node of each row of ms, and the bin of the relay's angle there
+    receivers = net.receivers[[net.row_of[pair] for pair in ms.pairs]]
+    return receivers, angle_bins(ms.aoa[:, relay], net.resolution)
 
 
 class _Footprint:
     """Per (network, grid): the geometry of every cell's hypothesis.
 
-    dist[w, q] and angle[w, q] are cell w's center's distance to node q and
-    its angle at node q, and center_bins[w, q] is that angle's bin.  Each
-    unordered node pair counts once, as its ordered row (tx, rx) with
-    tx < rx; `rows` are those rows of `net.ordered_pairs()`, and col[p] is
-    the unordered pair of ordered row p.
-
-    Each cell is also sub-sampled on a FOOTPRINT_SAMPLES x FOOTPRINT_SAMPLES
-    lattice of its square (the center included); `inside` marks the points
-    in the region disc, which alone make up the footprint.  bins[q, w, s]
-    is the bin index at node q of point s of cell w, and lo/hi bound the
-    bins the footprint of each cell reaches at each node.
+    dist[w, q], angle[w, q] and center_bins[w, q] are cell w's center's
+    distance, angle and angle bin at node q.  Each cell is also sub-sampled
+    on a FOOTPRINT_SAMPLES x FOOTPRINT_SAMPLES lattice of its square (the
+    center included); `inside` marks the points in the region disc, which
+    alone make up the footprint.  bins[q, w, s] is the bin at node q of
+    point s of cell w, and lo/hi bound the bins each cell's footprint
+    reaches at each node.  rows and (tx, rx) are `net.pair_rows` and `net.pairs`.
     """
 
     def __init__(self, net: MeasurementNetwork, grid: CellGrid) -> None:
-        self.dist = np.array([[dist(node, c) for node in net.nodes] for c in grid.cells])
-        self.angle = np.array([[net.node_angle(q, c) for q in range(net.n_nodes)]
-                               for c in grid.cells])
+        self.dist, self.angle = net.table(grid.cells)
         self.center_bins = angle_bins(self.angle, net.resolution)
-        pairs = net.ordered_pairs()
-        once = [(q1, q2) for q1, q2 in pairs if q1 < q2]
-        self.rows = [pairs.index(pair) for pair in once]
-        self.tx, self.rx = np.array(once).T
-        self.col = np.array([once.index((min(pair), max(pair))) for pair in pairs])
+        self.rows = net.pair_rows
+        self.tx, self.rx = np.array(net.pairs).T
 
         n = FOOTPRINT_SAMPLES
         offsets = ((np.arange(n) + 0.5) / n - 0.5) * grid.cell_side
         ox, oy = np.meshgrid(offsets, offsets)
-        centers = np.array([(c.x, c.y) for c in grid.cells])
-        px = centers[:, :1] + ox.ravel()
-        py = centers[:, 1:] + oy.ravel()
+        px = grid.xy[:, :1] + ox.ravel()
+        py = grid.xy[:, 1:] + oy.ravel()
         region = net.region
         self.inside = np.hypot(px - region.center.x, py - region.center.y) <= region.radius
-        bins = []
-        for node in net.nodes:
-            rx, ry = region.center.x - node.x, region.center.y - node.y
-            norm = math.hypot(rx, ry)
-            rx, ry = rx / norm, ry / norm
-            dx, dy = px - node.x, py - node.y
-            bins.append(angle_bins(np.arctan2(rx * dy - ry * dx, rx * dx + ry * dy),
-                                   net.resolution))
-        self.bins = np.array(bins)
+        self.bins = net.lattice_bins(px, py)
         big = np.iinfo(np.int32).max
         self.lo = np.where(self.inside, self.bins, big).min(axis=2)
         self.hi = np.where(self.inside, self.bins, -big).max(axis=2)
@@ -216,9 +185,7 @@ class _Footprint:
         return d[:, self.tx], d[:, self.rx]
 
 
-@lru_cache(maxsize=8)
-def _footprint(net: MeasurementNetwork, grid: CellGrid) -> _Footprint:
-    return _Footprint(net, grid)
+_footprint = lru_cache(maxsize=8)(_Footprint)  # one per (network, grid)
 
 
 def angle_likelihood(
@@ -238,8 +205,8 @@ def angle_likelihood(
     shares; an empty list signals inconsistent data.
     """
     fp = _footprint(net, grid)
-    measured = sorted({(q2, b) for (_, q2), b
-                       in zip(ms.pairs, _measured_bins(ms, relay, net).tolist())})
+    receivers, bins = _measured_bins(ms, relay, net)
+    measured = sorted(set(zip(receivers.tolist(), bins.tolist())))
     reach = np.ones(len(grid.cells), dtype=bool)
     for q, b in measured:
         reach &= (fp.lo[q] <= b) & (b <= fp.hi[q])
@@ -277,7 +244,7 @@ def _capacity_residuals(net, grid, params, cells, cap_rows: np.ndarray) -> np.nd
     a pair share one solve, as they share one path.
     """
     caps = _capacity_column(net, grid, params)[cells]
-    return _l2_norms(cap_rows - caps[:, _footprint(net, grid).col])
+    return _l2_norms(cap_rows - caps[:, net.pair_of_row])
 
 
 def _capacity_evidence(fp: _Footprint, groups, raws, params) -> list[np.ndarray]:
@@ -350,8 +317,7 @@ def msprt_localize(
     """
     if not candidates:
         raise LocalizationError("sequential test needs a non-empty candidate set")
-    pairs = net.ordered_pairs()
-    if raw.ndim != 2 or raw.shape[0] != len(pairs):
+    if raw.ndim != 2 or raw.shape[0] != len(net.row_of):
         raise LocalizationError(
             f"raw observations must have shape (n_pairs, n_obs), got {raw.shape}"
         )
@@ -427,10 +393,11 @@ def localize_all(
 
     The rows of ms are first put in `net.ordered_pairs()` order, so results
     do not depend on the order of the records; a pair set that differs
-    from the network's raises MeasurementError.  Argmin mode filters cells
-    with `feasible_cells`; msprt mode with `angle_likelihood`, whose shares
-    weight the test's prior.  Relays whose candidate set comes back empty
-    are reported unlocalized.
+    from the network's raises MeasurementError, and both modes read the
+    set cut to the test's window (`first_observations`).  Argmin mode
+    filters cells with `feasible_cells`; msprt mode with `angle_likelihood`,
+    whose shares weight the test's prior.  Relays whose candidate set comes
+    back empty are reported unlocalized.
 
     Argmin mode filters and decides relay by relay.  Msprt mode computes
     the evidence of every relay with more than one candidate in one
@@ -439,7 +406,9 @@ def localize_all(
     pi + resolution / 2, where no node angle quantizes, raises
     MeasurementError naming its pair and relay.
     """
-    ms = ms.in_pair_order(net.ordered_pairs())
+    mcfg = msprt_cfg or MsprtConfig(max_observations=ms.n_observations)
+    ms = ms.in_pair_order(net.ordered_pairs()).first_observations(
+        mcfg.max_observations, params.outage_prob)
     outside = np.argwhere(np.abs(ms.aoa) > math.pi + net.resolution / 2)
     if outside.size:
         p, l = outside[0]
@@ -454,17 +423,13 @@ def localize_all(
             decisions.append(localize_argmin(candidates, ms.cap_est[:, l], net, grid, params,
                                              relay=l) if candidates else _unlocalized(l))
         return _with_residuals(decisions, ms, net, grid, params)
-    mcfg = msprt_cfg if msprt_cfg is not None else MsprtConfig(
-        max_observations=ms.n_observations)
     fp = _footprint(net, grid)
     found = [angle_likelihood(ms, l, net, grid) for l in range(ms.n_relays)]
     multi = [l for l, (candidates, _) in enumerate(found) if len(candidates) > 1]
     evidence = {}
     if multi:
-        n_obs = min(ms.n_observations, mcfg.max_observations)
         evidence = dict(zip(multi, _capacity_evidence(
-            fp, [found[l][0] for l in multi], [ms.raw[fp.rows, l, :n_obs] for l in multi],
-            params)))
+            fp, [found[l][0] for l in multi], [ms.raw[fp.rows, l] for l in multi], params)))
     decisions = [
         msprt_localize(candidates, ms.raw[:, l, :], net, grid, params, mcfg,
                        relay=l, angle_weights=likelihood, log_pdf=evidence.get(l))
@@ -484,8 +449,8 @@ def _with_residuals(decisions, ms, net, grid, params) -> list[LocalizationResult
     relays = [r.relay for r in done]
     cells = [r.cell_index for r in done]
     e_capacity = _capacity_residuals(net, grid, params, cells, ms.cap_est[:, relays].T)
-    receivers = [q2 for _, q2 in ms.pairs]
-    e_angle = _l2_norms(ms.aoa[:, relays].T - _footprint(net, grid).angle[cells][:, receivers])
+    angles = _footprint(net, grid).angle[cells][:, net.receivers]
+    e_angle = _l2_norms(ms.aoa[:, relays].T - angles)
     residuals = iter(zip(e_angle.tolist(), e_capacity.tolist()))
     return [
         r if r.cell_index is None else LocalizationResult(

@@ -5,7 +5,9 @@ space, from scipy's incomplete gamma; it underflows to 0 in the far
 tail.  `log_upper_gamma` and `capacity_log_pdf` are scipy's log-space
 forms, finite past that underflow.  `outage_capacity` is scipy's root of
 the outage equation in log space, and `solve_increasing_root` a plain
-bisection.
+bisection.  `simulate_measurements` is the probing protocol one path at a
+time, with `quantize_angle` and `quantile_estimate` its scalar quantizer
+and outage estimate.
 """
 
 import math
@@ -15,8 +17,10 @@ import numpy as np
 import scipy.optimize
 import scipy.special
 
-from relaytomo.channel import ChannelParams, HopPair
-from relaytomo.errors import DomainError, RelayTomoError
+from relaytomo.channel import ChannelParams, HopPair, sample_instant_capacity
+from relaytomo.errors import DomainError, MeasurementError, RelayTomoError
+from relaytomo.geometry import _unit, dist, signed_angle
+from relaytomo.measurement import MeasurementSet
 
 LN4 = math.log(4.0)
 
@@ -158,3 +162,52 @@ def solve_increasing_root(
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def quantize_angle(theta: float, d_theta: float) -> tuple[int, float]:
+    """Nearest grid index and angle; ties round half away from zero."""
+    if not d_theta > 0.0:
+        raise DomainError(f"resolution must be positive, got {d_theta}")
+    ratio = theta / d_theta
+    index = math.floor(ratio + 0.5) if ratio >= 0.0 else math.ceil(ratio - 0.5)
+    return index, index * d_theta
+
+
+def quantile_estimate(samples, p_out: float) -> float:
+    """Order statistic at ceil(p_out * n) of one window, clamped to 1..n."""
+    n = len(samples)
+    if n == 0:
+        raise MeasurementError("cannot estimate a quantile from zero samples")
+    ordered = np.sort(np.asarray(samples, dtype=float))
+    return float(ordered[min(max(math.ceil(p_out * n) - 1, 0), n - 1)])
+
+
+def node_angle(net, q: int, p) -> float:
+    """Signed angle of p from node q's ray toward the region center."""
+    node = net.nodes[q]
+    ref = _unit(net.region.center.x - node.x, net.region.center.y - node.y)
+    return signed_angle(*ref, p.x - node.x, p.y - node.y)
+
+
+def simulate_measurements(net, relays, params: ChannelParams, observations: int, rng):
+    """The probing protocol path by path: for each unordered pair (lo, hi)
+    and relay, the quantized angle at each end, one stream of draws shared
+    by both orderings, and the outage estimate of the window."""
+    pairs = net.ordered_pairs()
+    n_pairs, n_relays = len(pairs), len(relays)
+    aoa = np.zeros((n_pairs, n_relays))
+    cap_est = np.zeros((n_pairs, n_relays))
+    raw = np.zeros((n_pairs, n_relays, observations))
+    for lo in range(net.n_nodes):
+        for hi in range(lo + 1, net.n_nodes):
+            fwd, rev = pairs.index((lo, hi)), pairs.index((hi, lo))
+            for l, relay in enumerate(relays):
+                _, aoa[fwd, l] = quantize_angle(node_angle(net, hi, relay), net.resolution)
+                _, aoa[rev, l] = quantize_angle(node_angle(net, lo, relay), net.resolution)
+                hops = HopPair(dist(net.nodes[lo], relay), dist(relay, net.nodes[hi]))
+                stream = rng.child(lo * net.n_nodes + hi).child(l)
+                raw[fwd, l] = raw[rev, l] = sample_instant_capacity(
+                    hops, params, stream, size=observations)
+                cap_est[fwd, l] = cap_est[rev, l] = quantile_estimate(
+                    raw[fwd, l], params.outage_prob)
+    return MeasurementSet(tuple(pairs), aoa, cap_est, raw)

@@ -14,7 +14,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from oracles import capacity_pdf
+from oracles import capacity_pdf, quantize_angle
 from relaytomo.channel import (
     ChannelParams,
     HopPair,
@@ -26,7 +26,6 @@ from relaytomo.config import default_config_dict, scenario_from_dict
 from relaytomo.geometry import angles_from_point, dist, sample_relays
 from relaytomo.ias import angle_pdf_check, build_grid, discrete_ias
 from relaytomo.measurement import (
-    quantize_angle,
     read_measurements,
     simulate_measurements,
     write_measurements,

@@ -328,10 +328,11 @@ class TestExitCodes:
         ("experiment", "relays", "5"), ("experiment", "seed", "7"),
         ("experiment", "msprt_error", "0.05"), ("geometry", "source", "12"),
         ("geometry", "nodes", [["1", "2"]] + default_config_dict()["geometry"]["nodes"][1:]),
+        ("grid", "node_resolution_deg", 1e-8),
     ], ids=["snr_nan", "snr_inf", "nakagami_nan", "node_resolution_nan", "cell_side_nan",
             "msprt_error_nan", "seed_negative", "observations_fraction", "relays_bool",
             "quad_order_fraction", "snr_bool", "snr_string", "relays_string", "seed_string",
-            "msprt_error_string", "source_string", "node_strings"])
+            "msprt_error_string", "source_string", "node_strings", "node_resolution_int32"])
     def test_non_finite_config_number_is_2(self, tmp_path, capsys, section, key, value):
         raw = default_config_dict()
         raw[section][key] = value

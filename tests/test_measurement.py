@@ -6,7 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
+from oracles import quantize_angle
 from relaytomo.channel import ChannelParams, HopPair, outage_capacity, sample_instant_capacity
+from relaytomo.config import default_config_dict, scenario_from_dict
 from relaytomo.errors import DomainError, GeometryError, MeasurementError
 from relaytomo.geometry import Point, RelayRegion, dist, sample_relays
 from relaytomo.measurement import (
@@ -14,7 +17,6 @@ from relaytomo.measurement import (
     MeasurementSet,
     angle_bins,
     estimate_outage_capacity,
-    quantize_angle,
     read_measurements,
     read_relays,
     simulate_measurements,
@@ -111,6 +113,27 @@ class TestQuantileEstimator:
     def test_empty_rejected(self):
         with pytest.raises(MeasurementError):
             estimate_outage_capacity([], 0.01)
+        with pytest.raises(MeasurementError):
+            estimate_outage_capacity(np.zeros((3, 2, 0)), 0.01)
+
+    @pytest.mark.parametrize("n", [1, 2, 10, 101])
+    @pytest.mark.parametrize("p_out", [1e-300, 0.01, 0.5, 0.99, 1.0 - 2**-53])
+    def test_windows_along_last_axis_equal_scalar_calls(self, n, p_out):
+        # a (pairs, relays, observations) array, with ties and the clamps
+        # of p_out near 0 (the minimum) and near 1 (the maximum)
+        draws = RngStream(75).generator().exponential(size=(6, 4, n)).round(1)
+        got = estimate_outage_capacity(draws, p_out)
+        assert got.shape == (6, 4)
+        want = [[estimate_outage_capacity(window, p_out) for window in row] for row in draws]
+        assert got.tobytes() == np.array(want).tobytes()
+        if p_out == 1e-300:
+            assert np.array_equal(got, draws.min(axis=-1))
+        if p_out > 0.99:
+            assert np.array_equal(got, draws.max(axis=-1))
+
+    def test_one_window_gives_a_float(self):
+        assert type(estimate_outage_capacity(np.array([3.0, 1.0, 2.0]), 0.5)) is float
+        assert type(estimate_outage_capacity([2.5], 0.01)) is float
 
 
 class TestNetwork:
@@ -130,6 +153,48 @@ class TestNetwork:
     def test_ordered_pairs_enumeration(self):
         net = three_node_net()
         assert net.ordered_pairs() == [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)]
+
+    def test_pair_tables(self):
+        net = MeasurementNetwork(three_node_net().nodes + (Point(CX, -60.0),), 0.1, REGION)
+        rows = net.ordered_pairs()
+        assert net.pairs == ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+        assert [rows[k] for k in net.pair_rows] == list(net.pairs)
+        assert [net.pairs[k] for k in net.pair_of_row] == [tuple(sorted(pair)) for pair in rows]
+        assert net.receivers.tolist() == [q2 for _, q2 in rows]
+        assert all(net.row_of[pair] == k for k, pair in enumerate(rows))
+
+    def test_table_is_the_scalar_geometry(self):
+        net = three_node_net()
+        points = sample_relays(REGION, 50, RngStream(76))
+        d, angle = net.table(points)
+        for l, p in enumerate(points):
+            for q, node in enumerate(net.nodes):
+                assert d[l, q] == dist(p, node)
+                assert angle[l, q] == oracles.node_angle(net, q, p)
+        d, angle = net.table([])
+        assert d.shape == angle.shape == (0, 3)
+
+    def test_lattice_bins_match_scalar_bins(self):
+        net = three_node_net()
+        x, y = REGION.sample_xy(RngStream(77), 2000)
+        bins = net.lattice_bins(x.reshape(40, 50), y.reshape(40, 50))
+        assert bins.shape == (3, 40, 50) and bins.dtype == np.int32
+        for q in range(3):
+            want = [quantize_angle(oracles.node_angle(net, q, Point(px, py)), net.resolution)[0]
+                    for px, py in zip(x.tolist(), y.tolist())]
+            assert bins[q].ravel().tolist() == want
+
+    def test_rejects_resolution_whose_bins_overflow_int32(self):
+        nodes = three_node_net().nodes
+        for resolution in (math.radians(1e-8), math.pi / (2**31 - 1)):
+            with pytest.raises(DomainError, match="32-bit"):
+                MeasurementNetwork(nodes, resolution, REGION)
+        # the finest resolution accepted bins every angle localize_all
+        # admits, up to pi plus half a bin, inside int32
+        net = MeasurementNetwork(nodes, math.pi / (2**31 - 2), REGION)
+        edge = math.pi + net.resolution / 2
+        bins = angle_bins(np.array([-edge, -math.pi, math.pi, edge]), net.resolution)
+        assert bins.tolist() == [-(2**31 - 1), -(2**31 - 2), 2**31 - 2, 2**31 - 1]
 
 
 class TestSimulate:
@@ -197,6 +262,39 @@ class TestSimulate:
             for l in range(ms.n_relays):
                 assert cut.cap_est[p_idx, l] == estimate_outage_capacity(
                     ms.raw[p_idx, l, :4], PARAMS.outage_prob)
+
+
+def assert_same_bits(got: MeasurementSet, want: MeasurementSet) -> None:
+    assert got.pairs == want.pairs
+    for field in ("aoa", "cap_est", "raw"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestSimulatorOracle:
+    """`simulate_measurements` equals the path-by-path protocol bit for bit."""
+
+    @pytest.mark.parametrize("m", [1.0, 2.5])
+    def test_reference_scene(self, m):
+        raw = default_config_dict()
+        raw["channel"]["nakagami_m"] = m
+        cfg = scenario_from_dict(raw)
+        net, params = cfg.network(), cfg.channel_params()
+        relays = sample_relays(cfg.region(), cfg.relays, cfg.rng().child(0))
+        args = (net, relays, params, cfg.observations)
+        assert_same_bits(simulate_measurements(*args, cfg.rng().child(1)),
+                         oracles.simulate_measurements(*args, cfg.rng().child(1)))
+
+    @pytest.mark.parametrize("n_relays, observations", [(12, 10), (0, 5), (7, 1)],
+                             ids=["four_nodes", "no_relays", "one_observation"])
+    def test_four_node_network(self, n_relays, observations):
+        net = MeasurementNetwork(three_node_net(60.0).nodes + (Point(CX, -60.0),),
+                                 math.radians(2.0), REGION)
+        relays = sample_relays(REGION, n_relays, RngStream(78))
+        args = (net, relays, PARAMS, observations)
+        got = simulate_measurements(*args, RngStream(79))
+        assert_same_bits(got, oracles.simulate_measurements(*args, RngStream(79)))
+        assert got.aoa.shape == (12, n_relays)
 
 
 class TestSerialization:

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from oracles import quantize_angle
 from relaytomo.channel import ChannelParams, HopPair, capacity_log_pdf, outage_capacity
 from relaytomo.config import default_config_dict, scenario_from_dict
 from relaytomo.errors import DomainError, LocalizationError
@@ -11,7 +12,6 @@ from relaytomo.geometry import CellGrid, Point, RelayRegion, dist, sample_relays
 from relaytomo.measurement import (
     MeasurementNetwork,
     MeasurementSet,
-    quantize_angle,
     simulate_measurements,
 )
 from relaytomo.numerics import RngStream
@@ -527,6 +527,21 @@ class TestLocalizeAll:
             write_report(res, path)
             paths.append(path)
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    @pytest.mark.parametrize("mode", ["argmin", "msprt"])
+    def test_window_cuts_the_set_in_both_modes(self, mode):
+        # a 3-draw test window reads what the set's first 3 draws hold,
+        # argmin's outage estimates re-made from them
+        tomo = TomographyConfig(cell_side=CFG.cell_side_m, mode=mode)
+        short, full = MsprtConfig(max_observations=3), MsprtConfig(max_observations=10)
+        changed = 0
+        for seed in range(140, 146):
+            ms = synthetic_set(sample_relays(REGION, 5, RngStream(seed)), seed=seed + 100)
+            cut = ms.first_observations(3, PARAMS.outage_prob)
+            got = repr(localize_all(ms, NET, GRID, PARAMS, tomo, short))
+            assert got == repr(localize_all(cut, NET, GRID, PARAMS, tomo, short))
+            changed += got != repr(localize_all(ms, NET, GRID, PARAMS, tomo, full))
+        assert changed
 
     def test_scoring_summary(self):
         relays = sample_relays(REGION, 5, RngStream(93))

@@ -1,7 +1,10 @@
 """The benchmark's tracer against the current library: every name it binds
-must exist, and uninstalling it must put every original back."""
+must exist, and uninstalling it must put every original back.  The
+in-process workloads' traced runs, at their tiny size, must fail no
+operation and report every per-layer metric the benchmark declares."""
 
 import importlib
+import json
 import sys
 from pathlib import Path
 
@@ -48,3 +51,14 @@ def test_install_and_uninstall(tracing):
     restored = library_bindings()
     assert restored.keys() == originals.keys()
     assert all(restored[key] is value for key, value in originals.items())
+
+
+@pytest.mark.parametrize("workload", ["sweep", "scaled"])
+def test_tiny_traced_run_reports_every_layer(tracing, tmp_path, workload):
+    inverse = importlib.import_module("inverse")
+    spec = json.loads((PERFBENCH.parent / "BENCHMARK.json").read_text())
+    dump = tmp_path / "spans.json"
+    out = inverse.trace(workload, 0, True, dump)
+    assert out.failed == 0 and out.attempted > 0, out.problems
+    assert {m["name"] for m in spec["per_layer"]} <= out.metrics.keys()
+    assert json.loads(dump.read_text())["spans"]
