@@ -27,7 +27,7 @@ import numpy as np
 from .errors import DomainError
 from .numerics import RngStream, log_upper_gamma
 
-_LN4 = math.log(4.0)
+LN4 = math.log(4.0)
 # steps of the outage solve before it gives up; a path takes 1 to 8 for
 # shapes from 0.1 to 1000
 _MAX_STEPS = 100
@@ -92,8 +92,8 @@ class HopPair:
             raise DomainError(f"hop distances must be positive, got ({self.d_sr}, {self.d_rd})")
 
 
-def _rho_scales(hops: HopPair, params: ChannelParams) -> tuple[float, float]:
-    # rho_i = scale_i * (4^I - 1); scale_i = m / (SNR d_i^nu)
+def rho_scales(hops: HopPair, params: ChannelParams) -> tuple[float, float]:
+    """Each hop's scale s_k = m / (SNR d_k^nu), so that rho_k = s_k (4^I - 1)."""
     m, snr, nu = params.nakagami_m, params.snr, params.path_loss_exp
     return m / (snr * hops.d_sr**nu), m / (snr * hops.d_rd**nu)
 
@@ -103,8 +103,8 @@ def outage_cdf(i: float, hops: HopPair, params: ChannelParams) -> float:
     if i < 0.0:
         raise DomainError(f"spectral efficiency must be non-negative, got {i}")
     with np.errstate(over="ignore"):  # 4^i - 1 is inf past i ~ 512, where the cdf is 1
-        x = np.expm1(i * _LN4)
-    scales = np.array(_rho_scales(hops, params))
+        x = np.expm1(i * LN4)
+    scales = np.array(rho_scales(hops, params))
     log_q1, log_q2 = log_upper_gamma(params.nakagami_m, scales * x)[0]
     return float(0.0 - np.expm1(log_q1 + log_q2))  # +0, not -0, at i = 0
 
@@ -176,7 +176,7 @@ def outage_capacity_array(hops: HopPair, params: ChannelParams) -> np.ndarray:
             if finished:
                 out[ids[done]] = step[done]
                 if finished == n:
-                    return np.logaddexp(0.0, out).reshape(d.shape[1:]) / _LN4
+                    return np.logaddexp(0.0, out).reshape(d.shape[1:]) / LN4
                 keep = ~done
                 ids, step, lo, hi = ids[keep], step[keep], lo[keep], hi[keep]
                 u_max, log_s = u_max[keep], log_s[:, keep]
@@ -194,32 +194,37 @@ def capacity_log_pdf(i, hops: HopPair, params: ChannelParams):
 
     s_k u(rho_k) being hop k's hazard rate: u = g / Q(m, .), g the
     unit-scale gamma density rho^(m-1) e^-rho / Gamma(m).  u tends to 1 in
-    the tail and is exactly 1 for m = 1.  The log Q terms come from
-    `log_upper_gamma`, so the log density is -inf only where the
-    density is exactly 0 (at i = 0 for m > 1) or 4^I overflows (past
-    i ~ 512), never because a hop's Q is below the smallest float.
+    the tail and is exactly 1 for m = 1.  The log Q terms and u, as the
+    slope over rho, come from `log_upper_gamma`, so the log density is
+    -inf only where the density is exactly 0 (at i = 0 for m > 1) or 4^I
+    overflows (past i ~ 512), never because a hop's Q is below the
+    smallest float; it is +inf at i = 0 for m < 1.
     Broadcasts over the capacities i and the hop lengths of `hops`, and
     returns a float when every input is a scalar.
     """
     i = np.asarray(i, dtype=float)
     if np.any(i < 0.0):
         raise DomainError("spectral efficiency must be non-negative")
-    log_4i = i * _LN4
-    s1, s2 = _rho_scales(hops, params)
+    log_4i = i * LN4
+    s1, s2 = rho_scales(hops, params)
     m = params.nakagami_m
     # rho = 0 at i = 0, and rho = inf past i ~ 512, where 4^I overflows
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         x = np.expm1(log_4i)
         rho1, rho2 = s1 * x, s2 * x
-        log_q1, log_q2 = log_upper_gamma(m, rho1)[0], log_upper_gamma(m, rho2)[0]
+        (log_q1, slope1), (log_q2, slope2) = log_upper_gamma(m, rho1), log_upper_gamma(m, rho2)
         if m == 1.0:
             rate = s1 + s2
         else:
-            u1, u2 = (np.where(np.isposinf(rho), 1.0,  # u's limit, not inf - inf
-                               np.exp((m - 1.0) * np.log(rho) - rho - math.lgamma(m) - log_q))
-                      for rho, log_q in ((rho1, log_q1), (rho2, log_q2)))
+            u1, u2 = slope1 / rho1, slope2 / rho2
+            if np.isnan(u1).any() or np.isnan(u2).any():
+                # 0/0 at rho = 0, where u is 0 (m > 1) or inf (m < 1), and
+                # inf/inf at rho = inf, where u's limit is 1
+                at_zero = 0.0 if m > 1.0 else math.inf
+                u1, u2 = (np.where(rho == math.inf, 1.0, np.where(rho > 0.0, u, at_zero))
+                          for rho, u in ((rho1, u1), (rho2, u2)))
             rate = s1 * u1 + s2 * u2
-        out = math.log(_LN4) + np.log(rate) + log_4i + log_q1 + log_q2
+        out = math.log(LN4) + np.log(rate) + log_4i + log_q1 + log_q2
     return float(out) if out.ndim == 0 else out
 
 
@@ -262,7 +267,7 @@ def outage_solver_check(
     if params.nakagami_m == 1.0:
         # P(I) = 1 - exp(-(4^I - 1)(s1 + s2)) inverts in closed form; log1p
         # keeps the digits that forming 1 + (a tiny ratio) would lose
-        s1, s2 = _rho_scales(hops, params)
+        s1, s2 = rho_scales(hops, params)
         closed = 0.5 * math.log1p(-math.log1p(-params.outage_prob) / (s1 + s2)) / math.log(2.0)
     caps = sample_instant_capacity(hops, params, rng, size=n)
     return (solved, closed, float(np.quantile(caps, params.outage_prob)),

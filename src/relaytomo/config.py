@@ -21,7 +21,7 @@ from .geometry import (
     check_region_clear_of_baseline,
     discretize_region,
 )
-from .ias import AngularGrid, build_grid
+from .ias import MAX_GRID_CELLS, AngularGrid, build_grid
 from .measurement import MeasurementNetwork
 from .numerics import QuadratureSpec, RngStream
 from .tomography import MsprtConfig, TomographyConfig
@@ -242,8 +242,19 @@ def scenario_from_dict(raw: dict) -> ScenarioConfig:
 
 
 def validate_scenario(cfg: ScenarioConfig) -> None:
-    """Construct every domain object once so invariants fire at load time."""
+    """Construct every domain object once so invariants fire at load time.
+
+    The angular grid is built as its index ranges alone, and one of more
+    than MAX_GRID_CELLS cells is rejected before anything allocates it.
+    """
     try:
+        for key, value in (
+            ("grid.aod_resolution_deg", cfg.aod_resolution_deg),
+            ("grid.aoa_resolution_deg", cfg.aoa_resolution_deg),
+            ("grid.cell_side_m", cfg.cell_side_m),
+        ):
+            if not 0.0 < value < math.inf:
+                raise ConfigError(f"{key} must be positive and finite, got {value}")
         baseline = cfg.baseline()
         region = cfg.region()
         check_region_clear_of_baseline(region, baseline)
@@ -261,13 +272,12 @@ def validate_scenario(cfg: ScenarioConfig) -> None:
             raise ConfigError("experiment.observations must be at least 1")
         if cfg.seed < 0:
             raise ConfigError("experiment.seed must be non-negative")
-        for key, value in (
-            ("grid.aod_resolution_deg", cfg.aod_resolution_deg),
-            ("grid.aoa_resolution_deg", cfg.aoa_resolution_deg),
-            ("grid.cell_side_m", cfg.cell_side_m),
-        ):
-            if not 0.0 < value < math.inf:
-                raise ConfigError(f"{key} must be positive and finite, got {value}")
+        angular = cfg.angular_grid()
+        if angular.n_aod * angular.n_aoa > MAX_GRID_CELLS:
+            raise ConfigError(
+                f"grid.aod_resolution_deg and grid.aoa_resolution_deg make an angular grid of "
+                f"{angular.n_aod} x {angular.n_aoa} cells, more than the {MAX_GRID_CELLS:,} "
+                f"allowed")
     except ConfigError:
         raise
     except RelayTomoError as exc:

@@ -47,6 +47,7 @@ from .numerics import QuadratureSpec, RngStream, gauss_legendre
 
 SINGULAR_TOL = 1e-12
 DEFAULT_MASS_FLOOR = 1e-12
+MAX_GRID_CELLS = 100_000  # angular cells a scenario may ask `discrete_ias` for
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,13 @@ observations (`angle_likelihood`, the share of each cell's footprint that
 quantizes into every measured bin, as the simulator quantizes the relay's
 own position).  Every result of `localize_all` reports its capacity
 residual and its angle residual, computed for all relays in one step.
+
+The test's evidence is the capacity log-density of each observation,
+summed over the unordered pairs.  Under Rayleigh fading (Nakagami m = 1)
+X = 4^I - 1 is exponential with a rate per (cell, pair), so the evidence
+reduces to per-relay sums of I and a (cells x pairs) @ (pairs x
+observations) product of rates and X, with no incomplete gamma; every
+other m evaluates `capacity_log_pdf` per (cell, pair, observation).
 """
 
 from __future__ import annotations
@@ -30,7 +37,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .channel import ChannelParams, HopPair, capacity_log_pdf, outage_capacity_array
+from .channel import (
+    LN4,
+    ChannelParams,
+    HopPair,
+    capacity_log_pdf,
+    outage_capacity_array,
+    rho_scales,
+)
 from .errors import DomainError, LocalizationError, MeasurementError
 from .geometry import CellGrid, Point, dist
 from .measurement import MeasurementNetwork, MeasurementSet, angle_bins
@@ -145,8 +159,12 @@ def feasible_cells(
 
 def _measured_bins(ms: MeasurementSet, relay: int, net: MeasurementNetwork):
     # the receiving node of each row of ms, and the bin of the relay's angle there
-    receivers = net.receivers[[net.row_of[pair] for pair in ms.pairs]]
-    return receivers, angle_bins(ms.aoa[:, relay], net.resolution)
+    try:
+        rows = [net.row_of[pair] for pair in ms.pairs]
+    except KeyError as exc:
+        raise MeasurementError(f"measured pair {exc.args[0]} is not an ordered pair of the "
+                               f"network's {len(net.nodes)} nodes") from None
+    return net.receivers[rows], angle_bins(ms.aoa[:, relay], net.resolution)
 
 
 class _Footprint:
@@ -248,18 +266,38 @@ def _capacity_residuals(net, grid, params, cells, cap_rows: np.ndarray) -> np.nd
 
 
 def _capacity_evidence(fp: _Footprint, groups, raws, params) -> list[np.ndarray]:
-    """Sequential-test evidence of several relays in one `capacity_log_pdf` call.
+    """Sequential-test evidence of several relays, summed over unordered pairs.
 
     groups[j] are relay j's candidate cells and raws[j] its observations,
     (unordered pairs, observations).  Returns per relay the log-density of
-    each observation under each candidate's center paths, (candidates,
-    unordered pairs, observations).
+    each observation under each candidate's center paths, summed over the
+    pairs: (candidates, observations).
+
+    At m = 1, X = 4^I - 1 is exponential with rate s1 + s2 (`rho_scales`),
+    so the sum is  sum_p log(ln4 rate[c, p]) + ln4 sum_p I[p, o]
+    - (rate @ X)[c, o]:  a constant per candidate, a term per observation
+    formed once per relay, and one product.  Every other shape sums
+    `capacity_log_pdf` of each (candidate, pair, observation), in one call
+    for all relays.
     """
     sizes = [len(g) for g in groups]
     d_sr, d_rd = fp.hop_lengths(np.concatenate(groups))
-    raw = np.repeat(np.stack(raws), sizes, axis=0)
-    log_pdf = capacity_log_pdf(raw, HopPair(d_sr[..., None], d_rd[..., None]), params)
-    return np.split(log_pdf, np.cumsum(sizes)[:-1])
+    raw = np.stack(raws)
+    if params.nakagami_m != 1.0:
+        raw = np.repeat(raw, sizes, axis=0)
+        log_pdf = capacity_log_pdf(raw, HopPair(d_sr[..., None], d_rd[..., None]), params)
+        return np.split(log_pdf.sum(axis=1), np.cumsum(sizes)[:-1])
+    if np.count_nonzero(raw < 0.0):
+        raise DomainError("spectral efficiency must be non-negative")
+    log_4i = raw * LN4
+    with np.errstate(over="ignore"):  # 4^I - 1 is inf past I ~ 512, where the density is 0
+        x = np.expm1(log_4i)
+    per_obs = log_4i.sum(axis=1)
+    rate = np.add(*rho_scales(HopPair(d_sr, d_rd), params))
+    per_cell = np.log(LN4 * rate).sum(axis=1)
+    ends = np.cumsum(sizes)
+    return [per_cell[end - k:end, None] + per_obs[j] - rate[end - k:end] @ x[j]
+            for j, (k, end) in enumerate(zip(sizes, ends))]
 
 
 def localize_argmin(
@@ -311,9 +349,10 @@ def msprt_localize(
     observation.  Ties break to the lowest cell index.  If an observation
     is impossible under every hypothesis, the result is the first
     candidate, flagged degenerate.  log_pdf, when given, is the test's
-    evidence as `_capacity_evidence` computes it from raw; `localize_all`
-    passes each relay its slice of one batched call.  The result's
-    residuals are 0; `localize_all` fills them in.
+    evidence as `_capacity_evidence` computes it from raw, (candidates,
+    observations); `localize_all` passes each relay its slice of one
+    batched call.  The result's residuals are 0; `localize_all` fills
+    them in.
     """
     if not candidates:
         raise LocalizationError("sequential test needs a non-empty candidate set")
@@ -332,7 +371,7 @@ def msprt_localize(
         fp = _footprint(net, grid)
         log_pdf, = _capacity_evidence(fp, [candidates], [raw[fp.rows, :n_obs]], params)
     # column o: log likelihoods after o observations, summed in arrival order
-    cum = np.cumsum(np.concatenate((log_prior[:, None], log_pdf.sum(axis=1)), axis=1), axis=1)
+    cum = np.cumsum(np.concatenate((log_prior[:, None], log_pdf), axis=1), axis=1)
     log_lik = cum[:, 1:]
 
     impossible = ~np.isfinite(log_lik).any(axis=0)

@@ -343,6 +343,14 @@ class TestCapacityPdf:
         got = capacity_log_pdf(np.array([600.0, 1.0]), HopPair(50.0, 60.0), params)
         assert got[0] == -math.inf and np.isfinite(got[1])
 
+    @pytest.mark.parametrize("m, edge", [(0.5, math.inf), (2.5, -math.inf)])
+    def test_log_pdf_at_zero_capacity(self, m, edge):
+        # the hazard u is slope / rho = 0/0 at i = 0: the density there is
+        # infinite for m < 1 and 0 for m > 1, never nan
+        params = ChannelParams(1000.0, m, -3.0, 0.01)
+        got = capacity_log_pdf(np.array([0.0, 1.0]), HopPair(50.0, 60.0), params)
+        assert got[0] == edge and np.isfinite(got[1])
+
     def test_log_pdf_scalar_inputs_give_float(self):
         assert isinstance(capacity_log_pdf(0.3, REF_HOPS, REF_PARAMS), float)
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from relaytomo import config
 from relaytomo.cli import main
 from relaytomo.config import (
     default_config_dict,
@@ -16,6 +17,7 @@ from relaytomo.config import (
     write_config,
 )
 from relaytomo.errors import ConfigError
+from relaytomo.ias import MAX_GRID_CELLS
 from relaytomo.measurement import estimate_outage_capacity
 
 
@@ -76,6 +78,23 @@ class TestConfig:
         raw = default_config_dict()
         raw["geometry"]["region_center"] = [50.0, 10.0]  # touches the baseline
         with pytest.raises(ConfigError):
+            scenario_from_dict(raw)
+
+    @pytest.mark.parametrize("key", ["aod_resolution_deg", "aoa_resolution_deg"])
+    def test_angular_grid_bounded_by_its_index_ranges(self, monkeypatch, key):
+        # the reference grid has 7 x 7 cells; the bound reads the index
+        # ranges alone, so a 1e-6 deg grid (about 330M cells) is never built
+        grid = scenario_from_dict(default_config_dict()).angular_grid()
+        assert grid.n_aod * grid.n_aoa == 49
+        monkeypatch.setattr(config, "MAX_GRID_CELLS", 49)
+        scenario_from_dict(default_config_dict())
+        monkeypatch.setattr(config, "MAX_GRID_CELLS", 48)
+        with pytest.raises(ConfigError, match="grid.aod_resolution_deg and grid.aoa_resolution_deg"):
+            scenario_from_dict(default_config_dict())
+        monkeypatch.undo()
+        raw = default_config_dict()
+        raw["grid"][key] = 1e-6
+        with pytest.raises(ConfigError, match=f"more than the {MAX_GRID_CELLS:,} allowed"):
             scenario_from_dict(raw)
 
 
@@ -328,11 +347,14 @@ class TestExitCodes:
         ("experiment", "relays", "5"), ("experiment", "seed", "7"),
         ("experiment", "msprt_error", "0.05"), ("geometry", "source", "12"),
         ("geometry", "nodes", [["1", "2"]] + default_config_dict()["geometry"]["nodes"][1:]),
-        ("grid", "node_resolution_deg", 1e-8),
+        ("grid", "node_resolution_deg", 1e-8), ("grid", "cell_side_m", 0.0),
+        ("grid", "cell_side_m", -5.0), ("grid", "aod_resolution_deg", 1e-6),
+        ("grid", "aoa_resolution_deg", 1e-6),
     ], ids=["snr_nan", "snr_inf", "nakagami_nan", "node_resolution_nan", "cell_side_nan",
             "msprt_error_nan", "seed_negative", "observations_fraction", "relays_bool",
             "quad_order_fraction", "snr_bool", "snr_string", "relays_string", "seed_string",
-            "msprt_error_string", "source_string", "node_strings", "node_resolution_int32"])
+            "msprt_error_string", "source_string", "node_strings", "node_resolution_int32",
+            "cell_side_zero", "cell_side_negative", "aod_grid_too_fine", "aoa_grid_too_fine"])
     def test_non_finite_config_number_is_2(self, tmp_path, capsys, section, key, value):
         raw = default_config_dict()
         raw[section][key] = value

@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from oracles import quantize_angle
 from relaytomo.channel import ChannelParams, HopPair, capacity_log_pdf, outage_capacity
 from relaytomo.config import default_config_dict, scenario_from_dict
-from relaytomo.errors import DomainError, LocalizationError
+from relaytomo.errors import DomainError, LocalizationError, MeasurementError
 from relaytomo.geometry import CellGrid, Point, RelayRegion, dist, sample_relays
 from relaytomo.measurement import (
     MeasurementNetwork,
@@ -232,6 +233,13 @@ class TestAngleLikelihood:
         ms = MeasurementSet(ms_full.pairs, aoa, ms_full.cap_est, ms_full.raw)
         support, shares = angle_likelihood(ms, 0, NET, GRID)
         assert support == [] and shares.size == 0
+
+    @pytest.mark.parametrize("solve", [angle_likelihood, feasible_cells])
+    def test_foreign_pair_names_it(self, solve):
+        ms = synthetic_set(sample_relays(REGION, 1, RngStream(82)))
+        foreign = MeasurementSet(((0, 5),) + ms.pairs[1:], ms.aoa, ms.cap_est, ms.raw)
+        with pytest.raises(MeasurementError, match=r"measured pair \(0, 5\)"):
+            solve(foreign, 0, NET, GRID)
 
 
 class TestArgmin:
@@ -649,6 +657,83 @@ class TestCapacityColumn:
         assert len(localized) >= 6
         for r in localized:
             assert (r.e_angle, r.e_capacity) == residuals_oracle(ms, r.relay, r.cell_index, net)
+
+
+class TestEvidence:
+    """The sequential test's evidence, summed over unordered pairs."""
+
+    @pytest.mark.parametrize("snr_db, nu", [(30.0, -3.0), (10.0, -2.0), (45.0, -4.0)])
+    def test_m1_sufficient_statistics_equal_summed_log_pdf(self, snr_db, nu):
+        # random hops and draws, with i = 0 and i = 600 (past 4^I's overflow,
+        # where the density is 0: -inf, not nan) in every row
+        params = ChannelParams.from_db(snr_db, 1.0, nu, 0.01)
+        gen = RngStream(150, (int(snr_db), int(-nu))).generator()
+        n_cells, n_pairs, n_obs = 40, 3, 30
+        d_sr, d_rd = gen.uniform(2.0, 120.0, (2, n_cells, n_pairs))
+        fp = SimpleNamespace(hop_lengths=lambda cells: (d_sr[cells], d_rd[cells]))
+        groups = [[0, 3, 7], list(range(8, 40)), [2]]
+        raws = [gen.exponential(0.3, (n_pairs, n_obs)) for _ in groups]
+        for raw in raws:
+            raw[:, 0] = 0.0
+            raw[1, 1] = 600.0
+        got = tomography._capacity_evidence(fp, groups, raws, params)
+        for cells, raw, evidence in zip(groups, raws, got):
+            hops = HopPair(d_sr[cells][..., None], d_rd[cells][..., None])
+            want = capacity_log_pdf(raw, hops, params).sum(axis=1)
+            assert evidence.shape == want.shape == (len(cells), n_obs)
+            assert np.all(evidence[:, 1] == -math.inf)
+            finite = np.isfinite(want)
+            assert finite.sum() == len(cells) * (n_obs - 1)
+            np.testing.assert_allclose(evidence[finite], want[finite], rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("m", [0.5, 2.5])
+    def test_other_shapes_sum_log_pdf(self, m):
+        params = replace(PARAMS, nakagami_m=m)
+        fp = tomography._footprint(NET, GRID)
+        raw = RngStream(151).generator().exponential(0.3, (len(NET.pairs), 10))
+        cells = [4, 50, 51, 200]
+        evidence, = tomography._capacity_evidence(fp, [cells], [raw], params)
+        d_sr, d_rd = fp.hop_lengths(cells)
+        want = capacity_log_pdf(raw, HopPair(d_sr[..., None], d_rd[..., None]), params)
+        assert np.array_equal(evidence, want.sum(axis=1))
+
+    def test_negative_capacity_rejected(self):
+        raw = np.full((len(NET.pairs), 2), 0.5)
+        raw[1, 1] = -0.1
+        with pytest.raises(DomainError, match="non-negative"):
+            msprt_localize([5, 9], raw[NET.pair_of_row], NET, GRID, PARAMS, MsprtConfig())
+
+    @pytest.mark.parametrize("scale", ["reference", "scaled"])
+    def test_decisions_equal_oracle_evidence(self, scale):
+        # localize_all against msprt_localize fed the summed per-element
+        # density: criterion 5's 20 scenes, or one relay of 100 observations
+        # on 1 m cells
+        if scale == "reference":
+            grid, seeds, n_relays, n_obs = GRID, range(20), 5, 10
+        else:
+            grid, seeds, n_relays, n_obs = replace(CFG, cell_side_m=1.0).cell_grid(), [0], 1, 100
+        fp = tomography._footprint(NET, grid)
+        cfg = MsprtConfig(max_observations=n_obs)
+        tomo = TomographyConfig(cell_side=grid.cell_side, mode="msprt")
+        tested = 0
+        for seed in seeds:
+            rng = RngStream(seed)
+            ms = simulate_measurements(NET, sample_relays(REGION, n_relays, rng.child(0)),
+                                       PARAMS, n_obs, rng.child(1))
+            got = localize_all(ms, NET, grid, PARAMS, tomo, cfg)
+            for l, res in enumerate(got):
+                candidates, weights = angle_likelihood(ms, l, NET, grid)
+                if len(candidates) < 2:
+                    continue
+                d_sr, d_rd = fp.hop_lengths(candidates)
+                log_pdf = capacity_log_pdf(ms.raw[fp.rows, l],
+                                           HopPair(d_sr[..., None], d_rd[..., None]), PARAMS)
+                want = msprt_localize(candidates, ms.raw[:, l], NET, grid, PARAMS, cfg, relay=l,
+                                      angle_weights=weights, log_pdf=log_pdf.sum(axis=1))
+                decision = (res.cell_index, res.kind, res.stopped_at, res.n_candidates)
+                assert decision == (want.cell_index, want.kind, want.stopped_at, want.n_candidates)
+                tested += 1
+        assert tested >= (50 if scale == "reference" else 1)
 
 
 def mixed_scene() -> tuple[MeasurementSet, list]:
