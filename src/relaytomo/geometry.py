@@ -92,9 +92,6 @@ class RelayRegion:
         if not (self.radius > 0.0 and math.isfinite(self.radius)):
             raise GeometryError(f"region radius must be positive, got {self.radius}")
 
-    def contains(self, p: Point) -> bool:
-        return dist(p, self.center) <= self.radius
-
     def density_at(self, x: float, y: float) -> float:
         """The uniform density of relay positions at (x, y); 0 outside the disc."""
         if math.hypot(x - self.center.x, y - self.center.y) > self.radius:
@@ -123,37 +120,37 @@ class RelayRegion:
 
 @dataclass(frozen=True)
 class CellGrid:
-    """Row-major ordered centers of square cells covering a region."""
+    """Square cells of side `cell_side` tiling a region's bounding box, kept
+    where their center lies in the region disc.  A value: its fields alone
+    hash and compare it."""
 
-    cells: tuple[Point, ...]
+    region: RelayRegion
     cell_side: float
 
     def __post_init__(self) -> None:
-        if len(self.cells) < 1:
-            raise EmptyGridError("cell grid must contain at least one cell")
-        if self.cell_side <= 0.0:
-            raise GeometryError(f"cell side must be positive, got {self.cell_side}")
-
-    # a grid is a cache key (see tomography): hash its thousands of cells
-    # once, which the frozen fields allow, and compare equal grids as arrays
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CellGrid):
-            return NotImplemented
-        return self is other or (self._hash == other._hash
-                                 and self.cell_side == other.cell_side
-                                 and np.array_equal(self.xy, other.xy))
-
-    @cached_property
-    def _hash(self) -> int:
-        return hash((self.cells, self.cell_side))
+        if not 0.0 < self.cell_side < math.inf:
+            raise DomainError(f"cell side must be positive and finite, got {self.cell_side}")
+        if not len(self.xy):
+            raise EmptyGridError(
+                f"cell side {self.cell_side} m leaves no cell center inside the region")
 
     @cached_property
     def xy(self) -> np.ndarray:
-        """The cell centers as a (cells, 2) array."""
-        return np.array([(c.x, c.y) for c in self.cells])
+        """The cell centers, row-major over the bounding box, as a read-only (cells, 2) array."""
+        x0, x1, y0, y1 = self.region.bounding_box()
+        side, c = self.cell_side, self.region.center
+        xs = x0 + (np.arange(max(1, math.ceil((x1 - x0) / side))) + 0.5) * side
+        ys = y0 + (np.arange(max(1, math.ceil((y1 - y0) / side))) + 0.5) * side
+        x, y = np.meshgrid(xs, ys)
+        inside = np.hypot(x - c.x, y - c.y) <= self.region.radius
+        xy = np.column_stack((x[inside], y[inside]))
+        xy.flags.writeable = False
+        return xy
+
+    @cached_property
+    def cells(self) -> tuple[Point, ...]:
+        """The cell centers as points."""
+        return tuple(Point(x, y) for x, y in self.xy.tolist())
 
 
 def _unit(dx: float, dy: float) -> tuple[float, float]:
@@ -280,25 +277,8 @@ def check_region_clear_of_baseline(region: RelayRegion, baseline: Baseline) -> N
 
 
 def discretize_region(region: RelayRegion, cell_side: float) -> CellGrid:
-    """Square-cell centers inside the region, row-major over its bounding box."""
-    if cell_side <= 0.0:
-        raise DomainError(f"cell side must be positive, got {cell_side}")
-    x0, x1, y0, y1 = region.bounding_box()
-    nx = max(1, math.ceil((x1 - x0) / cell_side))
-    ny = max(1, math.ceil((y1 - y0) / cell_side))
-    centers = []
-    for iy in range(ny):
-        cy = y0 + (iy + 0.5) * cell_side
-        for ix in range(nx):
-            cx = x0 + (ix + 0.5) * cell_side
-            p = Point(cx, cy)
-            if region.contains(p):
-                centers.append(p)
-    if not centers:
-        raise EmptyGridError(
-            f"cell side {cell_side} m leaves no cell center inside the region"
-        )
-    return CellGrid(tuple(centers), cell_side)
+    """The square-cell grid of the region (`CellGrid`)."""
+    return CellGrid(region, cell_side)
 
 
 def angular_span(

@@ -91,17 +91,17 @@ class MeasurementNetwork:
         # each node's unit reference ray, toward the region center
         return [_unit(self.region.center.x - n.x, self.region.center.y - n.y) for n in self.nodes]
 
-    def node_angle(self, q: int, p: Point) -> float:
-        """Signed angle of p from node q's reference ray (toward region center)."""
-        node = self.nodes[q]
-        return signed_angle(*self._refs[q], p.x - node.x, p.y - node.y)
-
-    def table(self, points) -> tuple[np.ndarray, np.ndarray]:
-        """Distance and angle of each point at each node, (points, nodes) each, from
-        `dist` and `node_angle`: numpy's hypot and arctan2 round some one ulp apart."""
-        shape = (len(points), self.n_nodes)
-        d = [dist(node, p) for p in points for node in self.nodes]
-        a = [self.node_angle(q, p) for p in points for q in range(self.n_nodes)]
+    def table(self, xy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Distance and signed angle from the reference ray of each point of xy,
+        (points, 2), at each node, (points, nodes) each, on the math module's
+        hypot and atan2: numpy's round some one ulp apart."""
+        d, a = [], []
+        for x, y in xy.tolist():
+            for node, (rx, ry) in zip(self.nodes, self._refs):
+                dx, dy = x - node.x, y - node.y
+                d.append(math.hypot(dx, dy))
+                a.append(signed_angle(rx, ry, dx, dy))
+        shape = (len(xy), self.n_nodes)
         return np.reshape(d, shape), np.reshape(a, shape)
 
     def lattice_bins(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -214,7 +214,7 @@ def simulate_measurements(
     """
     if observations < 1:
         raise DomainError(f"need at least one observation, got {observations}")
-    d, angle = net.table(relays)
+    d, angle = net.table(np.array([(p.x, p.y) for p in relays]).reshape(-1, 2))
     raw = np.zeros((len(net.pairs), len(relays), observations))
     for k, (lo, hi) in enumerate(net.pairs):
         for l in range(len(relays)):
@@ -294,8 +294,15 @@ def read_measurements(path) -> MeasurementSet:
             records[key] = record
     if not records:
         raise MeasurementError(f"no measurement records found in {path}")
-    pairs = list(dict.fromkeys(key[:2] for key in records))
+    held = {}
+    for q1, q2, l in records:
+        held.setdefault((q1, q2), set()).add(l)
+    pairs = list(held)
     n_relays = max(l for _, _, l in records) + 1
+    for (q1, q2), relays in held.items():
+        if len(relays) < n_relays:  # the least index missing is at most len(relays)
+            missing = min(set(range(len(relays) + 1)) - relays)
+            raise MeasurementError(f"{path}: pair ({q1}, {q2}) has no record of relay {missing}")
     first_line, _, _, first_obs = next(iter(records.values()))
     n_obs = len(first_obs)
     aoa = np.zeros((len(pairs), n_relays))
@@ -303,9 +310,6 @@ def read_measurements(path) -> MeasurementSet:
     raw = np.zeros((len(pairs), n_relays, n_obs))
     for p_idx, (q1, q2) in enumerate(pairs):
         for l in range(n_relays):
-            if (q1, q2, l) not in records:
-                raise MeasurementError(
-                    f"{path}: pair ({q1}, {q2}) has no record of relay {l}")
             lineno, aoa[p_idx, l], cap_est[p_idx, l], obs = records[(q1, q2, l)]
             if len(obs) != n_obs:
                 raise MeasurementError(f"{path}, line {lineno}: {len(obs)} observations, "

@@ -180,7 +180,7 @@ class _Footprint:
     """
 
     def __init__(self, net: MeasurementNetwork, grid: CellGrid) -> None:
-        self.dist, self.angle = net.table(grid.cells)
+        self.dist, self.angle = net.table(grid.xy)
         self.center_bins = angle_bins(self.angle, net.resolution)
         self.rows = net.pair_rows
         self.tx, self.rx = np.array(net.pairs).T
@@ -225,7 +225,7 @@ def angle_likelihood(
     fp = _footprint(net, grid)
     receivers, bins = _measured_bins(ms, relay, net)
     measured = sorted(set(zip(receivers.tolist(), bins.tolist())))
-    reach = np.ones(len(grid.cells), dtype=bool)
+    reach = np.ones(len(grid.xy), dtype=bool)
     for q, b in measured:
         reach &= (fp.lo[q] <= b) & (b <= fp.hi[q])
     cells = np.flatnonzero(reach)
@@ -318,9 +318,8 @@ def localize_argmin(
     errs = _capacity_residuals(net, grid, params, candidates, cap_row)
     best = int(np.argmin(errs))
     w = candidates[best]
-    return LocalizationResult(
-        relay, w, grid.cells[w], len(candidates), KIND_ARGMIN, 0.0, float(errs[best]), 0
-    )
+    return LocalizationResult(relay, w, Point(*grid.xy[w].tolist()), len(candidates),
+                              KIND_ARGMIN, 0.0, float(errs[best]), 0)
 
 
 def msprt_localize(
@@ -416,7 +415,7 @@ def _decision(relay, candidates, best_pos, kind, stopped, grid,
               degenerate=False) -> LocalizationResult:
     w = candidates[best_pos]
     return LocalizationResult(
-        relay, w, grid.cells[w], len(candidates), kind, 0.0, 0.0, stopped, degenerate
+        relay, w, Point(*grid.xy[w].tolist()), len(candidates), kind, 0.0, 0.0, stopped, degenerate
     )
 
 

@@ -7,7 +7,8 @@ forms, finite past that underflow.  `outage_capacity` is scipy's root of
 the outage equation in log space, and `solve_increasing_root` a plain
 bisection.  `simulate_measurements` is the probing protocol one path at a
 time, with `quantize_angle` and `quantile_estimate` its scalar quantizer
-and outage estimate.
+and outage estimate.  `cell_centers` is the square-cell discretization
+one cell at a time.
 """
 
 import math
@@ -19,7 +20,7 @@ import scipy.special
 
 from relaytomo.channel import ChannelParams, HopPair, sample_instant_capacity
 from relaytomo.errors import DomainError, MeasurementError, RelayTomoError
-from relaytomo.geometry import _unit, dist, signed_angle
+from relaytomo.geometry import Point, _unit, dist, signed_angle
 from relaytomo.measurement import MeasurementSet
 
 LN4 = math.log(4.0)
@@ -211,3 +212,19 @@ def simulate_measurements(net, relays, params: ChannelParams, observations: int,
                 cap_est[fwd, l] = cap_est[rev, l] = quantile_estimate(
                     raw[fwd, l], params.outage_prob)
     return MeasurementSet(tuple(pairs), aoa, cap_est, raw)
+
+
+def cell_centers(region, cell_side: float) -> np.ndarray:
+    """Centers of the square cells tiling the region's bounding box whose
+    center lies in the disc, row by row, as a (cells, 2) array."""
+    x0, x1, y0, y1 = region.bounding_box()
+    nx = max(1, math.ceil((x1 - x0) / cell_side))
+    ny = max(1, math.ceil((y1 - y0) / cell_side))
+    centers = []
+    for iy in range(ny):
+        cy = y0 + (iy + 0.5) * cell_side
+        for ix in range(nx):
+            cx = x0 + (ix + 0.5) * cell_side
+            if dist(Point(cx, cy), region.center) <= region.radius:
+                centers.append((cx, cy))
+    return np.array(centers).reshape(-1, 2)

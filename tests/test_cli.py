@@ -404,6 +404,18 @@ class TestExitCodes:
         assert main(["invert", str(bad), "--out", str(tmp_path / "o")]) == 3
         assert "pair (0, 1) has no record of relay 2" in capsys.readouterr().err
 
+    def test_huge_relay_index_is_3(self, reference_run, tmp_path, capsys):
+        # the gap is found before any matrix is sized by the largest index
+        sim, _ = reference_run
+        lines = (sim / "measurements.txt").read_text().splitlines()
+        k = next(n for n, line in enumerate(lines) if line.startswith("0 1 4 "))
+        lines[k] = f"0 1 {10**18} " + lines[k].split(" ", 3)[3]
+        bad = tmp_path / "huge_relay.txt"
+        bad.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["invert", str(bad), "--out", str(tmp_path / "o")]) == 3
+        assert f"{bad}: pair (0, 1) has no record of relay 4" in capsys.readouterr().err
+
     def test_observations_beyond_window_is_3(self, reference_run, tmp_path, capsys):
         sim, _ = reference_run
         measurements = str(sim / "measurements.txt")

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from relaytomo.errors import (
     DegenerateGeometryError,
+    DomainError,
     EmptyGridError,
     GeometryError,
 )
@@ -188,15 +190,43 @@ class TestDiscretize:
         with pytest.raises(EmptyGridError):
             discretize_region(RelayRegion(Point(0, 0), 1.0), 20.0)
 
+    @pytest.mark.parametrize("side", [0.0, -1.0, math.nan, math.inf])
+    def test_cell_side_must_be_positive_and_finite(self, side):
+        for build in (CellGrid, discretize_region):
+            with pytest.raises(DomainError, match="cell side must be positive and finite"):
+                build(REGION, side)
+
+    @pytest.mark.parametrize("side", [5.0, 2.5, 1.0])
+    def test_centers_are_the_scalar_loop_on_reference_grids(self, side):
+        grid = discretize_region(REGION, side)
+        assert grid.xy.tobytes() == oracles.cell_centers(REGION, side).tobytes()
+        assert grid.cells == tuple(Point(x, y) for x, y in grid.xy.tolist())
+
+    def test_centers_are_the_scalar_loop_on_random_regions(self):
+        rng = np.random.default_rng(17)
+        sizes = []
+        for _ in range(40):
+            region = RelayRegion(Point(*rng.uniform(-500.0, 500.0, 2)), rng.uniform(0.5, 60.0))
+            side = region.radius * 10 ** rng.uniform(-1.5, 0.6)
+            want = oracles.cell_centers(region, side)
+            sizes.append(len(want))
+            if not len(want):
+                with pytest.raises(EmptyGridError):
+                    CellGrid(region, side)
+                continue
+            assert CellGrid(region, side).xy.tobytes() == want.tobytes()
+        assert min(sizes) == 0 and max(sizes) > 2000
+
     def test_equality_is_by_value(self):
-        # grids key the solver's cache: value-equal grids must match there
-        grid, again = discretize_region(REGION, 5.0), discretize_region(REGION, 5.0)
+        # grids key the solver's cache: a grid is its region and cell side
+        grid = discretize_region(REGION, 5.0)
+        again = CellGrid(RelayRegion(Point(CX, 50.0), 40.0), 5)
         assert grid is not again and grid == again and hash(grid) == hash(again)
-        moved = CellGrid(grid.cells[:-1] + (Point(grid.cells[-1].x, 0.0),), 5.0)
-        assert grid != moved
-        assert grid != CellGrid(grid.cells[:-1], 5.0)
-        assert grid != CellGrid(grid.cells, 4.0)
+        assert grid != CellGrid(RelayRegion(Point(CX, 50.5), 40.0), 5.0)
+        assert grid != CellGrid(RelayRegion(REGION.center, 39.0), 5.0)
+        assert grid != CellGrid(REGION, 4.0)
         assert grid != grid.cells
+        assert not grid.xy.flags.writeable
 
 
 class TestAngularSpan:

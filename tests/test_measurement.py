@@ -166,12 +166,13 @@ class TestNetwork:
     def test_table_is_the_scalar_geometry(self):
         net = three_node_net()
         points = sample_relays(REGION, 50, RngStream(76))
-        d, angle = net.table(points)
+        d, angle = net.table(np.array([(p.x, p.y) for p in points]))
+        assert d.shape == angle.shape == (50, 3)
         for l, p in enumerate(points):
             for q, node in enumerate(net.nodes):
                 assert d[l, q] == dist(p, node)
                 assert angle[l, q] == oracles.node_angle(net, q, p)
-        d, angle = net.table([])
+        d, angle = net.table(np.empty((0, 2)))
         assert d.shape == angle.shape == (0, 3)
 
     def test_lattice_bins_match_scalar_bins(self):

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from oracles import quantize_angle
+from oracles import node_angle, quantize_angle
 from relaytomo.channel import ChannelParams, HopPair, capacity_log_pdf, outage_capacity
 from relaytomo.config import default_config_dict, scenario_from_dict
 from relaytomo.errors import DomainError, LocalizationError, MeasurementError
@@ -106,7 +106,7 @@ def l2_oracle(values) -> float:
 def residuals_oracle(ms, relay, w, net=NET) -> tuple[float, float]:
     """(e_angle, e_capacity) of cell w against relay's rows of ms, by scalar solves."""
     cell = GRID.cells[w]
-    e_angle = l2_oracle(float(ms.aoa[p, relay]) - net.node_angle(q2, cell)
+    e_angle = l2_oracle(float(ms.aoa[p, relay]) - node_angle(net, q2, cell)
                         for p, (_, q2) in enumerate(ms.pairs))
     e_capacity = l2_oracle(
         float(ms.cap_est[p, relay])
@@ -127,7 +127,7 @@ class TestFeasibleCells:
         q2 = ms.pairs[0][1]
         measured_bin = quantize_angle(float(ms.aoa[0, 0]), NET.resolution)[0]
         for w in cand:
-            predicted = NET.node_angle(q2, GRID.cells[w])
+            predicted = node_angle(NET, q2, GRID.cells[w])
             assert quantize_angle(predicted, NET.resolution)[0] == measured_bin
 
     def test_matches_per_cell_oracle(self):
@@ -140,7 +140,7 @@ class TestFeasibleCells:
             bins = [(q2, quantize_angle(float(ms.aoa[p_idx, l]), NET.resolution)[0])
                     for p_idx, (_, q2) in enumerate(ms.pairs)]
             want = [w for w, cell in enumerate(GRID.cells)
-                    if all(quantize_angle(NET.node_angle(q2, cell), NET.resolution)[0] == b
+                    if all(quantize_angle(node_angle(NET, q2, cell), NET.resolution)[0] == b
                            for q2, b in bins)]
             assert feasible_cells(ms, l, NET, GRID) == want
             nonempty += bool(want)
@@ -167,8 +167,8 @@ class TestFeasibleCells:
             for l, relay in enumerate(relays):
                 w = true_cell_of(relay)
                 same_bins = all(
-                    quantize_angle(NET.node_angle(q, relay), NET.resolution)[0]
-                    == quantize_angle(NET.node_angle(q, GRID.cells[w]), NET.resolution)[0]
+                    quantize_angle(node_angle(NET, q, relay), NET.resolution)[0]
+                    == quantize_angle(node_angle(NET, q, GRID.cells[w]), NET.resolution)[0]
                     for q in range(NET.n_nodes)
                 )
                 if same_bins:
@@ -217,8 +217,8 @@ class TestAngleLikelihood:
         for w, share in zip(support, shares):
             c = GRID.cells[w]
             hits = sum(
-                REGION.contains(p) and all(
-                    quantize_angle(NET.node_angle(q, p), NET.resolution)[0] == b
+                dist(p, REGION.center) <= REGION.radius and all(
+                    quantize_angle(node_angle(NET, q, p), NET.resolution)[0] == b
                     for q, b in bins.items())
                 for p in (Point(c.x + dx, c.y + dy) for dy in offsets for dx in offsets))
             assert share == hits / n**2
@@ -305,16 +305,20 @@ class TestMsprt:
         assert res.stopped_at == 0
 
     def test_mirror_symmetric_tie_breaks_low(self):
-        # every node on the x axis, candidate cells mirrored about it:
-        # identical hop distances mean identical likelihoods at every step
-        region = RelayRegion(Point(0.0, 60.0), 20.0)
-        nodes = (Point(-100.0, 0.0), Point(100.0, 0.0), Point(0.0, 0.0))
+        # every node on the x axis, and a region centered on it, so its grid
+        # is mirror-symmetric about the axis: a cell and its mirror image have
+        # identical hop distances, so identical likelihoods at every step
+        region = RelayRegion(Point(30.0, 0.0), 45.0)
+        nodes = (Point(-100.0, 0.0), Point(100.0, 0.0), Point(200.0, 0.0))
         net = MeasurementNetwork(nodes, math.radians(10), region)
-        grid = CellGrid((Point(30.0, 40.0), Point(30.0, -40.0)), 5.0)
+        grid = CellGrid(region, 5.0)
+        high = int(np.argmin(np.hypot(grid.xy[:, 0] - 30.0, grid.xy[:, 1] - 40.0)))
+        low, = np.flatnonzero((grid.xy == grid.xy[high] * (1.0, -1.0)).all(axis=1))
+        assert low < high
         raw = RngStream(83).generator().exponential(1e-4, size=(6, 8))
-        res = msprt_localize([0, 1], raw, net, grid, PARAMS,
+        res = msprt_localize([low, high], raw, net, grid, PARAMS,
                              MsprtConfig(error=0.01, max_observations=8))
-        assert res.cell_index == 0
+        assert res.cell_index == low
         assert res.kind == KIND_FORCED_MAP
 
     def test_prior_scaling_invariance(self):
@@ -333,22 +337,23 @@ class TestMsprt:
 
     def test_lower_error_never_stops_earlier(self):
         # well separated hypotheses so thresholds actually fire
-        cand_cells = CellGrid((Point(CX - 30.0, 30.0), Point(CX + 30.0, 70.0)), 5.0)
-        relay = Point(CX - 30.0, 30.0)
+        cand = [true_cell_of(Point(CX - 30.0, 30.0)), true_cell_of(Point(CX + 30.0, 70.0))]
+        relay = GRID.cells[cand[0]]
         ms = simulate_measurements(NET, [relay], PARAMS, 40, RngStream(86))
         stops = []
         for err in (0.05, 0.01, 1e-4):
-            res = msprt_localize([0, 1], ms.raw[:, 0, :], NET, cand_cells, PARAMS,
+            res = msprt_localize(cand, ms.raw[:, 0, :], NET, GRID, PARAMS,
                                  MsprtConfig(error=err, max_observations=40))
             stops.append(res.stopped_at)
         assert stops[0] <= stops[1] <= stops[2]
-        assert stops[0] >= 1
+        assert 1 <= stops[0] < stops[2]
 
     def test_evidence_gap_grows_with_observations(self):
         # log-likelihood margin of the true hypothesis is non-decreasing in
         # expectation; checked on the empirical mean over 200 seeds
-        cand_cells = CellGrid((Point(CX - 20.0, 40.0), Point(CX + 20.0, 60.0)), 5.0)
-        relay = Point(CX - 20.0, 40.0)
+        cand = [GRID.cells[true_cell_of(Point(CX - 20.0, 40.0))],
+                GRID.cells[true_cell_of(Point(CX + 20.0, 60.0))]]
+        relay = cand[0]
         n_obs = 15
         gaps = np.zeros(n_obs)
         n_seeds = 200
@@ -356,7 +361,7 @@ class TestMsprt:
         # hop lengths per (candidate, ordered pair), broadcast against the
         # (ordered pair, observation) draws
         d = np.array([[(dist(NET.nodes[q1], c), dist(c, NET.nodes[q2])) for q1, q2 in pairs]
-                      for c in cand_cells.cells])
+                      for c in cand])
         hops = HopPair(d[..., 0, None], d[..., 1, None])
         for seed in range(n_seeds):
             ms = simulate_measurements(NET, [relay], PARAMS, n_obs, RngStream(8700 + seed))
@@ -585,6 +590,24 @@ class TestCapacityColumn:
         assert not caps.flags.writeable
         with pytest.raises(ValueError):
             caps[0, 0] = 0.0
+
+    def test_fresh_equal_grid_reuses_the_cached_tables(self):
+        # a grid is its region and cell side: a new 1 m grid of the same
+        # region finds the first one's tables, and the solver never builds
+        # either grid's points
+        cfg = replace(CFG, cell_side_m=1.0)
+        grid, fresh = cfg.cell_grid(), cfg.cell_grid()
+        assert grid is not fresh and grid == fresh
+        ms = synthetic_set(sample_relays(REGION, 3, RngStream(130)), seed=131)
+        tomography._footprint.cache_clear()
+        cached = tomography._footprint(NET, grid)
+        for mode in ("msprt", "argmin"):
+            results = localize_all(ms, NET, fresh, PARAMS, TomographyConfig(1.0, mode),
+                                   cfg.msprt())
+            assert any(r.position is not None for r in results)
+        assert tomography._footprint(NET, fresh) is cached
+        assert tomography._footprint.cache_info().misses == 1
+        assert "cells" not in vars(grid) and "cells" not in vars(fresh)
 
     @pytest.mark.parametrize("mode", ["msprt", "argmin"])
     def test_results_do_not_depend_on_history(self, mode):
