@@ -18,6 +18,7 @@ from .geometry import (
     CellGrid,
     Point,
     RelayRegion,
+    box_shape,
     check_region_clear_of_baseline,
     discretize_region,
 )
@@ -246,12 +247,13 @@ def validate_scenario(cfg: ScenarioConfig) -> None:
 
     The angular grid is built as its index ranges alone, and one of more
     than MAX_GRID_CELLS cells is rejected before anything allocates it.
+    The cell grid is only counted (`box_shape`), never built: a side that
+    tiles the bounding box with more than MAX_BOX_CELLS cells is rejected.
     """
     try:
         for key, value in (
             ("grid.aod_resolution_deg", cfg.aod_resolution_deg),
             ("grid.aoa_resolution_deg", cfg.aoa_resolution_deg),
-            ("grid.cell_side_m", cfg.cell_side_m),
         ):
             if not 0.0 < value < math.inf:
                 raise ConfigError(f"{key} must be positive and finite, got {value}")
@@ -259,11 +261,13 @@ def validate_scenario(cfg: ScenarioConfig) -> None:
         region = cfg.region()
         check_region_clear_of_baseline(region, baseline)
         cfg.channel_params()
-        try:
-            cfg.network()
-        except DomainError as exc:
-            raise ConfigError(f"grid.node_resolution_deg: {exc}") from exc
-        cfg.quadrature()
+        for key, build in (("grid.node_resolution_deg", cfg.network),
+                           ("grid.cell_side_m", lambda: box_shape(region, cfg.cell_side_m)),
+                           ("experiment.quad_order", cfg.quadrature)):
+            try:
+                build()
+            except DomainError as exc:
+                raise ConfigError(f"{key}: {exc}") from exc
         cfg.tomography()
         cfg.msprt()
         if cfg.relays < 0:

@@ -26,6 +26,9 @@ from .errors import DegenerateGeometryError, DomainError, EmptyGridError, Geomet
 from .numerics import RngStream
 
 COLLINEAR_TOL = 1e-9  # radians; below double-precision conditioning of the sine ratios
+# cells a grid's bounding box may hold; the solver keeps 81 footprint points
+# per cell, from float64 tables of 648 B per cell per node (65 MB per node here)
+MAX_BOX_CELLS = 100_000
 
 
 @dataclass(frozen=True)
@@ -128,19 +131,18 @@ class CellGrid:
     cell_side: float
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.cell_side < math.inf:
-            raise DomainError(f"cell side must be positive and finite, got {self.cell_side}")
-        if not len(self.xy):
+        if not len(self.xy):  # `box_shape` checks the side first
             raise EmptyGridError(
                 f"cell side {self.cell_side} m leaves no cell center inside the region")
 
     @cached_property
     def xy(self) -> np.ndarray:
         """The cell centers, row-major over the bounding box, as a read-only (cells, 2) array."""
-        x0, x1, y0, y1 = self.region.bounding_box()
+        x0, _, y0, _ = self.region.bounding_box()
         side, c = self.cell_side, self.region.center
-        xs = x0 + (np.arange(max(1, math.ceil((x1 - x0) / side))) + 0.5) * side
-        ys = y0 + (np.arange(max(1, math.ceil((y1 - y0) / side))) + 0.5) * side
+        nx, ny = box_shape(self.region, side)
+        xs = x0 + (np.arange(nx) + 0.5) * side
+        ys = y0 + (np.arange(ny) + 0.5) * side
         x, y = np.meshgrid(xs, ys)
         inside = np.hypot(x - c.x, y - c.y) <= self.region.radius
         xy = np.column_stack((x[inside], y[inside]))
@@ -151,6 +153,20 @@ class CellGrid:
     def cells(self) -> tuple[Point, ...]:
         """The cell centers as points."""
         return tuple(Point(x, y) for x, y in self.xy.tolist())
+
+
+def box_shape(region: RelayRegion, cell_side: float) -> tuple[int, int]:
+    """Columns and rows of the cells tiling the region's bounding box, counted
+    without building them; DomainError past MAX_BOX_CELLS or for a bad side."""
+    if not 0.0 < cell_side < math.inf:
+        raise DomainError(f"cell side must be positive and finite, got {cell_side}")
+    x0, x1, y0, y1 = region.bounding_box()
+    nx = max(1, math.ceil((x1 - x0) / cell_side))
+    ny = max(1, math.ceil((y1 - y0) / cell_side))
+    if nx * ny > MAX_BOX_CELLS:
+        raise DomainError(f"cell side {cell_side} m tiles the region's bounding box with "
+                          f"{nx} x {ny} cells, more than the {MAX_BOX_CELLS:,} allowed")
+    return nx, ny
 
 
 def _unit(dx: float, dy: float) -> tuple[float, float]:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .channel import ChannelParams, HopPair, sample_instant_capacity
 from .errors import DomainError, GeometryError, MeasurementError
-from .geometry import Point, RelayRegion, _unit, dist, signed_angle
+from .geometry import Point, RelayRegion, dist
 from .numerics import RngStream
 
 FORMAT_HEADER = "# relaytomo measurement-set v1"
@@ -87,32 +87,24 @@ class MeasurementNetwork:
         return np.array([q2 for _, q2 in self.row_of])
 
     @cached_property
-    def _refs(self) -> list[tuple[float, float]]:
-        # each node's unit reference ray, toward the region center
-        return [_unit(self.region.center.x - n.x, self.region.center.y - n.y) for n in self.nodes]
+    def _rays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        # each node's x, y and unit reference ray toward the region center, (nodes, 1) each
+        x, y = np.array([(node.x, node.y) for node in self.nodes]).T[..., None]
+        dx, dy = self.region.center.x - x, self.region.center.y - y
+        norm = np.hypot(dx, dy)
+        return x, y, dx / norm, dy / norm
 
-    def table(self, xy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Distance and signed angle from the reference ray of each point of xy,
-        (points, 2), at each node, (points, nodes) each, on the math module's
-        hypot and atan2: numpy's round some one ulp apart."""
-        d, a = [], []
-        for x, y in xy.tolist():
-            for node, (rx, ry) in zip(self.nodes, self._refs):
-                dx, dy = x - node.x, y - node.y
-                d.append(math.hypot(dx, dy))
-                a.append(signed_angle(rx, ry, dx, dy))
-        shape = (len(xy), self.n_nodes)
-        return np.reshape(d, shape), np.reshape(a, shape)
-
-    def lattice_bins(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Angle bin of each point (x, y) at each node, (nodes, *x.shape), on numpy's
-        arctan2: for the footprint lattice, whose angles feed only bins."""
-        bins = []
-        for node, (rx, ry) in zip(self.nodes, self._refs):
-            dx, dy = x - node.x, y - node.y
-            bins.append(angle_bins(np.arctan2(rx * dy - ry * dx, rx * dx + ry * dy),
-                                   self.resolution))
-        return np.array(bins)
+    def table(self, x, y) -> tuple[np.ndarray, np.ndarray]:
+        """Distance of each point (x, y) to each node and its signed angle from
+        that node's reference ray, in (-pi, pi]: arrays of x's shape with the
+        nodes on a last axis."""
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        nx, ny, rx, ry = self._rays
+        # one row of all points per node: numpy's loops run over long rows
+        dx, dy = x.ravel() - nx, y.ravel() - ny
+        shape = x.shape + (self.n_nodes,)
+        return (np.hypot(dx, dy).T.reshape(shape),
+                np.arctan2(rx * dy - ry * dx, rx * dx + ry * dy).T.reshape(shape))
 
 
 @dataclass(frozen=True)
@@ -214,7 +206,7 @@ def simulate_measurements(
     """
     if observations < 1:
         raise DomainError(f"need at least one observation, got {observations}")
-    d, angle = net.table(np.array([(p.x, p.y) for p in relays]).reshape(-1, 2))
+    d, angle = net.table([p.x for p in relays], [p.y for p in relays])
     raw = np.zeros((len(net.pairs), len(relays), observations))
     for k, (lo, hi) in enumerate(net.pairs):
         for l in range(len(relays)):

@@ -19,6 +19,9 @@ from .errors import DomainError
 _EPS = 1e-15
 _FPMIN = 1e-300
 _MAX_ITER = 500
+# points per axis; a rule keeps a 24 B (omega, psi, weight) row per node,
+# order^2 per interval (98 KB at 64), from an order^2 x 8 B companion matrix
+MAX_QUAD_ORDER = 64
 
 
 @dataclass(frozen=True)
@@ -28,8 +31,9 @@ class QuadratureSpec:
     order: int = 16
 
     def __post_init__(self) -> None:
-        if self.order < 2:
-            raise DomainError(f"quadrature order must be >= 2, got {self.order}")
+        if not 2 <= self.order <= MAX_QUAD_ORDER:
+            raise DomainError(f"quadrature order must be in [2, {MAX_QUAD_ORDER}], "
+                              f"got {self.order}")
 
 
 @dataclass(frozen=True)

@@ -77,47 +77,23 @@ class MsprtConfig:
 
     error is the tolerated probability of picking a wrong hypothesis, a
     number in (0, 1); the test stops once the leading hypothesis beats its
-    runner-up by `threshold`.  priors maps cell index -> prior weight; None
-    means uniform.  The test's prior is this weight times the angle
-    likelihood of each candidate (when the caller has one), renormalized
-    over the candidate set.
+    runner-up by `threshold`.
     """
 
     error: float = 0.01
     max_observations: int = 10
-    priors: dict[int, float] | None = None
 
     def __post_init__(self) -> None:
         if not isinstance(self.error, (int, float)) or not 0.0 < self.error < 1.0:
             raise DomainError(f"error probability must be a number in (0, 1), got {self.error!r}")
         if self.max_observations < 1:
             raise DomainError("need at least one observation")
-        if self.priors is not None:
-            if any(v < 0.0 for v in self.priors.values()):
-                raise DomainError("priors must be non-negative")
 
     @property
     def threshold(self) -> float:
         """log((1 - error) / error): the margin a decision needs."""
         # numpy's log: math.log rounds some of these one ulp apart
         return float(np.log((1.0 - self.error) / self.error))
-
-    def log_priors(
-        self, candidates: list[int], likelihood: np.ndarray | None = None
-    ) -> np.ndarray:
-        """Log prior over the candidates, times the angle likelihood if given."""
-        k = len(candidates)
-        if self.priors is None and likelihood is None:
-            return np.full(k, -math.log(k))
-        weights = np.ones(k)
-        if self.priors is not None:
-            weights = np.array([self.priors.get(c, 0.0) for c in candidates], dtype=float)
-        if likelihood is not None:
-            weights = weights * likelihood
-        total = weights.sum()
-        if total <= 0.0:
-            raise DomainError("priors assign zero total weight to the candidate set")
-        return np.log(weights / total)
 
 
 @dataclass(frozen=True)
@@ -173,14 +149,16 @@ class _Footprint:
     dist[w, q], angle[w, q] and center_bins[w, q] are cell w's center's
     distance, angle and angle bin at node q.  Each cell is also sub-sampled
     on a FOOTPRINT_SAMPLES x FOOTPRINT_SAMPLES lattice of its square (the
-    center included); `inside` marks the points in the region disc, which
-    alone make up the footprint.  bins[q, w, s] is the bin at node q of
-    point s of cell w, and lo/hi bound the bins each cell's footprint
-    reaches at each node.  rows and (tx, rx) are `net.pair_rows` and `net.pairs`.
+    center, at offset exactly 0, in the middle); `inside` marks the points
+    in the region disc, which alone make up the footprint.  bins[q, w, s]
+    is the bin at node q of point s of cell w (all from `net.table`), and
+    lo/hi bound the bins each cell's footprint reaches at each node.  rows
+    and (tx, rx) are `net.pair_rows` and `net.pairs`.
     """
 
     def __init__(self, net: MeasurementNetwork, grid: CellGrid) -> None:
-        self.dist, self.angle = net.table(grid.xy)
+        x, y = grid.xy.T
+        self.dist, self.angle = net.table(x, y)
         self.center_bins = angle_bins(self.angle, net.resolution)
         self.rows = net.pair_rows
         self.tx, self.rx = np.array(net.pairs).T
@@ -188,11 +166,12 @@ class _Footprint:
         n = FOOTPRINT_SAMPLES
         offsets = ((np.arange(n) + 0.5) / n - 0.5) * grid.cell_side
         ox, oy = np.meshgrid(offsets, offsets)
-        px = grid.xy[:, :1] + ox.ravel()
-        py = grid.xy[:, 1:] + oy.ravel()
+        px = x[:, None] + ox.ravel()
+        py = y[:, None] + oy.ravel()
         region = net.region
         self.inside = np.hypot(px - region.center.x, py - region.center.y) <= region.radius
-        self.bins = net.lattice_bins(px, py)
+        _, angle = net.table(px, py)
+        self.bins = np.moveaxis(angle_bins(angle, net.resolution), -1, 0)
         big = np.iinfo(np.int32).max
         self.lo = np.where(self.inside, self.bins, big).min(axis=2)
         self.hi = np.where(self.inside, self.bins, -big).max(axis=2)
@@ -338,10 +317,10 @@ def msprt_localize(
     raw holds one row per ordered pair of `net.ordered_pairs()`.  Reciprocal
     orderings carry the same fading draws, so each unordered pair is counted
     once: only the rows labelled (q1, q2) with q1 < q2 enter the test.
-    Per-hypothesis log likelihoods start at the log prior (`cfg.log_priors`,
-    times `angle_weights` when given) and add, per observation, the sum
-    over unordered pairs of the capacity log-density at the hypothesis
-    cell's hop lengths.  The test stops at the first observation after
+    Per-hypothesis log likelihoods start at the log prior (`angle_weights`
+    normalized over the candidates, or uniform) and add, per observation,
+    the sum over unordered pairs of the capacity log-density at the
+    hypothesis cell's hop lengths.  The test stops at the first observation after
     which the leading hypothesis (the first of the highest likelihood)
     beats the runner-up by more than `cfg.threshold`, and so beats every
     rival; otherwise it returns the MAP hypothesis after the final
@@ -361,10 +340,12 @@ def msprt_localize(
         )
     n_obs = min(int(raw.shape[1]), cfg.max_observations)
 
-    log_prior = cfg.log_priors(candidates, angle_weights)
-    if len(candidates) == 1:
+    k = len(candidates)
+    if k == 1:
         # the stopping condition is vacuous with a single hypothesis
         return _decision(relay, candidates, 0, KIND_THRESHOLD, 0, grid)
+    log_prior = (np.full(k, -math.log(k)) if angle_weights is None
+                 else np.log(angle_weights / angle_weights.sum()))
 
     if log_pdf is None:
         fp = _footprint(net, grid)

@@ -235,12 +235,12 @@ def test_criterion_7_invariant_bundle(tmp_path):
         grid = CFG.cell_grid()
         cand = feasible_cells(ms, 0, net, grid)
         assert cand
-        priors = {w: 1.0 + 0.05 * k for k, w in enumerate(cand)}
-        scaled = {w: 3.17 * v for w, v in priors.items()}
-        res_a = msprt_localize(cand, ms.raw[:, 0, :], net, grid, PARAMS,
-                               MsprtConfig(max_observations=10, priors=priors))
-        res_b = msprt_localize(cand, ms.raw[:, 0, :], net, grid, PARAMS,
-                               MsprtConfig(max_observations=10, priors=scaled))
+        weights = 1.0 + 0.05 * np.arange(len(cand))
+        cfg = MsprtConfig(max_observations=10)
+        res_a = msprt_localize(cand, ms.raw[:, 0, :], net, grid, PARAMS, cfg,
+                               angle_weights=weights)
+        res_b = msprt_localize(cand, ms.raw[:, 0, :], net, grid, PARAMS, cfg,
+                               angle_weights=3.17 * weights)
         assert res_a.cell_index == res_b.cell_index
 
         # rerunning the full pipeline is byte identical

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import resource
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -8,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import relaytomo
 from relaytomo import config
 from relaytomo.cli import main
 from relaytomo.config import (
@@ -364,6 +369,35 @@ class TestExitCodes:
             capsys.readouterr()
             assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
             assert f"{section}.{key}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("grid", "cell_side_m", 0.001), ("experiment", "quad_order", 100000),
+    ], ids=["cell_grid_too_fine", "quad_order_too_high"])
+    def test_unbounded_work_is_2_under_a_memory_cap(self, tmp_path, section, key, value):
+        # 80,000 x 80,000 cell centers (51 GB per float array) or a 100000 x
+        # 100000 companion matrix (80 GB): the CLI runs in a child whose own
+        # address space is capped at 4 GiB, so code that starts to build
+        # either fails there with a MemoryError, not by exhausting the
+        # memory of the test runner
+        raw = default_config_dict()
+        raw[section][key] = value
+        path = tmp_path / "unbounded.json"
+        write_config(raw, path)
+        src = Path(relaytomo.__file__).resolve().parent.parent
+        env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"}
+        cap = 4 * 2**30
+
+        def limit_address_space():  # runs in the child, before it starts python
+            resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+        for command in ("simulate", "direct"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "relaytomo", command, "--config", str(path),
+                 "--out", str(tmp_path / "o")],
+                capture_output=True, text=True, env=env, timeout=120,
+                preexec_fn=limit_address_space)
+            assert proc.returncode == 2, proc.stderr
+            assert f"config error: {section}.{key}: " in proc.stderr
 
     @pytest.mark.parametrize("value", ["1e12", "-1e300"])
     def test_out_of_range_angle_is_3(self, reference_run, tmp_path, capsys, value):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from relaytomo import geometry
 from relaytomo.errors import (
     DegenerateGeometryError,
     DomainError,
@@ -22,6 +23,7 @@ from relaytomo.geometry import (
     angles_from_point,
     angles_from_points,
     angular_span,
+    box_shape,
     check_region_clear_of_baseline,
     discretize_region,
     dist,
@@ -195,6 +197,20 @@ class TestDiscretize:
         for build in (CellGrid, discretize_region):
             with pytest.raises(DomainError, match="cell side must be positive and finite"):
                 build(REGION, side)
+
+    def test_box_cells_are_bounded_before_any_center_is_built(self, monkeypatch):
+        # the 1 m grid tiles the 80 m box with 80 x 80 cells; 1 mm cells
+        # (6.4e9) are counted and refused, never laid out
+        assert box_shape(REGION, 5.0) == (16, 16)
+        assert box_shape(REGION, 1.0) == (80, 80)
+        assert box_shape(REGION, 100.0) == (1, 1)
+        with pytest.raises(DomainError, match="80000 x 80000 cells, more than the 100,000"):
+            box_shape(REGION, 0.001)
+        monkeypatch.setattr(geometry, "MAX_BOX_CELLS", 6400)
+        assert len(CellGrid(REGION, 1.0).xy) == 5024
+        monkeypatch.setattr(geometry, "MAX_BOX_CELLS", 6399)
+        with pytest.raises(DomainError, match="more than the 6,399 allowed"):
+            CellGrid(REGION, 1.0)
 
     @pytest.mark.parametrize("side", [5.0, 2.5, 1.0])
     def test_centers_are_the_scalar_loop_on_reference_grids(self, side):

@@ -164,26 +164,25 @@ class TestNetwork:
         assert all(net.row_of[pair] == k for k, pair in enumerate(rows))
 
     def test_table_is_the_scalar_geometry(self):
-        net = three_node_net()
-        points = sample_relays(REGION, 50, RngStream(76))
-        d, angle = net.table(np.array([(p.x, p.y) for p in points]))
-        assert d.shape == angle.shape == (50, 3)
-        for l, p in enumerate(points):
-            for q, node in enumerate(net.nodes):
-                assert d[l, q] == dist(p, node)
-                assert angle[l, q] == oracles.node_angle(net, q, p)
-        d, angle = net.table(np.empty((0, 2)))
-        assert d.shape == angle.shape == (0, 3)
-
-    def test_lattice_bins_match_scalar_bins(self):
+        # numpy's hypot and arctan2 round some results one ulp away from the
+        # math module's; the bins of 2,000 points are exactly the scalar ones
         net = three_node_net()
         x, y = REGION.sample_xy(RngStream(77), 2000)
-        bins = net.lattice_bins(x.reshape(40, 50), y.reshape(40, 50))
-        assert bins.shape == (3, 40, 50) and bins.dtype == np.int32
-        for q in range(3):
-            want = [quantize_angle(oracles.node_angle(net, q, Point(px, py)), net.resolution)[0]
-                    for px, py in zip(x.tolist(), y.tolist())]
-            assert bins[q].ravel().tolist() == want
+        for shape in ((0,), (2000,), (40, 50)):
+            px, py = x[:np.prod(shape)].reshape(shape), y[:np.prod(shape)].reshape(shape)
+            d, angle = net.table(px, py)
+            assert d.shape == angle.shape == shape + (3,)
+            points = [Point(a, b) for a, b in zip(px.ravel().tolist(), py.ravel().tolist())]
+            for q, node in enumerate(net.nodes):
+                want_d = np.array([dist(p, node) for p in points])
+                want_angle = np.array([oracles.node_angle(net, q, p) for p in points])
+                assert np.all(np.abs(d[..., q].ravel() - want_d) <= np.spacing(want_d))
+                assert np.all(np.abs(angle[..., q].ravel() - want_angle)
+                              <= np.spacing(np.abs(want_angle)))
+                bins = angle_bins(angle[..., q], net.resolution)
+                assert bins.dtype == np.int32
+                assert bins.ravel().tolist() == [quantize_angle(a, net.resolution)[0]
+                                                 for a in want_angle.tolist()]
 
     def test_rejects_resolution_whose_bins_overflow_int32(self):
         nodes = three_node_net().nodes

@@ -11,6 +11,7 @@ import oracles
 from oracles import BracketError, solve_increasing_root
 from relaytomo.errors import DomainError
 from relaytomo.numerics import (
+    MAX_QUAD_ORDER,
     QuadratureSpec,
     RngStream,
     log_upper_gamma,
@@ -217,8 +218,11 @@ class TestSolveIncreasingRoot:
 
 class TestQuadratureSpec:
     def test_order_invariant(self):
-        with pytest.raises(DomainError):
-            QuadratureSpec(order=1)
+        for order in (1, MAX_QUAD_ORDER + 1, 100000):
+            with pytest.raises(DomainError, match=f"in \\[2, {MAX_QUAD_ORDER}\\]"):
+                QuadratureSpec(order=order)
+        for order in (2, 32, MAX_QUAD_ORDER):
+            assert QuadratureSpec(order=order).order == order
 
 
 class TestRngStream:

@@ -71,11 +71,12 @@ def all_pairs_winners(log_lik, threshold) -> list[int]:
 
 def sequential_oracle(candidates, weights, raw, cfg):
     """The sequential test one observation at a time over the q1 < q2 rows,
-    stopping when some hypothesis beats every rival by cfg.threshold:
-    (cell index, decision kind, stopping index)."""
+    from the prior of the weights normalized over the candidates, stopping
+    when some hypothesis beats every rival by cfg.threshold: (cell index,
+    decision kind, stopping index)."""
     pairs = NET.ordered_pairs()
     k = len(candidates)
-    log_lik = cfg.log_priors(candidates, weights)
+    log_lik = np.log(np.asarray(weights) / np.sum(weights))
     if k == 1:
         return candidates[0], KIND_THRESHOLD, 0
     n_obs = min(raw.shape[1], cfg.max_observations)
@@ -206,6 +207,27 @@ class TestAngleLikelihood:
                 assert support == sorted(support)
                 assert np.all((shares > 0.0) & (shares <= 1.0))
 
+    @pytest.mark.parametrize("scale", ["reference", "scaled"])
+    def test_center_rule_cells_have_footprint_share(self, scale):
+        # a cell center is its lattice's middle point (offset exactly 0.0),
+        # and `net.table` bins both, so every cell `feasible_cells` keeps has
+        # a share: criterion 5's 20 scenes, and the 50 relays of the scaled
+        # scene 0 on 1 m cells (the angles do not depend on the draws)
+        if scale == "reference":
+            grid, seeds, n_relays = GRID, range(20), 5
+        else:
+            grid, seeds, n_relays = replace(CFG, cell_side_m=1.0).cell_grid(), [0], 50
+        kept = 0
+        for seed in seeds:
+            rng = RngStream(seed)
+            ms = simulate_measurements(NET, sample_relays(REGION, n_relays, rng.child(0)),
+                                       PARAMS, 10, rng.child(1))
+            for l in range(n_relays):
+                feasible = feasible_cells(ms, l, NET, grid)
+                assert set(feasible) <= set(angle_likelihood(ms, l, NET, grid)[0])
+                kept += len(feasible)
+        assert kept >= (100 if scale == "reference" else 50)
+
     def test_share_counts_joint_bins_inside_region(self):
         relay = sample_relays(REGION, 1, RngStream(95))[0]
         ms = synthetic_set([relay], seed=96)
@@ -326,12 +348,12 @@ class TestMsprt:
         ms = synthetic_set([relay], seed=88)
         cand = feasible_cells(ms, 0, NET, GRID)
         assert len(cand) >= 2
-        priors = {w: 1.0 + 0.1 * k for k, w in enumerate(cand)}
-        scaled = {w: 7.25 * v for w, v in priors.items()}
-        res_a = msprt_localize(cand, ms.raw[:, 0, :], NET, GRID, PARAMS,
-                               MsprtConfig(max_observations=10, priors=priors))
-        res_b = msprt_localize(cand, ms.raw[:, 0, :], NET, GRID, PARAMS,
-                               MsprtConfig(max_observations=10, priors=scaled))
+        weights = 1.0 + 0.1 * np.arange(len(cand))
+        cfg = MsprtConfig(max_observations=10)
+        res_a = msprt_localize(cand, ms.raw[:, 0, :], NET, GRID, PARAMS, cfg,
+                               angle_weights=weights)
+        res_b = msprt_localize(cand, ms.raw[:, 0, :], NET, GRID, PARAMS, cfg,
+                               angle_weights=7.25 * weights)
         assert res_a.cell_index == res_b.cell_index
         assert res_a.stopped_at == res_b.stopped_at
 
@@ -466,20 +488,6 @@ class TestMsprt:
                     expected = (o, want[1])
             assert expected is not None
             assert tomography._first_stop(log_lik, threshold) == expected
-
-    def test_priors_multiply_angle_weights(self):
-        relay = sample_relays(REGION, 1, RngStream(87))[0]
-        ms = synthetic_set([relay], seed=88)
-        cand, shares = angle_likelihood(ms, 0, NET, GRID)
-        assert len(cand) >= 2
-        priors = {w: 1.0 + 0.1 * k for k, w in enumerate(cand)}
-        folded = {w: priors[w] * s for w, s in zip(cand, shares)}
-        res_a = msprt_localize(cand, ms.raw[:, 0, :], NET, GRID, PARAMS,
-                               MsprtConfig(max_observations=10, priors=priors),
-                               angle_weights=shares)
-        res_b = msprt_localize(cand, ms.raw[:, 0, :], NET, GRID, PARAMS,
-                               MsprtConfig(max_observations=10, priors=folded))
-        assert (res_a.cell_index, res_a.stopped_at) == (res_b.cell_index, res_b.stopped_at)
 
     def test_degenerate_raw_shape_rejected(self):
         with pytest.raises(LocalizationError):
@@ -633,12 +641,18 @@ class TestCapacityColumn:
             if not candidates:
                 expected.append(unlocalized(l))
                 continue
-            res = msprt_localize(candidates, ms.raw[:, l, :], NET, GRID, PARAMS, cfg,
-                                 relay=l, angle_weights=weights)
-            e_angle, e_capacity = residuals_oracle(ms, l, res.cell_index)
-            expected.append(replace(res, e_angle=e_angle, e_capacity=e_capacity))
+            expected.append(msprt_localize(candidates, ms.raw[:, l, :], NET, GRID, PARAMS, cfg,
+                                           relay=l, angle_weights=weights))
         got = localize_all(ms, NET, GRID, PARAMS, CFG.tomography(), cfg)
-        assert repr(got) == repr(expected)
+        # the decisions exactly; the residuals against scalar solves, whose
+        # math-module angles and hops lie some ulps from the numpy table's
+        assert repr([replace(r, e_angle=0.0, e_capacity=0.0) if r.cell_index is not None
+                     else r for r in got]) == repr(expected)
+        for r in got:
+            if r.cell_index is not None:
+                np.testing.assert_allclose((r.e_angle, r.e_capacity),
+                                           residuals_oracle(ms, r.relay, r.cell_index),
+                                           rtol=1e-12, atol=0.0)
 
         fp = tomography._footprint(NET, GRID)
         many = [1, 3, 4]
