@@ -17,6 +17,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
@@ -26,6 +27,7 @@ from .config import (
     default_config_dict,
     load_scenario,
     scenario_from_dict,
+    validate_scenario,
     write_config,
 )
 from .errors import ConfigError, MeasurementError, RelayTomoError
@@ -51,19 +53,12 @@ def _load(args) -> ScenarioConfig:
         cfg = scenario_from_dict(default_config_dict())
     else:
         cfg = load_scenario(args.config)
-    if getattr(args, "seed", None) is not None:
-        cfg = _replace_experiment(cfg, seed=args.seed)
-    if getattr(args, "observations", None) is not None:
-        cfg = _replace_experiment(cfg, observations=args.observations)
-    if getattr(args, "mode", None) is not None:
-        cfg = _replace_experiment(cfg, mode=args.mode)
+    overrides = {name: getattr(args, name) for name in ("seed", "observations", "mode")
+                 if getattr(args, name, None) is not None}
+    if overrides:
+        cfg = replace(cfg, **overrides)
+        validate_scenario(cfg)
     return cfg
-
-
-def _replace_experiment(cfg: ScenarioConfig, **updates) -> ScenarioConfig:
-    raw = cfg.as_dict()
-    raw["experiment"].update(updates)
-    return scenario_from_dict(raw)
 
 
 def _write_manifest(out: Path, cfg: ScenarioConfig, outputs: list[str]) -> None:

@@ -1,15 +1,17 @@
 """Scenario configuration: one JSON file drives every CLI command.
 
 Angles are degrees and SNR is dB in the file; both are converted exactly
-once at load.  Validation reuses the domain types' own invariants and
-reports the offending JSON key path.
+once at load.  `ScenarioConfig`'s fields are the file's keys: parsing,
+serialization and the key path every ConfigError names all read them.
+Validation reuses the domain types' own invariants.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, field, fields
+from functools import partial
 
 from .channel import ChannelParams
 from .errors import ConfigError, DomainError, RelayTomoError
@@ -23,32 +25,43 @@ from .geometry import (
     discretize_region,
 )
 from .ias import MAX_GRID_CELLS, AngularGrid, build_grid
-from .measurement import MeasurementNetwork
+from .measurement import MAX_DRAWS, MeasurementNetwork
 from .numerics import QuadratureSpec, RngStream
 from .tomography import MsprtConfig, TomographyConfig
 
 
+def _key(section: str, **default):
+    """A config key: a `ScenarioConfig` field read from `section` of the file."""
+    return field(metadata={"section": section}, **default)
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
-    source: Point
-    destination: Point
-    nodes: tuple[Point, ...]
-    region_center: Point
-    region_radius: float
-    snr_db: float
-    nakagami_m: float
-    path_loss_exp: float
-    outage_prob: float
-    aod_resolution_deg: float
-    aoa_resolution_deg: float
-    node_resolution_deg: float
-    cell_side_m: float
-    relays: int
-    observations: int
-    seed: int
-    mode: str
-    msprt_error: float
-    quad_order: int
+    """The scenario file's keys, one field each, in the file's order.
+
+    Each field names its JSON section; `mode`, `msprt_error` and
+    `quad_order` may be left out of the file and take their defaults.
+    """
+
+    source: Point = _key("geometry")
+    destination: Point = _key("geometry")
+    nodes: tuple[Point, ...] = _key("geometry")
+    region_center: Point = _key("geometry")
+    region_radius: float = _key("geometry")
+    snr_db: float = _key("channel")
+    nakagami_m: float = _key("channel")
+    path_loss_exp: float = _key("channel")
+    outage_prob: float = _key("channel")
+    aod_resolution_deg: float = _key("grid")
+    aoa_resolution_deg: float = _key("grid")
+    node_resolution_deg: float = _key("grid")
+    cell_side_m: float = _key("grid")
+    relays: int = _key("experiment")
+    observations: int = _key("experiment")
+    seed: int = _key("experiment")
+    mode: str = _key("experiment", default="msprt")
+    msprt_error: float = _key("experiment", default=0.01)
+    quad_order: int = _key("experiment", default=16)
 
     def baseline(self) -> Baseline:
         return Baseline(self.source, self.destination)
@@ -90,97 +103,12 @@ class ScenarioConfig:
         return RngStream(self.seed)
 
     def as_dict(self) -> dict:
-        return {
-            "geometry": {
-                "source": [self.source.x, self.source.y],
-                "destination": [self.destination.x, self.destination.y],
-                "nodes": [[p.x, p.y] for p in self.nodes],
-                "region_center": [self.region_center.x, self.region_center.y],
-                "region_radius": self.region_radius,
-            },
-            "channel": {
-                "snr_db": self.snr_db,
-                "nakagami_m": self.nakagami_m,
-                "path_loss_exp": self.path_loss_exp,
-                "outage_prob": self.outage_prob,
-            },
-            "grid": {
-                "aod_resolution_deg": self.aod_resolution_deg,
-                "aoa_resolution_deg": self.aoa_resolution_deg,
-                "node_resolution_deg": self.node_resolution_deg,
-                "cell_side_m": self.cell_side_m,
-            },
-            "experiment": {
-                "relays": self.relays,
-                "observations": self.observations,
-                "seed": self.seed,
-                "mode": self.mode,
-                "msprt_error": self.msprt_error,
-                "quad_order": self.quad_order,
-            },
-        }
-
-
-def default_config_dict() -> dict:
-    """Reference scenario: 100*sqrt(3) m baseline, 40 m disc, 30 dB, 10 deg.
-
-    The three measuring nodes ring the region center at 48 m, 120 degrees
-    apart.  Placement trades angular-bin containment (favours distant
-    nodes, whose cells look point-like) against capacity discrimination
-    between neighbouring cells (favours close nodes); 1.2x the region
-    radius is near the empirical optimum for 10 degree bins and 5 m cells.
-    """
-    sx = 100.0 * math.sqrt(3.0)
-    cx = 50.0 * math.sqrt(3.0)
-    ring = 48.0
-    nodes = [
-        [cx + ring * math.cos(phase), 50.0 + ring * math.sin(phase)]
-        for phase in (math.pi / 4, math.pi / 4 + 2 * math.pi / 3,
-                      math.pi / 4 + 4 * math.pi / 3)
-    ]
-    return {
-        "geometry": {
-            "source": [sx, 0.0],
-            "destination": [0.0, 0.0],
-            "nodes": nodes,
-            "region_center": [cx, 50.0],
-            "region_radius": 40.0,
-        },
-        "channel": {
-            "snr_db": 30.0,
-            "nakagami_m": 1.0,
-            "path_loss_exp": -3.0,
-            "outage_prob": 0.01,
-        },
-        "grid": {
-            "aod_resolution_deg": 10.0,
-            "aoa_resolution_deg": 10.0,
-            "node_resolution_deg": 10.0,
-            "cell_side_m": 5.0,
-        },
-        "experiment": {
-            "relays": 5,
-            "observations": 10,
-            "seed": 20240901,
-            "mode": "msprt",
-            "msprt_error": 0.01,
-            "quad_order": 16,
-        },
-    }
-
-
-def _get(section: dict, section_name: str, key: str, kind, default=None):
-    if key not in section:
-        if default is not None:
-            return default
-        raise ConfigError(f"missing config key {section_name}.{key}")
-    raw = section[key]
-    if kind in (int, float):
-        return _number(raw, f"{section_name}.{key}", kind)
-    if not isinstance(raw, kind):
-        raise ConfigError(f"config key {section_name}.{key} must be a {kind.__name__}, "
-                          f"got {raw!r}")
-    return raw
+        """The scenario-file dict: the sections and their keys in file order."""
+        raw = {section: {} for section in _SECTIONS}
+        for name, section, _, _, write, _ in _KEYS:
+            value = getattr(self, name)
+            raw[section][name] = value if write is None else write(value)
+        return raw
 
 
 def _number(raw, label: str, kind=float):
@@ -198,94 +126,157 @@ def _number(raw, label: str, kind=float):
     return value
 
 
-def _point(section: dict, section_name: str, key: str) -> Point:
-    return _xy(_get(section, section_name, key, list), f"{section_name}.{key}")
+def _text(raw, label: str) -> str:
+    if not isinstance(raw, str):
+        raise ConfigError(f"config key {label} must be a string, got {raw!r}")
+    return raw
 
 
 def _xy(value, label: str) -> Point:
     if not isinstance(value, list) or len(value) != 2:
         raise ConfigError(f"config key {label} must be [x, y]")
-    return Point(*(_number(v, label) for v in value))
+    return Point(_number(value[0], label), _number(value[1], label))
+
+
+def _points(value, label: str) -> tuple[Point, ...]:
+    if not isinstance(value, list):
+        raise ConfigError(f"config key {label} must be a list of [x, y], got {value!r}")
+    return tuple(_xy(entry, f"{label}[{idx}]") for idx, entry in enumerate(value))
+
+
+# per field type, as annotated: read from JSON (value, "section.key") and
+# write to JSON (None: as it is)
+_CODECS = {
+    "float": (_number, None),
+    "int": (partial(_number, kind=int), None),
+    "str": (_text, None),
+    "Point": (_xy, lambda p: [p.x, p.y]),
+    "tuple[Point, ...]": (_points, lambda points: [[p.x, p.y] for p in points]),
+}
+# per field, in file order: name, section, "section.name", read, write, default (or MISSING)
+_KEYS = tuple((f.name, f.metadata["section"], f"{f.metadata['section']}.{f.name}",
+               *_CODECS[f.type], f.default) for f in fields(ScenarioConfig))
+_SECTIONS = {sec: {name for name, section, *_ in _KEYS if section == sec} for _, sec, *_ in _KEYS}
+_LABELS = {name: label for name, _, label, *_ in _KEYS}
+
+
+def _reference() -> ScenarioConfig:
+    """Reference scenario: 100*sqrt(3) m baseline, 40 m disc, 30 dB, 10 deg.
+
+    The three measuring nodes ring the region center at 48 m, 120 degrees
+    apart.  Placement trades angular-bin containment (favours distant
+    nodes, whose cells look point-like) against capacity discrimination
+    between neighbouring cells (favours close nodes); 1.2x the region
+    radius is near the empirical optimum for 10 degree bins and 5 m cells.
+    """
+    cx, ring = 50.0 * math.sqrt(3.0), 48.0
+    nodes = tuple(Point(cx + ring * math.cos(phase), 50.0 + ring * math.sin(phase))
+                  for phase in (math.pi / 4, math.pi / 4 + 2 * math.pi / 3,
+                                math.pi / 4 + 4 * math.pi / 3))
+    return ScenarioConfig(
+        source=Point(100.0 * math.sqrt(3.0), 0.0), destination=Point(0.0, 0.0), nodes=nodes,
+        region_center=Point(cx, 50.0), region_radius=40.0,
+        snr_db=30.0, nakagami_m=1.0, path_loss_exp=-3.0, outage_prob=0.01,
+        aod_resolution_deg=10.0, aoa_resolution_deg=10.0, node_resolution_deg=10.0,
+        cell_side_m=5.0, relays=5, observations=10, seed=20240901)
+
+
+_REFERENCE = _reference()
+
+
+def default_config_dict() -> dict:
+    """The reference scenario (`_reference`) as a new scenario-file dict."""
+    return _REFERENCE.as_dict()
 
 
 def scenario_from_dict(raw: dict) -> ScenarioConfig:
-    for name in ("geometry", "channel", "grid", "experiment"):
-        if name not in raw or not isinstance(raw[name], dict):
-            raise ConfigError(f"missing config section {name!r}")
-    geo, chan, grid, exp = raw["geometry"], raw["channel"], raw["grid"], raw["experiment"]
-
-    nodes = [_xy(entry, f"geometry.nodes[{idx}]")
-             for idx, entry in enumerate(_get(geo, "geometry", "nodes", list))]
-
-    cfg = ScenarioConfig(
-        source=_point(geo, "geometry", "source"),
-        destination=_point(geo, "geometry", "destination"),
-        nodes=tuple(nodes),
-        region_center=_point(geo, "geometry", "region_center"),
-        region_radius=_get(geo, "geometry", "region_radius", float),
-        snr_db=_get(chan, "channel", "snr_db", float),
-        nakagami_m=_get(chan, "channel", "nakagami_m", float),
-        path_loss_exp=_get(chan, "channel", "path_loss_exp", float),
-        outage_prob=_get(chan, "channel", "outage_prob", float),
-        aod_resolution_deg=_get(grid, "grid", "aod_resolution_deg", float),
-        aoa_resolution_deg=_get(grid, "grid", "aoa_resolution_deg", float),
-        node_resolution_deg=_get(grid, "grid", "node_resolution_deg", float),
-        cell_side_m=_get(grid, "grid", "cell_side_m", float),
-        relays=_get(exp, "experiment", "relays", int),
-        observations=_get(exp, "experiment", "observations", int),
-        seed=_get(exp, "experiment", "seed", int),
-        mode=_get(exp, "experiment", "mode", str, default="msprt"),
-        msprt_error=_get(exp, "experiment", "msprt_error", float, default=0.01),
-        quad_order=_get(exp, "experiment", "quad_order", int, default=16),
-    )
+    """Parse and validate a scenario; an unknown, missing or invalid key is a
+    ConfigError naming it."""
+    for section, body in raw.items():
+        known = _SECTIONS.get(section, ())
+        if isinstance(body, dict) and body.keys() - known:
+            key = next(key for key in body if key not in known)
+            raise ConfigError(f"unknown config key {section}.{key}")
+        if not known:
+            raise ConfigError(f"unknown config section {section!r}")
+    values = {}
+    for name, section, label, read, _, default in _KEYS:
+        body = raw.get(section)
+        if not isinstance(body, dict):
+            raise ConfigError(f"missing config section {section!r}")
+        if name in body:
+            values[name] = read(body[name], label)
+        elif default is MISSING:
+            raise ConfigError(f"missing config key {label}")
+    cfg = ScenarioConfig(**values)
     validate_scenario(cfg)
     return cfg
 
 
+def _step(names: str, build, *args):
+    """build(*args), its RelayTomoError re-raised as a ConfigError led by the
+    keys of the fields `names` (space-separated) it is built from."""
+    try:
+        return build(*args)
+    except RelayTomoError as exc:
+        *rest, last = [_LABELS[name] for name in names.split()]
+        keys = f"{', '.join(rest)} and {last}" if rest else last
+        raise ConfigError(f"{keys}: {exc}") from exc
+
+
+def _clear_region(center: Point, radius: float, baseline: Baseline) -> RelayRegion:
+    region = RelayRegion(center, radius)
+    check_region_clear_of_baseline(region, baseline)
+    return region
+
+
+def _bounded_angular_grid(region, baseline, aod_deg: float, aoa_deg: float) -> AngularGrid:
+    grid = build_grid(region, baseline, math.radians(aod_deg), math.radians(aoa_deg))
+    if grid.n_aod * grid.n_aoa > MAX_GRID_CELLS:
+        raise DomainError(f"an angular grid of {grid.n_aod} x {grid.n_aoa} cells, more than "
+                          f"the {MAX_GRID_CELLS:,} allowed")
+    return grid
+
+
+def _non_negative(value: int) -> None:
+    if value < 0:
+        raise DomainError(f"must be non-negative, got {value}")
+
+
+def _bounded_draws(nodes: int, relays: int, observations: int) -> None:
+    pairs = nodes * (nodes - 1)
+    if pairs * relays * observations > MAX_DRAWS:
+        raise DomainError(f"{pairs} ordered pairs x {relays} relays x {observations} "
+                          f"observations make more than the {MAX_DRAWS:,} capacity draws "
+                          f"allowed")
+
+
 def validate_scenario(cfg: ScenarioConfig) -> None:
-    """Construct every domain object once so invariants fire at load time.
+    """Build every domain object once, so its invariants fire at load time;
+    each ConfigError names the keys the failing object is built from.
 
     The angular grid is built as its index ranges alone, and one of more
     than MAX_GRID_CELLS cells is rejected before anything allocates it.
     The cell grid is only counted (`box_shape`), never built: a side that
     tiles the bounding box with more than MAX_BOX_CELLS cells is rejected.
+    Ordered pairs x relays x observations, the capacity draws a simulation
+    makes, are bounded by MAX_DRAWS.
     """
-    try:
-        for key, value in (
-            ("grid.aod_resolution_deg", cfg.aod_resolution_deg),
-            ("grid.aoa_resolution_deg", cfg.aoa_resolution_deg),
-        ):
-            if not 0.0 < value < math.inf:
-                raise ConfigError(f"{key} must be positive and finite, got {value}")
-        baseline = cfg.baseline()
-        region = cfg.region()
-        check_region_clear_of_baseline(region, baseline)
-        cfg.channel_params()
-        for key, build in (("grid.node_resolution_deg", cfg.network),
-                           ("grid.cell_side_m", lambda: box_shape(region, cfg.cell_side_m)),
-                           ("experiment.quad_order", cfg.quadrature)):
-            try:
-                build()
-            except DomainError as exc:
-                raise ConfigError(f"{key}: {exc}") from exc
-        cfg.tomography()
-        cfg.msprt()
-        if cfg.relays < 0:
-            raise ConfigError("experiment.relays must be non-negative")
-        if cfg.observations < 1:
-            raise ConfigError("experiment.observations must be at least 1")
-        if cfg.seed < 0:
-            raise ConfigError("experiment.seed must be non-negative")
-        angular = cfg.angular_grid()
-        if angular.n_aod * angular.n_aoa > MAX_GRID_CELLS:
-            raise ConfigError(
-                f"grid.aod_resolution_deg and grid.aoa_resolution_deg make an angular grid of "
-                f"{angular.n_aod} x {angular.n_aoa} cells, more than the {MAX_GRID_CELLS:,} "
-                f"allowed")
-    except ConfigError:
-        raise
-    except RelayTomoError as exc:
-        raise ConfigError(str(exc)) from exc
+    baseline = _step("source destination", Baseline, cfg.source, cfg.destination)
+    region = _step("region_center region_radius", _clear_region,
+                   cfg.region_center, cfg.region_radius, baseline)
+    _step("snr_db nakagami_m path_loss_exp outage_prob", cfg.channel_params)
+    _step("nodes node_resolution_deg", MeasurementNetwork,
+          cfg.nodes, math.radians(cfg.node_resolution_deg), region)
+    _step("aod_resolution_deg aoa_resolution_deg", _bounded_angular_grid,
+          region, baseline, cfg.aod_resolution_deg, cfg.aoa_resolution_deg)
+    _step("cell_side_m", box_shape, region, cfg.cell_side_m)
+    _step("cell_side_m mode", cfg.tomography)
+    _step("quad_order", cfg.quadrature)
+    _step("msprt_error observations", cfg.msprt)
+    _step("relays", _non_negative, cfg.relays)
+    _step("seed", _non_negative, cfg.seed)
+    _step("relays observations", _bounded_draws, len(cfg.nodes), cfg.relays, cfg.observations)
 
 
 def load_scenario(path) -> ScenarioConfig:

@@ -161,8 +161,13 @@ def box_shape(region: RelayRegion, cell_side: float) -> tuple[int, int]:
     if not 0.0 < cell_side < math.inf:
         raise DomainError(f"cell side must be positive and finite, got {cell_side}")
     x0, x1, y0, y1 = region.bounding_box()
-    nx = max(1, math.ceil((x1 - x0) / cell_side))
-    ny = max(1, math.ceil((y1 - y0) / cell_side))
+    wide, high = (x1 - x0) / cell_side, (y1 - y0) / cell_side
+    # each count is at least 1, so a ratio past the bound breaks it alone; it
+    # may be inf, which `ceil` refuses
+    if max(wide, high) > MAX_BOX_CELLS:
+        raise DomainError(f"cell side {cell_side} m tiles the region's bounding box with "
+                          f"more than the {MAX_BOX_CELLS:,} cells allowed")
+    nx, ny = max(1, math.ceil(wide)), max(1, math.ceil(high))
     if nx * ny > MAX_BOX_CELLS:
         raise DomainError(f"cell side {cell_side} m tiles the region's bounding box with "
                           f"{nx} x {ny} cells, more than the {MAX_BOX_CELLS:,} allowed")

@@ -173,14 +173,12 @@ def build_grid(
     s, d = baseline.source, baseline.destination
     omin, omax = angular_span(region, s, (d.x - s.x, d.y - s.y))
     pmin, pmax = angular_span(region, d, (s.x - d.x, s.y - d.y))
-    return AngularGrid(
-        d_omega,
-        d_psi,
-        math.floor(omin / d_omega),
-        math.ceil(omax / d_omega),
-        math.floor(pmin / d_psi),
-        math.ceil(pmax / d_psi),
-    )
+    ends = omin / d_omega, omax / d_omega, pmin / d_psi, pmax / d_psi
+    if not all(map(math.isfinite, ends)):  # `floor` and `ceil` refuse inf
+        raise DomainError(f"angular resolutions {d_omega}, {d_psi} rad are too fine to index")
+    i_lo, i_hi, j_lo, j_hi = ends
+    return AngularGrid(d_omega, d_psi, math.floor(i_lo), math.ceil(i_hi),
+                       math.floor(j_lo), math.ceil(j_hi))
 
 
 # ---------------------------------------------------------------------------

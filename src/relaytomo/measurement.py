@@ -27,6 +27,11 @@ from .numerics import RngStream
 
 FORMAT_HEADER = "# relaytomo measurement-set v1"
 RELAY_HEADER = "# relaytomo relay-positions v1"
+# capacity draws (ordered pairs x relays x observations) a scenario may ask
+# `simulate_measurements` for: about 20 B each in memory (the draws of each
+# unordered pair, their copy per ordered pair and the sort of the quantile
+# estimate), 200 MB at the bound, and about as many again as text in the file
+MAX_DRAWS = 10_000_000
 
 
 @dataclass(frozen=True)

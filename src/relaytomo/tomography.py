@@ -423,8 +423,12 @@ def localize_all(
     `_capacity_evidence` call.  Both modes then compute the residuals of
     every localized relay in one step.  A measured angle beyond
     pi + resolution / 2, where no node angle quantizes, raises
-    MeasurementError naming its pair and relay.
+    MeasurementError naming its pair and relay.  A `cfg.cell_side` other
+    than the grid's raises LocalizationError.
     """
+    if cfg.cell_side != grid.cell_side:
+        raise LocalizationError(f"the solver's cell side {cfg.cell_side} m differs from the "
+                                f"grid's {grid.cell_side} m")
     mcfg = msprt_cfg or MsprtConfig(max_observations=ms.n_observations)
     ms = ms.in_pair_order(net.ordered_pairs()).first_observations(
         mcfg.max_observations, params.outage_prob)

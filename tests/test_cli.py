@@ -61,6 +61,37 @@ class TestConfig:
         assert cfg.baseline().length == pytest.approx(100.0 * math.sqrt(3.0))
         assert len(cfg.nodes) == 3
 
+    @pytest.mark.parametrize("m", [1.0, 2.5])
+    def test_as_dict_round_trips(self, m):
+        raw = default_config_dict()
+        raw["channel"]["nakagami_m"] = m
+        cfg = scenario_from_dict(raw)
+        assert scenario_from_dict(cfg.as_dict()) == cfg
+        assert cfg.as_dict() == raw
+
+    def test_optional_keys_take_their_defaults(self):
+        raw = default_config_dict()
+        for key in ("mode", "msprt_error", "quad_order"):
+            del raw["experiment"][key]
+        cfg = scenario_from_dict(raw)
+        assert (cfg.mode, cfg.msprt_error, cfg.quad_order) == ("msprt", 0.01, 16)
+        assert cfg == scenario_from_dict(default_config_dict())
+
+    def test_unknown_section_without_keys_is_named(self):
+        raw = default_config_dict()
+        raw["notes"] = "free text"
+        with pytest.raises(ConfigError, match="unknown config section 'notes'"):
+            scenario_from_dict(raw)
+
+    def test_draws_bounded_by_pairs_relays_and_observations(self, monkeypatch):
+        # the reference scenario makes 6 ordered pairs x 5 relays x 10 draws
+        monkeypatch.setattr(config, "MAX_DRAWS", 300)
+        scenario_from_dict(default_config_dict())
+        monkeypatch.setattr(config, "MAX_DRAWS", 299)
+        with pytest.raises(ConfigError, match="^experiment.relays and experiment.observations: "
+                                              "6 ordered pairs x 5 relays x 10 observations"):
+            scenario_from_dict(default_config_dict())
+
     def test_missing_key_reported_with_path(self, tmp_path):
         raw = default_config_dict()
         del raw["channel"]["snr_db"]
@@ -355,14 +386,29 @@ class TestExitCodes:
         ("grid", "node_resolution_deg", 1e-8), ("grid", "cell_side_m", 0.0),
         ("grid", "cell_side_m", -5.0), ("grid", "aod_resolution_deg", 1e-6),
         ("grid", "aoa_resolution_deg", 1e-6),
+        ("geometry", "nodes", default_config_dict()["geometry"]["nodes"][:2]),
+        ("geometry", "nodes", [[50.0 * math.sqrt(3.0), 50.0]]
+         + default_config_dict()["geometry"]["nodes"][1:]),
+        ("geometry", "region_radius", 0.0), ("geometry", "region_radius", -3.0),
+        ("geometry", "region_center", [50.0, 10.0]), ("geometry", "source", [0.0, 0.0]),
+        ("channel", "outage_prob", 1.5), ("channel", "nakagami_m", -1.0),
+        ("experiment", "mode", "foo"), ("experiment", "observations", 0),
+        ("experiment", "msprt_error", 1.0), ("grid", "aod_resolution_deg", 5e-324),
+        ("grid", "aod_resolution_deg", 1e-310), ("grid", "cell_side_m", 5e-324),
+        ("experiment", "msprt_eror", 0.05), ("telemetry", "verbose", True),
     ], ids=["snr_nan", "snr_inf", "nakagami_nan", "node_resolution_nan", "cell_side_nan",
             "msprt_error_nan", "seed_negative", "observations_fraction", "relays_bool",
             "quad_order_fraction", "snr_bool", "snr_string", "relays_string", "seed_string",
             "msprt_error_string", "source_string", "node_strings", "node_resolution_int32",
-            "cell_side_zero", "cell_side_negative", "aod_grid_too_fine", "aoa_grid_too_fine"])
+            "cell_side_zero", "cell_side_negative", "aod_grid_too_fine", "aoa_grid_too_fine",
+            "two_nodes", "node_inside_region", "region_radius_zero", "region_radius_negative",
+            "region_touches_baseline", "source_is_destination", "outage_prob_above_1",
+            "nakagami_negative", "mode_unknown", "observations_zero", "msprt_error_1",
+            "aod_resolution_underflow", "aod_resolution_overflow", "cell_side_subnormal",
+            "unknown_key", "unknown_section"])
     def test_non_finite_config_number_is_2(self, tmp_path, capsys, section, key, value):
         raw = default_config_dict()
-        raw[section][key] = value
+        raw.setdefault(section, {})[key] = value
         path = tmp_path / "non_finite.json"
         write_config(raw, path)
         for command in ("simulate", "direct"):
@@ -372,13 +418,15 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("section, key, value", [
         ("grid", "cell_side_m", 0.001), ("experiment", "quad_order", 100000),
-    ], ids=["cell_grid_too_fine", "quad_order_too_high"])
+        ("experiment", "relays", 10**30), ("experiment", "observations", 10**30),
+    ], ids=["cell_grid_too_fine", "quad_order_too_high", "relays_too_many",
+            "observations_too_many"])
     def test_unbounded_work_is_2_under_a_memory_cap(self, tmp_path, section, key, value):
-        # 80,000 x 80,000 cell centers (51 GB per float array) or a 100000 x
-        # 100000 companion matrix (80 GB): the CLI runs in a child whose own
-        # address space is capped at 4 GiB, so code that starts to build
-        # either fails there with a MemoryError, not by exhausting the
-        # memory of the test runner
+        # 80,000 x 80,000 cell centers (51 GB per float array), a 100000 x
+        # 100000 companion matrix (80 GB) or 6e31 capacity draws: the CLI
+        # runs in a child whose own address space is capped at 4 GiB, so
+        # code that starts to build any of them fails there with a
+        # MemoryError, not by exhausting the memory of the test runner
         raw = default_config_dict()
         raw[section][key] = value
         path = tmp_path / "unbounded.json"
@@ -397,7 +445,10 @@ class TestExitCodes:
                 capture_output=True, text=True, env=env, timeout=120,
                 preexec_fn=limit_address_space)
             assert proc.returncode == 2, proc.stderr
-            assert f"config error: {section}.{key}: " in proc.stderr
+            # the keys named ahead of the message: one, or two joined by "and"
+            assert proc.stderr.startswith("config error: "), proc.stderr
+            named = proc.stderr[len("config error: "):].split(": ")[0]
+            assert f"{section}.{key}" in named.split(" and ")
 
     @pytest.mark.parametrize("value", ["1e12", "-1e300"])
     def test_out_of_range_angle_is_3(self, reference_run, tmp_path, capsys, value):
@@ -559,3 +610,11 @@ def test_write_config_command(tmp_path):
     assert main(["write-config", str(path)]) == 0
     cfg = load_scenario(path)
     assert cfg.relays == 5
+
+
+def test_shipped_config_is_the_reference_scenario():
+    # configs/default.json passes every key check and holds what
+    # write-config writes
+    path = Path(__file__).parent.parent / "configs" / "default.json"
+    assert load_scenario(path) == scenario_from_dict(default_config_dict())
+    assert json.loads(path.read_text()) == default_config_dict()

@@ -200,12 +200,15 @@ class TestDiscretize:
 
     def test_box_cells_are_bounded_before_any_center_is_built(self, monkeypatch):
         # the 1 m grid tiles the 80 m box with 80 x 80 cells; 1 mm cells
-        # (6.4e9) are counted and refused, never laid out
+        # (6.4e9) are counted and refused, never laid out, and a side whose
+        # box ratio overflows to inf is refused before it is rounded
         assert box_shape(REGION, 5.0) == (16, 16)
         assert box_shape(REGION, 1.0) == (80, 80)
         assert box_shape(REGION, 100.0) == (1, 1)
         with pytest.raises(DomainError, match="80000 x 80000 cells, more than the 100,000"):
             box_shape(REGION, 0.001)
+        with pytest.raises(DomainError, match="more than the 100,000 cells allowed"):
+            box_shape(REGION, 5e-324)
         monkeypatch.setattr(geometry, "MAX_BOX_CELLS", 6400)
         assert len(CellGrid(REGION, 1.0).xy) == 5024
         monkeypatch.setattr(geometry, "MAX_BOX_CELLS", 6399)

@@ -105,13 +105,18 @@ def l2_oracle(values) -> float:
 
 
 def residuals_oracle(ms, relay, w, net=NET) -> tuple[float, float]:
-    """(e_angle, e_capacity) of cell w against relay's rows of ms, by scalar solves."""
-    cell = GRID.cells[w]
-    e_angle = l2_oracle(float(ms.aoa[p, relay]) - node_angle(net, q2, cell)
+    """(e_angle, e_capacity) of cell w against relay's rows of ms, by scalar
+    solves and running sums.  Angles and hops are the cell's row of the one
+    `net.table` call over GRID.xy that the solver's footprint makes
+    (`test_table_is_the_scalar_geometry` checks that table against the math
+    module), so a comparison checks the summation order and the outage solve
+    alone, not how numpy and libm round."""
+    d, angle = net.table(*GRID.xy.T)
+    e_angle = l2_oracle(float(ms.aoa[p, relay]) - float(angle[w, q2])
                         for p, (_, q2) in enumerate(ms.pairs))
     e_capacity = l2_oracle(
         float(ms.cap_est[p, relay])
-        - outage_capacity(HopPair(dist(net.nodes[q1], cell), dist(cell, net.nodes[q2])), PARAMS)
+        - outage_capacity(HopPair(float(d[w, q1]), float(d[w, q2])), PARAMS)
         for p, (q1, q2) in enumerate(ms.pairs))
     return e_angle, e_capacity
 
@@ -520,6 +525,14 @@ class TestLocalizeAll:
                             np.zeros((6, 0)), np.zeros((6, 0, 10)))
         assert localize_all(ms, NET, GRID, PARAMS, CFG.tomography()) == []
 
+    @pytest.mark.parametrize("mode", ["argmin", "msprt"])
+    def test_cell_side_other_than_the_grids_is_refused(self, mode):
+        # the solver localizes on the grid's cells; a different configured
+        # side would be silently ignored
+        ms = synthetic_set(sample_relays(REGION, 2, RngStream(86)))
+        with pytest.raises(LocalizationError, match="cell side 2.5 m differs from the grid's 5.0 m"):
+            localize_all(ms, NET, GRID, PARAMS, TomographyConfig(cell_side=2.5, mode=mode))
+
     def test_unlocalized_on_contradiction(self):
         relay = sample_relays(REGION, 1, RngStream(87))[0]
         ms_full = synthetic_set([relay], seed=88)
@@ -644,15 +657,12 @@ class TestCapacityColumn:
             expected.append(msprt_localize(candidates, ms.raw[:, l, :], NET, GRID, PARAMS, cfg,
                                            relay=l, angle_weights=weights))
         got = localize_all(ms, NET, GRID, PARAMS, CFG.tomography(), cfg)
-        # the decisions exactly; the residuals against scalar solves, whose
-        # math-module angles and hops lie some ulps from the numpy table's
+        # the decisions and, against scalar solves, the residuals exactly
         assert repr([replace(r, e_angle=0.0, e_capacity=0.0) if r.cell_index is not None
                      else r for r in got]) == repr(expected)
         for r in got:
             if r.cell_index is not None:
-                np.testing.assert_allclose((r.e_angle, r.e_capacity),
-                                           residuals_oracle(ms, r.relay, r.cell_index),
-                                           rtol=1e-12, atol=0.0)
+                assert (r.e_angle, r.e_capacity) == residuals_oracle(ms, r.relay, r.cell_index)
 
         fp = tomography._footprint(NET, GRID)
         many = [1, 3, 4]
