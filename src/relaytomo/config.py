@@ -25,7 +25,7 @@ from .geometry import (
     discretize_region,
 )
 from .ias import MAX_GRID_CELLS, AngularGrid, build_grid
-from .measurement import MAX_DRAWS, MeasurementNetwork
+from .measurement import MAX_DRAWS, MAX_NODES, MeasurementNetwork
 from .numerics import QuadratureSpec, RngStream
 from .tomography import MsprtConfig, TomographyConfig
 
@@ -230,8 +230,16 @@ def _clear_region(center: Point, radius: float, baseline: Baseline) -> RelayRegi
     return region
 
 
-def _bounded_angular_grid(region, baseline, aod_deg: float, aoa_deg: float) -> AngularGrid:
-    grid = build_grid(region, baseline, math.radians(aod_deg), math.radians(aoa_deg))
+def _radians(degrees: float) -> float:
+    # a positive angle too small for math.radians is refused as such, not as 0
+    radians = math.radians(degrees)
+    if degrees > 0.0 and radians == 0.0:
+        raise DomainError(f"{degrees} degrees underflows to 0 radians")
+    return radians
+
+
+def _bounded_angular_grid(region, baseline, d_aod: float, d_aoa: float) -> AngularGrid:
+    grid = build_grid(region, baseline, d_aod, d_aoa)
     if grid.n_aod * grid.n_aoa > MAX_GRID_CELLS:
         raise DomainError(f"an angular grid of {grid.n_aod} x {grid.n_aoa} cells, more than "
                           f"the {MAX_GRID_CELLS:,} allowed")
@@ -241,6 +249,11 @@ def _bounded_angular_grid(region, baseline, aod_deg: float, aoa_deg: float) -> A
 def _non_negative(value: int) -> None:
     if value < 0:
         raise DomainError(f"must be non-negative, got {value}")
+
+
+def _bounded_nodes(nodes: tuple[Point, ...]) -> None:
+    if len(nodes) > MAX_NODES:
+        raise DomainError(f"{len(nodes)} measuring nodes, more than the {MAX_NODES} allowed")
 
 
 def _bounded_draws(nodes: int, relays: int, observations: int) -> None:
@@ -259,17 +272,20 @@ def validate_scenario(cfg: ScenarioConfig) -> None:
     than MAX_GRID_CELLS cells is rejected before anything allocates it.
     The cell grid is only counted (`box_shape`), never built: a side that
     tiles the bounding box with more than MAX_BOX_CELLS cells is rejected.
-    Ordered pairs x relays x observations, the capacity draws a simulation
-    makes, are bounded by MAX_DRAWS.
+    The node count is bounded by MAX_NODES before any pair table exists,
+    and ordered pairs x relays x observations, the capacity draws a
+    simulation makes, by MAX_DRAWS.
     """
     baseline = _step("source destination", Baseline, cfg.source, cfg.destination)
     region = _step("region_center region_radius", _clear_region,
                    cfg.region_center, cfg.region_radius, baseline)
     _step("snr_db nakagami_m path_loss_exp outage_prob", cfg.channel_params)
-    _step("nodes node_resolution_deg", MeasurementNetwork,
-          cfg.nodes, math.radians(cfg.node_resolution_deg), region)
+    d_node, d_aod, d_aoa = (_step(name, _radians, getattr(cfg, name)) for name in
+                            ("node_resolution_deg", "aod_resolution_deg", "aoa_resolution_deg"))
+    _step("nodes", _bounded_nodes, cfg.nodes)
+    _step("nodes node_resolution_deg", MeasurementNetwork, cfg.nodes, d_node, region)
     _step("aod_resolution_deg aoa_resolution_deg", _bounded_angular_grid,
-          region, baseline, cfg.aod_resolution_deg, cfg.aoa_resolution_deg)
+          region, baseline, d_aod, d_aoa)
     _step("cell_side_m", box_shape, region, cfg.cell_side_m)
     _step("cell_side_m mode", cfg.tomography)
     _step("quad_order", cfg.quadrature)
@@ -280,14 +296,19 @@ def validate_scenario(cfg: ScenarioConfig) -> None:
 
 
 def load_scenario(path) -> ScenarioConfig:
-    """Parse and validate a scenario file; JSON syntax errors carry line numbers."""
+    """Parse and validate a scenario file; JSON syntax errors carry line numbers.
+
+    A file that cannot be read, is not UTF-8 or nests past Python's
+    recursion limit is a ConfigError naming it."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ConfigError(f"config {path} nests too deeply: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path} must contain a JSON object")
     return scenario_from_dict(raw)

@@ -32,6 +32,10 @@ RELAY_HEADER = "# relaytomo relay-positions v1"
 # unordered pair, their copy per ordered pair and the sort of the quantile
 # estimate), 200 MB at the bound, and about as many again as text in the file
 MAX_DRAWS = 10_000_000
+# measuring nodes a scenario may place: the solver keeps 81 float64 footprint
+# angles per cell and node (65 MB per node at MAX_BOX_CELLS cells), and each of
+# up to 240 ordered pairs labels a row of every draw and capacity table
+MAX_NODES = 16
 
 
 @dataclass(frozen=True)
@@ -228,6 +232,68 @@ def simulate_measurements(
 # line-oriented serialization (documented in README.md)
 
 
+def write_records(path, header: str, columns: str, records) -> None:
+    """A line file: its header, a `# columns:` line, then one line per record."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join([header, f"# columns: {columns}", *records]) + "\n")
+
+
+def _read_records(path, what: str, n_keys: int, fields: tuple[str, ...], signed: int,
+                  repeated: str = "") -> dict[tuple[int, ...], tuple[int, list[float]]]:
+    """A line file's records, {key: (line, values)} in file order.
+
+    A record is n_keys integers (the last a relay index), one float per name
+    in `fields` and, with a `repeated` name, one or more floats `repeated`0,
+    `repeated`1, ...; the floats past the first `signed` are capacities.
+    MeasurementError names the file, and the line and field at fault: an
+    unreadable or non-UTF-8 file, a wrong width, a non-numeric, non-finite
+    or negative capacity field, a negative relay index or a duplicate key.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise MeasurementError(f"cannot read {what} file {path}: {exc}") from exc
+    width = n_keys + len(fields)
+    records = {}
+    for lineno, line in enumerate(lines, 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        tok = line.split()
+        if len(tok) <= width if repeated else len(tok) != width:
+            raise MeasurementError(f"{path}, line {lineno}: malformed {what} record {line!r}")
+        try:
+            key = tuple(int(t) for t in tok[:n_keys])
+            values = [float(t) for t in tok[n_keys:]]
+        except ValueError as exc:
+            raise MeasurementError(
+                f"{path}, line {lineno}: non-numeric field in {line!r}") from exc
+        bad = next((k for k, v in enumerate(values)
+                    if not (math.isfinite(v) and (v >= 0.0 or k < signed))), None)
+        if bad is not None:
+            name = fields[bad] if bad < len(fields) else f"{repeated}{bad - len(fields)}"
+            fault = "negative" if math.isfinite(values[bad]) else "non-finite"
+            raise MeasurementError(
+                f"{path}, line {lineno}: {fault} {name} {tok[n_keys + bad]!r}")
+        if key[-1] < 0:
+            raise MeasurementError(f"{path}, line {lineno}: negative relay index")
+        if key in records:
+            pair = f"pair {key[:-1]}, " if key[:-1] else ""
+            raise MeasurementError(
+                f"{path}, line {lineno}: duplicate record of {pair}relay {key[-1]} "
+                f"(first at line {records[key][0]})")
+        records[key] = (lineno, values)
+    return records
+
+
+def _check_relays(path, held: set[int], n_relays: int, owner: str = "") -> None:
+    """MeasurementError naming the least relay index below n_relays missing from held."""
+    if len(held) < n_relays:  # the least index missing is at most len(held)
+        missing = min(set(range(len(held) + 1)) - held)
+        raise MeasurementError(f"{path}: {owner}no record of relay {missing}")
+
+
 def write_measurements(ms: MeasurementSet, path) -> None:
     """One record per (pair, relay): q1 q2 relay aoa_deg cap_est raw...
 
@@ -235,126 +301,55 @@ def write_measurements(ms: MeasurementSet, path) -> None:
     the radians/degrees conversion wobble, so serialization is idempotent);
     capacities use shortest round-trip float repr.
     """
-    lines = [FORMAT_HEADER,
-             "# columns: q1 q2 relay aoa_deg cap_est obs_0..obs_{O-1}"]
-    for p_idx, (q1, q2) in enumerate(ms.pairs):
-        for l in range(ms.n_relays):
-            fields = [str(q1), str(q2), str(l),
-                      f"{math.degrees(ms.aoa[p_idx, l]):.10f}",
-                      repr(float(ms.cap_est[p_idx, l]))]
-            fields.extend(repr(float(v)) for v in ms.raw[p_idx, l])
-            lines.append(" ".join(fields))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    records = (" ".join([f"{q1} {q2} {l} {math.degrees(ms.aoa[p_idx, l]):.10f}",
+                         repr(float(ms.cap_est[p_idx, l])),
+                         *(repr(float(v)) for v in ms.raw[p_idx, l])])
+               for p_idx, (q1, q2) in enumerate(ms.pairs) for l in range(ms.n_relays))
+    write_records(path, FORMAT_HEADER, "q1 q2 relay aoa_deg cap_est obs_0..obs_{O-1}", records)
 
 
 def read_measurements(path) -> MeasurementSet:
     """Parse a measurement file; rows keep the order of first appearance.
 
-    Raises MeasurementError naming the file and line for a malformed,
-    non-finite or duplicated (q1, q2, relay) record or one whose
-    observation count differs from the first record's, and naming the pair
-    and relay when a pair lacks a record of some relay.
+    Raises MeasurementError as `_read_records` does, and for a record whose
+    observation count differs from the first record's (file and line) or a
+    pair lacking a record of some relay (pair and relay).
     """
-    records = {}
-    try:
-        fh = open(path, "r", encoding="utf-8")
-    except OSError as exc:
-        raise MeasurementError(f"cannot read measurement file {path}: {exc}") from exc
-    with fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            tok = line.split()
-            if len(tok) < 6:
-                raise MeasurementError(
-                    f"{path}, line {lineno}: malformed measurement record {line!r}")
-            try:
-                key = (int(tok[0]), int(tok[1]), int(tok[2]))
-                values = [float(v) for v in tok[3:]]
-            except ValueError as exc:
-                raise MeasurementError(
-                    f"{path}, line {lineno}: non-numeric field in {line!r}") from exc
-            if not all(map(math.isfinite, values)):
-                k = next(k for k, v in enumerate(values) if not math.isfinite(v))
-                field = ("aoa_deg", "cap_est")[k] if k < 2 else f"obs_{k - 2}"
-                raise MeasurementError(
-                    f"{path}, line {lineno}: non-finite {field} {tok[3 + k]!r}")
-            record = (lineno, math.radians(values[0]), values[1], values[2:])
-            if key[2] < 0:
-                raise MeasurementError(f"{path}, line {lineno}: negative relay index")
-            if key in records:
-                raise MeasurementError(
-                    f"{path}, line {lineno}: duplicate record of pair {key[:2]}, "
-                    f"relay {key[2]} (first at line {records[key][0]})")
-            records[key] = record
+    records = _read_records(path, "measurement", 3, ("aoa_deg", "cap_est"), 1, "obs_")
     if not records:
         raise MeasurementError(f"no measurement records found in {path}")
     held = {}
     for q1, q2, l in records:
         held.setdefault((q1, q2), set()).add(l)
-    pairs = list(held)
     n_relays = max(l for _, _, l in records) + 1
-    for (q1, q2), relays in held.items():
-        if len(relays) < n_relays:  # the least index missing is at most len(relays)
-            missing = min(set(range(len(relays) + 1)) - relays)
-            raise MeasurementError(f"{path}: pair ({q1}, {q2}) has no record of relay {missing}")
-    first_line, _, _, first_obs = next(iter(records.values()))
-    n_obs = len(first_obs)
-    aoa = np.zeros((len(pairs), n_relays))
-    cap_est = np.zeros((len(pairs), n_relays))
-    raw = np.zeros((len(pairs), n_relays, n_obs))
-    for p_idx, (q1, q2) in enumerate(pairs):
+    for pair, relays in held.items():
+        _check_relays(path, relays, n_relays, f"pair {pair} has ")
+    first_line, first = next(iter(records.values()))
+    n_obs = len(first) - 2
+    shape = (len(held), n_relays)
+    aoa, cap_est, raw = np.zeros(shape), np.zeros(shape), np.zeros(shape + (n_obs,))
+    for p_idx, (q1, q2) in enumerate(held):
         for l in range(n_relays):
-            lineno, aoa[p_idx, l], cap_est[p_idx, l], obs = records[(q1, q2, l)]
+            lineno, (aoa_deg, cap_est[p_idx, l], *obs) = records[(q1, q2, l)]
             if len(obs) != n_obs:
                 raise MeasurementError(f"{path}, line {lineno}: {len(obs)} observations, "
                                        f"but the first record (line {first_line}) has {n_obs}")
-            raw[p_idx, l, :] = obs
-    return MeasurementSet(tuple(pairs), aoa, cap_est, raw)
+            aoa[p_idx, l], raw[p_idx, l] = math.radians(aoa_deg), obs
+    return MeasurementSet(tuple(held), aoa, cap_est, raw)
 
 
 def write_relays(relays: list[Point], path) -> None:
-    lines = [RELAY_HEADER, "# columns: relay x y"]
-    for l, p in enumerate(relays):
-        lines.append(f"{l} {float(p.x)!r} {float(p.y)!r}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_records(path, RELAY_HEADER, "relay x y",
+                  (f"{l} {float(p.x)!r} {float(p.y)!r}" for l, p in enumerate(relays)))
 
 
 def read_relays(path) -> list[Point]:
     """Parse a relay file; relay l is the record of index l.
 
-    Raises MeasurementError naming the file (and line) for a malformed
-    record, a negative or duplicate index, or a gap in 0..n-1.
+    Raises MeasurementError as `_read_records` does, and for a gap in
+    0..n-1 (file named).
     """
-    relays = {}
-    try:
-        fh = open(path, "r", encoding="utf-8")
-    except OSError as exc:
-        raise MeasurementError(f"cannot read relay file {path}: {exc}") from exc
-    with fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            tok = line.split()
-            if len(tok) != 3:
-                raise MeasurementError(f"{path}, line {lineno}: malformed relay record {line!r}")
-            try:
-                l, point = int(tok[0]), Point(float(tok[1]), float(tok[2]))
-            except ValueError as exc:
-                raise MeasurementError(
-                    f"{path}, line {lineno}: non-numeric field in {line!r}") from exc
-            if l < 0:
-                raise MeasurementError(f"{path}, line {lineno}: negative relay index")
-            if l in relays:
-                raise MeasurementError(
-                    f"{path}, line {lineno}: duplicate record of relay {l} "
-                    f"(first at line {relays[l][0]})")
-            relays[l] = (lineno, point)
-    gaps = set(range(len(relays))) - relays.keys()
-    if gaps:
-        raise MeasurementError(f"{path}: no record of relay {min(gaps)}")
-    return [relays[l][1] for l in range(len(relays))]
+    records = _read_records(path, "relay", 1, ("x", "y"), 2)
+    held = {l for l, in records}
+    _check_relays(path, held, max(held, default=-1) + 1)
+    return [Point(*records[(l,)][1]) for l in range(len(held))]

@@ -47,7 +47,7 @@ from .channel import (
 )
 from .errors import DomainError, LocalizationError, MeasurementError
 from .geometry import CellGrid, Point, dist
-from .measurement import MeasurementNetwork, MeasurementSet, angle_bins
+from .measurement import MeasurementNetwork, MeasurementSet, angle_bins, write_records
 
 KIND_THRESHOLD = "threshold"
 KIND_FORCED_MAP = "forced-map"
@@ -495,15 +495,13 @@ REPORT_HEADER = "# relaytomo localization-report v1"
 
 def write_report(results: list[LocalizationResult], path) -> None:
     """Line format: relay x y kind n_candidates e_capacity stopped_at."""
-    lines = [REPORT_HEADER,
-             "# columns: relay x y kind n_candidates e_capacity stopped_at"]
+    lines = []
     for r in results:
         x = repr(r.position.x) if r.position is not None else "nan"
         y = repr(r.position.y) if r.position is not None else "nan"
         e_cap = repr(float(r.e_capacity)) if math.isfinite(r.e_capacity) else "nan"
         lines.append(f"{r.relay} {x} {y} {r.kind} {r.n_candidates} {e_cap} {r.stopped_at}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_records(path, REPORT_HEADER, "relay x y kind n_candidates e_capacity stopped_at", lines)
 
 
 def score_results(

@@ -327,6 +327,28 @@ class TestExitCodes:
         bad.write_text("{not json")
         assert main(["direct", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("content, message", [
+        (b"\xff" + json.dumps(default_config_dict()).encode(),
+         "cannot read config {path}: 'utf-8' codec can't decode byte 0xff"),
+        (b"[" * 200_000 + b"]" * 200_000, "config {path} nests too deeply"),
+    ], ids=["not_utf8", "nested_too_deep"])
+    def test_unreadable_config_is_2(self, tmp_path, capsys, content, message):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        for command in ("simulate", "direct"):
+            capsys.readouterr()
+            assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+            assert message.format(path=path) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["aod_resolution_deg", "aoa_resolution_deg",
+                                     "node_resolution_deg"])
+    def test_underflowing_resolution_says_so(self, key):
+        raw = default_config_dict()
+        raw["grid"][key] = 5e-324
+        with pytest.raises(ConfigError,
+                           match=f"^grid.{key}: 5e-324 degrees underflows to 0 radians$"):
+            scenario_from_dict(raw)
+
     def test_semantic_config_error_is_2(self, tmp_path):
         raw = default_config_dict()
         raw["experiment"]["observations"] = 0
@@ -354,11 +376,14 @@ class TestExitCodes:
         assert main(["invert", str(bad), "--out", str(tmp_path / "o")]) == 3
         assert f"line {k + 1}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("column, value, field", [
-        (3, "nan", "aoa_deg"), (4, "nan", "cap_est"), (4, "inf", "cap_est"),
-        (7, "nan", "obs_2"), (5, "-inf", "obs_0"),
-    ], ids=["aoa_nan", "cap_nan", "cap_inf", "obs_nan", "obs_neg_inf"])
-    def test_non_finite_field_is_3(self, reference_run, tmp_path, capsys, column, value, field):
+    @pytest.mark.parametrize("column, value, fault", [
+        (3, "nan", "non-finite aoa_deg"), (4, "nan", "non-finite cap_est"),
+        (4, "inf", "non-finite cap_est"), (7, "nan", "non-finite obs_2"),
+        (5, "-inf", "non-finite obs_0"), (4, "-1", "negative cap_est"),
+        (6, "-0.5", "negative obs_1"),
+    ], ids=["aoa_nan", "cap_nan", "cap_inf", "obs_nan", "obs_neg_inf", "cap_negative",
+            "obs_negative"])
+    def test_non_finite_field_is_3(self, reference_run, tmp_path, capsys, column, value, fault):
         sim, _ = reference_run
         lines = (sim / "measurements.txt").read_text().splitlines()
         k = next(n for n, line in enumerate(lines) if not line.startswith("#")) + 4
@@ -371,7 +396,7 @@ class TestExitCodes:
             capsys.readouterr()
             assert main(["invert", str(bad), "--mode", mode, "--out", str(tmp_path / "o")]) == 3
             err = capsys.readouterr().err
-            assert f"{bad}, line {k + 1}: non-finite {field} {value!r}" in err
+            assert f"{bad}, line {k + 1}: {fault} {value!r}" in err
 
     @pytest.mark.parametrize("section, key, value", [
         ("channel", "snr_db", math.nan), ("channel", "snr_db", math.inf),
@@ -394,6 +419,7 @@ class TestExitCodes:
         ("channel", "outage_prob", 1.5), ("channel", "nakagami_m", -1.0),
         ("experiment", "mode", "foo"), ("experiment", "observations", 0),
         ("experiment", "msprt_error", 1.0), ("grid", "aod_resolution_deg", 5e-324),
+        ("grid", "aoa_resolution_deg", 5e-324), ("grid", "node_resolution_deg", 5e-324),
         ("grid", "aod_resolution_deg", 1e-310), ("grid", "cell_side_m", 5e-324),
         ("experiment", "msprt_eror", 0.05), ("telemetry", "verbose", True),
     ], ids=["snr_nan", "snr_inf", "nakagami_nan", "node_resolution_nan", "cell_side_nan",
@@ -404,7 +430,8 @@ class TestExitCodes:
             "two_nodes", "node_inside_region", "region_radius_zero", "region_radius_negative",
             "region_touches_baseline", "source_is_destination", "outage_prob_above_1",
             "nakagami_negative", "mode_unknown", "observations_zero", "msprt_error_1",
-            "aod_resolution_underflow", "aod_resolution_overflow", "cell_side_subnormal",
+            "aod_resolution_underflow", "aoa_resolution_underflow", "node_resolution_underflow",
+            "aod_resolution_overflow", "cell_side_subnormal",
             "unknown_key", "unknown_section"])
     def test_non_finite_config_number_is_2(self, tmp_path, capsys, section, key, value):
         raw = default_config_dict()
@@ -419,11 +446,13 @@ class TestExitCodes:
     @pytest.mark.parametrize("section, key, value", [
         ("grid", "cell_side_m", 0.001), ("experiment", "quad_order", 100000),
         ("experiment", "relays", 10**30), ("experiment", "observations", 10**30),
+        ("geometry", "nodes", [[1000.0 + q, -1000.0] for q in range(20_000)]),
     ], ids=["cell_grid_too_fine", "quad_order_too_high", "relays_too_many",
-            "observations_too_many"])
+            "observations_too_many", "nodes_too_many"])
     def test_unbounded_work_is_2_under_a_memory_cap(self, tmp_path, section, key, value):
         # 80,000 x 80,000 cell centers (51 GB per float array), a 100000 x
-        # 100000 companion matrix (80 GB) or 6e31 capacity draws: the CLI
+        # 100000 companion matrix (80 GB), 6e31 capacity draws or the
+        # 399,980,000 ordered pairs of 20,000 nodes: the CLI
         # runs in a child whose own address space is capped at 4 GiB, so
         # code that starts to build any of them fails there with a
         # MemoryError, not by exhausting the memory of the test runner
@@ -511,22 +540,25 @@ class TestExitCodes:
         assert main(["invert", measurements, "--observations", "10",
                      "--out", str(tmp_path / "o")]) == 0
 
-    @pytest.mark.parametrize("keep, message", [
-        (5, "line {k}: malformed measurement record"),
-        (-1, "line {k}: 9 observations, but the first record (line {first}) has 10"),
-    ], ids=["short_record", "observation_count"])
-    def test_bad_record_names_its_line(self, reference_run, tmp_path, capsys, keep, message):
+    @pytest.mark.parametrize("edit, message", [
+        (lambda tok: tok[:5], "{bad}, line {k}: malformed measurement record"),
+        (lambda tok: tok[:-1],
+         "{bad}, line {k}: 9 observations, but the first record (line {first}) has 10"),
+        (lambda tok: tok + ["\udcff"],  # written as the byte 0xff
+         "cannot read measurement file {bad}: 'utf-8' codec can't decode byte 0xff"),
+    ], ids=["short_record", "observation_count", "not_utf8"])
+    def test_bad_record_names_its_line(self, reference_run, tmp_path, capsys, edit, message):
         sim, _ = reference_run
         lines = (sim / "measurements.txt").read_text().splitlines()
         first = next(n for n, line in enumerate(lines) if not line.startswith("#"))
         k = first + 4
-        lines[k] = " ".join(lines[k].split()[:keep])
+        lines[k] = " ".join(edit(lines[k].split()))
         bad = tmp_path / "bad_record.txt"
-        bad.write_text("\n".join(lines) + "\n")
+        bad.write_text("\n".join(lines) + "\n", errors="surrogateescape")
         capsys.readouterr()
         assert main(["invert", str(bad), "--out", str(tmp_path / "o")]) == 3
         err = capsys.readouterr().err
-        assert f"{bad}, " + message.format(k=k + 1, first=first + 1) in err
+        assert message.format(bad=bad, k=k + 1, first=first + 1) in err
 
     def test_unconverged_outage_model_is_3(self, tmp_path, capsys):
         # at m = 1e6 the incomplete gamma reaches its iteration cap short of
@@ -546,13 +578,22 @@ class TestExitCodes:
         (lambda recs: ["-1" + recs[0][1:]] + recs[1:], "line 3: negative relay index"),
         (lambda recs: recs[:1] + recs[2:], "no record of relay 1"),
         (lambda recs: recs[:-1], "holds 4 relays"),
-    ], ids=["non_numeric", "duplicate", "negative", "gap", "short"])
+        (lambda recs: [], "holds 0 relays"),
+        (lambda recs: recs[:1] + ["\udcff"] + recs[1:],  # written as the byte 0xff
+         "cannot read relay file"),
+        (lambda recs: ["0 nan" + recs[0][recs[0].rindex(" "):]] + recs[1:],
+         "line 3: non-finite x 'nan'"),
+        (lambda recs: [recs[0][:recs[0].rindex(" ")] + " nan"] + recs[1:],
+         "line 3: non-finite y 'nan'"),
+    ], ids=["non_numeric", "duplicate", "negative", "gap", "short", "empty", "not_utf8",
+            "x_nan", "y_nan"])
     def test_bad_truth_file_is_3(self, reference_run, tmp_path, capsys, edit, message):
         sim, _ = reference_run
         lines = (sim / "relays_true.txt").read_text().splitlines()
         header = [line for line in lines if line.startswith("#")]
         bad = tmp_path / "truth.txt"
-        bad.write_text("\n".join(header + edit(lines[len(header):])) + "\n")
+        bad.write_text("\n".join(header + edit(lines[len(header):])) + "\n",
+                       errors="surrogateescape")
         capsys.readouterr()
         assert main(["invert", str(sim / "measurements.txt"), "--truth", str(bad),
                      "--out", str(tmp_path / "o")]) == 3

@@ -334,6 +334,21 @@ class TestSerialization:
         write_measurements(read_measurements(f1), f2)
         assert f1.read_bytes() == f2.read_bytes()
 
+    def test_simulated_set_read_back_bit_exact(self, tmp_path):
+        # every field lands in its own array cell; angles pass through the
+        # file's ten-decimal degrees and come back by math.radians
+        net = three_node_net()
+        ms = simulate_measurements(net, sample_relays(REGION, 4, RngStream(75)), PARAMS, 5,
+                                   RngStream(76))
+        path = tmp_path / "m.txt"
+        write_measurements(ms, path)
+        back = read_measurements(path)
+        assert back.pairs == ms.pairs
+        assert back.cap_est.tobytes() == ms.cap_est.tobytes()
+        assert back.raw.tobytes() == ms.raw.tobytes()
+        written = [math.radians(float(f"{math.degrees(a):.10f}")) for a in ms.aoa.ravel()]
+        assert back.aoa.tobytes() == np.array(written).reshape(ms.aoa.shape).tobytes()
+
     def test_relay_round_trip(self, tmp_path):
         relays = sample_relays(REGION, 5, RngStream(74))
         path = tmp_path / "relays.txt"
