@@ -20,7 +20,7 @@ from .geometry import (
     CellGrid,
     Point,
     RelayRegion,
-    box_shape,
+    check_cells_inside,
     check_region_clear_of_baseline,
     discretize_region,
 )
@@ -270,8 +270,9 @@ def validate_scenario(cfg: ScenarioConfig) -> None:
 
     The angular grid is built as its index ranges alone, and one of more
     than MAX_GRID_CELLS cells is rejected before anything allocates it.
-    The cell grid is only counted (`box_shape`), never built: a side that
-    tiles the bounding box with more than MAX_BOX_CELLS cells is rejected.
+    The cell grid is never built: a side that tiles the bounding box with
+    more than MAX_BOX_CELLS cells (`box_shape`), or that leaves no cell
+    center in the region (`check_cells_inside`), is rejected.
     The node count is bounded by MAX_NODES before any pair table exists,
     and ordered pairs x relays x observations, the capacity draws a
     simulation makes, by MAX_DRAWS.
@@ -286,7 +287,7 @@ def validate_scenario(cfg: ScenarioConfig) -> None:
     _step("nodes node_resolution_deg", MeasurementNetwork, cfg.nodes, d_node, region)
     _step("aod_resolution_deg aoa_resolution_deg", _bounded_angular_grid,
           region, baseline, d_aod, d_aoa)
-    _step("cell_side_m", box_shape, region, cfg.cell_side_m)
+    _step("cell_side_m", check_cells_inside, region, cfg.cell_side_m)
     _step("cell_side_m mode", cfg.tomography)
     _step("quad_order", cfg.quadrature)
     _step("msprt_error observations", cfg.msprt)

@@ -26,8 +26,9 @@ from .errors import DegenerateGeometryError, DomainError, EmptyGridError, Geomet
 from .numerics import RngStream
 
 COLLINEAR_TOL = 1e-9  # radians; below double-precision conditioning of the sine ratios
-# cells a grid's bounding box may hold; the solver keeps 81 footprint points
-# per cell, from float64 tables of 648 B per cell per node (65 MB per node here)
+# cells a grid's bounding box may hold; the solver's joint-bin table is built
+# from 81 footprint points per cell, binned from float64 tables of 648 B per
+# cell per node (65 MB per node here) that exist only during the build
 MAX_BOX_CELLS = 100_000
 
 
@@ -172,6 +173,21 @@ def box_shape(region: RelayRegion, cell_side: float) -> tuple[int, int]:
         raise DomainError(f"cell side {cell_side} m tiles the region's bounding box with "
                           f"{nx} x {ny} cells, more than the {MAX_BOX_CELLS:,} allowed")
     return nx, ny
+
+
+def check_cells_inside(region: RelayRegion, cell_side: float) -> None:
+    """EmptyGridError unless `CellGrid(region, cell_side)` has a cell, decided
+    without building it.  A box of more than one cell on an axis has a side
+    below about 2 r, and then the centers nearest the region center lie
+    within 0.95 r of it, so only a box of one cell can be empty; its center
+    is tested with `CellGrid.xy`'s arithmetic.  `box_shape` checks the side
+    first."""
+    if box_shape(region, cell_side) == (1, 1):
+        x0, _, y0, _ = region.bounding_box()
+        c = region.center
+        if not np.hypot(x0 + 0.5 * cell_side - c.x, y0 + 0.5 * cell_side - c.y) <= region.radius:
+            raise EmptyGridError(
+                f"cell side {cell_side} m leaves no cell center inside the region")
 
 
 def _unit(dx: float, dy: float) -> tuple[float, float]:

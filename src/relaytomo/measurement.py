@@ -32,9 +32,10 @@ RELAY_HEADER = "# relaytomo relay-positions v1"
 # unordered pair, their copy per ordered pair and the sort of the quantile
 # estimate), 200 MB at the bound, and about as many again as text in the file
 MAX_DRAWS = 10_000_000
-# measuring nodes a scenario may place: the solver keeps 81 float64 footprint
-# angles per cell and node (65 MB per node at MAX_BOX_CELLS cells), and each of
-# up to 240 ordered pairs labels a row of every draw and capacity table
+# measuring nodes a scenario may place: the solver's joint-bin table is built
+# from 81 float64 footprint angles per cell and node (65 MB per node at
+# MAX_BOX_CELLS cells, during the build only), and each of up to 240 ordered
+# pairs labels a row of every draw and capacity table
 MAX_NODES = 16
 
 

@@ -6,20 +6,22 @@ the measuring nodes: one two-hop path per node pair, with its arrival
 angles and outage capacity.  `MeasurementNetwork` owns that forward model
 for the simulator and this solver alike: the node pairs and the rows they
 label, each point's distance and angle at every node, and the angle bins.
-`_Footprint`, one per (network, grid), holds its tables for the grid's
-cell centers and footprint lattice; the capacity column, one per
+`_Footprint`, one per (network, grid), holds the cell centers' distances
+and angles and the joint-bin table: every footprint lattice point grouped
+by its joint bin, one bin per node.  The capacity column, one per
 (network, grid, channel), holds each cell center's outage capacity per
 unordered pair, solved for every cell in one call on first use.
 
 Pipeline per relay: (1) reduce the grid to the cells the measured arrival
-angles allow; (2) pick one candidate either by minimizing the l2 capacity
-residual against the empirical outage estimates (`feasible_cells`, whose
-*center* quantizes into every measured bin), or by a multi-hypothesis
-sequential probability ratio test over the raw instantaneous-capacity
-observations (`angle_likelihood`, the share of each cell's footprint that
-quantizes into every measured bin, as the simulator quantizes the relay's
-own position).  Every result of `localize_all` reports its capacity
-residual and its angle residual, computed for all relays in one step.
+angles allow, one lookup of the relay's joint bin in that table; (2) pick
+one candidate either by minimizing the l2 capacity residual against the
+empirical outage estimates (`feasible_cells`, the cells whose *center*
+quantizes into every measured bin), or by a multi-hypothesis sequential
+probability ratio test over the raw instantaneous-capacity observations
+(`angle_likelihood`, the share of each cell's footprint that quantizes
+into every measured bin, as the simulator quantizes the relay's own
+position).  Every result of `localize_all` reports its capacity residual
+and its angle residual, computed for all relays in one step.
 
 The test's evidence is the capacity log-density of each observation,
 summed over the unordered pairs.  Under Rayleigh fading (Nakagami m = 1)
@@ -86,8 +88,9 @@ class MsprtConfig:
     def __post_init__(self) -> None:
         if not isinstance(self.error, (int, float)) or not 0.0 < self.error < 1.0:
             raise DomainError(f"error probability must be a number in (0, 1), got {self.error!r}")
-        if self.max_observations < 1:
-            raise DomainError("need at least one observation")
+        count = self.max_observations
+        if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 1:
+            raise DomainError(f"max_observations must be an integer >= 1, got {count!r}")
 
     @property
     def threshold(self) -> float:
@@ -123,63 +126,108 @@ def feasible_cells(
 ) -> list[int]:
     """Cells whose predicted arrival angles share every measured bin.
 
-    Intersects, over all observed ordered pairs, the cell sets that quantize
-    to the same resolution bin as the measurement.  Returns sorted cell
-    indices; an empty list signals a grid too coarse or inconsistent data
-    (the caller decides how to proceed).
+    A cell is kept when its *center* quantizes into the measured bin at
+    every receiving node: the cells of the relay's joint bin whose center
+    lies in it.  Returns sorted cell indices; an empty list signals a grid
+    too coarse or inconsistent data (the caller decides how to proceed).
     """
-    receivers, measured = _measured_bins(ms, relay, net)
-    keep = _footprint(net, grid).center_bins[:, receivers] == measured
-    return np.flatnonzero(keep.all(axis=1)).tolist()
+    cells, _, center = _joint_bin_cells(ms, relay, net, grid)
+    return cells[center].tolist()
 
 
-def _measured_bins(ms: MeasurementSet, relay: int, net: MeasurementNetwork):
-    # the receiving node of each row of ms, and the bin of the relay's angle there
+def _joint_bin_cells(ms: MeasurementSet, relay: int, net: MeasurementNetwork, grid: CellGrid):
+    """The footprint table's groups of the relay's joint bin, one measured bin
+    per node: (cells, point counts, center flags), all empty where a node's
+    rows disagree on its bin or no footprint point has that joint bin."""
     try:
         rows = [net.row_of[pair] for pair in ms.pairs]
     except KeyError as exc:
         raise MeasurementError(f"measured pair {exc.args[0]} is not an ordered pair of the "
                                f"network's {len(net.nodes)} nodes") from None
-    return net.receivers[rows], angle_bins(ms.aoa[:, relay], net.resolution)
+    bins = angle_bins(ms.aoa[:, relay], net.resolution)
+    measured = sorted(set(zip(net.receivers[rows].tolist(), bins.tolist())))
+    missing = set(range(net.n_nodes)).difference(q for q, _ in measured)
+    if missing:
+        raise MeasurementError(f"node {min(missing)} receives none of the measured pairs")
+    # a node whose rows disagree adds a bin, and no joint bin has more than one per node
+    fp = _footprint(net, grid)
+    groups = fp.joint.get(tuple(b for _, b in measured), slice(0))
+    return fp.group_cells[groups], fp.group_counts[groups], fp.group_centers[groups]
 
 
 class _Footprint:
     """Per (network, grid): the geometry of every cell's hypothesis.
 
-    dist[w, q], angle[w, q] and center_bins[w, q] are cell w's center's
-    distance, angle and angle bin at node q.  Each cell is also sub-sampled
-    on a FOOTPRINT_SAMPLES x FOOTPRINT_SAMPLES lattice of its square (the
-    center, at offset exactly 0, in the middle); `inside` marks the points
-    in the region disc, which alone make up the footprint.  bins[q, w, s]
-    is the bin at node q of point s of cell w (all from `net.table`), and
-    lo/hi bound the bins each cell's footprint reaches at each node.  rows
-    and (tx, rx) are `net.pair_rows` and `net.pairs`.
+    dist[w, q] and angle[w, q] are cell w's center's distance and angle at
+    node q (from `net.table`); rows and (tx, rx) are `net.pair_rows` and
+    `net.pairs`.  Each cell is also sub-sampled on a FOOTPRINT_SAMPLES x
+    FOOTPRINT_SAMPLES lattice of its square, with the center, at offset
+    exactly 0, in the middle; the points in the region disc make up its
+    footprint.  Those points are grouped by (joint bin, cell), a joint bin
+    being a tuple of one bin per node, and `joint` maps each joint bin to
+    the slice of its groups: group_cells are the cells whose footprint
+    reaches it (sorted), group_counts each one's point count, and
+    group_centers whether its center lies in that bin.  The lattice's
+    angles exist only while the groups are built.
     """
 
     def __init__(self, net: MeasurementNetwork, grid: CellGrid) -> None:
         x, y = grid.xy.T
         self.dist, self.angle = net.table(x, y)
-        self.center_bins = angle_bins(self.angle, net.resolution)
         self.rows = net.pair_rows
         self.tx, self.rx = np.array(net.pairs).T
-
-        n = FOOTPRINT_SAMPLES
-        offsets = ((np.arange(n) + 0.5) / n - 0.5) * grid.cell_side
-        ox, oy = np.meshgrid(offsets, offsets)
-        px = x[:, None] + ox.ravel()
-        py = y[:, None] + oy.ravel()
-        region = net.region
-        self.inside = np.hypot(px - region.center.x, py - region.center.y) <= region.radius
-        _, angle = net.table(px, py)
-        self.bins = np.moveaxis(angle_bins(angle, net.resolution), -1, 0)
-        big = np.iinfo(np.int32).max
-        self.lo = np.where(self.inside, self.bins, big).min(axis=2)
-        self.hi = np.where(self.inside, self.bins, -big).max(axis=2)
+        self.joint, self.group_cells, self.group_counts, self.group_centers = (
+            _joint_bin_groups(net, grid))
 
     def hop_lengths(self, cells=slice(None)) -> tuple[np.ndarray, np.ndarray]:
         """Hop lengths of each cell center's path per unordered pair, (cells, pairs)."""
         d = self.dist[cells]
         return d[:, self.tx], d[:, self.rx]
+
+
+def _joint_bin_groups(net: MeasurementNetwork, grid: CellGrid):
+    """`_Footprint`'s joint, group_cells, group_counts and group_centers.
+
+    The in-disc lattice points, in cell order, are cut into runs of one
+    cell and one joint bin; one lexsort orders the runs by joint bin, and
+    neighbours of one joint bin and cell merge into one group."""
+    n = FOOTPRINT_SAMPLES
+    offsets = ((np.arange(n) + 0.5) / n - 0.5) * grid.cell_side
+    ox, oy = np.meshgrid(offsets, offsets)
+    px = grid.xy[:, :1] + ox.ravel()
+    py = grid.xy[:, 1:] + oy.ravel()
+    region = net.region
+    inside = np.hypot(px - region.center.x, py - region.center.y) <= region.radius
+    cell, point = np.nonzero(inside)
+    _, angle = net.table(px, py)
+    keys = angle_bins(np.moveaxis(angle, -1, 0), net.resolution)[:, inside]  # (nodes, points)
+
+    starts = np.flatnonzero(_run_starts(cell, *keys))
+    counts = np.diff(starts, append=len(cell))
+    # the middle point of a cell's lattice is its center
+    center = np.logical_or.reduceat(point == n * n // 2, starts)
+    keys, cell = keys[:, starts], cell[starts]
+    order = np.lexsort(keys[::-1])  # stable: the runs of a joint bin stay in cell order
+    keys, cell, counts, center = keys[:, order], cell[order], counts[order], center[order]
+
+    new_key = _run_starts(*keys)
+    groups = np.flatnonzero(new_key | _run_starts(cell))
+    counts = np.add.reduceat(counts, groups)
+    center = np.logical_or.reduceat(center, groups)
+    first = np.flatnonzero(new_key[groups])  # each joint bin's first group
+    bounds = first.tolist() + [len(groups)]
+    heads = keys[:, groups[first]].T.tolist()
+    joint = {tuple(head): slice(a, b) for head, a, b in zip(heads, bounds, bounds[1:])}
+    return joint, cell[groups], counts, center
+
+
+def _run_starts(*columns: np.ndarray) -> np.ndarray:
+    """True at each row where a run of rows equal in every column starts."""
+    start = np.zeros(len(columns[0]), dtype=bool)
+    start[0] = True
+    for column in columns:
+        start[1:] |= column[1:] != column[:-1]
+    return start
 
 
 _footprint = lru_cache(maxsize=8)(_Footprint)  # one per (network, grid)
@@ -201,19 +249,8 @@ def angle_likelihood(
     less.  Returns the sorted cell indices of non-zero share and the
     shares; an empty list signals inconsistent data.
     """
-    fp = _footprint(net, grid)
-    receivers, bins = _measured_bins(ms, relay, net)
-    measured = sorted(set(zip(receivers.tolist(), bins.tolist())))
-    reach = np.ones(len(grid.xy), dtype=bool)
-    for q, b in measured:
-        reach &= (fp.lo[q] <= b) & (b <= fp.hi[q])
-    cells = np.flatnonzero(reach)
-    joint = fp.inside[cells]
-    for q, b in measured:
-        joint &= fp.bins[q, cells] == b
-    share = joint.sum(axis=1) / FOOTPRINT_SAMPLES**2
-    keep = share > 0.0
-    return cells[keep].tolist(), share[keep]
+    cells, counts, _ = _joint_bin_cells(ms, relay, net, grid)
+    return cells.tolist(), counts / FOOTPRINT_SAMPLES**2
 
 
 def _l2_norms(diff: np.ndarray) -> np.ndarray:

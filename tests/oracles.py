@@ -8,7 +8,8 @@ the outage equation in log space, and `solve_increasing_root` a plain
 bisection.  `simulate_measurements` is the probing protocol one path at a
 time, with `quantize_angle` and `quantile_estimate` its scalar quantizer
 and outage estimate.  `cell_centers` is the square-cell discretization
-one cell at a time.
+one cell at a time.  `footprint_scan` is the solver's angle step as a
+scan of every cell and every point of its footprint lattice.
 """
 
 import math
@@ -21,7 +22,7 @@ import scipy.special
 from relaytomo.channel import ChannelParams, HopPair, sample_instant_capacity
 from relaytomo.errors import DomainError, MeasurementError, RelayTomoError
 from relaytomo.geometry import Point, _unit, dist, signed_angle
-from relaytomo.measurement import MeasurementSet
+from relaytomo.measurement import MeasurementSet, angle_bins
 
 LN4 = math.log(4.0)
 
@@ -228,3 +229,31 @@ def cell_centers(region, cell_side: float) -> np.ndarray:
             if dist(Point(cx, cy), region.center) <= region.radius:
                 centers.append((cx, cy))
     return np.array(centers).reshape(-1, 2)
+
+
+def footprint_scan(net, grid, n: int = 9):
+    """The angle step as a scan over every cell, for one (network, grid).
+
+    Each cell is sub-sampled on an n x n lattice of its square (its center,
+    at offset exactly 0, in the middle), and every point and every center
+    is binned at each node.  Returns scan(measured), for one measured bin
+    per node in node order: the cells some of whose points lie in the
+    region disc and fall in every measured bin, each one's share of the
+    n * n points, and the cells whose center falls in every measured bin.
+    """
+    x, y = grid.xy.T
+    offsets = ((np.arange(n) + 0.5) / n - 0.5) * grid.cell_side
+    ox, oy = np.meshgrid(offsets, offsets)
+    px, py = x[:, None] + ox.ravel(), y[:, None] + oy.ravel()
+    c, radius = net.region.center, net.region.radius
+    inside = np.hypot(px - c.x, py - c.y) <= radius
+    points = angle_bins(net.table(px, py)[1], net.resolution)  # (cells, n * n, nodes)
+    centers = angle_bins(net.table(x, y)[1], net.resolution)   # (cells, nodes)
+
+    def scan(measured):
+        share = (inside & (points == measured).all(axis=2)).sum(axis=1) / n**2
+        cells = np.flatnonzero(share)
+        center_rule = np.flatnonzero((centers == measured).all(axis=1))
+        return cells.tolist(), share[cells], center_rule.tolist()
+
+    return scan

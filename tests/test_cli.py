@@ -21,7 +21,8 @@ from relaytomo.config import (
     scenario_from_dict,
     write_config,
 )
-from relaytomo.errors import ConfigError
+from relaytomo.errors import ConfigError, EmptyGridError
+from relaytomo.geometry import CellGrid
 from relaytomo.ias import MAX_GRID_CELLS
 from relaytomo.measurement import estimate_outage_capacity
 
@@ -43,6 +44,14 @@ def mirror_config_path(tmp_path):
     path = tmp_path / "mirror.json"
     write_config(raw, path)
     return path
+
+
+def grid_has_cells(region, side) -> bool:
+    try:
+        CellGrid(region, side)
+    except EmptyGridError:
+        return False
+    return True
 
 
 def read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
@@ -115,6 +124,28 @@ class TestConfig:
         raw["geometry"]["region_center"] = [50.0, 10.0]  # touches the baseline
         with pytest.raises(ConfigError):
             scenario_from_dict(raw)
+
+    def test_empty_cell_grid_is_refused_where_the_grid_is_empty(self):
+        # the reference region (r = 40 m) has a cell center inside it exactly
+        # for sides up to (2 + sqrt 2) r, about 136.57 m; the config decides
+        # that without building the grid, and must agree with the grid
+        cfg = scenario_from_dict(default_config_dict())
+        lo, hi = 100.0, 200.0  # CellGrid has cells at lo, none at hi
+        while (mid := (lo + hi) / 2) not in (lo, hi):
+            lo, hi = (mid, hi) if grid_has_cells(cfg.region(), mid) else (lo, mid)
+        assert hi == pytest.approx((2.0 + math.sqrt(2.0)) * 40.0, rel=1e-12)
+        near = [lo, hi]
+        for _ in range(5):
+            near += [math.nextafter(near[-2], 0.0), math.nextafter(near[-1], math.inf)]
+        for side in near + np.linspace(130.0, 145.0, 61).tolist():
+            raw = default_config_dict()
+            raw["grid"]["cell_side_m"] = side
+            if grid_has_cells(cfg.region(), side):
+                assert scenario_from_dict(raw).cell_side_m == side
+            else:
+                with pytest.raises(ConfigError, match="^grid.cell_side_m: .* leaves no cell "
+                                                      "center inside the region"):
+                    scenario_from_dict(raw)
 
     @pytest.mark.parametrize("key", ["aod_resolution_deg", "aoa_resolution_deg"])
     def test_angular_grid_bounded_by_its_index_ranges(self, monkeypatch, key):
@@ -422,6 +453,7 @@ class TestExitCodes:
         ("grid", "aoa_resolution_deg", 5e-324), ("grid", "node_resolution_deg", 5e-324),
         ("grid", "aod_resolution_deg", 1e-310), ("grid", "cell_side_m", 5e-324),
         ("experiment", "msprt_eror", 0.05), ("telemetry", "verbose", True),
+        ("grid", "cell_side_m", 173.2),
     ], ids=["snr_nan", "snr_inf", "nakagami_nan", "node_resolution_nan", "cell_side_nan",
             "msprt_error_nan", "seed_negative", "observations_fraction", "relays_bool",
             "quad_order_fraction", "snr_bool", "snr_string", "relays_string", "seed_string",
@@ -432,15 +464,16 @@ class TestExitCodes:
             "nakagami_negative", "mode_unknown", "observations_zero", "msprt_error_1",
             "aod_resolution_underflow", "aoa_resolution_underflow", "node_resolution_underflow",
             "aod_resolution_overflow", "cell_side_subnormal",
-            "unknown_key", "unknown_section"])
+            "unknown_key", "unknown_section", "cell_side_beyond_region"])
     def test_non_finite_config_number_is_2(self, tmp_path, capsys, section, key, value):
         raw = default_config_dict()
         raw.setdefault(section, {})[key] = value
         path = tmp_path / "non_finite.json"
         write_config(raw, path)
-        for command in ("simulate", "direct"):
+        # invert loads its config before it opens the measurement file
+        for command in (["simulate"], ["direct"], ["invert", str(tmp_path / "m.txt")]):
             capsys.readouterr()
-            assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+            assert main([*command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
             assert f"{section}.{key}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("section, key, value", [

@@ -236,6 +236,28 @@ class TestDiscretize:
             assert CellGrid(region, side).xy.tobytes() == want.tobytes()
         assert min(sizes) == 0 and max(sizes) > 2000
 
+    def test_emptiness_check_agrees_with_the_grid_on_random_regions(self):
+        # `check_cells_inside` tests only the one center of a one-cell box;
+        # sides are drawn across the range and within 1e-9 of (2 + sqrt 2) r,
+        # where that center leaves the disc
+        rng = np.random.default_rng(23)
+        outcomes = set()
+        for k in range(2000):
+            region = RelayRegion(Point(*rng.uniform(-1000.0, 1000.0, 2)), rng.uniform(0.1, 100.0))
+            ratio = (2.0 + math.sqrt(2.0)) * (1.0 + rng.uniform(-1e-9, 1e-9)) if k % 2 \
+                else 10 ** rng.uniform(-1.5, 0.7)
+            side = region.radius * ratio
+            try:
+                CellGrid(region, side)
+            except EmptyGridError:
+                with pytest.raises(EmptyGridError, match="leaves no cell center inside"):
+                    geometry.check_cells_inside(region, side)
+                outcomes.add(False)
+            else:
+                geometry.check_cells_inside(region, side)
+                outcomes.add(True)
+        assert outcomes == {True, False}
+
     def test_equality_is_by_value(self):
         # grids key the solver's cache: a grid is its region and cell side
         grid = discretize_region(REGION, 5.0)

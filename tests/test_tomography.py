@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from oracles import node_angle, quantize_angle
+from oracles import footprint_scan, node_angle, quantize_angle
 from relaytomo.channel import ChannelParams, HopPair, capacity_log_pdf, outage_capacity
 from relaytomo.config import default_config_dict, scenario_from_dict
 from relaytomo.errors import DomainError, LocalizationError, MeasurementError
@@ -43,6 +43,13 @@ REGION = CFG.region()
 
 def true_cell_of(p: Point) -> int:
     return min(range(len(GRID.cells)), key=lambda w: dist(GRID.cells[w], p))
+
+
+def four_node_net() -> MeasurementNetwork:
+    """The reference network with a fourth node on its ring: 12 ordered pairs."""
+    ring = 48.0
+    node = Point(CX + ring * math.cos(5 * math.pi / 4), 50.0 + ring * math.sin(5 * math.pi / 4))
+    return MeasurementNetwork(NET.nodes + (node,), NET.resolution, REGION)
 
 
 def hops_via(pair: tuple[int, int], p: Point) -> HopPair:
@@ -122,20 +129,6 @@ def residuals_oracle(ms, relay, w, net=NET) -> tuple[float, float]:
 
 
 class TestFeasibleCells:
-    def test_single_pair_wedge(self):
-        relay = sample_relays(REGION, 1, RngStream(80))[0]
-        ms_full = synthetic_set([relay])
-        # keep only the first ordered pair: candidates must share its bin
-        ms = MeasurementSet(ms_full.pairs[:1], ms_full.aoa[:1],
-                            ms_full.cap_est[:1], ms_full.raw[:1])
-        cand = feasible_cells(ms, 0, NET, GRID)
-        assert cand
-        q2 = ms.pairs[0][1]
-        measured_bin = quantize_angle(float(ms.aoa[0, 0]), NET.resolution)[0]
-        for w in cand:
-            predicted = node_angle(NET, q2, GRID.cells[w])
-            assert quantize_angle(predicted, NET.resolution)[0] == measured_bin
-
     def test_matches_per_cell_oracle(self):
         # the cells whose center quantizes into every measured bin, with one
         # node_angle call per cell and pair
@@ -212,26 +205,38 @@ class TestAngleLikelihood:
                 assert support == sorted(support)
                 assert np.all((shares > 0.0) & (shares <= 1.0))
 
-    @pytest.mark.parametrize("scale", ["reference", "scaled"])
+    @pytest.mark.parametrize("scale", ["reference", "scaled", "four_nodes"])
     def test_center_rule_cells_have_footprint_share(self, scale):
-        # a cell center is its lattice's middle point (offset exactly 0.0),
-        # and `net.table` bins both, so every cell `feasible_cells` keeps has
-        # a share: criterion 5's 20 scenes, and the 50 relays of the scaled
-        # scene 0 on 1 m cells (the angles do not depend on the draws)
-        if scale == "reference":
-            grid, seeds, n_relays = GRID, range(20), 5
-        else:
+        # the joint-bin table holds what a scan of every cell's footprint
+        # lattice finds, shares bit for bit, and `feasible_cells` the cells
+        # whose center the scan bins into every measured bin; a cell center
+        # is its lattice's middle point (offset exactly 0.0), so each of
+        # those has a share.  Criterion 5's 20 scenes, the 50 relays of the
+        # scaled scene 0 on 1 m cells (the angles do not depend on the
+        # draws), and 20 scenes of a fourth node's 12 rows
+        net, grid, seeds, n_relays = NET, GRID, range(20), 5
+        if scale == "scaled":
             grid, seeds, n_relays = replace(CFG, cell_side_m=1.0).cell_grid(), [0], 50
+        elif scale == "four_nodes":
+            net = four_node_net()
+        scan = footprint_scan(net, grid)
         kept = 0
         for seed in seeds:
             rng = RngStream(seed)
-            ms = simulate_measurements(NET, sample_relays(REGION, n_relays, rng.child(0)),
+            ms = simulate_measurements(net, sample_relays(REGION, n_relays, rng.child(0)),
                                        PARAMS, 10, rng.child(1))
             for l in range(n_relays):
-                feasible = feasible_cells(ms, l, NET, grid)
-                assert set(feasible) <= set(angle_likelihood(ms, l, NET, grid)[0])
+                bins = {q2: quantize_angle(float(ms.aoa[p, l]), net.resolution)[0]
+                        for p, (_, q2) in enumerate(ms.pairs)}
+                cells, shares, centers = scan(np.array([bins[q] for q in range(net.n_nodes)]))
+                support, weights = angle_likelihood(ms, l, net, grid)
+                assert support == cells
+                assert weights.tobytes() == shares.tobytes()
+                feasible = feasible_cells(ms, l, net, grid)
+                assert feasible == centers
+                assert set(feasible) <= set(support)
                 kept += len(feasible)
-        assert kept >= (100 if scale == "reference" else 50)
+        assert kept >= (50 if scale == "scaled" else 100)
 
     def test_share_counts_joint_bins_inside_region(self):
         relay = sample_relays(REGION, 1, RngStream(95))[0]
@@ -260,6 +265,17 @@ class TestAngleLikelihood:
         ms = MeasurementSet(ms_full.pairs, aoa, ms_full.cap_est, ms_full.raw)
         support, shares = angle_likelihood(ms, 0, NET, GRID)
         assert support == [] and shares.size == 0
+
+    @pytest.mark.parametrize("solve", [angle_likelihood, feasible_cells])
+    def test_node_without_a_received_row_names_it(self, solve):
+        # a relay's joint bin needs one bin at every node: a set whose rows
+        # all leave node 2 unmeasured has none
+        ms = synthetic_set(sample_relays(REGION, 1, RngStream(80)))
+        rows = [p for p, (_, q2) in enumerate(ms.pairs) if q2 != 2]
+        partial = MeasurementSet(tuple(ms.pairs[p] for p in rows), ms.aoa[rows],
+                                 ms.cap_est[rows], ms.raw[rows])
+        with pytest.raises(MeasurementError, match="node 2 receives none of the measured pairs"):
+            solve(partial, 0, NET, GRID)
 
     @pytest.mark.parametrize("solve", [angle_likelihood, feasible_cells])
     def test_foreign_pair_names_it(self, solve):
@@ -513,8 +529,9 @@ class TestMsprt:
             MsprtConfig(error=np.full((2, 2), 0.01))
         with pytest.raises(DomainError):
             TomographyConfig(cell_side=math.nan)
-        with pytest.raises(DomainError):
-            MsprtConfig(max_observations=0)
+        for count in (0, 2.5, True):
+            with pytest.raises(DomainError, match="max_observations must be an integer >= 1"):
+                MsprtConfig(max_observations=count)
         with pytest.raises(DomainError):
             TomographyConfig(mode="other")
 
@@ -692,9 +709,7 @@ class TestCapacityColumn:
     def test_residuals_of_twelve_pair_rows(self, mode):
         # rows of 8 or more pairs are where a running sum and numpy's
         # pairwise sum part ways
-        ring = 48.0
-        node = Point(CX + ring * math.cos(5 * math.pi / 4), 50.0 + ring * math.sin(5 * math.pi / 4))
-        net = MeasurementNetwork(NET.nodes + (node,), NET.resolution, REGION)
+        net = four_node_net()
         assert len(net.ordered_pairs()) == 12
         relays = sample_relays(REGION, 8, RngStream(132))
         ms = simulate_measurements(net, relays, PARAMS, 10, RngStream(133))
