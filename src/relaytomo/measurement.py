@@ -104,17 +104,23 @@ class MeasurementNetwork:
         norm = np.hypot(dx, dy)
         return x, y, dx / norm, dy / norm
 
-    def table(self, x, y) -> tuple[np.ndarray, np.ndarray]:
-        """Distance of each point (x, y) to each node and its signed angle from
-        that node's reference ray, in (-pi, pi]: arrays of x's shape with the
-        nodes on a last axis."""
-        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-        nx, ny, rx, ry = self._rays
+    def distances(self, x, y) -> np.ndarray:
+        """Distance of each point (x, y) to each node: x's shape, nodes last."""
+        dx, dy, shape = self._offsets(x, y)
+        return np.hypot(dx, dy).T.reshape(shape)
+
+    def angles(self, x, y) -> np.ndarray:
+        """Signed angle of each point (x, y) from each node's reference ray, in
+        (-pi, pi]: x's shape, nodes last."""
+        dx, dy, shape = self._offsets(x, y)
+        _, _, rx, ry = self._rays
+        return np.arctan2(rx * dy - ry * dx, rx * dx + ry * dy).T.reshape(shape)
+
+    def _offsets(self, x, y) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
         # one row of all points per node: numpy's loops run over long rows
-        dx, dy = x.ravel() - nx, y.ravel() - ny
-        shape = x.shape + (self.n_nodes,)
-        return (np.hypot(dx, dy).T.reshape(shape),
-                np.arctan2(rx * dy - ry * dx, rx * dx + ry * dy).T.reshape(shape))
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        nx, ny, _, _ = self._rays
+        return x.ravel() - nx, y.ravel() - ny, x.shape + (self.n_nodes,)
 
 
 @dataclass(frozen=True)
@@ -179,7 +185,7 @@ def angle_bins(theta: np.ndarray, d_theta: float) -> np.ndarray:
     if not d_theta > 0.0:
         raise DomainError(f"resolution must be positive, got {d_theta}")
     ratio = np.asarray(theta) / d_theta
-    return np.where(ratio >= 0.0, np.floor(ratio + 0.5), np.ceil(ratio - 0.5)).astype(np.int32)
+    return np.trunc(ratio + np.copysign(0.5, ratio)).astype(np.int32)
 
 
 def estimate_outage_capacity(samples, p_out: float) -> float | np.ndarray:
@@ -216,7 +222,8 @@ def simulate_measurements(
     """
     if observations < 1:
         raise DomainError(f"need at least one observation, got {observations}")
-    d, angle = net.table([p.x for p in relays], [p.y for p in relays])
+    x, y = [p.x for p in relays], [p.y for p in relays]
+    d, angle = net.distances(x, y), net.angles(x, y)
     raw = np.zeros((len(net.pairs), len(relays), observations))
     for k, (lo, hi) in enumerate(net.pairs):
         for l in range(len(relays)):

@@ -12,16 +12,17 @@ by its joint bin, one bin per node.  The capacity column, one per
 (network, grid, channel), holds each cell center's outage capacity per
 unordered pair, solved for every cell in one call on first use.
 
-Pipeline per relay: (1) reduce the grid to the cells the measured arrival
-angles allow, one lookup of the relay's joint bin in that table; (2) pick
-one candidate either by minimizing the l2 capacity residual against the
-empirical outage estimates (`feasible_cells`, the cells whose *center*
-quantizes into every measured bin), or by a multi-hypothesis sequential
-probability ratio test over the raw instantaneous-capacity observations
-(`angle_likelihood`, the share of each cell's footprint that quantizes
-into every measured bin, as the simulator quantizes the relay's own
-position).  Every result of `localize_all` reports its capacity residual
-and its angle residual, computed for all relays in one step.
+Pipeline per measurement set, each stage run once for all its relays:
+(1) the angle step keeps the cells the measured arrival angles allow, one
+lookup of each relay's joint bin in that table; (2) one decision call
+picks each relay's cell, by the least l2 capacity residual against the
+empirical outage estimates among the cells whose *center* quantizes into
+every measured bin (`feasible_cells`), or by a multi-hypothesis
+sequential probability ratio test over the raw capacity observations,
+weighted by the share of each cell's footprint in every measured bin
+(`angle_likelihood`); (3) one result step computes every pick's
+residuals and builds its result.  The one-relay functions run the same
+stages.
 
 The test's evidence is the capacity log-density of each observation,
 summed over the unordered pairs.  Under Rayleigh fading (Nakagami m = 1)
@@ -131,106 +132,9 @@ def feasible_cells(
     lies in it.  Returns sorted cell indices; an empty list signals a grid
     too coarse or inconsistent data (the caller decides how to proceed).
     """
-    cells, _, center = _joint_bin_cells(ms, relay, net, grid)
-    return cells[center].tolist()
-
-
-def _joint_bin_cells(ms: MeasurementSet, relay: int, net: MeasurementNetwork, grid: CellGrid):
-    """The footprint table's groups of the relay's joint bin, one measured bin
-    per node: (cells, point counts, center flags), all empty where a node's
-    rows disagree on its bin or no footprint point has that joint bin."""
-    try:
-        rows = [net.row_of[pair] for pair in ms.pairs]
-    except KeyError as exc:
-        raise MeasurementError(f"measured pair {exc.args[0]} is not an ordered pair of the "
-                               f"network's {len(net.nodes)} nodes") from None
-    bins = angle_bins(ms.aoa[:, relay], net.resolution)
-    measured = sorted(set(zip(net.receivers[rows].tolist(), bins.tolist())))
-    missing = set(range(net.n_nodes)).difference(q for q, _ in measured)
-    if missing:
-        raise MeasurementError(f"node {min(missing)} receives none of the measured pairs")
-    # a node whose rows disagree adds a bin, and no joint bin has more than one per node
     fp = _footprint(net, grid)
-    groups = fp.joint.get(tuple(b for _, b in measured), slice(0))
-    return fp.group_cells[groups], fp.group_counts[groups], fp.group_centers[groups]
-
-
-class _Footprint:
-    """Per (network, grid): the geometry of every cell's hypothesis.
-
-    dist[w, q] and angle[w, q] are cell w's center's distance and angle at
-    node q (from `net.table`); rows and (tx, rx) are `net.pair_rows` and
-    `net.pairs`.  Each cell is also sub-sampled on a FOOTPRINT_SAMPLES x
-    FOOTPRINT_SAMPLES lattice of its square, with the center, at offset
-    exactly 0, in the middle; the points in the region disc make up its
-    footprint.  Those points are grouped by (joint bin, cell), a joint bin
-    being a tuple of one bin per node, and `joint` maps each joint bin to
-    the slice of its groups: group_cells are the cells whose footprint
-    reaches it (sorted), group_counts each one's point count, and
-    group_centers whether its center lies in that bin.  The lattice's
-    angles exist only while the groups are built.
-    """
-
-    def __init__(self, net: MeasurementNetwork, grid: CellGrid) -> None:
-        x, y = grid.xy.T
-        self.dist, self.angle = net.table(x, y)
-        self.rows = net.pair_rows
-        self.tx, self.rx = np.array(net.pairs).T
-        self.joint, self.group_cells, self.group_counts, self.group_centers = (
-            _joint_bin_groups(net, grid))
-
-    def hop_lengths(self, cells=slice(None)) -> tuple[np.ndarray, np.ndarray]:
-        """Hop lengths of each cell center's path per unordered pair, (cells, pairs)."""
-        d = self.dist[cells]
-        return d[:, self.tx], d[:, self.rx]
-
-
-def _joint_bin_groups(net: MeasurementNetwork, grid: CellGrid):
-    """`_Footprint`'s joint, group_cells, group_counts and group_centers.
-
-    The in-disc lattice points, in cell order, are cut into runs of one
-    cell and one joint bin; one lexsort orders the runs by joint bin, and
-    neighbours of one joint bin and cell merge into one group."""
-    n = FOOTPRINT_SAMPLES
-    offsets = ((np.arange(n) + 0.5) / n - 0.5) * grid.cell_side
-    ox, oy = np.meshgrid(offsets, offsets)
-    px = grid.xy[:, :1] + ox.ravel()
-    py = grid.xy[:, 1:] + oy.ravel()
-    region = net.region
-    inside = np.hypot(px - region.center.x, py - region.center.y) <= region.radius
-    cell, point = np.nonzero(inside)
-    _, angle = net.table(px, py)
-    keys = angle_bins(np.moveaxis(angle, -1, 0), net.resolution)[:, inside]  # (nodes, points)
-
-    starts = np.flatnonzero(_run_starts(cell, *keys))
-    counts = np.diff(starts, append=len(cell))
-    # the middle point of a cell's lattice is its center
-    center = np.logical_or.reduceat(point == n * n // 2, starts)
-    keys, cell = keys[:, starts], cell[starts]
-    order = np.lexsort(keys[::-1])  # stable: the runs of a joint bin stay in cell order
-    keys, cell, counts, center = keys[:, order], cell[order], counts[order], center[order]
-
-    new_key = _run_starts(*keys)
-    groups = np.flatnonzero(new_key | _run_starts(cell))
-    counts = np.add.reduceat(counts, groups)
-    center = np.logical_or.reduceat(center, groups)
-    first = np.flatnonzero(new_key[groups])  # each joint bin's first group
-    bounds = first.tolist() + [len(groups)]
-    heads = keys[:, groups[first]].T.tolist()
-    joint = {tuple(head): slice(a, b) for head, a, b in zip(heads, bounds, bounds[1:])}
-    return joint, cell[groups], counts, center
-
-
-def _run_starts(*columns: np.ndarray) -> np.ndarray:
-    """True at each row where a run of rows equal in every column starts."""
-    start = np.zeros(len(columns[0]), dtype=bool)
-    start[0] = True
-    for column in columns:
-        start[1:] |= column[1:] != column[:-1]
-    return start
-
-
-_footprint = lru_cache(maxsize=8)(_Footprint)  # one per (network, grid)
+    group, = _angle_step(ms, [relay], net, fp)
+    return fp.center_rule(group).tolist()
 
 
 def angle_likelihood(
@@ -249,8 +153,122 @@ def angle_likelihood(
     less.  Returns the sorted cell indices of non-zero share and the
     shares; an empty list signals inconsistent data.
     """
-    cells, counts, _ = _joint_bin_cells(ms, relay, net, grid)
-    return cells.tolist(), counts / FOOTPRINT_SAMPLES**2
+    fp = _footprint(net, grid)
+    group, = _angle_step(ms, [relay], net, fp)
+    return fp.group_cells[group].tolist(), fp.group_shares[group].copy()
+
+
+def _angle_step(ms: MeasurementSet, relays, net: MeasurementNetwork, fp) -> list[slice]:
+    """Each relay's joint bin, one measured bin per node: its slice of fp's groups.
+
+    relays are column indices of ms, binned in one `angle_bins` call; the
+    slice is empty where a node's rows disagree on its bin.  A foreign
+    pair, a node that receives none of the pairs, and an angle beyond
+    pi + resolution / 2, where no node angle quantizes, raise
+    MeasurementError naming the pair, the node, or the pair and relay.
+    """
+    try:
+        rows = [net.row_of[pair] for pair in ms.pairs]
+    except KeyError as exc:
+        raise MeasurementError(f"measured pair {exc.args[0]} is not an ordered pair of the "
+                               f"network's {len(net.nodes)} nodes") from None
+    receivers = net.receivers[rows]
+    nodes = receivers.tolist()
+    missing = set(range(net.n_nodes)).difference(nodes)
+    if missing:
+        raise MeasurementError(f"node {min(missing)} receives none of the measured pairs")
+    aoa = ms.aoa[:, relays]
+    far = np.abs(aoa) > math.pi + net.resolution / 2
+    if far.any():
+        p, l = np.argwhere(far)[0]
+        raise MeasurementError(
+            f"pair {ms.pairs[p]}, relay {relays[l]}: measured angle {math.degrees(aoa[p, l]):g} "
+            f"deg lies beyond 180 deg plus half the node resolution, where no node "
+            f"angle quantizes")
+    bins = angle_bins(aoa, net.resolution)  # (rows, relays)
+    keys = bins[[nodes.index(q) for q in range(net.n_nodes)]]  # each node's first row
+    agree = (bins == keys[receivers]).all(axis=0)
+    return [fp.joint.get(tuple(key), slice(0)) if ok else slice(0)
+            for key, ok in zip(keys.T.tolist(), agree.tolist())]
+
+
+class _Footprint:
+    """Per (network, grid): the geometry of every cell's hypothesis.
+
+    dist[w, q] and angle[w, q] are cell w's center's distance and angle at
+    node q, and (tx, rx) are the nodes of each of `net.pairs`.  A
+    cell's footprint is the in-disc points of a FOOTPRINT_SAMPLES squared
+    lattice of its square, its center (offset exactly 0) in the middle.
+    Those points are grouped by (joint bin, cell), a joint bin being one
+    bin per node, and `joint` maps each joint bin to the slice of its
+    groups: group_cells are the cells whose footprint reaches it (sorted),
+    group_shares each one's share of its lattice, and group_centers whether its
+    center lies in it.  The lattice's angles exist only during the build.
+    """
+
+    def __init__(self, net: MeasurementNetwork, grid: CellGrid) -> None:
+        x, y = grid.xy.T
+        self.dist, self.angle = net.distances(x, y), net.angles(x, y)
+        self.tx, self.rx = np.array(net.pairs).T
+        self.joint, self.group_cells, self.group_shares, self.group_centers = (
+            _joint_bin_groups(net, grid))
+
+    def center_rule(self, group: slice) -> np.ndarray:
+        """The cells of a joint bin's groups whose center lies in it."""
+        return self.group_cells[group][self.group_centers[group]]
+
+    def hop_lengths(self, cells=slice(None)) -> tuple[np.ndarray, np.ndarray]:
+        """Hop lengths of each cell center's path per unordered pair, (cells, pairs)."""
+        d = self.dist[cells]
+        return d[:, self.tx], d[:, self.rx]
+
+
+def _joint_bin_groups(net: MeasurementNetwork, grid: CellGrid):
+    """`_Footprint`'s joint, group_cells, group_shares and group_centers.
+
+    The in-disc lattice points, in cell order, are cut into runs of one
+    cell and one joint bin; one lexsort orders the runs by joint bin, and
+    neighbours of one joint bin and cell merge into one group."""
+    n = FOOTPRINT_SAMPLES
+    offsets = ((np.arange(n) + 0.5) / n - 0.5) * grid.cell_side
+    ox, oy = np.meshgrid(offsets, offsets)
+    px = grid.xy[:, :1] + ox.ravel()
+    py = grid.xy[:, 1:] + oy.ravel()
+    region = net.region
+    inside = np.hypot(px - region.center.x, py - region.center.y) <= region.radius
+    cell, point = np.nonzero(inside)
+    angle = net.angles(px, py)
+    keys = angle_bins(np.moveaxis(angle, -1, 0), net.resolution)[:, inside]  # (nodes, points)
+
+    starts = np.flatnonzero(_run_starts(cell, *keys))
+    counts = np.diff(starts, append=len(cell))
+    # the middle point of a cell's lattice is its center
+    center = np.logical_or.reduceat(point == n * n // 2, starts)
+    keys, cell = keys[:, starts], cell[starts]
+    order = np.lexsort(keys[::-1])  # stable: the runs of a joint bin stay in cell order
+    keys, cell, counts, center = keys[:, order], cell[order], counts[order], center[order]
+
+    new_key = _run_starts(*keys)
+    groups = np.flatnonzero(new_key | _run_starts(cell))
+    counts = np.add.reduceat(counts, groups)
+    center = np.logical_or.reduceat(center, groups)
+    first = np.flatnonzero(new_key[groups])  # each joint bin's first group
+    bounds = first.tolist() + [len(groups)]
+    heads = keys[:, groups[first]].T.tolist()
+    joint = {tuple(head): slice(a, b) for head, a, b in zip(heads, bounds, bounds[1:])}
+    return joint, cell[groups], counts / n**2, center
+
+
+def _run_starts(*columns: np.ndarray) -> np.ndarray:
+    """True at each row where a run of rows equal in every column starts."""
+    start = np.zeros(len(columns[0]), dtype=bool)
+    start[0] = True
+    for column in columns:
+        start[1:] |= column[1:] != column[:-1]
+    return start
+
+
+_footprint = lru_cache(maxsize=8)(_Footprint)  # one per (network, grid)
 
 
 def _l2_norms(diff: np.ndarray) -> np.ndarray:
@@ -270,15 +288,13 @@ def _capacity_column(net, grid, params) -> np.ndarray:
     return column
 
 
-def _capacity_residuals(net, grid, params, cells, cap_rows: np.ndarray) -> np.ndarray:
-    """l2 norm of the outage-capacity residuals of each cell's paths.
+def _capacity_residuals(net, caps, cells, cap_rows: np.ndarray) -> np.ndarray:
+    """l2 norm of each cell's outage-capacity residuals against its row of cap_rows.
 
-    cap_rows holds one estimate per ordered pair of `net.ordered_pairs()`,
-    either one row for every cell or one row per cell; both orderings of
-    a pair share one solve, as they share one path.
+    cap_rows has one estimate per ordered pair of `net.ordered_pairs()`; both
+    orderings of a pair share one solve of caps, the capacity column.
     """
-    caps = _capacity_column(net, grid, params)[cells]
-    return _l2_norms(cap_rows - caps[:, net.pair_of_row])
+    return _l2_norms(cap_rows - caps[cells][:, net.pair_of_row])
 
 
 def _capacity_evidence(fp: _Footprint, groups, raws, params) -> list[np.ndarray]:
@@ -297,12 +313,14 @@ def _capacity_evidence(fp: _Footprint, groups, raws, params) -> list[np.ndarray]
     for all relays.
     """
     sizes = [len(g) for g in groups]
+    spans = list(zip(np.cumsum(sizes).tolist(), sizes))
     d_sr, d_rd = fp.hop_lengths(np.concatenate(groups))
     raw = np.stack(raws)
     if params.nakagami_m != 1.0:
         raw = np.repeat(raw, sizes, axis=0)
-        log_pdf = capacity_log_pdf(raw, HopPair(d_sr[..., None], d_rd[..., None]), params)
-        return np.split(log_pdf.sum(axis=1), np.cumsum(sizes)[:-1])
+        hops = HopPair(d_sr[..., None], d_rd[..., None])
+        summed = capacity_log_pdf(raw, hops, params).sum(axis=1)
+        return [summed[end - k:end] for end, k in spans]
     if np.count_nonzero(raw < 0.0):
         raise DomainError("spectral efficiency must be non-negative")
     log_4i = raw * LN4
@@ -311,9 +329,8 @@ def _capacity_evidence(fp: _Footprint, groups, raws, params) -> list[np.ndarray]
     per_obs = log_4i.sum(axis=1)
     rate = np.add(*rho_scales(HopPair(d_sr, d_rd), params))
     per_cell = np.log(LN4 * rate).sum(axis=1)
-    ends = np.cumsum(sizes)
     return [per_cell[end - k:end, None] + per_obs[j] - rate[end - k:end] @ x[j]
-            for j, (k, end) in enumerate(zip(sizes, ends))]
+            for j, (end, k) in enumerate(spans)]
 
 
 def localize_argmin(
@@ -327,15 +344,29 @@ def localize_argmin(
     """Candidate minimizing the l2 norm of outage-capacity residuals.
 
     Ties break to the first candidate.  The result carries that minimum as
-    its capacity residual.
+    its capacity residual, and 0 as its angle residual.
     """
     if not candidates:
         raise LocalizationError("argmin localization needs a non-empty candidate set")
-    errs = _capacity_residuals(net, grid, params, candidates, cap_row)
-    best = int(np.argmin(errs))
-    w = candidates[best]
-    return LocalizationResult(relay, w, Point(*grid.xy[w].tolist()), len(candidates),
-                              KIND_ARGMIN, 0.0, float(errs[best]), 0)
+    (decision,), (e_capacity,) = _argmin_decisions(
+        net, _capacity_column(net, grid, params), [candidates], cap_row[:, None])
+    return _result(relay, len(candidates), decision, 0.0, e_capacity, grid)
+
+
+def _argmin_decisions(net, caps, candidates, cap_est) -> tuple[list[tuple], list[float]]:
+    """Each relay's candidate of least capacity residual, the first on ties.
+
+    candidates[j] are relay j's cells and cap_est[:, j] its estimates, one
+    row per ordered pair of `net.ordered_pairs()`; one residual call covers
+    every candidate of every relay.  Returns per relay its decision (cell,
+    kind, stopped_at, degenerate) and that cell's residual.
+    """
+    sizes = [len(c) for c in candidates]
+    cells = np.concatenate(candidates) if candidates else np.zeros(0, dtype=int)
+    errs = _capacity_residuals(net, caps, cells, np.repeat(cap_est.T, sizes, axis=0))
+    best = [end - k + int(np.argmin(errs[end - k:end]))
+            for end, k in zip(np.cumsum(sizes).tolist(), sizes)]
+    return [(int(cells[b]), KIND_ARGMIN, 0, False) for b in best], errs[best].tolist()
 
 
 def msprt_localize(
@@ -352,59 +383,64 @@ def msprt_localize(
     """Multi-hypothesis sequential test over the raw capacity observations.
 
     raw holds one row per ordered pair of `net.ordered_pairs()`.  Reciprocal
-    orderings carry the same fading draws, so each unordered pair is counted
-    once: only the rows labelled (q1, q2) with q1 < q2 enter the test.
-    Per-hypothesis log likelihoods start at the log prior (`angle_weights`
-    normalized over the candidates, or uniform) and add, per observation,
-    the sum over unordered pairs of the capacity log-density at the
-    hypothesis cell's hop lengths.  The test stops at the first observation after
-    which the leading hypothesis (the first of the highest likelihood)
-    beats the runner-up by more than `cfg.threshold`, and so beats every
-    rival; otherwise it returns the MAP hypothesis after the final
-    observation.  Ties break to the lowest cell index.  If an observation
-    is impossible under every hypothesis, the result is the first
-    candidate, flagged degenerate.  log_pdf, when given, is the test's
-    evidence as `_capacity_evidence` computes it from raw, (candidates,
-    observations); `localize_all` passes each relay its slice of one
-    batched call.  The result's residuals are 0; `localize_all` fills
-    them in.
+    orderings carry the same fading draws, so only the rows (q1, q2) with
+    q1 < q2 enter the evidence (`_capacity_evidence`); log_pdf, when given,
+    is that evidence.  From the prior of `angle_weights`, or a uniform one,
+    the test stops once the leading hypothesis beats the runner-up by
+    `cfg.threshold`, or else returns the MAP hypothesis after the last
+    observation (`_sequential_tests`).  The result's residuals are 0.
     """
     if not candidates:
         raise LocalizationError("sequential test needs a non-empty candidate set")
     if raw.ndim != 2 or raw.shape[0] != len(net.row_of):
         raise LocalizationError(
-            f"raw observations must have shape (n_pairs, n_obs), got {raw.shape}"
-        )
-    n_obs = min(int(raw.shape[1]), cfg.max_observations)
-
-    k = len(candidates)
-    if k == 1:
-        # the stopping condition is vacuous with a single hypothesis
-        return _decision(relay, candidates, 0, KIND_THRESHOLD, 0, grid)
-    log_prior = (np.full(k, -math.log(k)) if angle_weights is None
-                 else np.log(angle_weights / angle_weights.sum()))
-
-    if log_pdf is None:
+            f"raw observations must have shape (n_pairs, n_obs), got {raw.shape}")
+    if log_pdf is None and len(candidates) > 1:
         fp = _footprint(net, grid)
-        log_pdf, = _capacity_evidence(fp, [candidates], [raw[fp.rows, :n_obs]], params)
-    # column o: log likelihoods after o observations, summed in arrival order
-    cum = np.cumsum(np.concatenate((log_prior[:, None], log_pdf), axis=1), axis=1)
-    log_lik = cum[:, 1:]
+        raw = raw[net.pair_rows, :cfg.max_observations]
+        log_pdf, = _capacity_evidence(fp, [candidates], [raw], params)
+    decision, = _sequential_tests([candidates], [angle_weights], [log_pdf], cfg.threshold)
+    return _result(relay, len(candidates), decision, 0.0, 0.0, grid)
 
-    impossible = ~np.isfinite(log_lik).any(axis=0)
-    first_impossible = int(impossible.argmax()) if impossible.any() else n_obs
-    stop = _first_stop(log_lik[:, :first_impossible], cfg.threshold)
-    if stop is not None:
-        o, best = stop
-        return _decision(relay, candidates, best, KIND_THRESHOLD, o + 1, grid)
-    if first_impossible < n_obs:
-        # observation impossible under every hypothesis: fall back to a
-        # uniform-prior MAP (a tie, broken to the lowest cell index) and
-        # flag the degeneracy
-        return _decision(relay, candidates, 0, KIND_FORCED_MAP, first_impossible + 1, grid,
-                         degenerate=True)
-    best = int(np.argmax(cum[:, -1]))
-    return _decision(relay, candidates, best, KIND_FORCED_MAP, n_obs, grid)
+
+def _sequential_tests(candidates, weights, evidence, threshold: float) -> list[tuple]:
+    """Each relay's sequential-test decision: (cell, kind, stopped_at, degenerate).
+
+    candidates[j] are relay j's cells and weights[j] their prior weights
+    (None: uniform); `evidence` holds in order the log_pdf, (candidates,
+    observations), of each relay with more than one candidate.  A single
+    candidate wins at once.  Else log likelihoods start at the log prior
+    and add each observation's evidence until the leader (the first
+    maximum) beats the runner-up by more than `threshold` (`_first_stop`),
+    or the MAP hypothesis after the last observation wins; an observation
+    impossible under every hypothesis picks the first, flagged degenerate.
+    """
+    evidence = iter(evidence)
+    decisions = []
+    for cells, w in zip(candidates, weights):
+        if len(cells) == 1:
+            decisions.append((int(cells[0]), KIND_THRESHOLD, 0, False))
+            continue
+        log_pdf = next(evidence)
+        k, n_obs = log_pdf.shape
+        log_prior = np.full(k, -math.log(k)) if w is None else np.log(w / w.sum())
+        # column o: log likelihoods after o observations, summed in arrival order
+        cum = np.cumsum(np.concatenate((log_prior[:, None], log_pdf), axis=1), axis=1)
+        log_lik = cum[:, 1:]
+        impossible = ~np.isfinite(log_lik).any(axis=0)
+        first_impossible = int(impossible.argmax()) if impossible.any() else n_obs
+        stop = _first_stop(log_lik[:, :first_impossible], threshold)
+        if stop is not None:
+            o, best = stop
+            decisions.append((int(cells[best]), KIND_THRESHOLD, o + 1, False))
+        elif first_impossible < n_obs:
+            # an observation impossible under every hypothesis: a uniform-prior
+            # MAP, a tie broken to the lowest cell index, flagged degenerate
+            decisions.append((int(cells[0]), KIND_FORCED_MAP, first_impossible + 1, True))
+        else:
+            best = int(np.argmax(cum[:, -1]))
+            decisions.append((int(cells[best]), KIND_FORCED_MAP, n_obs, False))
+    return decisions
 
 
 def _first_stop(log_lik: np.ndarray, threshold: float) -> tuple[int, int] | None:
@@ -429,12 +465,11 @@ def _first_stop(log_lik: np.ndarray, threshold: float) -> tuple[int, int] | None
     return o, int(leader[o])
 
 
-def _decision(relay, candidates, best_pos, kind, stopped, grid,
-              degenerate=False) -> LocalizationResult:
-    w = candidates[best_pos]
-    return LocalizationResult(
-        relay, w, Point(*grid.xy[w].tolist()), len(candidates), kind, 0.0, 0.0, stopped, degenerate
-    )
+def _result(relay, n_candidates, decision, e_angle, e_capacity, grid) -> LocalizationResult:
+    """The result of a decision (cell, kind, stopped_at, degenerate) with its residuals."""
+    w, kind, stopped, degenerate = decision
+    return LocalizationResult(relay, w, Point(*grid.xy[w].tolist()), n_candidates, kind,
+                              e_angle, e_capacity, stopped, degenerate)
 
 
 def localize_all(
@@ -450,18 +485,14 @@ def localize_all(
     The rows of ms are first put in `net.ordered_pairs()` order, so results
     do not depend on the order of the records; a pair set that differs
     from the network's raises MeasurementError, and both modes read the
-    set cut to the test's window (`first_observations`).  Argmin mode
-    filters cells with `feasible_cells`; msprt mode with `angle_likelihood`,
-    whose shares weight the test's prior.  Relays whose candidate set comes
-    back empty are reported unlocalized.
-
-    Argmin mode filters and decides relay by relay.  Msprt mode computes
-    the evidence of every relay with more than one candidate in one
-    `_capacity_evidence` call.  Both modes then compute the residuals of
-    every localized relay in one step.  A measured angle beyond
-    pi + resolution / 2, where no node angle quantizes, raises
-    MeasurementError naming its pair and relay.  A `cfg.cell_side` other
-    than the grid's raises LocalizationError.
+    set cut to the test's window (`first_observations`).  Each stage then
+    runs once for the whole set: one `_angle_step` gives argmin mode the
+    cells of `feasible_cells` and msprt mode those of `angle_likelihood`
+    (relays left with none are unlocalized); one `_capacity_residuals` call
+    decides argmin mode, or one `_capacity_evidence` call feeds every
+    relay's sequential test and one more call takes the picks' capacity
+    residuals.  A `cfg.cell_side` other than the grid's raises
+    LocalizationError.
     """
     if cfg.cell_side != grid.cell_side:
         raise LocalizationError(f"the solver's cell side {cfg.cell_side} m differs from the "
@@ -469,59 +500,29 @@ def localize_all(
     mcfg = msprt_cfg or MsprtConfig(max_observations=ms.n_observations)
     ms = ms.in_pair_order(net.ordered_pairs()).first_observations(
         mcfg.max_observations, params.outage_prob)
-    outside = np.argwhere(np.abs(ms.aoa) > math.pi + net.resolution / 2)
-    if outside.size:
-        p, l = outside[0]
-        raise MeasurementError(
-            f"pair {ms.pairs[p]}, relay {l}: measured angle {math.degrees(ms.aoa[p, l]):g} "
-            f"deg lies beyond 180 deg plus half the node resolution, where no node "
-            f"angle quantizes")
-    if cfg.mode == "argmin":
-        decisions = []
-        for l in range(ms.n_relays):
-            candidates = feasible_cells(ms, l, net, grid)
-            decisions.append(localize_argmin(candidates, ms.cap_est[:, l], net, grid, params,
-                                             relay=l) if candidates else _unlocalized(l))
-        return _with_residuals(decisions, ms, net, grid, params)
-    fp = _footprint(net, grid)
-    found = [angle_likelihood(ms, l, net, grid) for l in range(ms.n_relays)]
-    multi = [l for l, (candidates, _) in enumerate(found) if len(candidates) > 1]
-    evidence = {}
-    if multi:
-        evidence = dict(zip(multi, _capacity_evidence(
-            fp, [found[l][0] for l in multi], [ms.raw[fp.rows, l] for l in multi], params)))
-    decisions = [
-        msprt_localize(candidates, ms.raw[:, l, :], net, grid, params, mcfg,
-                       relay=l, angle_weights=likelihood, log_pdf=evidence.get(l))
-        if candidates else _unlocalized(l)
-        for l, (candidates, likelihood) in enumerate(found)
-    ]
-    return _with_residuals(decisions, ms, net, grid, params)
-
-
-def _with_residuals(decisions, ms, net, grid, params) -> list[LocalizationResult]:
-    """The decisions with each localized relay's residuals against ms.
-
-    ms has its rows in `net.ordered_pairs()` order.  One l2 norm covers the
-    angle rows of all localized relays, and one their capacity rows.
-    """
-    done = [r for r in decisions if r.cell_index is not None]
-    relays = [r.relay for r in done]
-    cells = [r.cell_index for r in done]
-    e_capacity = _capacity_residuals(net, grid, params, cells, ms.cap_est[:, relays].T)
-    angles = _footprint(net, grid).angle[cells][:, net.receivers]
-    e_angle = _l2_norms(ms.aoa[:, relays].T - angles)
-    residuals = iter(zip(e_angle.tolist(), e_capacity.tolist()))
-    return [
-        r if r.cell_index is None else LocalizationResult(
-            r.relay, r.cell_index, r.position, r.n_candidates, r.kind,
-            *next(residuals), r.stopped_at, r.degenerate)
-        for r in decisions
-    ]
-
-
-def _unlocalized(relay: int) -> LocalizationResult:
-    return LocalizationResult(relay, None, None, 0, KIND_UNLOCALIZED, math.nan, math.nan, 0)
+    fp, caps = _footprint(net, grid), _capacity_column(net, grid, params)
+    groups = _angle_step(ms, np.arange(ms.n_relays), net, fp)
+    argmin = cfg.mode == "argmin"
+    found = [fp.center_rule(g) if argmin else fp.group_cells[g] for g in groups]
+    relays = [l for l, cells in enumerate(found) if len(cells)]
+    candidates, cap_est = [found[l] for l in relays], ms.cap_est[:, relays]
+    if argmin:
+        decisions, e_capacity = _argmin_decisions(net, caps, candidates, cap_est)
+    else:
+        raw = ms.raw[net.pair_rows]
+        multi = [l for l, cells in zip(relays, candidates) if len(cells) > 1]
+        evidence = _capacity_evidence(
+            fp, [found[l] for l in multi], [raw[:, l] for l in multi], params) if multi else []
+        decisions = _sequential_tests(candidates, [fp.group_shares[groups[l]] for l in relays],
+                                      evidence, mcfg.threshold)
+        e_capacity = _capacity_residuals(net, caps, [d[0] for d in decisions],
+                                         cap_est.T).tolist()
+    cells = [d[0] for d in decisions]
+    e_angle = _l2_norms(ms.aoa[:, relays].T - fp.angle[cells][:, net.receivers]).tolist()
+    located = dict(zip(relays, zip(map(len, candidates), decisions, e_angle, e_capacity)))
+    return [_result(l, *located[l], grid) if l in located else
+            LocalizationResult(l, None, None, 0, KIND_UNLOCALIZED, math.nan, math.nan, 0)
+            for l in range(ms.n_relays)]
 
 
 # ---------------------------------------------------------------------------
@@ -541,22 +542,11 @@ def write_report(results: list[LocalizationResult], path) -> None:
     write_records(path, REPORT_HEADER, "relay x y kind n_candidates e_capacity stopped_at", lines)
 
 
-def score_results(
-    results: list[LocalizationResult],
-    truth: list[Point],
-    cell_side: float,
-) -> dict:
+def score_results(results: list[LocalizationResult], truth: list[Point], cell_side: float) -> dict:
     """Fraction of relays localized within one cell side of their true spot."""
+    errors = [dist(r.position, truth[r.relay]) for r in results if r.position is not None]
+    hits = sum(err <= cell_side for err in errors)
     n = len(truth)
-    hits = 0
-    errors = []
-    for r in results:
-        if r.position is None:
-            continue
-        err = dist(r.position, truth[r.relay])
-        errors.append(err)
-        if err <= cell_side:
-            hits += 1
     return {
         "relays": n,
         "localized": len(errors),

@@ -247,8 +247,8 @@ def footprint_scan(net, grid, n: int = 9):
     px, py = x[:, None] + ox.ravel(), y[:, None] + oy.ravel()
     c, radius = net.region.center, net.region.radius
     inside = np.hypot(px - c.x, py - c.y) <= radius
-    points = angle_bins(net.table(px, py)[1], net.resolution)  # (cells, n * n, nodes)
-    centers = angle_bins(net.table(x, y)[1], net.resolution)   # (cells, nodes)
+    points = angle_bins(net.angles(px, py), net.resolution)  # (cells, n * n, nodes)
+    centers = angle_bins(net.angles(x, y), net.resolution)   # (cells, nodes)
 
     def scan(measured):
         share = (inside & (points == measured).all(axis=2)).sum(axis=1) / n**2

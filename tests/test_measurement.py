@@ -170,7 +170,7 @@ class TestNetwork:
         x, y = REGION.sample_xy(RngStream(77), 2000)
         for shape in ((0,), (2000,), (40, 50)):
             px, py = x[:np.prod(shape)].reshape(shape), y[:np.prod(shape)].reshape(shape)
-            d, angle = net.table(px, py)
+            d, angle = net.distances(px, py), net.angles(px, py)
             assert d.shape == angle.shape == shape + (3,)
             points = [Point(a, b) for a, b in zip(px.ravel().tolist(), py.ravel().tolist())]
             for q, node in enumerate(net.nodes):

@@ -1,4 +1,6 @@
 import math
+import warnings
+from collections import Counter
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -113,12 +115,12 @@ def l2_oracle(values) -> float:
 
 def residuals_oracle(ms, relay, w, net=NET) -> tuple[float, float]:
     """(e_angle, e_capacity) of cell w against relay's rows of ms, by scalar
-    solves and running sums.  Angles and hops are the cell's row of the one
-    `net.table` call over GRID.xy that the solver's footprint makes
-    (`test_table_is_the_scalar_geometry` checks that table against the math
-    module), so a comparison checks the summation order and the outage solve
-    alone, not how numpy and libm round."""
-    d, angle = net.table(*GRID.xy.T)
+    solves and running sums.  Angles and hops are the cell's row of the
+    `net.distances` and `net.angles` calls over GRID.xy that the solver's
+    footprint makes (`test_table_is_the_scalar_geometry` checks both against
+    the math module), so a comparison checks the summation order and the
+    outage solve alone, not how numpy and libm round."""
+    d, angle = net.distances(*GRID.xy.T), net.angles(*GRID.xy.T)
     e_angle = l2_oracle(float(ms.aoa[p, relay]) - float(angle[w, q2])
                         for p, (_, q2) in enumerate(ms.pairs))
     e_capacity = l2_oracle(
@@ -276,6 +278,23 @@ class TestAngleLikelihood:
                                  ms.cap_est[rows], ms.raw[rows])
         with pytest.raises(MeasurementError, match="node 2 receives none of the measured pairs"):
             solve(partial, 0, NET, GRID)
+
+    @pytest.mark.parametrize("solve", [angle_likelihood, feasible_cells])
+    def test_out_of_range_angle_names_pair_and_relay(self, solve):
+        # no node angle quantizes beyond pi plus half a bin: the angle step
+        # refuses such an angle before its int32 bin cast would warn, and
+        # names the caller's relay; the set's other relays still localize
+        ms = synthetic_set(sample_relays(REGION, 3, RngStream(84)))
+        aoa = ms.aoa.copy()
+        aoa[0, 2] = 1e12
+        far = MeasurementSet(ms.pairs, aoa, ms.cap_est, ms.raw)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(MeasurementError,
+                               match=rf"pair \({ms.pairs[0][0]}, {ms.pairs[0][1]}\), relay 2: "
+                                     r"measured angle 5\.7\d*e\+13 deg"):
+                solve(far, 2, NET, GRID)
+            assert solve(far, 0, NET, GRID)[0] == solve(ms, 0, NET, GRID)[0]
 
     @pytest.mark.parametrize("solve", [angle_likelihood, feasible_cells])
     def test_foreign_pair_names_it(self, solve):
@@ -594,6 +613,26 @@ class TestLocalizeAll:
             changed += got != repr(localize_all(ms, NET, GRID, PARAMS, tomo, full))
         assert changed
 
+    @pytest.mark.parametrize("mode", ["argmin", "msprt"])
+    def test_each_stage_runs_once_per_set(self, mode, monkeypatch):
+        # one angle step, one cache lookup of each table, one decision call
+        # and one capacity-residual call per set, and each result built
+        # once: no stage runs relay by relay
+        ms, _ = mixed_scene()
+        tomo = TomographyConfig(cell_side=CFG.cell_side_m, mode=mode)
+        want = repr(localize_all(ms, NET, GRID, PARAMS, tomo, CFG.msprt()))  # warm caches
+        calls = Counter()
+        for name in ("_angle_step", "_footprint", "_capacity_column", "_capacity_residuals",
+                     "_capacity_evidence", "LocalizationResult"):
+            def counted(*args, _name=name, _fn=getattr(tomography, name), **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(tomography, name, counted)
+        assert repr(localize_all(ms, NET, GRID, PARAMS, tomo, CFG.msprt())) == want
+        evidence = {"_capacity_evidence": 1} if mode == "msprt" else {}
+        assert calls == {"_angle_step": 1, "_footprint": 1, "_capacity_column": 1,
+                         "_capacity_residuals": 1, **evidence, "LocalizationResult": 5}
+
     def test_scoring_summary(self):
         relays = sample_relays(REGION, 5, RngStream(93))
         ms = synthetic_set(relays, seed=94)
@@ -683,7 +722,7 @@ class TestCapacityColumn:
 
         fp = tomography._footprint(NET, GRID)
         many = [1, 3, 4]
-        raws = [ms.raw[fp.rows, l, :] for l in many]
+        raws = [ms.raw[NET.pair_rows, l, :] for l in many]
         batched = tomography._capacity_evidence(fp, [found[l][0] for l in many], raws, PARAMS)
         for l, raw, log_pdf in zip(many, raws, batched):
             alone, = tomography._capacity_evidence(fp, [found[l][0]], [raw], PARAMS)
@@ -788,7 +827,7 @@ class TestEvidence:
                 if len(candidates) < 2:
                     continue
                 d_sr, d_rd = fp.hop_lengths(candidates)
-                log_pdf = capacity_log_pdf(ms.raw[fp.rows, l],
+                log_pdf = capacity_log_pdf(ms.raw[NET.pair_rows, l],
                                            HopPair(d_sr[..., None], d_rd[..., None]), PARAMS)
                 want = msprt_localize(candidates, ms.raw[:, l], NET, grid, PARAMS, cfg, relay=l,
                                       angle_weights=weights, log_pdf=log_pdf.sum(axis=1))
