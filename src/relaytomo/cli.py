@@ -20,6 +20,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .channel import outage_solver_check
 from .config import (
@@ -169,7 +171,8 @@ def cmd_selftest(args) -> int:
 def _selftest_outage_solver(cfg: ScenarioConfig, n: int = 1_000_000) -> bool:
     """Outage solver vs the m=1 closed form and a Monte Carlo count."""
     params = cfg.channel_params()
-    solved, closed, _, below = outage_solver_check(params, RngStream(cfg.seed).child(101), n)
+    solved, closed, draws = outage_solver_check(params, RngStream(cfg.seed).child(101), n)
+    below = int(np.count_nonzero(draws < solved))
     p = params.outage_prob
     band = 6.0 * math.sqrt(n * p * (1.0 - p))
     checks = []

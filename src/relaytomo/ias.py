@@ -16,8 +16,11 @@ where the edge's arrival ray meets the circle, so the kinks are solved in
 closed form too (one ray/disc quadratic per edge), and the departure range
 is split there.  This keeps the integrands smooth and the quadrature
 spectrally accurate even though the density jumps to zero at the region
-boundary.  Each cell's nodes and weights are evaluated as arrays in one
-pass; every node lies inside the disc by construction.
+boundary.  `integrate_angle_cells` evaluates every node and weight of a
+block of cells in one array pass, each cell's departure events padded with
+NaN to a common width; every node lies inside the disc by construction.
+`discrete_ias` integrates and solves the grid block by block, at most
+NODE_BUDGET nodes at a time, so its memory does not grow with the grid.
 """
 
 from __future__ import annotations
@@ -96,6 +99,13 @@ class AngularGrid:
         p = j * self.d_aoa
         return (w - 0.5 * self.d_aod, w + 0.5 * self.d_aod,
                 p - 0.5 * self.d_aoa, p + 0.5 * self.d_aoa)
+
+    def cell_array(self) -> np.ndarray:
+        """`cell_bounds` of every cell as a (n_aod * n_aoa, 4) array, aoa index fastest."""
+        w = np.repeat(np.arange(self.i_lo, self.i_hi + 1) * self.d_aod, self.n_aoa)
+        p = np.tile(np.arange(self.j_lo, self.j_hi + 1) * self.d_aoa, self.n_aod)
+        return np.stack((w - 0.5 * self.d_aod, w + 0.5 * self.d_aod,
+                         p - 0.5 * self.d_aoa, p + 0.5 * self.d_aoa), axis=1)
 
 
 @dataclass(frozen=True)
@@ -190,6 +200,13 @@ def build_grid(
 # fractions of its width, so the rule stays accurate
 _TANGENCY_SPLITS = np.array([1 / 256, 1 / 64, 1 / 16, 1 / 4])
 _MIN_INTERVAL = 1e-14  # radians; departure intervals narrower than this are skipped
+# a cell's departure events are its two ends, up to four kinks and the
+# tangency splits at both span ends: at most 14 events, 13 intervals
+_MAX_INTERVALS = 13
+# quadrature nodes `discrete_ias` integrates and solves at once, counting
+# every cell of a block at _MAX_INTERVALS intervals; one cell at the largest
+# quadrature order holds 13 * 64^2 = 53,248
+NODE_BUDGET = 1 << 20
 
 
 def _ray_disc(region: RelayRegion, origin: Point, rx, ry) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -231,72 +248,80 @@ def _aoa_chord(region: RelayRegion, baseline: Baseline,
     return tuple(_interior_angles(ux, uy, x - d.x, y - d.y) for x, y in ends)
 
 
-def _chord_kinks(region: RelayRegion, baseline: Baseline, w_lo: float, w_hi: float,
-                 p_lo: float, p_hi: float) -> np.ndarray:
-    """Sorted departure angles in (w_lo, w_hi) where the clipped chord kinks.
+def _chord_kinks(region: RelayRegion, baseline: Baseline, w_lo: np.ndarray, w_hi: np.ndarray,
+                 p_lo: np.ndarray, p_hi: np.ndarray) -> np.ndarray:
+    """Departure angles in (w_lo, w_hi) where each cell's clipped chord kinks.
 
     A chord end crosses the cell edge psi_e where the departure ray meets
     the arrival ray at psi_e on the circle, so the kinks are the departure
     angles of the (at most two) points where each edge's arrival ray
-    crosses the circle.
+    crosses the circle.  Returns a (cells, 4) array, NaN where a slot holds
+    no kink.
     """
     s, d = baseline.source, baseline.destination
     ux, uy, nx, ny = _region_axes(region, baseline)
-    edges = np.array([p_lo, p_hi])
+    edges = np.stack((p_lo, p_hi), axis=1)
     c, sn = np.cos(edges), np.sin(edges)
     ends = _ray_disc(region, d, ux * c + nx * sn, uy * c + ny * sn)
     kinks = np.concatenate([_interior_angles(d.x - s.x, d.y - s.y, x - s.x, y - s.y)
-                            for x, y in ends])
-    return np.unique(kinks[(w_lo < kinks) & (kinks < w_hi)])
+                            for x, y in ends], axis=1)
+    inside = (w_lo[:, None] < kinks) & (kinks < w_hi[:, None])
+    return np.where(inside, kinks, np.nan)
 
 
-def integrate_angle_cell(
+def integrate_angle_cells(
     region: RelayRegion,
     baseline: Baseline,
-    cell: tuple[float, float, float, float],
+    cells: np.ndarray,
     order: int = 16,
-) -> tuple[float, np.ndarray]:
-    """Mass of the joint angle pdf over a cell, and the rule's weighted nodes.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Masses of the joint angle pdf over a block of cells, and the rules' weighted nodes.
 
-    mass = integral of the pdf over the cell.  The second entry holds one
-    row (omega, psi, weight * pdf) per quadrature node, in the order the
-    mass sums them: the integral of any g * pdf over the cell is the sum of
-    weight * pdf * g(omega, psi) over these rows.  The departure range is
-    split at the chord kinks, and each node's arrival-angle rule runs
-    exactly over its chord interval intersected with the cell, so the
-    integrands stay smooth and every node lies inside the disc.
+    `cells` is a (k, 4) array of (aod_lo, aod_hi, aoa_lo, aoa_hi) rows.
+    Returns each cell's mass, the rows (omega, psi, weight * pdf) of every
+    quadrature node, cell after cell, and each cell's number of rows.  A
+    cell's rows come in the order its mass sums them: the integral of any
+    g * pdf over the cell is the sum of weight * pdf * g(omega, psi) over
+    them.  The departure range is split at the chord kinks, and each node's
+    arrival-angle rule runs exactly over its chord interval intersected
+    with the cell, so the integrands stay smooth and every node lies
+    inside the disc.  Every cell is evaluated in the same array pass.
     """
-    w_lo, w_hi, p_lo, p_hi = cell
-    span = angular_span(
-        region, baseline.source,
-        (baseline.destination.x - baseline.source.x,
-         baseline.destination.y - baseline.source.y),
-    )
-    w_lo = max(w_lo, span[0])
-    w_hi = min(w_hi, span[1])
-    if w_hi <= w_lo:
-        return 0.0, np.empty((0, 3))
+    cells = np.asarray(cells, dtype=float).reshape(-1, 4)
+    p_lo, p_hi = cells[:, 2], cells[:, 3]
+    s, d = baseline.source, baseline.destination
+    span = angular_span(region, s, (d.x - s.x, d.y - s.y))
+    w_lo = np.maximum(cells[:, 0], span[0])
+    w_hi = np.minimum(cells[:, 1], span[1])
+    kinks = _chord_kinks(region, baseline, w_lo, w_hi, p_lo, p_hi)
+    # a tangency splits the interval between it and the nearest other event
+    after_lo = np.fmin(w_hi, np.fmin.reduce(kinks, axis=1))
+    before_hi = np.fmax(w_lo, np.fmax.reduce(kinks, axis=1))
+    at_lo = (np.abs(w_lo - span[0]) < 1e-13)[:, None]
+    at_hi = (np.abs(w_hi - span[1]) < 1e-13)[:, None]
+    split_lo = w_lo[:, None] + (after_lo - w_lo)[:, None] * _TANGENCY_SPLITS
+    split_hi = w_hi[:, None] - (w_hi - before_hi)[:, None] * _TANGENCY_SPLITS
+    # NaN pads each cell's events; it sorts last and fails the width test,
+    # as do the repeats between equal events
+    events = np.sort(np.concatenate((w_lo[:, None], kinks, w_hi[:, None],
+                                     np.where(at_lo, split_lo, np.nan),
+                                     np.where(at_hi, split_hi, np.nan)), axis=1), axis=1)
+    a, b = events[:, :-1], events[:, 1:]
+    wide = (b - a >= _MIN_INTERVAL) & (w_hi > w_lo)[:, None]
+    cell = np.nonzero(wide)[0]
+    a, b = a[wide], b[wide]
+    # departure nodes, cell by cell and interval by interval
     nodes, weights = gauss_legendre(order)
-    events = np.concatenate(([w_lo], _chord_kinks(region, baseline, w_lo, w_hi, p_lo, p_hi),
-                             [w_hi]))
-    splits = [events]
-    if abs(events[0] - span[0]) < 1e-13:
-        splits.append(events[0] + (events[1] - events[0]) * _TANGENCY_SPLITS)
-    if abs(events[-1] - span[1]) < 1e-13:
-        splits.append(events[-1] - (events[-1] - events[-2]) * _TANGENCY_SPLITS)
-    events = np.unique(np.concatenate(splits))
-    a, b = events[:-1], events[1:]
-    wide = b - a >= _MIN_INTERVAL
-    n = int(wide.sum())
-    # departure nodes, interval by interval
-    half_w = np.repeat(0.5 * (b - a)[wide], order)
-    omega = np.repeat(0.5 * (a + b)[wide], order) + half_w * np.tile(nodes, n)
-    weight_w = np.tile(weights, n)
+    half_w = np.repeat(0.5 * (b - a), order)
+    omega = np.repeat(0.5 * (a + b), order) + half_w * np.tile(nodes, a.size)
+    weight_w = np.tile(weights, a.size)
+    cell = np.repeat(cell, order)
     chord_lo, chord_hi = _aoa_chord(region, baseline, omega)
-    lo = np.maximum(chord_lo, p_lo)
-    hi = np.minimum(chord_hi, p_hi)
+    lo = np.maximum(chord_lo, p_lo[cell])
+    hi = np.minimum(chord_hi, p_hi[cell])
     live = hi > lo    # False where the ray misses (NaN)
-    omega, weight_w, half_w, lo, hi = (v[live] for v in (omega, weight_w, half_w, lo, hi))
+    omega, weight_w, half_w, lo, hi, cell = (
+        v[live] for v in (omega, weight_w, half_w, lo, hi, cell))
     # each live departure node's arrival nodes, one row per departure node
     half_p = 0.5 * (hi - lo)
     psi = 0.5 * (hi + lo)[:, None] + half_p[:, None] * nodes
@@ -305,9 +330,21 @@ def integrate_angle_cell(
     pdf = _angle_jacobian(baseline.length, omega, psi) * region.density_at(
         region.center.x, region.center.y)
     weighted = weight_w[:, None] * weights * half_w[:, None] * half_p[:, None] * pdf
-    # a running sum adds the nodes in order, as a scalar loop would
-    mass = float(np.cumsum(weighted)[-1]) if weighted.size else 0.0
-    return mass, np.stack((omega, psi, weighted), axis=-1).reshape(-1, 3)
+    counts = np.bincount(cell, minlength=len(cells)) * order
+    return (_cell_sums(weighted.ravel(), counts),
+            np.stack((omega, psi, weighted), axis=-1).reshape(-1, 3), counts)
+
+
+def _cell_sums(terms: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Each cell's terms added in order by a running sum, as a scalar loop would.
+
+    `terms` holds counts[0] terms of the first cell, then counts[1] of the
+    next, and so on.  They fill one zero-padded row per cell, so a single
+    cumsum serves every cell: adding the padding's 0.0 changes no sum.
+    """
+    padded = np.zeros((counts.size, max(1, int(counts.max(initial=0)))))
+    padded[np.arange(padded.shape[1]) < counts[:, None]] = terms
+    return np.cumsum(padded, axis=1)[:, -1]
 
 
 def angle_cell_mass(
@@ -317,7 +354,30 @@ def angle_cell_mass(
     order: int = 16,
 ) -> float:
     """Probability that a region-distributed relay maps into this angle cell."""
-    return integrate_angle_cell(region, baseline, cell, order=order)[0]
+    return float(integrate_angle_cells(region, baseline, np.array([cell]), order=order)[0][0])
+
+
+def _uniform_bins(v: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """The bin of each v among uniform `edges`, as np.histogram2d counts it.
+
+    Bin b holds edges[b] <= v < edges[b + 1], and the last bin its right
+    edge too; a v off the edges gets bin n, one past the last.  The index
+    comes from v's offset in one multiply, clipped, and moves by one where
+    rounding put it across an edge, as np.histogram's uniform path does.
+    """
+    n = edges.size - 1
+    k = np.clip((v - edges[0]) * (n / (edges[-1] - edges[0])), 0, n - 1).astype(np.intp)
+    k -= v < edges[k]
+    k += (v >= edges[k + 1]) & (k < n - 1)
+    return np.where((edges[0] <= v) & (v <= edges[-1]), k, n)
+
+
+def _uniform_histogram2d(x: np.ndarray, y: np.ndarray, x_edges: np.ndarray,
+                         y_edges: np.ndarray) -> np.ndarray:
+    """np.histogram2d's counts of (x, y) for uniform edges, from one bincount."""
+    nx, ny = x_edges.size - 1, y_edges.size - 1
+    flat = _uniform_bins(x, x_edges) * (ny + 1) + _uniform_bins(y, y_edges)
+    return np.bincount(flat, minlength=(nx + 1) * (ny + 1)).reshape(nx + 1, ny + 1)[:nx, :ny]
 
 
 def angle_pdf_check(
@@ -339,15 +399,11 @@ def angle_pdf_check(
                           grid.i_hi * grid.d_aod + 0.5 * grid.d_aod, bins + 1)
     p_edges = np.linspace(grid.j_lo * grid.d_aoa - 0.5 * grid.d_aoa,
                           grid.j_hi * grid.d_aoa + 0.5 * grid.d_aoa, bins + 1)
-    expected = np.array([
-        [angle_cell_mass(region, baseline,
-                         (w_edges[a], w_edges[a + 1], p_edges[b], p_edges[b + 1]),
-                         order=12)
-         for b in range(bins)]
-        for a in range(bins)
-    ])
+    cells = np.stack(np.broadcast_arrays(w_edges[:-1, None], w_edges[1:, None],
+                                         p_edges[:-1], p_edges[1:]), axis=-1)
+    expected = integrate_angle_cells(region, baseline, cells, order=12)[0].reshape(bins, bins)
     aod, aoa = angles_from_points(baseline, *region.sample_xy(rng, n))
-    counts, _, _ = np.histogram2d(aod, aoa, bins=[w_edges, p_edges])
+    counts = _uniform_histogram2d(aod, aoa, w_edges, p_edges)
     nonempty = expected > 1e-9
     se = np.sqrt(n * expected * (1.0 - expected))
     within = np.abs(counts - n * expected) <= 3.0 * se
@@ -365,33 +421,26 @@ def discrete_ias(
 
     Each cell's value is the outage capacity averaged under the joint angle
     pdf restricted to the cell; cells carrying less than DEFAULT_MASS_FLOOR
-    probability are reported as empty (zero value, zero mass).  The outage
-    capacities of every quadrature node of the grid come from one array
-    solve; each cell then sums its nodes in quadrature order.
+    probability are reported as empty (zero value, zero mass).  The cells
+    go in blocks of at most NODE_BUDGET quadrature nodes: one array pass
+    integrates a block, one array solve gives the outage capacities of its
+    nodes, and each cell then sums its nodes in quadrature order.
     """
     check_region_clear_of_baseline(region, baseline)
-    values = np.zeros((grid.n_aod, grid.n_aoa))
+    cells = grid.cell_array()
+    values = np.zeros(len(cells))
     masses = np.zeros_like(values)
-    kept, nodes = [], []
-    for a, i in enumerate(range(grid.i_lo, grid.i_hi + 1)):
-        for b, j in enumerate(range(grid.j_lo, grid.j_hi + 1)):
-            mass, cell_nodes = integrate_angle_cell(
-                region, baseline, grid.cell_bounds(i, j), order=quad.order)
-            if mass < DEFAULT_MASS_FLOOR:
-                continue
-            masses[a, b] = mass
-            kept.append((a, b))
-            nodes.append(cell_nodes)
-    if not kept:
-        return DiscreteIas(grid, values, masses)
-    omega, psi, weight = np.concatenate(nodes).T
-    s = np.sin(omega + psi)
+    block = NODE_BUDGET // (_MAX_INTERVALS * quad.order**2)
     length = baseline.length
-    hops = HopPair(length * np.sin(psi) / s, length * np.sin(omega) / s)
-    terms = weight * outage_capacity_array(hops, params)
-    ends = np.cumsum([len(n) for n in nodes])
-    for (a, b), cell_terms in zip(kept, np.split(terms, ends[:-1])):
-        # a running sum adds the terms in node order, as a scalar loop would
-        weighted = float(np.cumsum(cell_terms)[-1]) if cell_terms.size else 0.0
-        values[a, b] = weighted / masses[a, b]
-    return DiscreteIas(grid, values, masses)
+    for start in range(0, len(cells), block):
+        part = slice(start, start + block)
+        mass, rows, counts = integrate_angle_cells(region, baseline, cells[part], quad.order)
+        kept = mass >= DEFAULT_MASS_FLOOR
+        omega, psi, weight = rows[np.repeat(kept, counts)].T
+        s = np.sin(omega + psi)
+        hops = HopPair(length * np.sin(psi) / s, length * np.sin(omega) / s)
+        terms = weight * outage_capacity_array(hops, params)
+        masses[part][kept] = mass[kept]
+        values[part][kept] = _cell_sums(terms, counts[kept]) / mass[kept]
+    shape = (grid.n_aod, grid.n_aoa)
+    return DiscreteIas(grid, values.reshape(shape), masses.reshape(shape))

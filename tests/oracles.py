@@ -10,6 +10,8 @@ time, with `quantize_angle` and `quantile_estimate` its scalar quantizer
 and outage estimate.  `cell_centers` is the square-cell discretization
 one cell at a time.  `footprint_scan` is the solver's angle step as a
 scan of every cell and every point of its footprint lattice.
+`integrate_angle_cell` is the spectrum's cell quadrature one cell at a
+time, with `chord_kinks` its kink solve for that cell.
 """
 
 import math
@@ -21,8 +23,17 @@ import scipy.special
 
 from relaytomo.channel import ChannelParams, HopPair, sample_instant_capacity
 from relaytomo.errors import DomainError, MeasurementError, RelayTomoError
-from relaytomo.geometry import Point, _unit, dist, signed_angle
+from relaytomo.geometry import Point, _interior_angles, _unit, angular_span, dist, signed_angle
+from relaytomo.ias import (
+    _MIN_INTERVAL,
+    _TANGENCY_SPLITS,
+    _angle_jacobian,
+    _aoa_chord,
+    _ray_disc,
+    _region_axes,
+)
 from relaytomo.measurement import MeasurementSet, angle_bins
+from relaytomo.numerics import gauss_legendre
 
 LN4 = math.log(4.0)
 
@@ -257,3 +268,65 @@ def footprint_scan(net, grid, n: int = 9):
         return cells.tolist(), share[cells], center_rule.tolist()
 
     return scan
+
+
+def chord_kinks(region, baseline, w_lo: float, w_hi: float, p_lo: float, p_hi: float):
+    """Sorted departure angles in (w_lo, w_hi) where one cell's clipped chord
+    kinks: where each arrival edge's ray crosses the circle."""
+    s, d = baseline.source, baseline.destination
+    ux, uy, nx, ny = _region_axes(region, baseline)
+    edges = np.array([p_lo, p_hi])
+    c, sn = np.cos(edges), np.sin(edges)
+    ends = _ray_disc(region, d, ux * c + nx * sn, uy * c + ny * sn)
+    kinks = np.concatenate([_interior_angles(d.x - s.x, d.y - s.y, x - s.x, y - s.y)
+                            for x, y in ends])
+    return np.unique(kinks[(w_lo < kinks) & (kinks < w_hi)])
+
+
+def integrate_angle_cell(region, baseline, cell, order: int = 16):
+    """Mass of the joint angle pdf over one cell, and its rows (omega, psi,
+    weight * pdf), one per quadrature node in the order the mass sums them.
+
+    The departure range is clipped to the region's span and split at the
+    chord kinks, and next to a span end at the tangency splits; each
+    departure node's arrival rule runs over its chord clipped to the cell.
+    """
+    w_lo, w_hi, p_lo, p_hi = cell
+    span = angular_span(
+        region, baseline.source,
+        (baseline.destination.x - baseline.source.x,
+         baseline.destination.y - baseline.source.y),
+    )
+    w_lo = max(w_lo, span[0])
+    w_hi = min(w_hi, span[1])
+    if w_hi <= w_lo:
+        return 0.0, np.empty((0, 3))
+    nodes, weights = gauss_legendre(order)
+    events = np.concatenate(([w_lo], chord_kinks(region, baseline, w_lo, w_hi, p_lo, p_hi),
+                             [w_hi]))
+    splits = [events]
+    if abs(events[0] - span[0]) < 1e-13:
+        splits.append(events[0] + (events[1] - events[0]) * _TANGENCY_SPLITS)
+    if abs(events[-1] - span[1]) < 1e-13:
+        splits.append(events[-1] - (events[-1] - events[-2]) * _TANGENCY_SPLITS)
+    events = np.unique(np.concatenate(splits))
+    a, b = events[:-1], events[1:]
+    wide = b - a >= _MIN_INTERVAL
+    n = int(wide.sum())
+    half_w = np.repeat(0.5 * (b - a)[wide], order)
+    omega = np.repeat(0.5 * (a + b)[wide], order) + half_w * np.tile(nodes, n)
+    weight_w = np.tile(weights, n)
+    chord_lo, chord_hi = _aoa_chord(region, baseline, omega)
+    lo = np.maximum(chord_lo, p_lo)
+    hi = np.minimum(chord_hi, p_hi)
+    live = hi > lo
+    omega, weight_w, half_w, lo, hi = (v[live] for v in (omega, weight_w, half_w, lo, hi))
+    half_p = 0.5 * (hi - lo)
+    psi = 0.5 * (hi + lo)[:, None] + half_p[:, None] * nodes
+    omega = np.broadcast_to(omega[:, None], psi.shape)
+    pdf = _angle_jacobian(baseline.length, omega, psi) * region.density_at(
+        region.center.x, region.center.y)
+    weighted = weight_w[:, None] * weights * half_w[:, None] * half_p[:, None] * pdf
+    # a running sum adds the nodes in order, as a scalar loop would
+    mass = float(np.cumsum(weighted)[-1]) if weighted.size else 0.0
+    return mass, np.stack((omega, psi, weighted), axis=-1).reshape(-1, 3)

@@ -386,6 +386,22 @@ class TestSampler:
         val = sample_instant_capacity(REF_HOPS, REF_PARAMS, RngStream(48))
         assert isinstance(val, float) and val >= 0.0
 
+    @pytest.mark.parametrize("m", [0.5, 1.0, 2.5])
+    @pytest.mark.parametrize("size", [None, 10_000])
+    def test_matches_two_log_form(self, m, size):
+        # the capacity of each hop's gain, then the smaller of the two
+        params = ChannelParams(1000.0, m, -3.0, 0.01)
+        hops = HopPair(80.0, 120.0)
+        gen = RngStream(49).generator()
+        g1 = gen.gamma(m, hops.d_sr**-3.0 / m, size=size or 1)
+        g2 = gen.gamma(m, hops.d_rd**-3.0 / m, size=size or 1)
+        want = 0.5 * np.minimum(np.log2(1.0 + 1000.0 * g1), np.log2(1.0 + 1000.0 * g2))
+        got = sample_instant_capacity(hops, params, RngStream(49), size=size)
+        if size is None:
+            assert type(got) is float and got == want[0]
+        else:
+            assert np.array_equal(got, want)
+
 
 class TestParams:
     def test_db_conversion(self):

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from relaytomo.channel import ChannelParams, HopPair, outage_capacity
+from oracles import integrate_angle_cell
+from relaytomo import ias
+from relaytomo.channel import ChannelParams, HopPair, outage_capacity, outage_capacity_array
 from relaytomo.errors import DegenerateGeometryError, DomainError
 from relaytomo.geometry import (
     Baseline,
@@ -20,11 +22,13 @@ from relaytomo.ias import (
     DiscreteIas,
     FlowAtom,
     _chord_kinks,
+    _uniform_bins,
+    _uniform_histogram2d,
     angle_cell_mass,
     build_grid,
     continuous_ias,
     discrete_ias,
-    integrate_angle_cell,
+    integrate_angle_cells,
     joint_angle_pdf,
 )
 from relaytomo.numerics import QuadratureSpec, RngStream, gauss_legendre
@@ -199,8 +203,9 @@ class TestJointAnglePdf:
                     cells.append((w_lo, w_hi, p_lo, p_hi))
         expected = scanned_kinks(cells)
         assert len(cells) == 399 and sum(k.size for k in expected) > 60
-        for cell, want in zip(cells, expected):
-            got = _chord_kinks(REGION, BASELINE, *cell)
+        kinks = _chord_kinks(REGION, BASELINE, *np.array(cells).T)
+        for cell, row, want in zip(cells, kinks, expected):
+            got = np.sort(row[~np.isnan(row)])
             assert got.shape == want.shape, cell
             np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
 
@@ -223,6 +228,120 @@ class TestJointAnglePdf:
         exact = angle_cell_mass(REGION, BASELINE, cell)
         generic = angle_cell_mass_generic(REGION, BASELINE, cell, max_depth=5)
         assert generic == pytest.approx(exact, rel=2e-3)
+
+
+def selftest_lattice(grid: AngularGrid, bins: int = 20) -> np.ndarray:
+    """The selftest's bins x bins cells spanning the grid's angle box, as (bins^2, 4)."""
+    w_lo, w_hi, p_lo, p_hi = spans_box(grid)
+    w, p = np.linspace(w_lo, w_hi, bins + 1), np.linspace(p_lo, p_hi, bins + 1)
+    return np.stack(np.broadcast_arrays(w[:-1, None], w[1:, None], p[:-1], p[1:]),
+                    axis=-1).reshape(-1, 4)
+
+
+def span_end_cells() -> np.ndarray:
+    """Arrival bands whose departure range covers the whole span, so each cell
+    is cut at both span ends and split toward both tangencies."""
+    s, d = BASELINE.source, BASELINE.destination
+    w_lo, w_hi = angular_span(REGION, s, (d.x - s.x, d.y - s.y))
+    bands = np.linspace(0.0, math.radians(60.0), 7)
+    return np.array([(w_lo - 0.1, w_hi + 0.1, lo, hi) for lo, hi in zip(bands, bands[1:])])
+
+
+MIRRORED = RelayRegion(Point(CX, -50.0), 40.0)
+
+
+class TestCellQuadrature:
+    """`integrate_angle_cells` against the per-cell oracle, bit for bit."""
+
+    @pytest.mark.parametrize("region, cells, order", [
+        (REGION, build_grid(REGION, BASELINE, math.radians(10), math.radians(10)).cell_array(), 16),
+        (REGION, build_grid(REGION, BASELINE, math.radians(5), math.radians(5)).cell_array(), 16),
+        (REGION, build_grid(REGION, BASELINE, math.radians(2.5), math.radians(2.5)).cell_array(),
+         16),
+        (REGION, selftest_lattice(build_grid(REGION, BASELINE, math.radians(10),
+                                             math.radians(10))), 12),
+        (MIRRORED, build_grid(MIRRORED, BASELINE, math.radians(5), math.radians(5)).cell_array(),
+         16),
+        (REGION, span_end_cells(), 8),
+    ], ids=["10deg", "5deg", "2.5deg", "selftest", "mirrored", "span-ends"])
+    def test_matches_per_cell_oracle(self, region, cells, order):
+        masses, rows, counts = integrate_angle_cells(region, BASELINE, cells, order)
+        assert masses.shape == counts.shape == (len(cells),) and counts.sum() == len(rows)
+        assert np.count_nonzero(masses) >= 6
+        for cell, mass, cell_rows in zip(cells, masses, np.split(rows, np.cumsum(counts)[:-1])):
+            want_mass, want_rows = integrate_angle_cell(region, BASELINE, tuple(cell), order)
+            assert mass == want_mass, cell
+            assert np.array_equal(cell_rows, want_rows), cell
+
+    def test_span_end_cells_carry_all_mass(self):
+        masses, _, _ = integrate_angle_cells(REGION, BASELINE, span_end_cells(), 16)
+        assert float(masses.sum()) == pytest.approx(1.0, abs=1e-6)
+
+    def test_cell_array_matches_cell_bounds(self):
+        grid = build_grid(REGION, BASELINE, math.radians(2.5), math.radians(5))
+        want = [grid.cell_bounds(i, j) for i in range(grid.i_lo, grid.i_hi + 1)
+                for j in range(grid.j_lo, grid.j_hi + 1)]
+        assert np.array_equal(grid.cell_array(), np.array(want))
+
+    def test_blocks_hold_node_budget(self, monkeypatch):
+        grid = build_grid(REGION, BASELINE, math.radians(5), math.radians(5))
+        quad = QuadratureSpec(8)
+        whole = discrete_ias(grid, REGION, BASELINE, PARAMS, quad)
+        cell_nodes = ias._MAX_INTERVALS * quad.order**2  # a cell's nodes, at most
+        budget = 2 * cell_nodes + 1  # two cells per block
+        blocks, sizes = [], []
+
+        def integrate(region, baseline, cells, order):
+            blocks.append(len(cells))
+            return integrate_angle_cells(region, baseline, cells, order)
+
+        def solve(hops, params):
+            sizes.append(np.size(hops.d_sr))
+            return outage_capacity_array(hops, params)
+
+        monkeypatch.setattr(ias, "NODE_BUDGET", budget)
+        monkeypatch.setattr(ias, "integrate_angle_cells", integrate)
+        monkeypatch.setattr(ias, "outage_capacity_array", solve)
+        blocked = discrete_ias(grid, REGION, BASELINE, PARAMS, quad)
+        assert max(blocks) * cell_nodes <= budget and sum(blocks) == grid.n_aod * grid.n_aoa
+        assert len(sizes) > 10 and max(sizes) <= budget
+        assert np.array_equal(blocked.masses, whole.masses)
+        assert np.array_equal(blocked.values, whole.values)
+
+
+class TestUniformBins:
+    """Index binning against np.histogram2d on and around every edge."""
+
+    @staticmethod
+    def probes(edges: np.ndarray) -> np.ndarray:
+        mids = 0.5 * (edges[:-1] + edges[1:])
+        return np.concatenate((edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+                               mids, [edges[0] - 1.0, edges[-1] + 1.0]))
+
+    @pytest.mark.parametrize("edges", [
+        np.linspace(*spans_box(build_grid(REGION, BASELINE, math.radians(10),
+                                          math.radians(10)))[:2], 21),
+        np.linspace(-0.35, 1.2, 21),
+        np.linspace(0.1, 0.7, 8),
+    ], ids=["selftest", "negative", "coarse"])
+    def test_bins_match_histogram2d(self, edges):
+        v = self.probes(edges)
+        mid = np.array([0.5])
+        want = [np.histogram2d([x], mid, bins=[edges, [0.0, 1.0]])[0][:, 0] for x in v]
+        want = np.array([np.argmax(h) if h.any() else edges.size - 1 for h in want])
+        assert np.array_equal(_uniform_bins(v, edges), want)
+        # the last edge counts in the last bin; values off the edges are dropped
+        assert _uniform_bins(edges[-1:], edges)[0] == edges.size - 2
+        assert (_uniform_bins(np.array([np.nextafter(edges[0], -np.inf), edges[0] - 1.0,
+                                        np.nextafter(edges[-1], np.inf)]), edges)
+                == edges.size - 1).all()
+
+    def test_counts_match_histogram2d(self):
+        x_edges, y_edges = np.linspace(-0.35, 1.2, 21), np.linspace(0.1, 0.7, 8)
+        x, y = (g.ravel() for g in np.meshgrid(self.probes(x_edges), self.probes(y_edges)))
+        want, _, _ = np.histogram2d(x, y, bins=[x_edges, y_edges])
+        got = _uniform_histogram2d(x, y, x_edges, y_edges)
+        assert want.sum() < x.size and np.array_equal(got, want)
 
 
 class TestBuildGrid:
