@@ -247,7 +247,13 @@ def sample_instant_capacity(
     n = 1 if size is None else size
     g1 = gen.gamma(m, hops.d_sr**nu / m, size=n)
     g2 = gen.gamma(m, hops.d_rd**nu / m, size=n)
-    caps = 0.5 * np.log2(1.0 + snr * np.minimum(g1, g2))
+    # 0.5 * log2(1 + snr * min(g1, g2)) in place on the smaller gain: each
+    # step rounds as in that expression, without its four temporaries
+    caps = np.minimum(g1, g2, out=g1)
+    caps *= snr
+    caps += 1.0
+    np.log2(caps, out=caps)
+    caps *= 0.5
     if size is None:
         return float(caps[0])
     return caps

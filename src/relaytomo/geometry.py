@@ -111,8 +111,17 @@ class RelayRegion:
     ) -> tuple[np.ndarray, np.ndarray]:
         """x and y arrays of n i.i.d. uniform draws from the disc."""
         gen = rng.generator() if isinstance(rng, RngStream) else rng
-        radii = self.radius * np.sqrt(gen.random(n))
-        theta = 2.0 * math.pi * gen.random(n)
+        return self.disc_xy(gen.random(n), gen.random(n))
+
+    def disc_xy(self, u_radius: np.ndarray, u_angle: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """x and y of the disc points at radius r sqrt(u_radius), angle 2 pi u_angle.
+
+        Uniform u_radius and u_angle in [0, 1) give points uniform over the
+        disc.  The map is elementwise, so mapping slices of the uniforms
+        gives the same bits as mapping them whole.
+        """
+        radii = self.radius * np.sqrt(u_radius)
+        theta = 2.0 * math.pi * u_angle
         return (self.center.x + radii * np.cos(theta),
                 self.center.y + radii * np.sin(theta))
 

@@ -207,6 +207,10 @@ _MAX_INTERVALS = 13
 # every cell of a block at _MAX_INTERVALS intervals; one cell at the largest
 # quadrature order holds 13 * 64^2 = 53,248
 NODE_BUDGET = 1 << 20
+# relays `angle_pdf_check` maps, checks and bins at once.  A block's float64
+# arrays take 256 KiB each, so the few alive at a time stay in a core's L2
+# cache; whole arrays of its 10^6 relays (8 MB each) stream through memory
+SAMPLE_BLOCK = 1 << 15
 
 
 def _ray_disc(region: RelayRegion, origin: Point, rx, ry) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -339,12 +343,19 @@ def _cell_sums(terms: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Each cell's terms added in order by a running sum, as a scalar loop would.
 
     `terms` holds counts[0] terms of the first cell, then counts[1] of the
-    next, and so on.  They fill one zero-padded row per cell, so a single
-    cumsum serves every cell: adding the padding's 0.0 changes no sum.
+    next, and so on.  The cells sharing a count form one (cells, count)
+    matrix of their terms, and one cumsum along its rows sums them all; a
+    cell without terms sums to 0.
     """
-    padded = np.zeros((counts.size, max(1, int(counts.max(initial=0)))))
-    padded[np.arange(padded.shape[1]) < counts[:, None]] = terms
-    return np.cumsum(padded, axis=1)[:, -1]
+    sums = np.zeros(counts.size)
+    starts = np.cumsum(counts) - counts
+    # the distinct counts come from a bincount: np.unique's first call
+    # imports numpy.ma, which costs a `direct` run about 11 ms
+    for count in np.flatnonzero(np.bincount(counts)[1:]) + 1:
+        group = np.flatnonzero(counts == count)
+        rows = terms[starts[group, None] + np.arange(count)]
+        sums[group] = np.cumsum(rows, axis=1)[:, -1]
+    return sums
 
 
 def angle_cell_mass(
@@ -380,6 +391,24 @@ def _uniform_histogram2d(x: np.ndarray, y: np.ndarray, x_edges: np.ndarray,
     return np.bincount(flat, minlength=(nx + 1) * (ny + 1)).reshape(nx + 1, ny + 1)[:nx, :ny]
 
 
+def _sampled_angle_counts(region: RelayRegion, baseline: Baseline, rng: RngStream, n: int,
+                          w_edges: np.ndarray, p_edges: np.ndarray) -> np.ndarray:
+    """`_uniform_histogram2d` of the angles of n relays drawn as `RelayRegion.sample_xy` draws.
+
+    The uniforms are drawn whole, as `sample_xy` draws them; mapping them
+    to the disc and to angles, with every check of `angles_from_points`,
+    and binning them go SAMPLE_BLOCK relays at a time.
+    """
+    gen = rng.generator()
+    u_radius, u_angle = gen.random(n), gen.random(n)
+    counts = np.zeros((w_edges.size - 1, p_edges.size - 1), dtype=np.intp)
+    for start in range(0, n, SAMPLE_BLOCK):
+        part = slice(start, start + SAMPLE_BLOCK)
+        aod, aoa = angles_from_points(baseline, *region.disc_xy(u_radius[part], u_angle[part]))
+        counts += _uniform_histogram2d(aod, aoa, w_edges, p_edges)
+    return counts
+
+
 def angle_pdf_check(
     region: RelayRegion,
     baseline: Baseline,
@@ -402,8 +431,7 @@ def angle_pdf_check(
     cells = np.stack(np.broadcast_arrays(w_edges[:-1, None], w_edges[1:, None],
                                          p_edges[:-1], p_edges[1:]), axis=-1)
     expected = integrate_angle_cells(region, baseline, cells, order=12)[0].reshape(bins, bins)
-    aod, aoa = angles_from_points(baseline, *region.sample_xy(rng, n))
-    counts = _uniform_histogram2d(aod, aoa, w_edges, p_edges)
+    counts = _sampled_angle_counts(region, baseline, rng, n, w_edges, p_edges)
     nonempty = expected > 1e-9
     se = np.sqrt(n * expected * (1.0 - expected))
     within = np.abs(counts - n * expected) <= 3.0 * se

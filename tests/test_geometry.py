@@ -334,12 +334,19 @@ class TestRegion:
         assert [p.y for p in pts] == ys.tolist()
         # the same draws through the math module, one point at a time
         gen = RngStream(33).generator()
-        radii = REGION.radius * np.sqrt(gen.random(20_000))
-        theta = 2.0 * math.pi * gen.random(20_000)
+        u_radius, u_angle = gen.random(20_000), gen.random(20_000)
+        radii = REGION.radius * np.sqrt(u_radius)
+        theta = 2.0 * math.pi * u_angle
         assert xs.tolist() == [float(REGION.center.x + r * math.cos(t))
                                for r, t in zip(radii, theta)]
         assert ys.tolist() == [float(REGION.center.y + r * math.sin(t))
                                for r, t in zip(radii, theta)]
+        # the disc mapping `sample_xy` shares with the selftest's blocks, on
+        # uneven slices of the same uniforms
+        cuts = [0, 1, 7, 4096, 4097, 15_001, 20_000]
+        parts = [REGION.disc_xy(u_radius[a:b], u_angle[a:b]) for a, b in zip(cuts, cuts[1:])]
+        assert np.concatenate([x for x, _ in parts]).tolist() == xs.tolist()
+        assert np.concatenate([y for _, y in parts]).tolist() == ys.tolist()
 
     def test_sample_xy_accepts_a_generator(self):
         a = REGION.sample_xy(np.random.default_rng(5), 100)

@@ -22,6 +22,7 @@ from relaytomo.ias import (
     DiscreteIas,
     FlowAtom,
     _chord_kinks,
+    _sampled_angle_counts,
     _uniform_bins,
     _uniform_histogram2d,
     angle_cell_mass,
@@ -342,6 +343,47 @@ class TestUniformBins:
         want, _, _ = np.histogram2d(x, y, bins=[x_edges, y_edges])
         got = _uniform_histogram2d(x, y, x_edges, y_edges)
         assert want.sum() < x.size and np.array_equal(got, want)
+
+
+class TestSampledAngleCounts:
+    """The selftest's blocked counts against one whole-array histogram."""
+
+    BLOCK = 64
+
+    @pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, 3 * BLOCK + 17])
+    def test_blocks_match_whole_histogram(self, monkeypatch, n):
+        w_lo, w_hi, p_lo, p_hi = spans_box(build_grid(REGION, BASELINE, math.radians(10),
+                                                      math.radians(10)))
+        w_edges, p_edges = np.linspace(w_lo, w_hi, 21), np.linspace(p_lo, p_hi, 21)
+        want, _, _ = np.histogram2d(*angles_from_points(BASELINE, *REGION.sample_xy(
+            RngStream(53), n)), bins=[w_edges, p_edges])
+        sizes = []
+
+        def angles(baseline, x, y):
+            sizes.append(x.size)
+            return angles_from_points(baseline, x, y)
+
+        monkeypatch.setattr(ias, "SAMPLE_BLOCK", self.BLOCK)
+        monkeypatch.setattr(ias, "angles_from_points", angles)
+        got = _sampled_angle_counts(REGION, BASELINE, RngStream(53), n, w_edges, p_edges)
+        assert np.array_equal(got, want)
+        assert sum(sizes) == n and max(sizes) <= self.BLOCK
+        assert len(sizes) == -(-n // self.BLOCK)
+
+    def test_blocks_keep_the_angle_checks(self, monkeypatch):
+        block = self.BLOCK
+
+        def disc_xy(region, u_radius, u_angle):
+            # only the short last block maps onto the baseline
+            return np.full(u_radius.size, CX), np.full(u_radius.size,
+                                                       50.0 if u_radius.size == block else 0.0)
+
+        monkeypatch.setattr(ias, "SAMPLE_BLOCK", block)
+        monkeypatch.setattr(RelayRegion, "disc_xy", disc_xy)
+        edges = np.linspace(0.0, 1.0, 3)
+        with pytest.raises(DegenerateGeometryError, match="collinear"):
+            _sampled_angle_counts(REGION, BASELINE, RngStream(54), 3 * self.BLOCK + 17,
+                                  edges, edges)
 
 
 class TestBuildGrid:
