@@ -2,11 +2,12 @@
 """Correct-cell rate of the sequential test as the observation window grows.
 
 Draws one relay per scene, simulates a long observation window once, and
-evaluates the MAP decision on nested prefixes of the window.  Candidates
-and their prior weights come from the footprint angle likelihood, as in
-`localize_all`'s msprt mode.  More observations should never hurt on
-average; the printed rates show the consistency of the sequential
-objective.
+localizes it with `localize_all` in msprt mode on nested prefixes of the
+window, one `MsprtConfig(error=1e-12, max_observations=o)` per window o,
+so candidates and their prior weights come from the footprint angle
+likelihood.  A relay left without candidates counts as a miss.  More
+observations should never hurt on average; the printed rates show the
+consistency of the sequential objective.
 
 Usage: python scripts/run_sequential_scaling.py [--scenes N] [--windows 1,10,100]
 """
@@ -17,39 +18,30 @@ from relaytomo.config import default_config_dict, scenario_from_dict
 from relaytomo.geometry import dist, sample_relays
 from relaytomo.measurement import simulate_measurements
 from relaytomo.numerics import RngStream
-from relaytomo.tomography import MsprtConfig, angle_likelihood, msprt_localize
+from relaytomo.tomography import MsprtConfig, TomographyConfig, localize_all
 
 
 def run(n_scenes: int, windows: list[int], base: int = 6000) -> list[float]:
     cfg = scenario_from_dict(default_config_dict())
     net, grid, params = cfg.network(), cfg.cell_grid(), cfg.channel_params()
     region = cfg.region()
-    max_obs = max(windows)
+    tomo = TomographyConfig(cell_side=grid.cell_side, mode="msprt")
 
     correct = {o: 0 for o in windows}
-    total = 0
     for k in range(n_scenes):
         rng = RngStream(base + k)
         relays = sample_relays(region, 1, rng.child(0))
-        ms = simulate_measurements(net, relays, params, max_obs, rng.child(1))
-        candidates, weights = angle_likelihood(ms, 0, net, grid)
-        if not candidates:
-            total += 1
-            continue
+        ms = simulate_measurements(net, relays, params, max(windows), rng.child(1))
         true_cell = min(range(len(grid.cells)),
                         key=lambda w: dist(grid.cells[w], relays[0]))
-        total += 1
         for o in windows:
-            res = msprt_localize(
-                candidates, ms.raw[:, 0, :o], net, grid, params,
-                MsprtConfig(error=1e-12, max_observations=o), relay=0,
-                angle_weights=weights)
-            if res.cell_index == true_cell:
-                correct[o] += 1
+            res, = localize_all(ms, net, grid, params, tomo,
+                                MsprtConfig(error=1e-12, max_observations=o))
+            correct[o] += res.cell_index == true_cell
 
     rates = []
     for o in windows:
-        rate = correct[o] / total
+        rate = correct[o] / n_scenes
         rates.append(rate)
         print(f"observations {o:4d}: correct-cell rate {rate:.3f}")
     return rates

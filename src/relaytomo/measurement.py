@@ -109,6 +109,13 @@ class MeasurementNetwork:
         dx, dy, shape = self._offsets(x, y)
         return np.hypot(dx, dy).T.reshape(shape)
 
+    def hop_lengths(self, x, y) -> tuple[np.ndarray, np.ndarray]:
+        """Hop lengths lo -> point and point -> hi of each point (x, y) per
+        unordered pair (lo, hi) of `pairs`: x's shape, pairs last, each."""
+        d = self.distances(x, y)
+        lo, hi = np.array(self.pairs).T
+        return d[..., lo], d[..., hi]
+
     def angles(self, x, y) -> np.ndarray:
         """Signed angle of each point (x, y) from each node's reference ray, in
         (-pi, pi]: x's shape, nodes last."""
@@ -223,15 +230,15 @@ def simulate_measurements(
     if observations < 1:
         raise DomainError(f"need at least one observation, got {observations}")
     x, y = [p.x for p in relays], [p.y for p in relays]
-    d, angle = net.distances(x, y), net.angles(x, y)
+    d_lo, d_hi = net.hop_lengths(x, y)
     raw = np.zeros((len(net.pairs), len(relays), observations))
     for k, (lo, hi) in enumerate(net.pairs):
         for l in range(len(relays)):
             stream = rng.child(lo * net.n_nodes + hi).child(l)
             raw[k, l] = sample_instant_capacity(
-                HopPair(float(d[l, lo]), float(d[l, hi])), params, stream, size=observations)
+                HopPair(float(d_lo[l, k]), float(d_hi[l, k])), params, stream, size=observations)
     raw = raw[net.pair_of_row]
-    aoa = (angle_bins(angle, net.resolution) * net.resolution).T[net.receivers]
+    aoa = (angle_bins(net.angles(x, y), net.resolution) * net.resolution).T[net.receivers]
     return MeasurementSet(tuple(net.ordered_pairs()), aoa,
                           estimate_outage_capacity(raw, params.outage_prob), raw)
 

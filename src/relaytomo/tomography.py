@@ -5,24 +5,26 @@ a hypothesis, and its forward model is the relay paths it predicts between
 the measuring nodes: one two-hop path per node pair, with its arrival
 angles and outage capacity.  `MeasurementNetwork` owns that forward model
 for the simulator and this solver alike: the node pairs and the rows they
-label, each point's distance and angle at every node, and the angle bins.
-`_Footprint`, one per (network, grid), holds the cell centers' distances
-and angles and the joint-bin table: every footprint lattice point grouped
-by its joint bin, one bin per node.  The capacity column, one per
-(network, grid, channel), holds each cell center's outage capacity per
-unordered pair, solved for every cell in one call on first use.
+label, each point's hop lengths per pair and angle at every node, and the
+angle bins.  `_Footprint`, one per (network, grid), holds the cell
+centers' hop lengths and angles and the joint-bin table: every footprint
+lattice point grouped by its joint bin, one bin per node.  The capacity
+column, one per (network, grid, channel), holds each cell center's outage
+capacity per unordered pair, solved for every cell in one call on first
+use.
 
 Pipeline per measurement set, each stage run once for all its relays:
-(1) the angle step keeps the cells the measured arrival angles allow, one
-lookup of each relay's joint bin in that table; (2) one decision call
-picks each relay's cell, by the least l2 capacity residual against the
-empirical outage estimates among the cells whose *center* quantizes into
-every measured bin (`feasible_cells`), or by a multi-hypothesis
-sequential probability ratio test over the raw capacity observations,
-weighted by the share of each cell's footprint in every measured bin
-(`angle_likelihood`); (3) one result step computes every pick's
-residuals and builds its result.  The one-relay functions run the same
-stages.
+(1) the angle step puts the set's rows in the network's pair order and
+keeps the cells the measured arrival angles allow, one lookup of each
+relay's joint bin in that table; (2) one decision call picks each relay's
+cell, by the least l2 capacity residual against the empirical outage
+estimates among the cells whose *center* quantizes into every measured
+bin (`feasible_cells`), or by a multi-hypothesis sequential probability
+ratio test over the raw capacity observations, weighted by the share of
+each cell's footprint in every measured bin (`angle_likelihood`); (3) one
+result step computes every pick's residuals and builds its result.  The
+one-relay functions run the same stages, so they accept exactly the sets
+`localize_all` accepts.
 
 The test's evidence is the capacity log-density of each observation,
 summed over the unordered pairs.  Under Rayleigh fading (Nakagami m = 1)
@@ -161,22 +163,14 @@ def angle_likelihood(
 def _angle_step(ms: MeasurementSet, relays, net: MeasurementNetwork, fp) -> list[slice]:
     """Each relay's joint bin, one measured bin per node: its slice of fp's groups.
 
-    relays are column indices of ms, binned in one `angle_bins` call; the
-    slice is empty where a node's rows disagree on its bin.  A foreign
-    pair, a node that receives none of the pairs, and an angle beyond
-    pi + resolution / 2, where no node angle quantizes, raise
-    MeasurementError naming the pair, the node, or the pair and relay.
+    The rows of ms are put in `net.ordered_pairs()` order
+    (`MeasurementSet.in_pair_order`, which raises MeasurementError for any
+    other pair set); relays are column indices of ms, binned in one
+    `angle_bins` call.  The slice is empty where a node's rows disagree on
+    its bin.  An angle beyond pi + resolution / 2, where no node angle
+    quantizes, raises MeasurementError naming the pair and relay.
     """
-    try:
-        rows = [net.row_of[pair] for pair in ms.pairs]
-    except KeyError as exc:
-        raise MeasurementError(f"measured pair {exc.args[0]} is not an ordered pair of the "
-                               f"network's {len(net.nodes)} nodes") from None
-    receivers = net.receivers[rows]
-    nodes = receivers.tolist()
-    missing = set(range(net.n_nodes)).difference(nodes)
-    if missing:
-        raise MeasurementError(f"node {min(missing)} receives none of the measured pairs")
+    ms = ms.in_pair_order(net.ordered_pairs())
     aoa = ms.aoa[:, relays]
     far = np.abs(aoa) > math.pi + net.resolution / 2
     if far.any():
@@ -186,8 +180,9 @@ def _angle_step(ms: MeasurementSet, relays, net: MeasurementNetwork, fp) -> list
             f"deg lies beyond 180 deg plus half the node resolution, where no node "
             f"angle quantizes")
     bins = angle_bins(aoa, net.resolution)  # (rows, relays)
+    nodes = net.receivers.tolist()
     keys = bins[[nodes.index(q) for q in range(net.n_nodes)]]  # each node's first row
-    agree = (bins == keys[receivers]).all(axis=0)
+    agree = (bins == keys[net.receivers]).all(axis=0)
     return [fp.joint.get(tuple(key), slice(0)) if ok else slice(0)
             for key, ok in zip(keys.T.tolist(), agree.tolist())]
 
@@ -195,8 +190,8 @@ def _angle_step(ms: MeasurementSet, relays, net: MeasurementNetwork, fp) -> list
 class _Footprint:
     """Per (network, grid): the geometry of every cell's hypothesis.
 
-    dist[w, q] and angle[w, q] are cell w's center's distance and angle at
-    node q, and (tx, rx) are the nodes of each of `net.pairs`.  A
+    angle[w, q] is cell w's center's angle at node q, and `hop_lengths` its
+    center's path per unordered pair (`MeasurementNetwork.hop_lengths`).  A
     cell's footprint is the in-disc points of a FOOTPRINT_SAMPLES squared
     lattice of its square, its center (offset exactly 0) in the middle.
     Those points are grouped by (joint bin, cell), a joint bin being one
@@ -208,8 +203,7 @@ class _Footprint:
 
     def __init__(self, net: MeasurementNetwork, grid: CellGrid) -> None:
         x, y = grid.xy.T
-        self.dist, self.angle = net.distances(x, y), net.angles(x, y)
-        self.tx, self.rx = np.array(net.pairs).T
+        self.hops, self.angle = net.hop_lengths(x, y), net.angles(x, y)
         self.joint, self.group_cells, self.group_shares, self.group_centers = (
             _joint_bin_groups(net, grid))
 
@@ -219,16 +213,16 @@ class _Footprint:
 
     def hop_lengths(self, cells=slice(None)) -> tuple[np.ndarray, np.ndarray]:
         """Hop lengths of each cell center's path per unordered pair, (cells, pairs)."""
-        d = self.dist[cells]
-        return d[:, self.tx], d[:, self.rx]
+        d_lo, d_hi = self.hops
+        return d_lo[cells], d_hi[cells]
 
 
 def _joint_bin_groups(net: MeasurementNetwork, grid: CellGrid):
     """`_Footprint`'s joint, group_cells, group_shares and group_centers.
 
-    The in-disc lattice points, in cell order, are cut into runs of one
-    cell and one joint bin; one lexsort orders the runs by joint bin, and
-    neighbours of one joint bin and cell merge into one group."""
+    One stable lexsort orders the in-disc lattice points by joint bin, cell
+    order holding within a bin, so each run of one joint bin and one cell is
+    a group: its count is a run length, its center flag one reduceat."""
     n = FOOTPRINT_SAMPLES
     offsets = ((np.arange(n) + 0.5) / n - 0.5) * grid.cell_side
     ox, oy = np.meshgrid(offsets, offsets)
@@ -240,18 +234,13 @@ def _joint_bin_groups(net: MeasurementNetwork, grid: CellGrid):
     angle = net.angles(px, py)
     keys = angle_bins(np.moveaxis(angle, -1, 0), net.resolution)[:, inside]  # (nodes, points)
 
-    starts = np.flatnonzero(_run_starts(cell, *keys))
-    counts = np.diff(starts, append=len(cell))
-    # the middle point of a cell's lattice is its center
-    center = np.logical_or.reduceat(point == n * n // 2, starts)
-    keys, cell = keys[:, starts], cell[starts]
-    order = np.lexsort(keys[::-1])  # stable: the runs of a joint bin stay in cell order
-    keys, cell, counts, center = keys[:, order], cell[order], counts[order], center[order]
-
+    order = np.lexsort(keys[::-1])  # stable: a joint bin's points stay in cell order
+    keys, cell, point = keys[:, order], cell[order], point[order]
     new_key = _run_starts(*keys)
     groups = np.flatnonzero(new_key | _run_starts(cell))
-    counts = np.add.reduceat(counts, groups)
-    center = np.logical_or.reduceat(center, groups)
+    counts = np.diff(groups, append=len(cell))
+    # the middle point of a cell's lattice is its center
+    center = np.logical_or.reduceat(point == n * n // 2, groups)
     first = np.flatnonzero(new_key[groups])  # each joint bin's first group
     bounds = first.tolist() + [len(groups)]
     heads = keys[:, groups[first]].T.tolist()
@@ -378,50 +367,45 @@ def msprt_localize(
     cfg: MsprtConfig,
     relay: int = -1,
     angle_weights: np.ndarray | None = None,
-    log_pdf: np.ndarray | None = None,
 ) -> LocalizationResult:
     """Multi-hypothesis sequential test over the raw capacity observations.
 
     raw holds one row per ordered pair of `net.ordered_pairs()`.  Reciprocal
     orderings carry the same fading draws, so only the rows (q1, q2) with
-    q1 < q2 enter the evidence (`_capacity_evidence`); log_pdf, when given,
-    is that evidence.  From the prior of `angle_weights`, or a uniform one,
-    the test stops once the leading hypothesis beats the runner-up by
-    `cfg.threshold`, or else returns the MAP hypothesis after the last
-    observation (`_sequential_tests`).  The result's residuals are 0.
+    q1 < q2 enter the evidence (`_capacity_evidence`).  From the prior of
+    `angle_weights`, or a uniform one, the test stops once the leading
+    hypothesis beats the runner-up by `cfg.threshold`, or else returns the
+    MAP hypothesis after the last observation (`_sequential_tests`).  The
+    result's residuals are 0.
     """
     if not candidates:
         raise LocalizationError("sequential test needs a non-empty candidate set")
     if raw.ndim != 2 or raw.shape[0] != len(net.row_of):
         raise LocalizationError(
             f"raw observations must have shape (n_pairs, n_obs), got {raw.shape}")
-    if log_pdf is None and len(candidates) > 1:
-        fp = _footprint(net, grid)
-        raw = raw[net.pair_rows, :cfg.max_observations]
-        log_pdf, = _capacity_evidence(fp, [candidates], [raw], params)
-    decision, = _sequential_tests([candidates], [angle_weights], [log_pdf], cfg.threshold)
+    raw = raw[net.pair_rows, :cfg.max_observations]
+    evidence = _capacity_evidence(_footprint(net, grid), [candidates], [raw], params)
+    decision, = _sequential_tests([candidates], [angle_weights], evidence, cfg.threshold)
     return _result(relay, len(candidates), decision, 0.0, 0.0, grid)
 
 
 def _sequential_tests(candidates, weights, evidence, threshold: float) -> list[tuple]:
     """Each relay's sequential-test decision: (cell, kind, stopped_at, degenerate).
 
-    candidates[j] are relay j's cells and weights[j] their prior weights
-    (None: uniform); `evidence` holds in order the log_pdf, (candidates,
-    observations), of each relay with more than one candidate.  A single
-    candidate wins at once.  Else log likelihoods start at the log prior
-    and add each observation's evidence until the leader (the first
-    maximum) beats the runner-up by more than `threshold` (`_first_stop`),
-    or the MAP hypothesis after the last observation wins; an observation
-    impossible under every hypothesis picks the first, flagged degenerate.
+    candidates[j] are relay j's cells, weights[j] their prior weights
+    (None: uniform) and evidence[j] their log_pdf, (candidates,
+    observations), from `_capacity_evidence`.  A single candidate wins at
+    once.  Else log likelihoods start at the log prior and add each
+    observation's evidence until the leader (the first maximum) beats the
+    runner-up by more than `threshold` (`_first_stop`), or the MAP
+    hypothesis after the last observation wins; an observation impossible
+    under every hypothesis picks the first, flagged degenerate.
     """
-    evidence = iter(evidence)
     decisions = []
-    for cells, w in zip(candidates, weights):
+    for cells, w, log_pdf in zip(candidates, weights, evidence):
         if len(cells) == 1:
             decisions.append((int(cells[0]), KIND_THRESHOLD, 0, False))
             continue
-        log_pdf = next(evidence)
         k, n_obs = log_pdf.shape
         log_prior = np.full(k, -math.log(k)) if w is None else np.log(w / w.sum())
         # column o: log likelihoods after o observations, summed in arrival order
@@ -510,9 +494,8 @@ def localize_all(
         decisions, e_capacity = _argmin_decisions(net, caps, candidates, cap_est)
     else:
         raw = ms.raw[net.pair_rows]
-        multi = [l for l, cells in zip(relays, candidates) if len(cells) > 1]
         evidence = _capacity_evidence(
-            fp, [found[l] for l in multi], [raw[:, l] for l in multi], params) if multi else []
+            fp, candidates, [raw[:, l] for l in relays], params) if relays else []
         decisions = _sequential_tests(candidates, [fp.group_shares[groups[l]] for l in relays],
                                       evidence, mcfg.threshold)
         e_capacity = _capacity_residuals(net, caps, [d[0] for d in decisions],

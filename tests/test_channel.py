@@ -82,16 +82,12 @@ class TestOutageCapacity:
         assert solved == pytest.approx(closed_form_capacity(REF_HOPS, REF_PARAMS),
                                        abs=1e-9)
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="0.5*log2(1 - ln(0.99)/2) = 0.0036158 presumes snr*d^nu = 1 per "
-               "hop; with snr = 1000, d = 100 m, nu = -3 the product is 1e-3 "
-               "(100^-3 = 1e-6, not 1e-3), so the correct value is 3.6249e-6.",
-    )
     def test_reference_value_with_unit_received_snr(self):
-        solved = outage_capacity(REF_HOPS, REF_PARAMS)
+        # 0.5 log2(1 - ln(0.99) / 2) presumes snr d^nu = 1 per hop: with
+        # snr = 1000 and nu = -3, that is 10 m hops (1000 * 10^-3 = 1)
+        solved = outage_capacity(HopPair(10.0, 10.0), REF_PARAMS)
         assert solved == pytest.approx(0.5 * math.log2(1.0 - math.log(0.99) / 2.0),
-                                       abs=1e-9)
+                                       rel=1e-12, abs=0.0)
 
     def test_vanishes_with_outage_target(self):
         caps = [outage_capacity(REF_HOPS, ChannelParams(1000.0, 1.0, -3.0, p))

@@ -165,13 +165,20 @@ class TestNetwork:
 
     def test_table_is_the_scalar_geometry(self):
         # numpy's hypot and arctan2 round some results one ulp away from the
-        # math module's; the bins of 2,000 points are exactly the scalar ones
+        # math module's; the bins of 2,000 points are exactly the scalar ones.
+        # The hop lengths of unordered pair (lo, hi) are the distances to lo
+        # and to hi
         net = three_node_net()
         x, y = REGION.sample_xy(RngStream(77), 2000)
         for shape in ((0,), (2000,), (40, 50)):
             px, py = x[:np.prod(shape)].reshape(shape), y[:np.prod(shape)].reshape(shape)
             d, angle = net.distances(px, py), net.angles(px, py)
             assert d.shape == angle.shape == shape + (3,)
+            d_lo, d_hi = net.hop_lengths(px, py)
+            assert d_lo.shape == d_hi.shape == shape + (len(net.pairs),)
+            for k, (lo, hi) in enumerate(net.pairs):
+                assert np.array_equal(d_lo[..., k], d[..., lo])
+                assert np.array_equal(d_hi[..., k], d[..., hi])
             points = [Point(a, b) for a, b in zip(px.ravel().tolist(), py.ravel().tolist())]
             for q, node in enumerate(net.nodes):
                 want_d = np.array([dist(p, node) for p in points])

@@ -213,8 +213,9 @@ class TestAngleLikelihood:
         # lattice finds, shares bit for bit, and `feasible_cells` the cells
         # whose center the scan bins into every measured bin; a cell center
         # is its lattice's middle point (offset exactly 0.0), so each of
-        # those has a share.  Criterion 5's 20 scenes, the 50 relays of the
-        # scaled scene 0 on 1 m cells (the angles do not depend on the
+        # those has a share.  A copy of the set with its rows reversed gives
+        # the same cells and shares.  Criterion 5's 20 scenes, the 50 relays
+        # of the scaled scene 0 on 1 m cells (the angles do not depend on the
         # draws), and 20 scenes of a fourth node's 12 rows
         net, grid, seeds, n_relays = NET, GRID, range(20), 5
         if scale == "scaled":
@@ -227,6 +228,8 @@ class TestAngleLikelihood:
             rng = RngStream(seed)
             ms = simulate_measurements(net, sample_relays(REGION, n_relays, rng.child(0)),
                                        PARAMS, 10, rng.child(1))
+            permuted = MeasurementSet(ms.pairs[::-1], ms.aoa[::-1], ms.cap_est[::-1],
+                                      ms.raw[::-1])
             for l in range(n_relays):
                 bins = {q2: quantize_angle(float(ms.aoa[p, l]), net.resolution)[0]
                         for p, (_, q2) in enumerate(ms.pairs)}
@@ -236,6 +239,10 @@ class TestAngleLikelihood:
                 assert weights.tobytes() == shares.tobytes()
                 feasible = feasible_cells(ms, l, net, grid)
                 assert feasible == centers
+                support_p, weights_p = angle_likelihood(permuted, l, net, grid)
+                assert support_p == cells
+                assert weights_p.tobytes() == shares.tobytes()
+                assert feasible_cells(permuted, l, net, grid) == centers
                 assert set(feasible) <= set(support)
                 kept += len(feasible)
         assert kept >= (50 if scale == "scaled" else 100)
@@ -271,12 +278,14 @@ class TestAngleLikelihood:
     @pytest.mark.parametrize("solve", [angle_likelihood, feasible_cells])
     def test_node_without_a_received_row_names_it(self, solve):
         # a relay's joint bin needs one bin at every node: a set whose rows
-        # all leave node 2 unmeasured has none
+        # all leave node 2 unmeasured is not the network's pair set, and the
+        # error lists the pairs it holds
         ms = synthetic_set(sample_relays(REGION, 1, RngStream(80)))
         rows = [p for p, (_, q2) in enumerate(ms.pairs) if q2 != 2]
         partial = MeasurementSet(tuple(ms.pairs[p] for p in rows), ms.aoa[rows],
                                  ms.cap_est[rows], ms.raw[rows])
-        with pytest.raises(MeasurementError, match="node 2 receives none of the measured pairs"):
+        with pytest.raises(MeasurementError, match=r"measured node pairs \[\(0, 1\), \(1, 0\), "
+                                                   r"\(2, 0\), \(2, 1\)\] do not match"):
             solve(partial, 0, NET, GRID)
 
     @pytest.mark.parametrize("solve", [angle_likelihood, feasible_cells])
@@ -300,7 +309,7 @@ class TestAngleLikelihood:
     def test_foreign_pair_names_it(self, solve):
         ms = synthetic_set(sample_relays(REGION, 1, RngStream(82)))
         foreign = MeasurementSet(((0, 5),) + ms.pairs[1:], ms.aoa, ms.cap_est, ms.raw)
-        with pytest.raises(MeasurementError, match=r"measured pair \(0, 5\)"):
+        with pytest.raises(MeasurementError, match=r"measured node pairs \[\(0, 5\), .* do not match"):
             solve(foreign, 0, NET, GRID)
 
 
@@ -806,7 +815,7 @@ class TestEvidence:
 
     @pytest.mark.parametrize("scale", ["reference", "scaled"])
     def test_decisions_equal_oracle_evidence(self, scale):
-        # localize_all against msprt_localize fed the summed per-element
+        # localize_all against the sequential test fed the summed per-element
         # density: criterion 5's 20 scenes, or one relay of 100 observations
         # on 1 m cells
         if scale == "reference":
@@ -829,10 +838,10 @@ class TestEvidence:
                 d_sr, d_rd = fp.hop_lengths(candidates)
                 log_pdf = capacity_log_pdf(ms.raw[NET.pair_rows, l],
                                            HopPair(d_sr[..., None], d_rd[..., None]), PARAMS)
-                want = msprt_localize(candidates, ms.raw[:, l], NET, grid, PARAMS, cfg, relay=l,
-                                      angle_weights=weights, log_pdf=log_pdf.sum(axis=1))
-                decision = (res.cell_index, res.kind, res.stopped_at, res.n_candidates)
-                assert decision == (want.cell_index, want.kind, want.stopped_at, want.n_candidates)
+                want, = tomography._sequential_tests([candidates], [weights],
+                                                     [log_pdf.sum(axis=1)], cfg.threshold)
+                decision = (res.cell_index, res.kind, res.stopped_at, res.degenerate)
+                assert decision == want and res.n_candidates == len(candidates)
                 tested += 1
         assert tested >= (50 if scale == "reference" else 1)
 
