@@ -16,20 +16,22 @@ use.
 Pipeline per measurement set, each stage run once for all its relays:
 (1) the angle step puts the set's rows in the network's pair order and
 keeps the cells the measured arrival angles allow, one lookup of each
-relay's joint bin in that table; (2) one decision call picks each relay's
-cell, by the least l2 capacity residual against the empirical outage
-estimates among the cells whose *center* quantizes into every measured
-bin (`feasible_cells`), or by a multi-hypothesis sequential probability
-ratio test over the raw capacity observations, weighted by the share of
-each cell's footprint in every measured bin (`angle_likelihood`); (3) one
-result step computes every pick's residuals and builds its result.  The
-one-relay functions run the same stages, so they accept exactly the sets
+relay's joint bin in that table; (2) one array pass over the set's padded
+(relay x candidate) table picks each relay's cell, by the least l2
+capacity residual against the empirical outage estimates among the cells
+whose *center* quantizes into every measured bin (`feasible_cells`), or
+by a multi-hypothesis sequential probability ratio test over the raw
+capacity observations, weighted by the share of each cell's footprint in
+every measured bin (`angle_likelihood`); padded lanes are +inf in every
+residual and -inf in every log likelihood; (3) one result step computes
+every pick's residuals and builds its result.  The one-relay functions
+run the same stages on a set of one, so they accept exactly the sets
 `localize_all` accepts.
 
 The test's evidence is the capacity log-density of each observation,
 summed over the unordered pairs.  Under Rayleigh fading (Nakagami m = 1)
 X = 4^I - 1 is exponential with a rate per (cell, pair), so the evidence
-reduces to per-relay sums of I and a (cells x pairs) @ (pairs x
+reduces to per-relay sums of I and a stacked (cells x pairs) @ (pairs x
 observations) product of rates and X, with no incomplete gamma; every
 other m evaluates `capacity_log_pdf` per (cell, pair, observation).
 """
@@ -60,6 +62,10 @@ KIND_ARGMIN = "argmin"
 KIND_UNLOCALIZED = "unlocalized"
 
 FOOTPRINT_SAMPLES = 9  # sub-sample points per cell axis for the angle likelihood
+# padded elements one decision pass holds, (relay, candidate, pair, observation)
+# or, for argmin, (relay, candidate, row): a float temporary takes at most 2 MiB
+# however many relays a set holds, unless one relay's own table is larger
+LANE_BUDGET = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -197,15 +203,16 @@ class _Footprint:
     Those points are grouped by (joint bin, cell), a joint bin being one
     bin per node, and `joint` maps each joint bin to the slice of its
     groups: group_cells are the cells whose footprint reaches it (sorted),
-    group_shares each one's share of its lattice, and group_centers whether its
-    center lies in it.  The lattice's angles exist only during the build.
+    group_shares each one's share of its lattice (group_priors: its log over the
+    bin's total) and group_centers whether its center lies in it.  The
+    lattice's angles exist only during the build.
     """
 
     def __init__(self, net: MeasurementNetwork, grid: CellGrid) -> None:
         x, y = grid.xy.T
         self.hops, self.angle = net.hop_lengths(x, y), net.angles(x, y)
-        self.joint, self.group_cells, self.group_shares, self.group_centers = (
-            _joint_bin_groups(net, grid))
+        (self.joint, self.group_cells, self.group_shares, self.group_priors,
+         self.group_centers) = _joint_bin_groups(net, grid)
 
     def center_rule(self, group: slice) -> np.ndarray:
         """The cells of a joint bin's groups whose center lies in it."""
@@ -218,11 +225,12 @@ class _Footprint:
 
 
 def _joint_bin_groups(net: MeasurementNetwork, grid: CellGrid):
-    """`_Footprint`'s joint, group_cells, group_shares and group_centers.
+    """`_Footprint`'s joint, group_cells, group_shares, group_priors and group_centers.
 
     One stable lexsort orders the in-disc lattice points by joint bin, cell
     order holding within a bin, so each run of one joint bin and one cell is
-    a group: its count is a run length, its center flag one reduceat."""
+    a group: its count is a run length, its center flag one reduceat.  A
+    bin's total sums its own shares alone, as `np.sum` of a relay's would."""
     n = FOOTPRINT_SAMPLES
     offsets = ((np.arange(n) + 0.5) / n - 0.5) * grid.cell_side
     ox, oy = np.meshgrid(offsets, offsets)
@@ -245,7 +253,9 @@ def _joint_bin_groups(net: MeasurementNetwork, grid: CellGrid):
     bounds = first.tolist() + [len(groups)]
     heads = keys[:, groups[first]].T.tolist()
     joint = {tuple(head): slice(a, b) for head, a, b in zip(heads, bounds, bounds[1:])}
-    return joint, cell[groups], counts / n**2, center
+    shares = counts / n**2
+    totals = np.repeat([shares[span].sum() for span in joint.values()], np.diff(bounds))
+    return joint, cell[groups], shares, np.log(shares / totals), center
 
 
 def _run_starts(*columns: np.ndarray) -> np.ndarray:
@@ -261,9 +271,10 @@ _footprint = lru_cache(maxsize=8)(_Footprint)  # one per (network, grid)
 
 
 def _l2_norms(diff: np.ndarray) -> np.ndarray:
-    # l2 norm along the last axis: a running sum adds the squares in order,
-    # as a scalar loop would (numpy's pairwise sum does not past 7 terms)
-    return np.sqrt(np.cumsum(diff * diff, axis=-1)[..., -1])
+    # l2 norm along the last axis, in place: a running sum adds the squares in
+    # order, as a scalar loop would (numpy's pairwise sum does not past 7 terms)
+    diff *= diff
+    return np.sqrt(np.add.accumulate(diff, axis=-1, out=diff)[..., -1])
 
 
 @lru_cache(maxsize=8)
@@ -278,48 +289,47 @@ def _capacity_column(net, grid, params) -> np.ndarray:
 
 
 def _capacity_residuals(net, caps, cells, cap_rows: np.ndarray) -> np.ndarray:
-    """l2 norm of each cell's outage-capacity residuals against its row of cap_rows.
+    """l2 norm of each cell's outage-capacity residuals against cap_rows.
 
-    cap_rows has one estimate per ordered pair of `net.ordered_pairs()`; both
-    orderings of a pair share one solve of caps, the capacity column.
+    cap_rows has one estimate per ordered pair of `net.ordered_pairs()` on its
+    last axis; both orderings of a pair share one solve of caps, the capacity column.
     """
-    return _l2_norms(cap_rows - caps[cells][:, net.pair_of_row])
+    return _l2_norms(cap_rows - caps[np.asarray(cells)[..., None], net.pair_of_row])
 
 
-def _capacity_evidence(fp: _Footprint, groups, raws, params) -> list[np.ndarray]:
-    """Sequential-test evidence of several relays, summed over unordered pairs.
+def _padded(rows, valid: np.ndarray) -> np.ndarray:
+    """Ragged rows as one table shaped like valid, its True lanes holding them; 0 elsewhere."""
+    table = np.zeros(valid.shape, rows[0].dtype)
+    table[valid] = np.concatenate(rows)
+    return table
 
-    groups[j] are relay j's candidate cells and raws[j] its observations,
-    (unordered pairs, observations).  Returns per relay the log-density of
-    each observation under each candidate's center paths, summed over the
-    pairs: (candidates, observations).
+
+def _capacity_evidence(fp: _Footprint, cells: np.ndarray, raw: np.ndarray, params) -> np.ndarray:
+    """Sequential-test evidence of a set of relays, summed over unordered pairs.
+
+    cells[j] are relay j's candidate cells, padded to one length, and raw[j]
+    its observations, (unordered pairs, observations).  Returns the
+    log-density of each observation under each candidate's center paths,
+    summed over the pairs: (relays, candidates, observations).
 
     At m = 1, X = 4^I - 1 is exponential with rate s1 + s2 (`rho_scales`),
     so the sum is  sum_p log(ln4 rate[c, p]) + ln4 sum_p I[p, o]
     - (rate @ X)[c, o]:  a constant per candidate, a term per observation
-    formed once per relay, and one product.  Every other shape sums
-    `capacity_log_pdf` of each (candidate, pair, observation), in one call
-    for all relays.
+    formed once per relay, and one stacked product.  Every other shape sums
+    `capacity_log_pdf` of each (candidate, pair, observation).
     """
-    sizes = [len(g) for g in groups]
-    spans = list(zip(np.cumsum(sizes).tolist(), sizes))
-    d_sr, d_rd = fp.hop_lengths(np.concatenate(groups))
-    raw = np.stack(raws)
+    d_sr, d_rd = fp.hop_lengths(cells)
     if params.nakagami_m != 1.0:
-        raw = np.repeat(raw, sizes, axis=0)
         hops = HopPair(d_sr[..., None], d_rd[..., None])
-        summed = capacity_log_pdf(raw, hops, params).sum(axis=1)
-        return [summed[end - k:end] for end, k in spans]
+        return capacity_log_pdf(raw[:, None], hops, params).sum(axis=2)
     if np.count_nonzero(raw < 0.0):
         raise DomainError("spectral efficiency must be non-negative")
     log_4i = raw * LN4
     with np.errstate(over="ignore"):  # 4^I - 1 is inf past I ~ 512, where the density is 0
         x = np.expm1(log_4i)
-    per_obs = log_4i.sum(axis=1)
     rate = np.add(*rho_scales(HopPair(d_sr, d_rd), params))
-    per_cell = np.log(LN4 * rate).sum(axis=1)
-    return [per_cell[end - k:end, None] + per_obs[j] - rate[end - k:end] @ x[j]
-            for j, (end, k) in enumerate(spans)]
+    per_cell = np.add.reduce(np.log(LN4 * rate), axis=2)
+    return per_cell[..., None] + np.add.reduce(log_4i, axis=1)[:, None] - rate @ x
 
 
 def localize_argmin(
@@ -337,25 +347,25 @@ def localize_argmin(
     """
     if not candidates:
         raise LocalizationError("argmin localization needs a non-empty candidate set")
-    (decision,), (e_capacity,) = _argmin_decisions(
-        net, _capacity_column(net, grid, params), [candidates], cap_row[:, None])
+    cells = np.asarray(candidates)[None]
+    caps, own = _capacity_column(net, grid, params), np.ones(cells.shape, bool)
+    (decision,), (e_capacity,) = _argmin_decisions(net, caps, cells, own, cap_row[:, None])
     return _result(relay, len(candidates), decision, 0.0, e_capacity, grid)
 
 
-def _argmin_decisions(net, caps, candidates, cap_est) -> tuple[list[tuple], list[float]]:
+def _argmin_decisions(net, caps, cells, valid, cap_est) -> tuple[list[tuple], list[float]]:
     """Each relay's candidate of least capacity residual, the first on ties.
 
-    candidates[j] are relay j's cells and cap_est[:, j] its estimates, one
-    row per ordered pair of `net.ordered_pairs()`; one residual call covers
-    every candidate of every relay.  Returns per relay its decision (cell,
-    kind, stopped_at, degenerate) and that cell's residual.
+    cells and valid are the set's padded (relays, candidates) table and
+    cap_est[:, j] relay j's estimates, one row per ordered pair of
+    `net.ordered_pairs()`.  Returns per relay its decision (cell, kind,
+    stopped_at, degenerate) and that cell's residual.
     """
-    sizes = [len(c) for c in candidates]
-    cells = np.concatenate(candidates) if candidates else np.zeros(0, dtype=int)
-    errs = _capacity_residuals(net, caps, cells, np.repeat(cap_est.T, sizes, axis=0))
-    best = [end - k + int(np.argmin(errs[end - k:end]))
-            for end, k in zip(np.cumsum(sizes).tolist(), sizes)]
-    return [(int(cells[b]), KIND_ARGMIN, 0, False) for b in best], errs[best].tolist()
+    errs = _capacity_residuals(net, caps, cells, cap_est.T[:, None])
+    errs[~valid] = np.inf
+    rows, best = np.arange(len(cells)), errs.argmin(axis=1)
+    return ([(w, KIND_ARGMIN, 0, False) for w in cells[rows, best].tolist()],
+            errs[rows, best].tolist())
 
 
 def msprt_localize(
@@ -383,70 +393,52 @@ def msprt_localize(
     if raw.ndim != 2 or raw.shape[0] != len(net.row_of):
         raise LocalizationError(
             f"raw observations must have shape (n_pairs, n_obs), got {raw.shape}")
-    raw = raw[net.pair_rows, :cfg.max_observations]
-    evidence = _capacity_evidence(_footprint(net, grid), [candidates], [raw], params)
-    decision, = _sequential_tests([candidates], [angle_weights], evidence, cfg.threshold)
-    return _result(relay, len(candidates), decision, 0.0, 0.0, grid)
+    k, w = len(candidates), angle_weights
+    cells, own = np.asarray(candidates)[None], np.ones((1, k), bool)
+    log_prior = np.full(k, -math.log(k)) if w is None else np.log(w / w.sum())
+    evidence = _capacity_evidence(_footprint(net, grid), cells,
+                                  raw[None, net.pair_rows, :cfg.max_observations], params)
+    decision, = _sequential_tests(cells, own, log_prior[None], evidence, cfg.threshold)
+    return _result(relay, k, decision, 0.0, 0.0, grid)
 
 
-def _sequential_tests(candidates, weights, evidence, threshold: float) -> list[tuple]:
+def _sequential_tests(cells, valid, log_prior, evidence, threshold: float) -> list[tuple]:
     """Each relay's sequential-test decision: (cell, kind, stopped_at, degenerate).
 
-    candidates[j] are relay j's cells, weights[j] their prior weights
-    (None: uniform) and evidence[j] their log_pdf, (candidates,
+    cells and valid are the set's padded (relays, candidates) table,
+    log_prior its log prior and evidence its log_pdf, (relays, candidates,
     observations), from `_capacity_evidence`.  A single candidate wins at
     once.  Else log likelihoods start at the log prior and add each
     observation's evidence until the leader (the first maximum) beats the
-    runner-up by more than `threshold` (`_first_stop`), or the MAP
-    hypothesis after the last observation wins; an observation impossible
-    under every hypothesis picks the first, flagged degenerate.
+    runner-up by more than `threshold`, or the MAP hypothesis after the last
+    observation wins; an observation impossible under every hypothesis picks
+    the first, flagged degenerate.  Subtraction is monotone, so beating the
+    runner-up is beating every rival; a NaN leader never passes.
     """
-    decisions = []
-    for cells, w, log_pdf in zip(candidates, weights, evidence):
-        if len(cells) == 1:
-            decisions.append((int(cells[0]), KIND_THRESHOLD, 0, False))
-            continue
-        k, n_obs = log_pdf.shape
-        log_prior = np.full(k, -math.log(k)) if w is None else np.log(w / w.sum())
-        # column o: log likelihoods after o observations, summed in arrival order
-        cum = np.cumsum(np.concatenate((log_prior[:, None], log_pdf), axis=1), axis=1)
-        log_lik = cum[:, 1:]
-        impossible = ~np.isfinite(log_lik).any(axis=0)
-        first_impossible = int(impossible.argmax()) if impossible.any() else n_obs
-        stop = _first_stop(log_lik[:, :first_impossible], threshold)
-        if stop is not None:
-            o, best = stop
-            decisions.append((int(cells[best]), KIND_THRESHOLD, o + 1, False))
-        elif first_impossible < n_obs:
-            # an observation impossible under every hypothesis: a uniform-prior
-            # MAP, a tie broken to the lowest cell index, flagged degenerate
-            decisions.append((int(cells[0]), KIND_FORCED_MAP, first_impossible + 1, True))
-        else:
-            best = int(np.argmax(cum[:, -1]))
-            decisions.append((int(cells[best]), KIND_FORCED_MAP, n_obs, False))
-    return decisions
-
-
-def _first_stop(log_lik: np.ndarray, threshold: float) -> tuple[int, int] | None:
-    """First observation at which the leader beats the runner-up by > threshold.
-
-    log_lik is (hypotheses, observations), at least two hypotheses.  The
-    leader of a column is its first maximum.  Floating-point subtraction
-    is monotone, so beating the runner-up is beating every rival, and no
-    other hypothesis can beat every rival where the leader does not.  A
-    column holding NaN never passes: its leader is a NaN.  Returns the
-    observation's index and its leader's position, or None.
-    """
-    n_obs = log_lik.shape[1]
-    columns = np.arange(n_obs)
-    leader = log_lik.argmax(axis=0)
-    rivals = log_lik.copy()
-    rivals[leader, columns] = -np.inf
-    passing = log_lik[leader, columns] - rivals.max(axis=0) > threshold
-    if not passing.any():
-        return None
-    o = int(passing.argmax())
-    return o, int(leader[o])
+    n, k, n_obs = evidence.shape
+    # column o: log likelihoods after o observations, summed in arrival order;
+    # padded lanes are -inf throughout, never added to a relay's +inf
+    lik = np.concatenate((log_prior[..., None], evidence), axis=2)
+    lik[~valid] = -np.inf
+    np.add.accumulate(lik, axis=2, out=lik)
+    leader, rows = lik.argmax(axis=1), np.arange(n)
+    at_leader = rows[:, None], leader, np.arange(n_obs + 1)
+    lead = lik[at_leader]
+    # a column some hypothesis explains: a finite leader, or else any finite lane
+    possible = np.isfinite(lead)
+    if not possible.all():
+        possible = np.logical_or.reduce(np.isfinite(lik), axis=1)
+    lik[at_leader] = -np.inf  # so each column's max is its runner-up
+    with np.errstate(invalid="ignore"):  # inf - inf, where no hypothesis is finite
+        undecided = possible & ~(lead - np.maximum.reduce(lik, axis=1) > threshold)
+    undecided[:, 0] = np.logical_or.reduce(valid[:, 1:], axis=1)  # one candidate wins at once
+    # the first observation that passes or that no hypothesis explains decides
+    # (a non-finite sum stays so, so every later one is impossible too), else the last
+    column = np.add.reduce(np.logical_and.accumulate(undecided[:, :-1], axis=1), axis=1)
+    stopped, explained = ~undecided[rows, column], possible[rows, column]
+    best = cells[rows, leader[rows, column] * explained].tolist()
+    return [(w, (KIND_FORCED_MAP, KIND_THRESHOLD)[t], c, not e) for w, t, c, e in
+            zip(best, (stopped & explained).tolist(), column.tolist(), explained.tolist())]
 
 
 def _result(relay, n_candidates, decision, e_angle, e_capacity, grid) -> LocalizationResult:
@@ -472,11 +464,11 @@ def localize_all(
     set cut to the test's window (`first_observations`).  Each stage then
     runs once for the whole set: one `_angle_step` gives argmin mode the
     cells of `feasible_cells` and msprt mode those of `angle_likelihood`
-    (relays left with none are unlocalized); one `_capacity_residuals` call
-    decides argmin mode, or one `_capacity_evidence` call feeds every
-    relay's sequential test and one more call takes the picks' capacity
-    residuals.  A `cfg.cell_side` other than the grid's raises
-    LocalizationError.
+    (relays left with none are unlocalized).  Padded into one table,
+    decided in blocks of at most LANE_BUDGET elements, they go to one
+    `_argmin_decisions` pass, or to one `_capacity_evidence` call, one
+    `_sequential_tests` pass and one call for the picks' capacity residuals.
+    A `cfg.cell_side` other than the grid's raises LocalizationError.
     """
     if cfg.cell_side != grid.cell_side:
         raise LocalizationError(f"the solver's cell side {cfg.cell_side} m differs from the "
@@ -489,20 +481,28 @@ def localize_all(
     argmin = cfg.mode == "argmin"
     found = [fp.center_rule(g) if argmin else fp.group_cells[g] for g in groups]
     relays = [l for l, cells in enumerate(found) if len(cells)]
-    candidates, cap_est = [found[l] for l in relays], ms.cap_est[:, relays]
-    if argmin:
-        decisions, e_capacity = _argmin_decisions(net, caps, candidates, cap_est)
-    else:
-        raw = ms.raw[net.pair_rows]
-        evidence = _capacity_evidence(
-            fp, candidates, [raw[:, l] for l in relays], params) if relays else []
-        decisions = _sequential_tests(candidates, [fp.group_shares[groups[l]] for l in relays],
-                                      evidence, mcfg.threshold)
-        e_capacity = _capacity_residuals(net, caps, [d[0] for d in decisions],
-                                         cap_est.T).tolist()
+    sizes, cap_est = [len(found[l]) for l in relays], ms.cap_est[:, relays]
+    decisions, e_capacity = [], []
+    width = len(net.row_of) if argmin else len(net.pair_rows) * ms.n_observations
+    step = max(1, LANE_BUDGET // max(1, max(sizes, default=0) * width))
+    for lo in range(0, len(relays), step):
+        block, part = relays[lo:lo + step], slice(lo, lo + step)
+        valid = np.arange(max(sizes[part])) < np.array(sizes[part])[:, None]
+        cells = _padded([found[l] for l in block], valid)
+        if argmin:
+            picks, errs = _argmin_decisions(net, caps, cells, valid, cap_est[:, part])
+        else:
+            raw = np.ascontiguousarray(ms.raw.transpose(1, 0, 2)[block][:, net.pair_rows])
+            evidence = _capacity_evidence(fp, cells, raw, params)
+            priors = _padded([fp.group_priors[groups[l]] for l in block], valid)
+            picks = _sequential_tests(cells, valid, priors, evidence, mcfg.threshold)
+            errs = _capacity_residuals(net, caps, [d[0] for d in picks],
+                                       cap_est[:, part].T).tolist()
+        decisions += picks
+        e_capacity += errs
     cells = [d[0] for d in decisions]
     e_angle = _l2_norms(ms.aoa[:, relays].T - fp.angle[cells][:, net.receivers]).tolist()
-    located = dict(zip(relays, zip(map(len, candidates), decisions, e_angle, e_capacity)))
+    located = dict(zip(relays, zip(sizes, decisions, e_angle, e_capacity)))
     return [_result(l, *located[l], grid) if l in located else
             LocalizationResult(l, None, None, 0, KIND_UNLOCALIZED, math.nan, math.nan, 0)
             for l in range(ms.n_relays)]

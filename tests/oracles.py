@@ -10,6 +10,9 @@ time, with `quantize_angle` and `quantile_estimate` its scalar quantizer
 and outage estimate.  `cell_centers` is the square-cell discretization
 one cell at a time.  `footprint_scan` is the solver's angle step as a
 scan of every cell and every point of its footprint lattice.
+`sequential_tests` is the solver's sequential test one relay at a time in
+array form, with `first_stop` its stopping rule: the bitwise reference for
+the set-level pass.
 `integrate_angle_cell` is the spectrum's cell quadrature one cell at a
 time, with `chord_kinks` its kink solve for that cell.
 """
@@ -34,6 +37,7 @@ from relaytomo.ias import (
 )
 from relaytomo.measurement import MeasurementSet, angle_bins
 from relaytomo.numerics import gauss_legendre
+from relaytomo.tomography import KIND_FORCED_MAP, KIND_THRESHOLD
 
 LN4 = math.log(4.0)
 
@@ -268,6 +272,61 @@ def footprint_scan(net, grid, n: int = 9):
         return cells.tolist(), share[cells], center_rule.tolist()
 
     return scan
+
+
+def sequential_tests(candidates, weights, evidence, threshold: float) -> list[tuple]:
+    """Each relay's sequential-test decision: (cell, kind, stopped_at, degenerate).
+
+    candidates[j] are relay j's cells, weights[j] their prior weights
+    (None: uniform) and evidence[j] their log_pdf, (candidates,
+    observations).  A single candidate wins at once.  Else log likelihoods
+    start at the log prior and add each observation's evidence until the
+    leader (the first maximum) beats the runner-up by more than
+    `threshold` (`first_stop`), or the MAP hypothesis after the last
+    observation wins; an observation impossible under every hypothesis
+    picks the first, flagged degenerate.
+    """
+    decisions = []
+    for cells, w, log_pdf in zip(candidates, weights, evidence):
+        if len(cells) == 1:
+            decisions.append((int(cells[0]), KIND_THRESHOLD, 0, False))
+            continue
+        k, n_obs = log_pdf.shape
+        log_prior = np.full(k, -math.log(k)) if w is None else np.log(w / w.sum())
+        # column o: log likelihoods after o observations, summed in arrival order
+        cum = np.cumsum(np.concatenate((log_prior[:, None], log_pdf), axis=1), axis=1)
+        log_lik = cum[:, 1:]
+        impossible = ~np.isfinite(log_lik).any(axis=0)
+        first_impossible = int(impossible.argmax()) if impossible.any() else n_obs
+        stop = first_stop(log_lik[:, :first_impossible], threshold)
+        if stop is not None:
+            o, best = stop
+            decisions.append((int(cells[best]), KIND_THRESHOLD, o + 1, False))
+        elif first_impossible < n_obs:
+            decisions.append((int(cells[0]), KIND_FORCED_MAP, first_impossible + 1, True))
+        else:
+            best = int(np.argmax(cum[:, -1]))
+            decisions.append((int(cells[best]), KIND_FORCED_MAP, n_obs, False))
+    return decisions
+
+
+def first_stop(log_lik: np.ndarray, threshold: float) -> tuple[int, int] | None:
+    """First observation at which the leader beats the runner-up by > threshold.
+
+    log_lik is (hypotheses, observations), at least two hypotheses; the
+    leader of a column is its first maximum.  Returns the observation's
+    index and its leader's position, or None.
+    """
+    n_obs = log_lik.shape[1]
+    columns = np.arange(n_obs)
+    leader = log_lik.argmax(axis=0)
+    rivals = log_lik.copy()
+    rivals[leader, columns] = -np.inf
+    passing = log_lik[leader, columns] - rivals.max(axis=0) > threshold
+    if not passing.any():
+        return None
+    o = int(passing.argmax())
+    return o, int(leader[o])
 
 
 def chord_kinks(region, baseline, w_lo: float, w_hi: float, p_lo: float, p_hi: float):

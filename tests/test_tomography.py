@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from oracles import footprint_scan, node_angle, quantize_angle
+from oracles import first_stop, footprint_scan, node_angle, quantize_angle, sequential_tests
 from relaytomo.channel import ChannelParams, HopPair, capacity_log_pdf, outage_capacity
 from relaytomo.config import default_config_dict, scenario_from_dict
 from relaytomo.errors import DomainError, LocalizationError, MeasurementError
@@ -20,6 +20,7 @@ from relaytomo.measurement import (
 from relaytomo.numerics import RngStream
 from relaytomo import tomography
 from relaytomo.tomography import (
+    KIND_ARGMIN,
     KIND_FORCED_MAP,
     KIND_THRESHOLD,
     KIND_UNLOCALIZED,
@@ -102,6 +103,21 @@ def sequential_oracle(candidates, weights, raw, cfg):
             best = max(winners, key=lambda ki: (log_lik[ki], -ki))
             return candidates[best], KIND_THRESHOLD, o + 1
     return candidates[int(np.argmax(log_lik))], KIND_FORCED_MAP, n_obs
+
+
+def set_decisions(found, raws, params, threshold, grid=GRID):
+    """The set-level pass over relays given as (candidates, weights or None,
+    uniform) and (unordered pairs, observations) draws: one padded table,
+    one evidence call and one sequential-test pass."""
+    sizes = [len(candidates) for candidates, _ in found]
+    valid = np.arange(max(sizes)) < np.array(sizes)[:, None]
+    cells = tomography._padded([np.asarray(candidates) for candidates, _ in found], valid)
+    priors = [np.full(len(c), -math.log(len(c))) if w is None else np.log(w / w.sum())
+              for c, w in found]
+    evidence = tomography._capacity_evidence(tomography._footprint(NET, grid), cells,
+                                             np.stack(raws), params)
+    return tomography._sequential_tests(cells, valid, tomography._padded(priors, valid),
+                                        evidence, threshold)
 
 
 def l2_oracle(values) -> float:
@@ -365,6 +381,20 @@ class TestArgmin:
         with pytest.raises(LocalizationError):
             localize_argmin([], np.zeros(6), NET, GRID, PARAMS)
 
+    def test_padded_lanes_never_win(self):
+        # estimates that a padded lane's cell fits exactly do not pull a relay
+        # whose candidates lack it there: each pick is the relay's pick alone
+        caps = tomography._capacity_column(NET, GRID, PARAMS)
+        exact = caps[0][NET.pair_of_row]
+        cells = np.array([[5, 9, 0], [7, 0, 0]])
+        valid = np.array([[True, True, False], [True, False, False]])
+        decisions, errs = tomography._argmin_decisions(NET, caps, cells, valid,
+                                                       np.stack([exact, exact], axis=1))
+        alone = [localize_argmin(candidates, exact, NET, GRID, PARAMS)
+                 for candidates in ([5, 9], [7])]
+        assert decisions == [(r.cell_index, KIND_ARGMIN, 0, False) for r in alone]
+        assert errs == [r.e_capacity for r in alone] and min(errs) > 0.0
+
 
 class TestMsprt:
     def test_single_candidate_immediate(self):
@@ -496,17 +526,25 @@ class TestMsprt:
 
     @pytest.mark.parametrize("error", [1e-12, 0.01, 0.2, 0.6, 0.7])
     def test_matches_sequential_oracle(self, error):
-        # the array evaluation takes the decision an observation-by-observation
-        # test would: same cell, decision kind and stopping index
+        # the array evaluation, of each relay alone and of all 30 in one set,
+        # takes the decision an observation-by-observation test would: same
+        # cell, decision kind and stopping index
+        cfg = MsprtConfig(error=error, max_observations=20)
+        found, raws, wants = [], [], []
         for seed in range(30):
             relay = sample_relays(REGION, 1, RngStream(7000 + seed))[0]
             ms = synthetic_set([relay], observations=20, seed=7100 + seed)
             cand, shares = angle_likelihood(ms, 0, NET, GRID)
-            cfg = MsprtConfig(error=error, max_observations=20)
             res = msprt_localize(cand, ms.raw[:, 0, :], NET, GRID, PARAMS, cfg,
                                  angle_weights=shares)
             want = sequential_oracle(cand, shares, ms.raw[:, 0, :], cfg)
             assert (res.cell_index, res.kind, res.stopped_at) == want
+            found.append((cand, shares))
+            raws.append(ms.raw[NET.pair_rows, 0])
+            wants.append(want)
+        assert len({len(cand) for cand, _ in found}) > 3
+        decisions = set_decisions(found, raws, PARAMS, cfg.threshold)
+        assert [decision[:3] for decision in decisions] == wants
 
     @pytest.mark.parametrize("error", [1e-12, 0.01, 0.7])
     def test_leader_margin_equals_all_pairs_rule(self, error):
@@ -527,16 +565,34 @@ class TestMsprt:
             [nan, nan, nan, nan], [-inf, nan, 3.0, -inf],
         ]
         log_lik = np.array(columns, dtype=float).T
+        # each column as one relay of a set, its log likelihoods after one
+        # observation from a zero prior: the pass raises no warning of its own
+        lanes = np.tile(np.arange(k), (len(columns), 1))
+        decisions = tomography._sequential_tests(lanes, lanes >= 0, np.zeros(lanes.shape),
+                                                 log_lik.T[..., None], threshold)
         expected = None
-        with np.errstate(invalid="ignore"):  # inf - inf and NaN margins
-            for o, column in enumerate(log_lik.T):
+        with np.errstate(invalid="ignore"):  # the oracle's inf - inf and NaN margins
+            for o, (column, decision) in enumerate(zip(log_lik.T, decisions)):
                 winners = all_pairs_winners(column, threshold)
                 want = (0, max(winners, key=lambda ki: (column[ki], -ki))) if winners else None
-                assert tomography._first_stop(column[:, None], threshold) == want
+                assert first_stop(column[:, None], threshold) == want
+                if want is not None:
+                    assert decision == (want[1], KIND_THRESHOLD, 1, False)
+                elif np.isfinite(column).any():  # the MAP, NaN first
+                    assert decision == (int(np.argmax(column)), KIND_FORCED_MAP, 1, False)
+                else:  # impossible under every hypothesis
+                    assert decision == (0, KIND_FORCED_MAP, 1, True)
                 if expected is None and want is not None:
                     expected = (o, want[1])
             assert expected is not None
-            assert tomography._first_stop(log_lik, threshold) == expected
+            assert first_stop(log_lik, threshold) == expected
+            # the columns as one relay's evidence: the pass and the oracle sum
+            # them alike and stop alike
+            weights = np.ones(k)
+            one = tomography._sequential_tests(lanes[:1], lanes[:1] >= 0,
+                                               np.log(weights / weights.sum())[None],
+                                               log_lik[None], threshold)
+            assert one == sequential_tests([range(k)], [weights], [log_lik], threshold)
 
     def test_degenerate_raw_shape_rejected(self):
         with pytest.raises(LocalizationError):
@@ -624,23 +680,26 @@ class TestLocalizeAll:
 
     @pytest.mark.parametrize("mode", ["argmin", "msprt"])
     def test_each_stage_runs_once_per_set(self, mode, monkeypatch):
-        # one angle step, one cache lookup of each table, one decision call
-        # and one capacity-residual call per set, and each result built
-        # once: no stage runs relay by relay
+        # one angle step, one cache lookup of each table, one decision pass
+        # (evidence and sequential test, or argmin pick) and one
+        # capacity-residual call per set, and each result built once: no
+        # stage runs relay by relay
         ms, _ = mixed_scene()
         tomo = TomographyConfig(cell_side=CFG.cell_side_m, mode=mode)
         want = repr(localize_all(ms, NET, GRID, PARAMS, tomo, CFG.msprt()))  # warm caches
         calls = Counter()
         for name in ("_angle_step", "_footprint", "_capacity_column", "_capacity_residuals",
-                     "_capacity_evidence", "LocalizationResult"):
+                     "_capacity_evidence", "_sequential_tests", "_argmin_decisions",
+                     "LocalizationResult"):
             def counted(*args, _name=name, _fn=getattr(tomography, name), **kwargs):
                 calls[_name] += 1
                 return _fn(*args, **kwargs)
             monkeypatch.setattr(tomography, name, counted)
         assert repr(localize_all(ms, NET, GRID, PARAMS, tomo, CFG.msprt())) == want
-        evidence = {"_capacity_evidence": 1} if mode == "msprt" else {}
+        decision = ({"_capacity_evidence": 1, "_sequential_tests": 1} if mode == "msprt"
+                    else {"_argmin_decisions": 1})
         assert calls == {"_angle_step": 1, "_footprint": 1, "_capacity_column": 1,
-                         "_capacity_residuals": 1, **evidence, "LocalizationResult": 5}
+                         "_capacity_residuals": 1, **decision, "LocalizationResult": 5}
 
     def test_scoring_summary(self):
         relays = sample_relays(REGION, 5, RngStream(93))
@@ -731,11 +790,15 @@ class TestCapacityColumn:
 
         fp = tomography._footprint(NET, GRID)
         many = [1, 3, 4]
-        raws = [ms.raw[NET.pair_rows, l, :] for l in many]
-        batched = tomography._capacity_evidence(fp, [found[l][0] for l in many], raws, PARAMS)
-        for l, raw, log_pdf in zip(many, raws, batched):
-            alone, = tomography._capacity_evidence(fp, [found[l][0]], [raw], PARAMS)
-            assert np.array_equal(log_pdf, alone)
+        raws = np.stack([ms.raw[NET.pair_rows, l, :] for l in many])
+        sizes = [len(found[l][0]) for l in many]
+        valid = np.arange(max(sizes)) < np.array(sizes)[:, None]
+        cells = tomography._padded([np.asarray(found[l][0]) for l in many], valid)
+        batched = tomography._capacity_evidence(fp, cells, raws, PARAMS)
+        for l, raw, log_pdf, k in zip(many, raws, batched, sizes):
+            alone, = tomography._capacity_evidence(fp, np.asarray(found[l][0])[None],
+                                                   raw[None], PARAMS)
+            assert np.array_equal(log_pdf[:k], alone)
 
     def test_batched_residuals_equal_per_relay_argmin(self):
         ms, _ = mixed_scene()
@@ -782,12 +845,14 @@ class TestEvidence:
         d_sr, d_rd = gen.uniform(2.0, 120.0, (2, n_cells, n_pairs))
         fp = SimpleNamespace(hop_lengths=lambda cells: (d_sr[cells], d_rd[cells]))
         groups = [[0, 3, 7], list(range(8, 40)), [2]]
-        raws = [gen.exponential(0.3, (n_pairs, n_obs)) for _ in groups]
-        for raw in raws:
-            raw[:, 0] = 0.0
-            raw[1, 1] = 600.0
-        got = tomography._capacity_evidence(fp, groups, raws, params)
+        raws = gen.exponential(0.3, (len(groups), n_pairs, n_obs))
+        raws[:, :, 0] = 0.0
+        raws[:, 1, 1] = 600.0
+        valid = np.arange(32) < np.array([3, 32, 1])[:, None]
+        padded = tomography._padded([np.array(cells) for cells in groups], valid)
+        got = tomography._capacity_evidence(fp, padded, raws, params)
         for cells, raw, evidence in zip(groups, raws, got):
+            evidence = evidence[:len(cells)]
             hops = HopPair(d_sr[cells][..., None], d_rd[cells][..., None])
             want = capacity_log_pdf(raw, hops, params).sum(axis=1)
             assert evidence.shape == want.shape == (len(cells), n_obs)
@@ -802,7 +867,7 @@ class TestEvidence:
         fp = tomography._footprint(NET, GRID)
         raw = RngStream(151).generator().exponential(0.3, (len(NET.pairs), 10))
         cells = [4, 50, 51, 200]
-        evidence, = tomography._capacity_evidence(fp, [cells], [raw], params)
+        evidence, = tomography._capacity_evidence(fp, np.array(cells)[None], raw[None], params)
         d_sr, d_rd = fp.hop_lengths(cells)
         want = capacity_log_pdf(raw, HopPair(d_sr[..., None], d_rd[..., None]), params)
         assert np.array_equal(evidence, want.sum(axis=1))
@@ -838,12 +903,101 @@ class TestEvidence:
                 d_sr, d_rd = fp.hop_lengths(candidates)
                 log_pdf = capacity_log_pdf(ms.raw[NET.pair_rows, l],
                                            HopPair(d_sr[..., None], d_rd[..., None]), PARAMS)
-                want, = tomography._sequential_tests([candidates], [weights],
-                                                     [log_pdf.sum(axis=1)], cfg.threshold)
+                evidence = log_pdf.sum(axis=1)
+                want, = sequential_tests([candidates], [weights], [evidence], cfg.threshold)
+                cells = np.array(candidates)[None]
+                assert tomography._sequential_tests(
+                    cells, cells >= 0, np.log(weights / weights.sum())[None], evidence[None],
+                    cfg.threshold) == [want]
                 decision = (res.cell_index, res.kind, res.stopped_at, res.degenerate)
                 assert decision == want and res.n_candidates == len(candidates)
                 tested += 1
         assert tested >= (50 if scale == "reference" else 1)
+
+
+class TestPaddedSet:
+    """One set of relays with 1, 2, 9 and 45 candidates on the 1 m grid:
+    numpy's pairwise sums part ways past 8 lanes, so padding crosses their
+    blocks.  A fifth relay of 2 candidates measures 0 on one pair at its
+    first observation: impossible under every candidate at m = 2 (the
+    density is 0), +inf under every one at m = 0.5."""
+
+    CFG1 = replace(CFG, cell_side_m=1.0)
+    SIZES = (1, 2, 9, 45, 2)
+
+    def scene(self, params) -> tuple[MeasurementSet, CellGrid]:
+        # each relay's angles are its joint bin's own, measured at a cell of it
+        grid = self.CFG1.cell_grid()
+        fp = tomography._footprint(NET, grid)
+        bins = {}
+        for key, span in fp.joint.items():
+            bins.setdefault(span.stop - span.start, key)
+        keys = [bins[k] for k in self.SIZES]
+        cells = [fp.group_cells[fp.joint[key]][0] for key in keys]
+        ms = simulate_measurements(NET, [grid.cells[w] for w in cells], params, 10, RngStream(160))
+        aoa = np.array([[key[q2] * NET.resolution for key in keys] for _, q2 in ms.pairs])
+        raw = ms.raw.copy()
+        raw[[NET.row_of[(0, 1)], NET.row_of[(1, 0)]], 4, 0] = 0.0
+        return MeasurementSet(ms.pairs, aoa, ms.cap_est, raw), grid
+
+    @pytest.mark.parametrize("m", [1.0, 2.0, 0.5])
+    def test_set_pass_equals_each_relay_alone(self, m):
+        # share priors and uniform ones in one set; each relay's decision is
+        # the one it takes alone, and the per-relay oracle's on its evidence
+        params = replace(PARAMS, nakagami_m=m)
+        ms, grid = self.scene(params)
+        cfg = MsprtConfig(error=0.48, max_observations=10)  # stops early and late
+        found = [angle_likelihood(ms, l, NET, grid) for l in range(ms.n_relays)]
+        assert [len(candidates) for candidates, _ in found] == list(self.SIZES)
+        found = [(candidates, shares if l % 2 else None)
+                 for l, (candidates, shares) in enumerate(found)]
+        raws = [ms.raw[NET.pair_rows, l] for l in range(ms.n_relays)]
+        decisions = set_decisions(found, raws, params, cfg.threshold, grid)
+        fp = tomography._footprint(NET, grid)
+        for l, ((candidates, weights), raw, decision) in enumerate(zip(found, raws, decisions)):
+            alone = msprt_localize(candidates, ms.raw[:, l], NET, grid, params, cfg,
+                                   angle_weights=weights)
+            assert (alone.cell_index, alone.kind, alone.stopped_at, alone.degenerate) == decision
+            evidence, = tomography._capacity_evidence(fp, np.array(candidates)[None],
+                                                      raw[None], params)
+            assert sequential_tests([candidates], [weights], [evidence],
+                                    cfg.threshold) == [decision]
+        assert decisions[0] == (found[0][0][0], KIND_THRESHOLD, 0, False)
+        assert any(kind == KIND_THRESHOLD and stopped > 0 for _, kind, stopped, _ in decisions)
+        assert decisions[4][1:] == ((KIND_FORCED_MAP, 1, True) if m != 1.0 else
+                                    decisions[4][1:])
+
+    @pytest.mark.parametrize("m", [1.0, 2.0, 0.5])
+    @pytest.mark.parametrize("mode", ["msprt", "argmin"])
+    def test_blocks_change_no_result(self, m, mode, monkeypatch):
+        # the set equals its relays localized one at a time, decisions and
+        # residuals, and so does the set decided in blocks of two relays or
+        # of one
+        params = replace(PARAMS, nakagami_m=m)
+        ms, grid = self.scene(params)
+        tomo = TomographyConfig(cell_side=1.0, mode=mode)
+        cfg = MsprtConfig(error=0.48, max_observations=10)
+        got = localize_all(ms, NET, grid, params, tomo, cfg)
+        alone = [localize_all(MeasurementSet(ms.pairs, ms.aoa[:, [l]], ms.cap_est[:, [l]],
+                                             ms.raw[:, [l]]), NET, grid, params, tomo, cfg)[0]
+                 for l in range(ms.n_relays)]
+        assert repr(got) == repr([replace(r, relay=l) for l, r in enumerate(alone)])
+        width = len(NET.row_of) if mode == "argmin" else len(NET.pairs) * 10
+        widest = max(r.n_candidates for r in got)
+        for budget in (2 * widest * width, 1):
+            monkeypatch.setattr(tomography, "LANE_BUDGET", budget)
+            assert repr(localize_all(ms, NET, grid, params, tomo, cfg)) == repr(got)
+        kinds = Counter(r.kind for r in got)
+        assert kinds[KIND_ARGMIN if mode == "argmin" else KIND_THRESHOLD] >= 2
+
+    @pytest.mark.parametrize("side", [5.0, 1.0])
+    def test_group_priors_are_each_joint_bins_log_shares(self, side):
+        # the sequential test's prior, read from the table, is the log of each
+        # share over its joint bin's own total, as a relay's shares give it
+        fp = tomography._footprint(NET, replace(CFG, cell_side_m=side).cell_grid())
+        for span in fp.joint.values():
+            shares = fp.group_shares[span]
+            assert np.array_equal(fp.group_priors[span], np.log(shares / shares.sum()))
 
 
 def mixed_scene() -> tuple[MeasurementSet, list]:
