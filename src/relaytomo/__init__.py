@@ -13,7 +13,6 @@ from .channel import (
     ChannelParams,
     HopPair,
     outage_capacity,
-    outage_cdf,
     sample_instant_capacity,
 )
 from .geometry import (
@@ -49,16 +48,12 @@ from .measurement import (
 from .numerics import (
     QuadratureSpec,
     RngStream,
-    regularized_lower_gamma,
 )
 from .tomography import (
     LocalizationResult,
     MsprtConfig,
     TomographyConfig,
-    feasible_cells,
     localize_all,
-    localize_argmin,
-    msprt_localize,
 )
 
 __all__ = [
@@ -70,9 +65,6 @@ __all__ = [
     "angles_from_point", "angles_from_points", "angular_span", "build_grid",
     "continuous_ias", "discrete_ias", "discretize_region",
     "dist_relay_destination", "dist_source_relay", "estimate_outage_capacity",
-    "feasible_cells", "joint_angle_pdf", "localize_all",
-    "localize_argmin", "msprt_localize", "outage_capacity", "outage_cdf",
-    "point_from_angles", "regularized_lower_gamma",
-    "sample_instant_capacity", "sample_relays",
-    "simulate_measurements",
+    "joint_angle_pdf", "localize_all", "outage_capacity", "point_from_angles",
+    "sample_instant_capacity", "sample_relays", "simulate_measurements",
 ]

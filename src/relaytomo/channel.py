@@ -231,10 +231,10 @@ def capacity_log_pdf(i, hops: HopPair, params: ChannelParams):
 def sample_instant_capacity(
     hops: HopPair,
     params: ChannelParams,
-    rng: RngStream | np.random.Generator,
-    size: int | None = None,
-):
-    """Monte Carlo draws of the end-to-end instantaneous capacity.
+    rng: RngStream,
+    size: int,
+) -> np.ndarray:
+    """`size` Monte Carlo draws of the end-to-end instantaneous capacity.
 
     Draws the two hop power gains independently from G(m, d^nu / m) and
     returns min over hops of (1/2) log2(1 + SNR |h|^2).  The analytic cdf of
@@ -242,11 +242,10 @@ def sample_instant_capacity(
     distributionally.  The map from gain to capacity is non-decreasing, so
     it is applied once, to the smaller gain.
     """
-    gen = rng.generator() if isinstance(rng, RngStream) else rng
+    gen = rng.generator()
     m, snr, nu = params.nakagami_m, params.snr, params.path_loss_exp
-    n = 1 if size is None else size
-    g1 = gen.gamma(m, hops.d_sr**nu / m, size=n)
-    g2 = gen.gamma(m, hops.d_rd**nu / m, size=n)
+    g1 = gen.gamma(m, hops.d_sr**nu / m, size=size)
+    g2 = gen.gamma(m, hops.d_rd**nu / m, size=size)
     # 0.5 * log2(1 + snr * min(g1, g2)) in place on the smaller gain: each
     # step rounds as in that expression, without its four temporaries
     caps = np.minimum(g1, g2, out=g1)
@@ -254,8 +253,6 @@ def sample_instant_capacity(
     caps += 1.0
     np.log2(caps, out=caps)
     caps *= 0.5
-    if size is None:
-        return float(caps[0])
     return caps
 
 

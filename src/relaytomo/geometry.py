@@ -106,11 +106,9 @@ class RelayRegion:
         c, r = self.center, self.radius
         return (c.x - r, c.x + r, c.y - r, c.y + r)
 
-    def sample_xy(
-        self, rng: RngStream | np.random.Generator, n: int
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def sample_xy(self, rng: RngStream, n: int) -> tuple[np.ndarray, np.ndarray]:
         """x and y arrays of n i.i.d. uniform draws from the disc."""
-        gen = rng.generator() if isinstance(rng, RngStream) else rng
+        gen = rng.generator()
         return self.disc_xy(gen.random(n), gen.random(n))
 
     def disc_xy(self, u_radius: np.ndarray, u_angle: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -125,7 +123,7 @@ class RelayRegion:
         return (self.center.x + radii * np.cos(theta),
                 self.center.y + radii * np.sin(theta))
 
-    def sample(self, rng: RngStream | np.random.Generator, n: int) -> list[Point]:
+    def sample(self, rng: RngStream, n: int) -> list[Point]:
         """`sample_xy`'s draws as points."""
         xs, ys = self.sample_xy(rng, n)
         return [Point(x, y) for x, y in zip(xs.tolist(), ys.tolist())]
@@ -354,6 +352,4 @@ def sample_relays(region: RelayRegion, n: int, rng: RngStream) -> list[Point]:
     """Relay positions drawn from the region density (uniform disc)."""
     if n < 0:
         raise DomainError(f"relay count must be non-negative, got {n}")
-    if n == 0:
-        return []
     return region.sample(rng, n)

@@ -93,15 +93,9 @@ class AngularGrid:
     def n_aoa(self) -> int:
         return self.j_hi - self.j_lo + 1
 
-    def cell_bounds(self, i: int, j: int) -> tuple[float, float, float, float]:
-        """(aod_lo, aod_hi, aoa_lo, aoa_hi) of grid cell (i, j), absolute indices."""
-        w = i * self.d_aod
-        p = j * self.d_aoa
-        return (w - 0.5 * self.d_aod, w + 0.5 * self.d_aod,
-                p - 0.5 * self.d_aoa, p + 0.5 * self.d_aoa)
-
     def cell_array(self) -> np.ndarray:
-        """`cell_bounds` of every cell as a (n_aod * n_aoa, 4) array, aoa index fastest."""
+        """(aod_lo, aod_hi, aoa_lo, aoa_hi) of every cell (i, j), centered on
+        (i d_aod, j d_aoa), as a (n_aod * n_aoa, 4) array, aoa index fastest."""
         w = np.repeat(np.arange(self.i_lo, self.i_hi + 1) * self.d_aod, self.n_aoa)
         p = np.tile(np.arange(self.j_lo, self.j_hi + 1) * self.d_aoa, self.n_aod)
         return np.stack((w - 0.5 * self.d_aod, w + 0.5 * self.d_aod,

@@ -81,12 +81,10 @@ def log_upper_gamma(a: float, x) -> tuple[np.ndarray, np.ndarray]:
         raise DomainError("argument must be non-negative")
     if a == 1.0:
         return -x, x
-    # most calls lie on one branch and skip the masks below
+    # most calls lie on the series branch and skip the masks below
     n = np.count_nonzero(flat < a + 1.0)  # not nan or inf
     if flat.size and n == flat.size == np.count_nonzero(flat):
         return _shaped(x, _log_q_series(a, flat))
-    if flat.size and not n and np.count_nonzero(np.isfinite(flat)) == flat.size:
-        return _shaped(x, _log_q_fraction(a, flat))
     series = (flat > 0.0) & (flat < a + 1.0)
     at_inf = flat == np.inf
     fraction = ~(series | at_inf | (flat == 0.0))  # includes nan, which the fraction propagates

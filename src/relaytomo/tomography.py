@@ -21,9 +21,10 @@ relay's joint bin in that table; (2) one array pass over the set's padded
 capacity residual against the empirical outage estimates among the cells
 whose *center* quantizes into every measured bin (`feasible_cells`), or
 by a multi-hypothesis sequential probability ratio test over the raw
-capacity observations, weighted by the share of each cell's footprint in
-every measured bin (`angle_likelihood`); padded lanes are +inf in every
-residual and -inf in every log likelihood; (3) one result step computes
+capacity observations among the cells some of whose footprint lies in the
+relay's joint bin, each weighted by that share of its footprint (so a cell cut
+by the region edge weighs less); padded lanes are +inf in every residual and
+-inf in every log likelihood; (3) one result step computes
 every pick's residuals and builds its result.  The one-relay functions
 run the same stages on a set of one, so they accept exactly the sets
 `localize_all` accepts.
@@ -66,6 +67,7 @@ FOOTPRINT_SAMPLES = 9  # sub-sample points per cell axis for the angle likelihoo
 # or, for argmin, (relay, candidate, row): a float temporary takes at most 2 MiB
 # however many relays a set holds, unless one relay's own table is larger
 LANE_BUDGET = 1 << 18
+_SQUARE_SAFE = 1e150  # estimates below it keep residuals' squares and row sums finite
 
 
 @dataclass(frozen=True)
@@ -143,27 +145,6 @@ def feasible_cells(
     fp = _footprint(net, grid)
     group, = _angle_step(ms, [relay], net, fp)
     return fp.center_rule(group).tolist()
-
-
-def angle_likelihood(
-    ms: MeasurementSet,
-    relay: int,
-    net: MeasurementNetwork,
-    grid: CellGrid,
-) -> tuple[list[int], np.ndarray]:
-    """Cells some of whose footprint matches every measured bin, with that share.
-
-    The share of a cell is the fraction of its sub-sample points that lie
-    in the region disc and quantize into the measured bin at every
-    receiving node jointly.  For a relay uniform over the region it is
-    proportional to the probability that the relay lies in the cell and
-    yields the measured angles, so a cell cut by the region edge weighs
-    less.  Returns the sorted cell indices of non-zero share and the
-    shares; an empty list signals inconsistent data.
-    """
-    fp = _footprint(net, grid)
-    group, = _angle_step(ms, [relay], net, fp)
-    return fp.group_cells[group].tolist(), fp.group_shares[group].copy()
 
 
 def _angle_step(ms: MeasurementSet, relays, net: MeasurementNetwork, fp) -> list[slice]:
@@ -294,7 +275,18 @@ def _capacity_residuals(net, caps, cells, cap_rows: np.ndarray) -> np.ndarray:
     cap_rows has one estimate per ordered pair of `net.ordered_pairs()` on its
     last axis; both orderings of a pair share one solve of caps, the capacity column.
     """
-    return _l2_norms(cap_rows - caps[np.asarray(cells)[..., None], net.pair_of_row])
+    diff = cap_rows - caps[np.asarray(cells)[..., None], net.pair_of_row]
+    # estimates and capacities are non-negative, and capacities small
+    if not np.maximum.reduce(cap_rows, axis=None, initial=0.0) > _SQUARE_SAFE:
+        return _l2_norms(diff)
+    # a row whose squares overflow is scaled by its largest |residual| first,
+    # as hypot does, so its norm is finite; the other rows keep their bits
+    with np.errstate(over="ignore"):
+        norms = _l2_norms(diff.copy())
+    over = np.isinf(norms)
+    scale = np.maximum.reduce(np.abs(diff[over]), axis=-1, keepdims=True)
+    norms[over] = scale[:, 0] * _l2_norms(diff[over] / scale)
+    return norms
 
 
 def _padded(rows, valid: np.ndarray) -> np.ndarray:
@@ -463,10 +455,10 @@ def localize_all(
     from the network's raises MeasurementError, and both modes read the
     set cut to the test's window (`first_observations`).  Each stage then
     runs once for the whole set: one `_angle_step` gives argmin mode the
-    cells of `feasible_cells` and msprt mode those of `angle_likelihood`
-    (relays left with none are unlocalized).  Padded into one table,
-    decided in blocks of at most LANE_BUDGET elements, they go to one
-    `_argmin_decisions` pass, or to one `_capacity_evidence` call, one
+    cells of `feasible_cells` and msprt mode every cell of the relay's
+    joint-bin groups (relays left with none are unlocalized).  Padded into
+    one table, decided in blocks of at most LANE_BUDGET elements, they go to
+    one `_argmin_decisions` pass, or to one `_capacity_evidence` call, one
     `_sequential_tests` pass and one call for the picks' capacity residuals.
     A `cfg.cell_side` other than the grid's raises LocalizationError.
     """

@@ -659,6 +659,28 @@ def test_observation_window_cuts_both_modes(reference_run, tmp_path, mode):
     assert windowed != invert_outputs(full, sim, mode, tmp_path / "full")
 
 
+@pytest.mark.parametrize("mode", ["msprt", "argmin"])
+def test_huge_capacity_estimate_has_a_finite_residual(reference_run, tmp_path, mode):
+    # estimates of 1e200 are finite, so `MeasurementSet` takes them, but their
+    # squares overflow: relay 0's residual norm must still be finite, with no
+    # numpy warning, and every other relay's report line unchanged
+    sim, expected = reference_run
+    lines = (sim / "measurements.txt").read_text().splitlines()
+    for k, line in enumerate(lines):
+        tok = line.split()
+        if not line.startswith("#") and tok[2] == "0":
+            lines[k] = " ".join(tok[:4] + ["1e200"] + tok[5:])
+    huge = tmp_path / "huge.txt"
+    huge.write_text("\n".join(lines) + "\n")
+    report, _ = invert_outputs(huge, sim, mode, tmp_path / "o")
+    got, want = report.decode().splitlines(), expected[mode][0].decode().splitlines()
+    edited = [k for k, line in enumerate(want) if line.startswith("0 ")]
+    assert len(got) == len(want) and len(edited) == 1
+    assert float(got[edited[0]].split()[5]) == pytest.approx(1e200 * math.sqrt(6.0), rel=1e-12)
+    assert [line for k, line in enumerate(got) if k not in edited] == \
+        [line for k, line in enumerate(want) if k not in edited]
+
+
 @pytest.mark.parametrize("m, name", [(1.0, "direct_m1"), (2.5, "direct_m25")])
 def test_direct_matches_golden_outputs(tmp_path, m, name):
     # the continuous atoms and the discrete spectrum, byte for byte

@@ -348,12 +348,6 @@ class TestRegion:
         assert np.concatenate([x for x, _ in parts]).tolist() == xs.tolist()
         assert np.concatenate([y for _, y in parts]).tolist() == ys.tolist()
 
-    def test_sample_xy_accepts_a_generator(self):
-        a = REGION.sample_xy(np.random.default_rng(5), 100)
-        b = REGION.sample_xy(np.random.default_rng(5), 100)
-        np.testing.assert_array_equal(a[0], b[0])
-        np.testing.assert_array_equal(a[1], b[1])
-
 
 class TestAnglesFromPoints:
     N = 100_000

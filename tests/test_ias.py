@@ -44,6 +44,14 @@ PARAMS = ChannelParams.from_db(30.0, 1.0, -3.0, 0.01)
 REF_CAPACITY = 0.5 * math.log2(1.0 - math.log(0.99) / 2000.0)
 
 
+def cell_bounds(grid: AngularGrid, i: int, j: int) -> tuple[float, float, float, float]:
+    """(aod_lo, aod_hi, aoa_lo, aoa_hi) of grid cell (i, j), absolute indices:
+    one row of `AngularGrid.cell_array`, by its per-cell formula."""
+    w, p = i * grid.d_aod, j * grid.d_aoa
+    return (w - 0.5 * grid.d_aod, w + 0.5 * grid.d_aod,
+            p - 0.5 * grid.d_aoa, p + 0.5 * grid.d_aoa)
+
+
 def spans_box(grid: AngularGrid) -> tuple[float, float, float, float]:
     return (grid.i_lo * grid.d_aod - 0.5 * grid.d_aod,
             grid.i_hi * grid.d_aod + 0.5 * grid.d_aod,
@@ -175,7 +183,7 @@ class TestJointAnglePdf:
     def test_normalization(self):
         grid = build_grid(REGION, BASELINE, math.radians(10), math.radians(10))
         total = sum(
-            angle_cell_mass(REGION, BASELINE, grid.cell_bounds(i, j))
+            angle_cell_mass(REGION, BASELINE, cell_bounds(grid, i, j))
             for i in range(grid.i_lo, grid.i_hi + 1)
             for j in range(grid.j_lo, grid.j_hi + 1)
         )
@@ -185,7 +193,7 @@ class TestJointAnglePdf:
     def test_fine_grid_masses_sum_to_one(self, deg):
         grid = build_grid(REGION, BASELINE, math.radians(deg), math.radians(deg))
         total = sum(
-            angle_cell_mass(REGION, BASELINE, grid.cell_bounds(i, j))
+            angle_cell_mass(REGION, BASELINE, cell_bounds(grid, i, j))
             for i in range(grid.i_lo, grid.i_hi + 1)
             for j in range(grid.j_lo, grid.j_hi + 1)
         )
@@ -198,7 +206,7 @@ class TestJointAnglePdf:
         cells = []
         for i in range(grid.i_lo, grid.i_hi + 1):
             for j in range(grid.j_lo, grid.j_hi + 1):
-                w_lo, w_hi, p_lo, p_hi = grid.cell_bounds(i, j)
+                w_lo, w_hi, p_lo, p_hi = cell_bounds(grid, i, j)
                 w_lo, w_hi = max(w_lo, span[0]), min(w_hi, span[1])
                 if w_lo < w_hi:
                     cells.append((w_lo, w_hi, p_lo, p_hi))
@@ -215,7 +223,7 @@ class TestJointAnglePdf:
         n = 500_000
         aod, aoa = angles_from_points(BASELINE, *REGION.sample_xy(RngStream(52), n))
         for (i, j) in ((3, 3), (2, 4), (4, 2)):
-            cell = grid.cell_bounds(i, j)
+            cell = cell_bounds(grid, i, j)
             hits = np.count_nonzero((cell[0] <= aod) & (aod <= cell[1])
                                     & (cell[2] <= aoa) & (aoa <= cell[3]))
             mc = hits / n
@@ -225,7 +233,7 @@ class TestJointAnglePdf:
 
     def test_generic_integrator_agrees(self):
         grid = build_grid(REGION, BASELINE, math.radians(10), math.radians(10))
-        cell = grid.cell_bounds(3, 3)
+        cell = cell_bounds(grid, 3, 3)
         exact = angle_cell_mass(REGION, BASELINE, cell)
         generic = angle_cell_mass_generic(REGION, BASELINE, cell, max_depth=5)
         assert generic == pytest.approx(exact, rel=2e-3)
@@ -280,7 +288,7 @@ class TestCellQuadrature:
 
     def test_cell_array_matches_cell_bounds(self):
         grid = build_grid(REGION, BASELINE, math.radians(2.5), math.radians(5))
-        want = [grid.cell_bounds(i, j) for i in range(grid.i_lo, grid.i_hi + 1)
+        want = [cell_bounds(grid, i, j) for i in range(grid.i_lo, grid.i_hi + 1)
                 for j in range(grid.j_lo, grid.j_hi + 1)]
         assert np.array_equal(grid.cell_array(), np.array(want))
 
@@ -422,7 +430,7 @@ def scalar_spectrum(grid: AngularGrid, params: ChannelParams, quad: QuadratureSp
     masses = np.zeros_like(values)
     for a, i in enumerate(range(grid.i_lo, grid.i_hi + 1)):
         for b, j in enumerate(range(grid.j_lo, grid.j_hi + 1)):
-            mass, nodes = integrate_angle_cell(REGION, BASELINE, grid.cell_bounds(i, j),
+            mass, nodes = integrate_angle_cell(REGION, BASELINE, cell_bounds(grid, i, j),
                                                order=quad.order)
             if mass < DEFAULT_MASS_FLOOR:
                 continue
@@ -455,7 +463,7 @@ class TestDiscreteIas:
                 if spectrum.masses[a, b] == 0.0:
                     assert spectrum.values[a, b] == 0.0
                     continue
-                w_lo, w_hi, p_lo, p_hi = grid.cell_bounds(i, j)
+                w_lo, w_hi, p_lo, p_hi = cell_bounds(grid, i, j)
                 probes = []
                 for w in np.linspace(w_lo, w_hi, 5):
                     for p in np.linspace(p_lo, p_hi, 5):
@@ -561,6 +569,6 @@ class TestEquivariance:
         reg = RelayRegion(move(REGION.center), REGION.radius)
         grid = build_grid(REGION, BASELINE, math.radians(10), math.radians(10))
         for (i, j) in ((3, 3), (1, 2), (4, 5)):
-            cell = grid.cell_bounds(i, j)
+            cell = cell_bounds(grid, i, j)
             assert angle_cell_mass(reg, bl, cell) == pytest.approx(
                 angle_cell_mass(REGION, BASELINE, cell), rel=1e-9, abs=1e-15)

@@ -27,7 +27,6 @@ from relaytomo.tomography import (
     LocalizationResult,
     MsprtConfig,
     TomographyConfig,
-    angle_likelihood,
     feasible_cells,
     localize_all,
     localize_argmin,
@@ -42,6 +41,15 @@ NET = CFG.network()
 GRID = CFG.cell_grid()
 PARAMS = CFG.channel_params()
 REGION = CFG.region()
+
+
+def footprint_support(ms: MeasurementSet, relay: int, net: MeasurementNetwork,
+                      grid: CellGrid) -> tuple[list[int], np.ndarray]:
+    """The cells msprt mode weighs for one relay, with their footprint shares:
+    the groups of its joint bin, from the angle step `localize_all` runs."""
+    fp = tomography._footprint(net, grid)
+    group, = tomography._angle_step(ms, [relay], net, fp)
+    return fp.group_cells[group].tolist(), fp.group_shares[group].copy()
 
 
 def true_cell_of(p: Point) -> int:
@@ -217,7 +225,7 @@ class TestAngleLikelihood:
             relays = sample_relays(REGION, 5, RngStream(8400 + seed))
             ms = synthetic_set(relays, seed=8500 + seed)
             for l, relay in enumerate(relays):
-                support, shares = angle_likelihood(ms, l, NET, GRID)
+                support, shares = footprint_support(ms, l, NET, GRID)
                 assert true_cell_of(relay) in support
                 assert set(feasible_cells(ms, l, NET, GRID)) <= set(support)
                 assert support == sorted(support)
@@ -250,12 +258,12 @@ class TestAngleLikelihood:
                 bins = {q2: quantize_angle(float(ms.aoa[p, l]), net.resolution)[0]
                         for p, (_, q2) in enumerate(ms.pairs)}
                 cells, shares, centers = scan(np.array([bins[q] for q in range(net.n_nodes)]))
-                support, weights = angle_likelihood(ms, l, net, grid)
+                support, weights = footprint_support(ms, l, net, grid)
                 assert support == cells
                 assert weights.tobytes() == shares.tobytes()
                 feasible = feasible_cells(ms, l, net, grid)
                 assert feasible == centers
-                support_p, weights_p = angle_likelihood(permuted, l, net, grid)
+                support_p, weights_p = footprint_support(permuted, l, net, grid)
                 assert support_p == cells
                 assert weights_p.tobytes() == shares.tobytes()
                 assert feasible_cells(permuted, l, net, grid) == centers
@@ -268,7 +276,7 @@ class TestAngleLikelihood:
         ms = synthetic_set([relay], seed=96)
         bins = {q2: quantize_angle(float(ms.aoa[p, 0]), NET.resolution)[0]
                 for p, (q1, q2) in enumerate(ms.pairs)}
-        support, shares = angle_likelihood(ms, 0, NET, GRID)
+        support, shares = footprint_support(ms, 0, NET, GRID)
         n = 9
         offsets = ((np.arange(n) + 0.5) / n - 0.5) * GRID.cell_side
         for w, share in zip(support, shares):
@@ -288,10 +296,10 @@ class TestAngleLikelihood:
         aoa[index[(0, 1)], 0] = 0.0
         aoa[index[(2, 1)], 0] = math.radians(40.0)
         ms = MeasurementSet(ms_full.pairs, aoa, ms_full.cap_est, ms_full.raw)
-        support, shares = angle_likelihood(ms, 0, NET, GRID)
+        support, shares = footprint_support(ms, 0, NET, GRID)
         assert support == [] and shares.size == 0
 
-    @pytest.mark.parametrize("solve", [angle_likelihood, feasible_cells])
+    @pytest.mark.parametrize("solve", [footprint_support, feasible_cells])
     def test_node_without_a_received_row_names_it(self, solve):
         # a relay's joint bin needs one bin at every node: a set whose rows
         # all leave node 2 unmeasured is not the network's pair set, and the
@@ -304,7 +312,7 @@ class TestAngleLikelihood:
                                                    r"\(2, 0\), \(2, 1\)\] do not match"):
             solve(partial, 0, NET, GRID)
 
-    @pytest.mark.parametrize("solve", [angle_likelihood, feasible_cells])
+    @pytest.mark.parametrize("solve", [footprint_support, feasible_cells])
     def test_out_of_range_angle_names_pair_and_relay(self, solve):
         # no node angle quantizes beyond pi plus half a bin: the angle step
         # refuses such an angle before its int32 bin cast would warn, and
@@ -321,7 +329,7 @@ class TestAngleLikelihood:
                 solve(far, 2, NET, GRID)
             assert solve(far, 0, NET, GRID)[0] == solve(ms, 0, NET, GRID)[0]
 
-    @pytest.mark.parametrize("solve", [angle_likelihood, feasible_cells])
+    @pytest.mark.parametrize("solve", [footprint_support, feasible_cells])
     def test_foreign_pair_names_it(self, solve):
         ms = synthetic_set(sample_relays(REGION, 1, RngStream(82)))
         foreign = MeasurementSet(((0, 5),) + ms.pairs[1:], ms.aoa, ms.cap_est, ms.raw)
@@ -534,7 +542,7 @@ class TestMsprt:
         for seed in range(30):
             relay = sample_relays(REGION, 1, RngStream(7000 + seed))[0]
             ms = synthetic_set([relay], observations=20, seed=7100 + seed)
-            cand, shares = angle_likelihood(ms, 0, NET, GRID)
+            cand, shares = footprint_support(ms, 0, NET, GRID)
             res = msprt_localize(cand, ms.raw[:, 0, :], NET, GRID, PARAMS, cfg,
                                  angle_weights=shares)
             want = sequential_oracle(cand, shares, ms.raw[:, 0, :], cfg)
@@ -897,7 +905,7 @@ class TestEvidence:
                                        PARAMS, n_obs, rng.child(1))
             got = localize_all(ms, NET, grid, PARAMS, tomo, cfg)
             for l, res in enumerate(got):
-                candidates, weights = angle_likelihood(ms, l, NET, grid)
+                candidates, weights = footprint_support(ms, l, NET, grid)
                 if len(candidates) < 2:
                     continue
                 d_sr, d_rd = fp.hop_lengths(candidates)
@@ -947,7 +955,7 @@ class TestPaddedSet:
         params = replace(PARAMS, nakagami_m=m)
         ms, grid = self.scene(params)
         cfg = MsprtConfig(error=0.48, max_observations=10)  # stops early and late
-        found = [angle_likelihood(ms, l, NET, grid) for l in range(ms.n_relays)]
+        found = [footprint_support(ms, l, NET, grid) for l in range(ms.n_relays)]
         assert [len(candidates) for candidates, _ in found] == list(self.SIZES)
         found = [(candidates, shares if l % 2 else None)
                  for l, (candidates, shares) in enumerate(found)]
@@ -1002,7 +1010,7 @@ class TestPaddedSet:
 
 def mixed_scene() -> tuple[MeasurementSet, list]:
     """Five relays: one with a single candidate, one unlocalized, three with
-    many; and each relay's `angle_likelihood`."""
+    many; and each relay's `footprint_support`."""
     single = Point(67.35482724448657, 52.94261260624085)
     relays = [single] + sample_relays(REGION, 4, RngStream(128))
     ms_full = synthetic_set(relays, seed=129)
@@ -1011,7 +1019,7 @@ def mixed_scene() -> tuple[MeasurementSet, list]:
     aoa[index[(0, 1)], 2] = 0.0  # contradictory bins: relay 2 unlocalized
     aoa[index[(2, 1)], 2] = math.radians(40.0)
     ms = MeasurementSet(ms_full.pairs, aoa, ms_full.cap_est, ms_full.raw)
-    found = [angle_likelihood(ms, l, NET, GRID) for l in range(5)]
+    found = [footprint_support(ms, l, NET, GRID) for l in range(5)]
     sizes = [len(candidates) for candidates, _ in found]
     assert sizes[0] == 1 and sizes[2] == 0 and min(sizes[1:2] + sizes[3:]) > 1
     return ms, found

@@ -39,7 +39,7 @@ def test_install_and_uninstall(tracing):
     tracer.install()
     try:
         assert channel.outage_capacity is not originals[("relaytomo.channel", "outage_capacity")]
-        assert relaytomo.outage_cdf is channel.outage_cdf
+        assert relaytomo.outage_capacity is channel.outage_capacity
         params = channel.ChannelParams(1000.0, 2.5, -3.0, 0.01)
         channel.outage_capacity(channel.HopPair(100.0, 100.0), params)
         channel.outage_cdf(1e-6, channel.HopPair(100.0, 100.0), params)
