@@ -71,6 +71,21 @@ class TestLogUpperGamma:
         np.testing.assert_allclose(slope[~big], want[~big], rtol=1e-11)
         np.testing.assert_allclose(slope[big], xs[big], rtol=1e-5)
 
+    @pytest.mark.parametrize("a", [0.5, 2.5, 30.0])
+    def test_all_fraction_input_matches_mixed_input(self, a):
+        # an array wholly on the continued-fraction branch takes the same
+        # masked path as a mixed one: the same bits per element in any shape,
+        # and within 1e-12 of scipy's log-space form
+        gen = RngStream(26).generator()
+        xs = (a + 1.0) + 10.0 ** gen.uniform(-6.0, 3.0, 240)
+        alone = log_upper_gamma(a, xs.reshape(4, 3, -1))
+        mixed = log_upper_gamma(a, np.concatenate([xs, gen.uniform(0.0, a + 1.0, 60)]))
+        for got, want in zip(alone, mixed):
+            assert got.shape == (4, 3, 20)
+            np.testing.assert_array_equal(got.ravel(), want[:xs.size])
+        want = oracles.log_upper_gamma(a, xs)
+        assert np.all(np.abs(alone[0].ravel() - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
     def test_limits_and_domain(self):
         xs = np.array([[0.0, 1e-300, 0.5], [3.0, 800.0, math.inf]])  # scipy's Q is 0 at 800
         log_q, slope = log_upper_gamma(1.0, xs)

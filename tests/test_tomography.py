@@ -839,6 +839,26 @@ class TestCapacityColumn:
         for r in localized:
             assert (r.e_angle, r.e_capacity) == residuals_oracle(ms, r.relay, r.cell_index, net)
 
+    def test_overflowing_rows_are_scaled_and_the_others_keep_their_bits(self):
+        # a row whose squares overflow takes its norm by scaling, as hypot
+        # does, so it is finite and warns of nothing; a row whose squares are
+        # finite is the plain running sum, bit for bit, whether or not a huge
+        # row shares the call
+        caps = tomography._capacity_column(NET, GRID, PARAMS)
+        cells = [0, 7, 19, 30]
+        est = RngStream(134).generator().uniform(0.0, 2.0, (len(cells), len(NET.pair_of_row)))
+        plain = tomography._capacity_residuals(NET, caps, cells, est)
+        est[1, 0], est[3, 2:4] = 1e200, (1e160, 1e300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = tomography._capacity_residuals(NET, caps, cells, est)
+        diff = est - caps[np.array(cells)[:, None], NET.pair_of_row]
+        for k in (0, 2):
+            assert got[k] == plain[k] == l2_oracle(diff[k])
+        for k in (1, 3):
+            assert math.isfinite(got[k])
+            assert got[k] == pytest.approx(math.hypot(*diff[k]), rel=1e-15)
+
 
 class TestEvidence:
     """The sequential test's evidence, summed over unordered pairs."""
