@@ -237,19 +237,43 @@ def sample_instant_capacity(
     """`size` Monte Carlo draws of the end-to-end instantaneous capacity.
 
     Draws the two hop power gains independently from G(m, d^nu / m) and
-    returns min over hops of (1/2) log2(1 + SNR |h|^2).  The analytic cdf of
+    returns min over hops of (1/2) log2(1 + SNR |h|^2): the draw kernel
+    (`_unit_gains`, then `_capacities`) on one path.  The analytic cdf of
     this quantity is exactly `outage_cdf`, which the test suite verifies
-    distributionally.  The map from gain to capacity is non-decreasing, so
-    it is applied once, to the smaller gain.
+    distributionally.
     """
-    gen = rng.generator()
-    m, snr, nu = params.nakagami_m, params.snr, params.path_loss_exp
-    g1 = gen.gamma(m, hops.d_sr**nu / m, size=size)
-    g2 = gen.gamma(m, hops.d_rd**nu / m, size=size)
-    # 0.5 * log2(1 + snr * min(g1, g2)) in place on the smaller gain: each
-    # step rounds as in that expression, without its four temporaries
-    caps = np.minimum(g1, g2, out=g1)
-    caps *= snr
+    gains = _unit_gains(rng.generator(), params.nakagami_m, size)
+    return _capacities(gains, [hops.d_sr, hops.d_rd], params)
+
+
+def _unit_gains(gen: np.random.Generator, m: float, n: int) -> np.ndarray:
+    """n draws of a path's two hop gains at unit scale, G(m, 1), as one (2, n) array.
+
+    numpy's `gamma(m, s)` is s times `standard_gamma(m)`, which at shape 1
+    is the ziggurat exponential; so scaling these rows gives the bits of
+    one `gen.gamma(m, s_k, n)` call per hop, hop 1's first.
+    """
+    if m == 1.0:
+        return gen.standard_exponential((2, n))
+    return gen.standard_gamma(m, (2, n))
+
+
+def _capacities(gains: np.ndarray, lengths, params: ChannelParams) -> np.ndarray:
+    """Path capacities from `_unit_gains`, in place on `gains`.
+
+    `lengths` holds the hop lengths d_k of each path, shaped as `gains`
+    without its last (draw) axis.  Each gain is scaled by its path's
+    d_k^nu / m, formed by Python's float pow (numpy's array pow rounds some
+    lengths differently), then row 0 becomes 0.5 * log2(1 + SNR min(g1,
+    g2)): the map from gain to capacity is non-decreasing, so it is applied
+    once, to the smaller gain, each step rounding as in that expression,
+    without its temporaries.
+    """
+    m, nu = params.nakagami_m, params.path_loss_exp
+    lengths = np.asarray(lengths, dtype=float)
+    gains *= np.array([d**nu / m for d in lengths.ravel().tolist()]).reshape(lengths.shape + (1,))
+    caps = np.minimum(gains[0], gains[1], out=gains[0])
+    caps *= params.snr
     caps += 1.0
     np.log2(caps, out=caps)
     caps *= 0.5

@@ -8,7 +8,8 @@ simulate   run the exterior probing protocol and emit measurements + truth
 invert     localize relays from a measurement file, optionally scored
 selftest   Monte Carlo oracle checks of the angle pdf and the outage solver
 
-Exit codes: 0 success, 2 configuration error, 3 numerical degeneracy.
+Exit codes: 0 success, 2 configuration error or unusable output path,
+3 numerical degeneracy.
 """
 
 from __future__ import annotations
@@ -268,6 +269,11 @@ def main(argv=None) -> int:
     except RelayTomoError as exc:
         print(f"numerical degeneracy: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except OSError as exc:
+        # every input read turns its OSError into a config or data error, so
+        # this is an output path that cannot be made or written
+        print(f"output error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

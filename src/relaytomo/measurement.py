@@ -20,7 +20,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .channel import ChannelParams, HopPair, sample_instant_capacity
+from .channel import ChannelParams, HopPair, _capacities, _unit_gains
 from .errors import DomainError, GeometryError, MeasurementError
 from .geometry import Point, RelayRegion, dist
 from .numerics import RngStream
@@ -28,9 +28,10 @@ from .numerics import RngStream
 FORMAT_HEADER = "# relaytomo measurement-set v1"
 RELAY_HEADER = "# relaytomo relay-positions v1"
 # capacity draws (ordered pairs x relays x observations) a scenario may ask
-# `simulate_measurements` for: about 20 B each in memory (the draws of each
-# unordered pair, their copy per ordered pair and the sort of the quantile
-# estimate), 200 MB at the bound, and about as many again as text in the file
+# `simulate_measurements` for: 17 B each at its memory peak (`tracemalloc`,
+# 200 relays x 1,000 observations: both hops' gains of each unordered pair,
+# then their capacities copied per ordered pair and the quantile estimate's
+# sort), 170 MB at the bound, and about 26 B each as text in the file
 MAX_DRAWS = 10_000_000
 # measuring nodes a scenario may place: the solver's joint-bin table is built
 # from 81 float64 footprint angles per cell and node (65 MB per node at
@@ -225,19 +226,27 @@ def simulate_measurements(
     Arrival angles are exact geometry quantized to the network resolution.
     For each unordered node pair one stream of per-link fading draws is
     shared by both orderings (channel reciprocity), and the capacity
-    estimate is the empirical outage quantile of the window.
+    estimate is the empirical outage quantile of the window.  The draws
+    use `channel`'s draw kernel, as `sample_instant_capacity` does, on one
+    (hop, unordered pair, relay, observation) table: each (pair, relay)
+    stream fills its unit gains with one draw call, then one pass scales
+    and turns the whole table into capacities, the same bits as one
+    `sample_instant_capacity` call per stream.
     """
     if observations < 1:
         raise DomainError(f"need at least one observation, got {observations}")
     x, y = [p.x for p in relays], [p.y for p in relays]
-    d_lo, d_hi = net.hop_lengths(x, y)
-    raw = np.zeros((len(net.pairs), len(relays), observations))
+    d = np.array(net.hop_lengths(x, y)).swapaxes(1, 2)  # (hop, unordered pair, relay)
+    if d.size and d.min() <= 0.0:
+        HopPair(d[0], d[1])  # raises its DomainError
+    gains = np.empty(d.shape + (observations,))
     for k, (lo, hi) in enumerate(net.pairs):
+        pair_rng = rng.child(lo * net.n_nodes + hi)
         for l in range(len(relays)):
-            stream = rng.child(lo * net.n_nodes + hi).child(l)
-            raw[k, l] = sample_instant_capacity(
-                HopPair(float(d_lo[l, k]), float(d_hi[l, k])), params, stream, size=observations)
-    raw = raw[net.pair_of_row]
+            gains[:, k, l] = _unit_gains(pair_rng.child(l).generator(), params.nakagami_m,
+                                         observations)
+    raw = _capacities(gains, d, params)[net.pair_of_row]
+    del gains  # before the estimate's sort: the ordered rows are a copy
     aoa = (angle_bins(net.angles(x, y), net.resolution) * net.resolution).T[net.receivers]
     return MeasurementSet(tuple(net.ordered_pairs()), aoa,
                           estimate_outage_capacity(raw, params.outage_prob), raw)

@@ -62,7 +62,7 @@ KIND_FORCED_MAP = "forced-map"
 KIND_ARGMIN = "argmin"
 KIND_UNLOCALIZED = "unlocalized"
 
-FOOTPRINT_SAMPLES = 9  # sub-sample points per cell axis for the angle likelihood
+FOOTPRINT_SAMPLES = 9  # lattice points per cell axis of the footprint: joint-bin groups, priors
 # padded elements one decision pass holds, (relay, candidate, pair, observation)
 # or, for argmin, (relay, candidate, row): a float temporary takes at most 2 MiB
 # however many relays a set holds, unless one relay's own table is larger

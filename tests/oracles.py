@@ -6,8 +6,8 @@ tail.  `log_upper_gamma` and `capacity_log_pdf` are scipy's log-space
 forms, finite past that underflow.  `outage_capacity` is scipy's root of
 the outage equation in log space, and `solve_increasing_root` a plain
 bisection.  `simulate_measurements` is the probing protocol one path at a
-time, with `quantize_angle` and `quantile_estimate` its scalar quantizer
-and outage estimate.  `cell_centers` is the square-cell discretization
+time, its gains drawn by `Generator.gamma`, with `quantize_angle` and
+`quantile_estimate` its scalar quantizer and outage estimate.  `cell_centers` is the square-cell discretization
 one cell at a time.  `footprint_scan` is the solver's angle step as a
 scan of every cell and every point of its footprint lattice.
 `sequential_tests` is the solver's sequential test one relay at a time in
@@ -24,7 +24,7 @@ import numpy as np
 import scipy.optimize
 import scipy.special
 
-from relaytomo.channel import ChannelParams, HopPair, sample_instant_capacity
+from relaytomo.channel import ChannelParams, HopPair
 from relaytomo.errors import DomainError, MeasurementError, RelayTomoError
 from relaytomo.geometry import Point, _interior_angles, _unit, angular_span, dist, signed_angle
 from relaytomo.ias import (
@@ -209,9 +209,11 @@ def node_angle(net, q: int, p) -> float:
 def simulate_measurements(net, relays, params: ChannelParams, observations: int, rng):
     """The probing protocol path by path: for each unordered pair (lo, hi)
     and relay, the quantized angle at each end, one stream of draws shared
-    by both orderings, and the outage estimate of the window."""
+    by both orderings, and the outage estimate of the window.  Each path's
+    gains are two `gen.gamma` calls, not the library's draw kernel."""
     pairs = net.ordered_pairs()
     n_pairs, n_relays = len(pairs), len(relays)
+    m, nu = params.nakagami_m, params.path_loss_exp
     aoa = np.zeros((n_pairs, n_relays))
     cap_est = np.zeros((n_pairs, n_relays))
     raw = np.zeros((n_pairs, n_relays, observations))
@@ -222,9 +224,11 @@ def simulate_measurements(net, relays, params: ChannelParams, observations: int,
                 _, aoa[fwd, l] = quantize_angle(node_angle(net, hi, relay), net.resolution)
                 _, aoa[rev, l] = quantize_angle(node_angle(net, lo, relay), net.resolution)
                 hops = HopPair(dist(net.nodes[lo], relay), dist(relay, net.nodes[hi]))
-                stream = rng.child(lo * net.n_nodes + hi).child(l)
-                raw[fwd, l] = raw[rev, l] = sample_instant_capacity(
-                    hops, params, stream, size=observations)
+                gen = rng.child(lo * net.n_nodes + hi).child(l).generator()
+                g1 = gen.gamma(m, hops.d_sr**nu / m, size=observations)
+                g2 = gen.gamma(m, hops.d_rd**nu / m, size=observations)
+                raw[fwd, l] = raw[rev, l] = 0.5 * np.log2(
+                    1.0 + params.snr * np.minimum(g1, g2))
                 cap_est[fwd, l] = cap_est[rev, l] = quantile_estimate(
                     raw[fwd, l], params.outage_prob)
     return MeasurementSet(tuple(pairs), aoa, cap_est, raw)

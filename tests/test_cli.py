@@ -393,6 +393,32 @@ class TestExitCodes:
                      "--out", str(tmp_path / "o")]) == 2
         assert main(["simulate", "--seed", "-1", "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("command", ["simulate", "direct", "invert"])
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "below_a_file"])
+    def test_unusable_out_directory_is_2(self, reference_run, tmp_path, capsys, command, below):
+        # a file where a directory belongs fails for every user, root too
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        out = blocker / "sub" if below else blocker
+        args = [command, "--out", str(out)]
+        if command == "invert":
+            args.insert(1, str(reference_run[0] / "measurements.txt"))
+        capsys.readouterr()
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("output error: ") and str(out) in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("target", ["directory", "below_a_file"])
+    def test_unusable_config_path_is_2(self, tmp_path, capsys, target):
+        (tmp_path / "blocker").write_text("")
+        path = tmp_path if target == "directory" else tmp_path / "blocker" / "x.json"
+        capsys.readouterr()
+        assert main(["write-config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("output error: ") and str(path) in err
+        assert err.count("\n") == 1
+
     def test_numerical_error_is_3(self, tmp_path):
         missing = tmp_path / "absent.txt"
         assert main(["invert", str(missing), "--out", str(tmp_path / "o")]) == 3

@@ -281,7 +281,7 @@ def assert_same_bits(got: MeasurementSet, want: MeasurementSet) -> None:
 class TestSimulatorOracle:
     """`simulate_measurements` equals the path-by-path protocol bit for bit."""
 
-    @pytest.mark.parametrize("m", [1.0, 2.5])
+    @pytest.mark.parametrize("m", [0.5, 1.0, 2.5])
     def test_reference_scene(self, m):
         raw = default_config_dict()
         raw["channel"]["nakagami_m"] = m

@@ -1,6 +1,7 @@
 """Smoke runs of the scripts under scripts/, so they keep up with the solver's API."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -39,3 +40,47 @@ def test_direct_demo(tmp_path, capsys):
     assert [r.split()[0] for r in rows] == [f"{d}d" for d in range(0, 61, 10)]
     assert rows[3].split()[4] == "3.59e-06"  # the (30, 30) degree cell
     assert lines[-1] == "total angular probability mass: 1.000000"
+
+
+def write_run(directory: Path, name: str, seed: int, values: dict, correct: bool = True,
+              answers: str = "a", sha: str = "p", trace: int = 0, workload: str = "sweep"):
+    """One perfbench result file: every end-to-end metric at 1.0 unless given."""
+    names = load("bench_pairs").end_to_end()
+    directory.mkdir(exist_ok=True)
+    run = {"workload": workload, "seed": seed, "trace": trace,
+           "environment": {"git_sha": sha, "src_lines": 100},
+           "problems": [] if correct else ["scene 1 simulate: no speed probe"],
+           "answers_sha256": answers,
+           "result": {"correct": correct, "failed": 0 if correct else 2,
+                      "metrics": {n: {"value": values.get(n, 1.0)} for n in names}}}
+    (directory / f"result-{name}.json").write_text(json.dumps(run))
+
+
+def test_bench_pairs(tmp_path, capsys):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for seed, p, c in [(1, 1.0, 0.9), (2, 1.2, 1.0), (3, 1.1, 1.2)]:
+        write_run(parent, f"s{seed}", seed, {"selftest_s": p, "msprt_relays_per_s": 10 * p})
+        write_run(change, f"s{seed}", seed, {"selftest_s": c, "msprt_relays_per_s": 10 * c},
+                  answers="b" if seed == 3 else "a", sha="c")
+    write_run(change, "s2-failed", 2, {"selftest_s": 0.1}, correct=False, sha="c")
+    write_run(parent, "s4", 4, {}, correct=False)
+    write_run(change, "s4", 4, {}, sha="c")
+    write_run(parent, "s1-traced", 1, {"selftest_s": 50.0}, trace=1)
+    assert load("bench_pairs").main([str(parent), str(change), "--pr", "7",
+                                     "--out", str(tmp_path)]) == 0
+    assert "selftest_s: 1.1 -> 1 (-9.1%), change better in 2/3" in capsys.readouterr().out
+    report = json.loads((tmp_path / "BENCH_7.json").read_text())
+    assert report["parent"] == {"git_sha": "p", "src_lines": 100}
+    assert report["change"] == {"git_sha": "c", "src_lines": 100}
+    sweep = report["workloads"]["sweep"]
+    assert sweep["seeds"] == [1, 2, 3] and sweep["unpaired"] == [4]
+    selftest = sweep["metrics"]["selftest_s"]
+    assert selftest["parent"] == {"median": 1.1, "q1": 1.05, "q3": 1.15}
+    assert selftest["change"]["median"] == 1.0 and selftest["change_better_pairs"] == 2
+    assert sweep["metrics"]["msprt_relays_per_s"]["change_better_pairs"] == 1
+    assert sweep["answers_equal"] == {"1": True, "2": True, "3": False}
+    assert sweep["loc_rates"]["loc_rate_msprt"]["2"] == [1.0, 1.0]
+    failed = {(r["side"], r["seed"]): r for r in report["failed_runs"]}
+    assert failed.keys() == {("change", 2), ("parent", 4)}
+    assert failed[("change", 2)]["rerun"] and not failed[("parent", 4)]["rerun"]
+    assert failed[("parent", 4)]["problems"] == ["scene 1 simulate: no speed probe"]
