@@ -35,8 +35,11 @@ RELAY_HEADER = "# relaytomo relay-positions v1"
 MAX_DRAWS = 10_000_000
 # measuring nodes a scenario may place: the solver's joint-bin table is built
 # from 81 float64 footprint angles per cell and node (65 MB per node at
-# MAX_BOX_CELLS cells, during the build only), and each of up to 240 ordered
-# pairs labels a row of every draw and capacity table
+# MAX_BOX_CELLS cells, during the build only), its cached channel table holds
+# two float64 per cell and each of up to 120 unordered pairs (the outage
+# capacity and, at m = 1, the exponential rate) and one per cell (193 MB at
+# 16 nodes and MAX_BOX_CELLS cells; 96 MB at m != 1), and each of up to 240
+# ordered pairs labels a row of every draw and capacity table
 MAX_NODES = 16
 
 

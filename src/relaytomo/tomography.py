@@ -8,33 +8,35 @@ for the simulator and this solver alike: the node pairs and the rows they
 label, each point's hop lengths per pair and angle at every node, and the
 angle bins.  `_Footprint`, one per (network, grid), holds the cell
 centers' hop lengths and angles and the joint-bin table: every footprint
-lattice point grouped by its joint bin, one bin per node.  The capacity
-column, one per (network, grid, channel), holds each cell center's outage
-capacity per unordered pair, solved for every cell in one call on first
-use.
+lattice point grouped by its joint bin, one bin per node.  The channel
+table, one per (network, grid, channel), holds each cell center's outage
+capacity per unordered pair and, at m = 1, its exponential rate and summed
+log rate, solved for every cell in one call on first use.
 
 Pipeline per measurement set, each stage run once for all its relays:
 (1) the angle step puts the set's rows in the network's pair order and
 keeps the cells the measured arrival angles allow, one lookup of each
 relay's joint bin in that table; (2) one array pass over the set's padded
-(relay x candidate) table picks each relay's cell, by the least l2
-capacity residual against the empirical outage estimates among the cells
-whose *center* quantizes into every measured bin (`feasible_cells`), or
-by a multi-hypothesis sequential probability ratio test over the raw
-capacity observations among the cells some of whose footprint lies in the
-relay's joint bin, each weighted by that share of its footprint (so a cell cut
-by the region edge weighs less); padded lanes are +inf in every residual and
--inf in every log likelihood; (3) one result step computes
-every pick's residuals and builds its result.  The one-relay functions
-run the same stages on a set of one, so they accept exactly the sets
-`localize_all` accepts.
+(relay x candidate) table, gathered from the relays' spans in one index
+step, picks each relay's cell, by the least l2 capacity residual against
+the empirical outage estimates among the cells whose *center* quantizes
+into every measured bin (`feasible_cells`), or by a multi-hypothesis
+sequential probability ratio test over the raw capacity observations
+among the cells some of whose footprint lies in the relay's joint bin,
+each weighted by that share of its footprint (so a cell cut by the region
+edge weighs less); padded lanes repeat the relay's last candidate and are
++inf in every residual and -inf in every log likelihood; (3) one result
+step computes every pick's residuals and builds its result.  The
+one-relay functions run the same stages on a set of one, so they accept
+exactly the sets `localize_all` accepts.
 
 The test's evidence is the capacity log-density of each observation,
 summed over the unordered pairs.  Under Rayleigh fading (Nakagami m = 1)
 X = 4^I - 1 is exponential with a rate per (cell, pair), so the evidence
-reduces to per-relay sums of I and a stacked (cells x pairs) @ (pairs x
-observations) product of rates and X, with no incomplete gamma; every
-other m evaluates `capacity_log_pdf` per (cell, pair, observation).
+reduces to per-relay sums of I, a per-cell constant read from the channel
+table and a stacked (cells x pairs) @ (pairs x observations) product of
+the table's rates and X, with no incomplete gamma; every other m
+evaluates `capacity_log_pdf` per (cell, pair, observation).
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -142,22 +145,24 @@ def feasible_cells(
     lies in it.  Returns sorted cell indices; an empty list signals a grid
     too coarse or inconsistent data (the caller decides how to proceed).
     """
-    fp = _footprint(net, grid)
-    group, = _angle_step(ms, [relay], net, fp)
-    return fp.center_rule(group).tolist()
+    ms, fp = ms.in_pair_order(net.ordered_pairs()), _footprint(net, grid)
+    (_, _, start, count), = _angle_step(ms, [relay], net, fp)
+    return fp.center_cells[start:start + count].tolist()
 
 
-def _angle_step(ms: MeasurementSet, relays, net: MeasurementNetwork, fp) -> list[slice]:
-    """Each relay's joint bin, one measured bin per node: its slice of fp's groups.
+def _angle_step(ms: MeasurementSet, relays, net: MeasurementNetwork, fp) -> np.ndarray:
+    """Each relay's joint bin, one measured bin per node, as its span of fp's
+    groups and of fp's center cells: (relays, 4) ints, each row the first
+    group, the group count, the first center cell and the center count.
 
-    The rows of ms are put in `net.ordered_pairs()` order
-    (`MeasurementSet.in_pair_order`, which raises MeasurementError for any
+    The rows of ms are in `net.ordered_pairs()` order (the callers'
+    `MeasurementSet.in_pair_order`, which raises MeasurementError for any
     other pair set); relays are column indices of ms, binned in one
-    `angle_bins` call.  The slice is empty where a node's rows disagree on
-    its bin.  An angle beyond pi + resolution / 2, where no node angle
-    quantizes, raises MeasurementError naming the pair and relay.
+    `angle_bins` call.  The counts are 0 where a node's rows disagree on
+    its bin or no lattice point lies in its joint bin.  An angle beyond
+    pi + resolution / 2, where no node angle quantizes, raises
+    MeasurementError naming the pair and relay.
     """
-    ms = ms.in_pair_order(net.ordered_pairs())
     aoa = ms.aoa[:, relays]
     far = np.abs(aoa) > math.pi + net.resolution / 2
     if far.any():
@@ -167,37 +172,38 @@ def _angle_step(ms: MeasurementSet, relays, net: MeasurementNetwork, fp) -> list
             f"deg lies beyond 180 deg plus half the node resolution, where no node "
             f"angle quantizes")
     bins = angle_bins(aoa, net.resolution)  # (rows, relays)
-    nodes = net.receivers.tolist()
-    keys = bins[[nodes.index(q) for q in range(net.n_nodes)]]  # each node's first row
+    keys = bins[fp.first_rows]
     agree = (bins == keys[net.receivers]).all(axis=0)
-    return [fp.joint.get(tuple(key), slice(0)) if ok else slice(0)
-            for key, ok in zip(keys.T.tolist(), agree.tolist())]
+    none = (0, 0, 0, 0)
+    spans = [fp.joint.get(tuple(key), none) if ok else none
+             for key, ok in zip(keys.T.tolist(), agree.tolist())]
+    return np.array(spans, dtype=np.intp).reshape(-1, 4)
 
 
 class _Footprint:
     """Per (network, grid): the geometry of every cell's hypothesis.
 
-    angle[w, q] is cell w's center's angle at node q, and `hop_lengths` its
-    center's path per unordered pair (`MeasurementNetwork.hop_lengths`).  A
-    cell's footprint is the in-disc points of a FOOTPRINT_SAMPLES squared
-    lattice of its square, its center (offset exactly 0) in the middle.
+    angle[w, r] is cell w's center's angle at the receiving node of row r of
+    `net.ordered_pairs()`, first_rows[q] the first row received at node q,
+    and `hop_lengths` its center's path per unordered pair
+    (`MeasurementNetwork.hop_lengths`).  A cell's footprint is the in-disc
+    points of a FOOTPRINT_SAMPLES squared lattice of its square, its center
+    (offset exactly 0) in the middle.
     Those points are grouped by (joint bin, cell), a joint bin being one
-    bin per node, and `joint` maps each joint bin to the slice of its
-    groups: group_cells are the cells whose footprint reaches it (sorted),
+    bin per node: group_cells are the cells whose footprint reaches it (sorted),
     group_shares each one's share of its lattice (group_priors: its log over the
-    bin's total) and group_centers whether its center lies in it.  The
-    lattice's angles exist only during the build.
+    bin's total), and center_cells, in the same order, the cells of the groups
+    whose center lies in their joint bin (the center rule).  `joint` maps each
+    joint bin to its span of both: (first group, group count, first center
+    cell, center count).  The lattice's angles exist only during the build.
     """
 
     def __init__(self, net: MeasurementNetwork, grid: CellGrid) -> None:
         x, y = grid.xy.T
-        self.hops, self.angle = net.hop_lengths(x, y), net.angles(x, y)
+        self.hops, self.angle = net.hop_lengths(x, y), net.angles(x, y)[:, net.receivers]
+        self.first_rows = np.array([net.receivers.tolist().index(q) for q in range(net.n_nodes)])
         (self.joint, self.group_cells, self.group_shares, self.group_priors,
-         self.group_centers) = _joint_bin_groups(net, grid)
-
-    def center_rule(self, group: slice) -> np.ndarray:
-        """The cells of a joint bin's groups whose center lies in it."""
-        return self.group_cells[group][self.group_centers[group]]
+         self.center_cells) = _joint_bin_groups(net, grid)
 
     def hop_lengths(self, cells=slice(None)) -> tuple[np.ndarray, np.ndarray]:
         """Hop lengths of each cell center's path per unordered pair, (cells, pairs)."""
@@ -206,7 +212,7 @@ class _Footprint:
 
 
 def _joint_bin_groups(net: MeasurementNetwork, grid: CellGrid):
-    """`_Footprint`'s joint, group_cells, group_shares, group_priors and group_centers.
+    """`_Footprint`'s joint, group_cells, group_shares, group_priors and center_cells.
 
     One stable lexsort orders the in-disc lattice points by joint bin, cell
     order holding within a bin, so each run of one joint bin and one cell is
@@ -233,10 +239,15 @@ def _joint_bin_groups(net: MeasurementNetwork, grid: CellGrid):
     first = np.flatnonzero(new_key[groups])  # each joint bin's first group
     bounds = first.tolist() + [len(groups)]
     heads = keys[:, groups[first]].T.tolist()
-    joint = {tuple(head): slice(a, b) for head, a, b in zip(heads, bounds, bounds[1:])}
+    # the center cells before each joint bin's first group, and their total
+    centers = np.concatenate(([0], np.cumsum(center)))[bounds].tolist()
+    joint = {tuple(head): (a, b - a, c, d - c) for head, a, b, c, d in
+             zip(heads, bounds, bounds[1:], centers, centers[1:])}
     shares = counts / n**2
-    totals = np.repeat([shares[span].sum() for span in joint.values()], np.diff(bounds))
-    return joint, cell[groups], shares, np.log(shares / totals), center
+    totals = np.repeat([shares[a:b].sum() for a, b in zip(bounds, bounds[1:])],
+                       np.diff(bounds))
+    cells = cell[groups]
+    return joint, cells, shares, np.log(shares / totals), cells[center]
 
 
 def _run_starts(*columns: np.ndarray) -> np.ndarray:
@@ -258,22 +269,47 @@ def _l2_norms(diff: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.accumulate(diff, axis=-1, out=diff)[..., -1])
 
 
-@lru_cache(maxsize=8)
-def _capacity_column(net, grid, params) -> np.ndarray:
-    """Outage capacities of every cell center's paths, (cells, unordered pairs).
+class _ChannelTable(NamedTuple):
+    """Per (network, grid, channel): each cell center's channel per unordered pair.
 
-    Solved in one `outage_capacity_array` call on first use; read-only.
+    capacity[w, p] is the outage capacity of cell w's center path for
+    unordered pair p.  At m = 1, where X = 4^I - 1 is exponential, rate[w, p]
+    is its rate s1 + s2 (`rho_scales`) and log_rate_sum[w] the sum over the
+    pairs of log(ln4 rate[w, p]); both are None at other m.  Read-only.
     """
-    column = outage_capacity_array(HopPair(*_footprint(net, grid).hop_lengths()), params)
-    column.flags.writeable = False
-    return column
+
+    capacity: np.ndarray
+    rate: np.ndarray | None
+    log_rate_sum: np.ndarray | None
+
+
+def _solve_table(hops: HopPair, params) -> _ChannelTable:
+    """The channel table of the (cells, pairs) paths of hops, every capacity
+    solved in one `outage_capacity_array` call."""
+    columns = [outage_capacity_array(hops, params), None, None]
+    if params.nakagami_m == 1.0:
+        # in C order, so numpy sums each cell's pairs along its row, pairwise
+        # past 8 pairs, as it sums a gathered (relay, candidate, pair) table
+        rate = np.add(*rho_scales(hops, params), order="C")
+        columns[1:] = rate, np.add.reduce(np.log(LN4 * rate), axis=-1)
+    for column in columns:
+        if column is not None:
+            column.flags.writeable = False
+    return _ChannelTable(*columns)
+
+
+@lru_cache(maxsize=8)
+def _channel_table(net, grid, params) -> _ChannelTable:
+    """The channel table of every cell center's paths, solved on first use."""
+    return _solve_table(HopPair(*_footprint(net, grid).hop_lengths()), params)
 
 
 def _capacity_residuals(net, caps, cells, cap_rows: np.ndarray) -> np.ndarray:
     """l2 norm of each cell's outage-capacity residuals against cap_rows.
 
     cap_rows has one estimate per ordered pair of `net.ordered_pairs()` on its
-    last axis; both orderings of a pair share one solve of caps, the capacity column.
+    last axis; both orderings of a pair share one solve of caps, the channel
+    table's capacities.
     """
     diff = cap_rows - caps[np.asarray(cells)[..., None], net.pair_of_row]
     # estimates and capacities are non-negative, and capacities small
@@ -289,39 +325,32 @@ def _capacity_residuals(net, caps, cells, cap_rows: np.ndarray) -> np.ndarray:
     return norms
 
 
-def _padded(rows, valid: np.ndarray) -> np.ndarray:
-    """Ragged rows as one table shaped like valid, its True lanes holding them; 0 elsewhere."""
-    table = np.zeros(valid.shape, rows[0].dtype)
-    table[valid] = np.concatenate(rows)
-    return table
-
-
-def _capacity_evidence(fp: _Footprint, cells: np.ndarray, raw: np.ndarray, params) -> np.ndarray:
+def _capacity_evidence(fp: _Footprint, table: _ChannelTable, cells: np.ndarray,
+                       raw: np.ndarray, params) -> np.ndarray:
     """Sequential-test evidence of a set of relays, summed over unordered pairs.
 
     cells[j] are relay j's candidate cells, padded to one length, and raw[j]
-    its observations, (unordered pairs, observations).  Returns the
+    its observations, (unordered pairs, observations), none negative
+    (`MeasurementSet` checks its draws).  Returns the
     log-density of each observation under each candidate's center paths,
     summed over the pairs: (relays, candidates, observations).
 
-    At m = 1, X = 4^I - 1 is exponential with rate s1 + s2 (`rho_scales`),
-    so the sum is  sum_p log(ln4 rate[c, p]) + ln4 sum_p I[p, o]
-    - (rate @ X)[c, o]:  a constant per candidate, a term per observation
-    formed once per relay, and one stacked product.  Every other shape sums
-    `capacity_log_pdf` of each (candidate, pair, observation).
+    At m = 1, X = 4^I - 1 is exponential with rate s1 + s2, so the sum is
+    sum_p log(ln4 rate[c, p]) + ln4 sum_p I[p, o] - (rate @ X)[c, o]:  a
+    constant per candidate and its rates, both gathered from the channel
+    table, a term per observation formed once per relay, and one stacked
+    product.  Every other shape sums `capacity_log_pdf` of each (candidate,
+    pair, observation) on fp's hop lengths.
     """
-    d_sr, d_rd = fp.hop_lengths(cells)
     if params.nakagami_m != 1.0:
+        d_sr, d_rd = fp.hop_lengths(cells)
         hops = HopPair(d_sr[..., None], d_rd[..., None])
         return capacity_log_pdf(raw[:, None], hops, params).sum(axis=2)
-    if np.count_nonzero(raw < 0.0):
-        raise DomainError("spectral efficiency must be non-negative")
     log_4i = raw * LN4
     with np.errstate(over="ignore"):  # 4^I - 1 is inf past I ~ 512, where the density is 0
         x = np.expm1(log_4i)
-    rate = np.add(*rho_scales(HopPair(d_sr, d_rd), params))
-    per_cell = np.add.reduce(np.log(LN4 * rate), axis=2)
-    return per_cell[..., None] + np.add.reduce(log_4i, axis=1)[:, None] - rate @ x
+    per_cell = table.log_rate_sum[cells]
+    return per_cell[..., None] + np.add.reduce(log_4i, axis=1)[:, None] - table.rate[cells] @ x
 
 
 def localize_argmin(
@@ -340,9 +369,10 @@ def localize_argmin(
     if not candidates:
         raise LocalizationError("argmin localization needs a non-empty candidate set")
     cells = np.asarray(candidates)[None]
-    caps, own = _capacity_column(net, grid, params), np.ones(cells.shape, bool)
+    caps, own = _channel_table(net, grid, params).capacity, np.ones(cells.shape, bool)
     (decision,), (e_capacity,) = _argmin_decisions(net, caps, cells, own, cap_row[:, None])
-    return _result(relay, len(candidates), decision, 0.0, e_capacity, grid)
+    return _result(relay, len(candidates), decision, grid.xy[decision[0]].tolist(), 0.0,
+                   e_capacity)
 
 
 def _argmin_decisions(net, caps, cells, valid, cap_est) -> tuple[list[tuple], list[float]]:
@@ -388,10 +418,13 @@ def msprt_localize(
     k, w = len(candidates), angle_weights
     cells, own = np.asarray(candidates)[None], np.ones((1, k), bool)
     log_prior = np.full(k, -math.log(k)) if w is None else np.log(w / w.sum())
-    evidence = _capacity_evidence(_footprint(net, grid), cells,
-                                  raw[None, net.pair_rows, :cfg.max_observations], params)
+    raw = raw[None, net.pair_rows, :cfg.max_observations]
+    if np.any(raw < 0.0):
+        raise DomainError("spectral efficiency must be non-negative")
+    fp, table = _footprint(net, grid), _channel_table(net, grid, params)
+    evidence = _capacity_evidence(fp, table, cells, raw, params)
     decision, = _sequential_tests(cells, own, log_prior[None], evidence, cfg.threshold)
-    return _result(relay, k, decision, 0.0, 0.0, grid)
+    return _result(relay, k, decision, grid.xy[decision[0]].tolist(), 0.0, 0.0)
 
 
 def _sequential_tests(cells, valid, log_prior, evidence, threshold: float) -> list[tuple]:
@@ -411,7 +444,7 @@ def _sequential_tests(cells, valid, log_prior, evidence, threshold: float) -> li
     # column o: log likelihoods after o observations, summed in arrival order;
     # padded lanes are -inf throughout, never added to a relay's +inf
     lik = np.concatenate((log_prior[..., None], evidence), axis=2)
-    lik[~valid] = -np.inf
+    np.copyto(lik, -np.inf, where=~valid[..., None])
     np.add.accumulate(lik, axis=2, out=lik)
     leader, rows = lik.argmax(axis=1), np.arange(n)
     at_leader = rows[:, None], leader, np.arange(n_obs + 1)
@@ -433,11 +466,12 @@ def _sequential_tests(cells, valid, log_prior, evidence, threshold: float) -> li
             zip(best, (stopped & explained).tolist(), column.tolist(), explained.tolist())]
 
 
-def _result(relay, n_candidates, decision, e_angle, e_capacity, grid) -> LocalizationResult:
-    """The result of a decision (cell, kind, stopped_at, degenerate) with its residuals."""
+def _result(relay, n_candidates, decision, xy, e_angle, e_capacity) -> LocalizationResult:
+    """The result of a decision (cell, kind, stopped_at, degenerate) at xy, its
+    cell's center, with its residuals."""
     w, kind, stopped, degenerate = decision
-    return LocalizationResult(relay, w, Point(*grid.xy[w].tolist()), n_candidates, kind,
-                              e_angle, e_capacity, stopped, degenerate)
+    return LocalizationResult(relay, w, Point(*xy), n_candidates, kind, e_angle, e_capacity,
+                              stopped, degenerate)
 
 
 def localize_all(
@@ -454,13 +488,16 @@ def localize_all(
     do not depend on the order of the records; a pair set that differs
     from the network's raises MeasurementError, and both modes read the
     set cut to the test's window (`first_observations`).  Each stage then
-    runs once for the whole set: one `_angle_step` gives argmin mode the
-    cells of `feasible_cells` and msprt mode every cell of the relay's
-    joint-bin groups (relays left with none are unlocalized).  Padded into
-    one table, decided in blocks of at most LANE_BUDGET elements, they go to
-    one `_argmin_decisions` pass, or to one `_capacity_evidence` call, one
-    `_sequential_tests` pass and one call for the picks' capacity residuals.
-    A `cfg.cell_side` other than the grid's raises LocalizationError.
+    runs once for the whole set: one `_angle_step` gives argmin mode each
+    relay's span of the center cells, those of `feasible_cells`, and msprt
+    mode its span of the joint-bin groups (relays left with none are
+    unlocalized).  Decided in blocks of at most LANE_BUDGET elements, each
+    block's padded (relay x candidate) table of cells, and msprt's priors,
+    is one index gather from those spans, padded lanes repeating the relay's
+    last candidate; it goes to one `_argmin_decisions` pass, or to one
+    `_capacity_evidence` call, one `_sequential_tests` pass and one call for
+    the picks' capacity residuals.  A `cfg.cell_side` other than the grid's
+    raises LocalizationError.
     """
     if cfg.cell_side != grid.cell_side:
         raise LocalizationError(f"the solver's cell side {cfg.cell_side} m differs from the "
@@ -468,34 +505,38 @@ def localize_all(
     mcfg = msprt_cfg or MsprtConfig(max_observations=ms.n_observations)
     ms = ms.in_pair_order(net.ordered_pairs()).first_observations(
         mcfg.max_observations, params.outage_prob)
-    fp, caps = _footprint(net, grid), _capacity_column(net, grid, params)
-    groups = _angle_step(ms, np.arange(ms.n_relays), net, fp)
+    fp, table = _footprint(net, grid), _channel_table(net, grid, params)
+    spans = _angle_step(ms, np.arange(ms.n_relays), net, fp)
     argmin = cfg.mode == "argmin"
-    found = [fp.center_rule(g) if argmin else fp.group_cells[g] for g in groups]
-    relays = [l for l, cells in enumerate(found) if len(cells)]
-    sizes, cap_est = [len(found[l]) for l in relays], ms.cap_est[:, relays]
+    # each relay's (first, count) of its mode's candidates
+    spans, candidates = (spans[:, 2:], fp.center_cells) if argmin else (spans, fp.group_cells)
+    relays = spans[:, 1].nonzero()[0]
+    (start, count), cap_est = spans[relays, :2].T, ms.cap_est[:, relays]
+    sizes = count.tolist()
     decisions, e_capacity = [], []
     width = len(net.row_of) if argmin else len(net.pair_rows) * ms.n_observations
     step = max(1, LANE_BUDGET // max(1, max(sizes, default=0) * width))
-    for lo in range(0, len(relays), step):
+    for lo in range(0, len(sizes), step):
         block, part = relays[lo:lo + step], slice(lo, lo + step)
-        valid = np.arange(max(sizes[part])) < np.array(sizes[part])[:, None]
-        cells = _padded([found[l] for l in block], valid)
+        lanes, last = np.arange(max(sizes[part])), count[part, None] - 1
+        index = start[part, None] + np.minimum(lanes, last)
+        cells, valid = candidates[index], lanes <= last
         if argmin:
-            picks, errs = _argmin_decisions(net, caps, cells, valid, cap_est[:, part])
+            picks, errs = _argmin_decisions(net, table.capacity, cells, valid, cap_est[:, part])
         else:
             raw = np.ascontiguousarray(ms.raw.transpose(1, 0, 2)[block][:, net.pair_rows])
-            evidence = _capacity_evidence(fp, cells, raw, params)
-            priors = _padded([fp.group_priors[groups[l]] for l in block], valid)
-            picks = _sequential_tests(cells, valid, priors, evidence, mcfg.threshold)
-            errs = _capacity_residuals(net, caps, [d[0] for d in picks],
+            evidence = _capacity_evidence(fp, table, cells, raw, params)
+            picks = _sequential_tests(cells, valid, fp.group_priors[index], evidence,
+                                      mcfg.threshold)
+            errs = _capacity_residuals(net, table.capacity, [d[0] for d in picks],
                                        cap_est[:, part].T).tolist()
         decisions += picks
         e_capacity += errs
     cells = [d[0] for d in decisions]
-    e_angle = _l2_norms(ms.aoa[:, relays].T - fp.angle[cells][:, net.receivers]).tolist()
-    located = dict(zip(relays, zip(sizes, decisions, e_angle, e_capacity)))
-    return [_result(l, *located[l], grid) if l in located else
+    e_angle = _l2_norms(ms.aoa[:, relays].T - fp.angle[cells]).tolist()
+    located = dict(zip(relays.tolist(), zip(sizes, decisions, grid.xy[cells].tolist(),
+                                             e_angle, e_capacity)))
+    return [_result(l, *located[l]) if l in located else
             LocalizationResult(l, None, None, 0, KIND_UNLOCALIZED, math.nan, math.nan, 0)
             for l in range(ms.n_relays)]
 

@@ -3,7 +3,10 @@
 `capacity_pdf` is the capacity density one float at a time in linear
 space, from scipy's incomplete gamma; it underflows to 0 in the far
 tail.  `log_upper_gamma` and `capacity_log_pdf` are scipy's log-space
-forms, finite past that underflow.  `outage_capacity` is scipy's root of
+forms, finite past that underflow.  `gathered_hop_evidence` is the
+sequential test's m = 1 evidence formed from each candidate's gathered hop
+lengths, the bitwise reference for the solver's channel-table reads.
+`outage_capacity` is scipy's root of
 the outage equation in log space, and `solve_increasing_root` a plain
 bisection.  `simulate_measurements` is the probing protocol one path at a
 time, its gains drawn by `Generator.gamma`, with `quantize_angle` and
@@ -96,6 +99,23 @@ def capacity_log_pdf(i, hops: HopPair, params: ChannelParams) -> np.ndarray:
     log_g2 = np.log(s2) + scipy.special.xlogy(m - 1.0, rho2) - rho2
     return (math.log(LN4) - scipy.special.gammaln(m) + i * LN4
             + np.logaddexp(log_g1 + log_upper_gamma(m, rho2), log_g2 + log_upper_gamma(m, rho1)))
+
+
+def gathered_hop_evidence(fp, cells, raw, params: ChannelParams) -> np.ndarray:
+    """The m = 1 evidence of a padded (relays, candidates) table of cells,
+    summed over unordered pairs: (relays, candidates, observations).
+
+    Each candidate's rate s1 + s2 comes from its hop lengths, gathered from
+    fp per lane, and the sum is sum_p log(ln4 rate) + ln4 sum_p I - rate @ X
+    with X = 4^I - 1, in the solver's order of operations.
+    """
+    d_sr, d_rd = fp.hop_lengths(cells)
+    log_4i = raw * LN4
+    with np.errstate(over="ignore"):
+        x = np.expm1(log_4i)
+    rate = np.add(*rho_scales(HopPair(d_sr, d_rd), params))
+    per_cell = np.add.reduce(np.log(LN4 * rate), axis=2)
+    return per_cell[..., None] + np.add.reduce(log_4i, axis=1)[:, None] - rate @ x
 
 
 def log_q_small_p(a: float, x: float) -> float:

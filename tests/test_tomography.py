@@ -7,8 +7,22 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from oracles import first_stop, footprint_scan, node_angle, quantize_angle, sequential_tests
-from relaytomo.channel import ChannelParams, HopPair, capacity_log_pdf, outage_capacity
+from oracles import (
+    first_stop,
+    footprint_scan,
+    gathered_hop_evidence,
+    node_angle,
+    quantize_angle,
+    sequential_tests,
+)
+from relaytomo.channel import (
+    LN4,
+    ChannelParams,
+    HopPair,
+    capacity_log_pdf,
+    outage_capacity,
+    rho_scales,
+)
 from relaytomo.config import default_config_dict, scenario_from_dict
 from relaytomo.errors import DomainError, LocalizationError, MeasurementError
 from relaytomo.geometry import CellGrid, Point, RelayRegion, dist, sample_relays
@@ -47,9 +61,17 @@ def footprint_support(ms: MeasurementSet, relay: int, net: MeasurementNetwork,
                       grid: CellGrid) -> tuple[list[int], np.ndarray]:
     """The cells msprt mode weighs for one relay, with their footprint shares:
     the groups of its joint bin, from the angle step `localize_all` runs."""
-    fp = tomography._footprint(net, grid)
-    group, = tomography._angle_step(ms, [relay], net, fp)
+    ms, fp = ms.in_pair_order(net.ordered_pairs()), tomography._footprint(net, grid)
+    (start, count, _, _), = tomography._angle_step(ms, [relay], net, fp)
+    group = slice(start, start + count)
     return fp.group_cells[group].tolist(), fp.group_shares[group].copy()
+
+
+def padded(rows, valid: np.ndarray) -> np.ndarray:
+    """Ragged rows as one table shaped like valid, its True lanes holding them; 0 elsewhere."""
+    table = np.zeros(valid.shape, np.asarray(rows[0]).dtype)
+    table[valid] = np.concatenate(rows)
+    return table
 
 
 def true_cell_of(p: Point) -> int:
@@ -61,6 +83,15 @@ def four_node_net() -> MeasurementNetwork:
     ring = 48.0
     node = Point(CX + ring * math.cos(5 * math.pi / 4), 50.0 + ring * math.sin(5 * math.pi / 4))
     return MeasurementNetwork(NET.nodes + (node,), NET.resolution, REGION)
+
+
+def six_node_net() -> MeasurementNetwork:
+    """The reference network with three more nodes on its ring: 15 unordered
+    pairs, past the 8 terms where numpy's sums turn pairwise."""
+    ring = 48.0
+    angles = np.radians([225.0, 105.0, -15.0])
+    nodes = tuple(Point(CX + ring * math.cos(a), 50.0 + ring * math.sin(a)) for a in angles)
+    return MeasurementNetwork(NET.nodes + nodes, NET.resolution, REGION)
 
 
 def hops_via(pair: tuple[int, int], p: Point) -> HopPair:
@@ -119,13 +150,13 @@ def set_decisions(found, raws, params, threshold, grid=GRID):
     one evidence call and one sequential-test pass."""
     sizes = [len(candidates) for candidates, _ in found]
     valid = np.arange(max(sizes)) < np.array(sizes)[:, None]
-    cells = tomography._padded([np.asarray(candidates) for candidates, _ in found], valid)
+    cells = padded([np.asarray(candidates) for candidates, _ in found], valid)
     priors = [np.full(len(c), -math.log(len(c))) if w is None else np.log(w / w.sum())
               for c, w in found]
-    evidence = tomography._capacity_evidence(tomography._footprint(NET, grid), cells,
+    evidence = tomography._capacity_evidence(tomography._footprint(NET, grid),
+                                             tomography._channel_table(NET, grid, params), cells,
                                              np.stack(raws), params)
-    return tomography._sequential_tests(cells, valid, tomography._padded(priors, valid),
-                                        evidence, threshold)
+    return tomography._sequential_tests(cells, valid, padded(priors, valid), evidence, threshold)
 
 
 def l2_oracle(values) -> float:
@@ -392,7 +423,7 @@ class TestArgmin:
     def test_padded_lanes_never_win(self):
         # estimates that a padded lane's cell fits exactly do not pull a relay
         # whose candidates lack it there: each pick is the relay's pick alone
-        caps = tomography._capacity_column(NET, GRID, PARAMS)
+        caps = tomography._channel_table(NET, GRID, PARAMS).capacity
         exact = caps[0][NET.pair_of_row]
         cells = np.array([[5, 9, 0], [7, 0, 0]])
         valid = np.array([[True, True, False], [True, False, False]])
@@ -696,7 +727,7 @@ class TestLocalizeAll:
         tomo = TomographyConfig(cell_side=CFG.cell_side_m, mode=mode)
         want = repr(localize_all(ms, NET, GRID, PARAMS, tomo, CFG.msprt()))  # warm caches
         calls = Counter()
-        for name in ("_angle_step", "_footprint", "_capacity_column", "_capacity_residuals",
+        for name in ("_angle_step", "_footprint", "_channel_table", "_capacity_residuals",
                      "_capacity_evidence", "_sequential_tests", "_argmin_decisions",
                      "LocalizationResult"):
             def counted(*args, _name=name, _fn=getattr(tomography, name), **kwargs):
@@ -706,7 +737,7 @@ class TestLocalizeAll:
         assert repr(localize_all(ms, NET, GRID, PARAMS, tomo, CFG.msprt())) == want
         decision = ({"_capacity_evidence": 1, "_sequential_tests": 1} if mode == "msprt"
                     else {"_argmin_decisions": 1})
-        assert calls == {"_angle_step": 1, "_footprint": 1, "_capacity_column": 1,
+        assert calls == {"_angle_step": 1, "_footprint": 1, "_channel_table": 1,
                          "_capacity_residuals": 1, **decision, "LocalizationResult": 5}
 
     def test_scoring_summary(self):
@@ -728,21 +759,32 @@ class TestCapacityColumn:
     @pytest.mark.parametrize("m", [1.0, 2.5])
     def test_entries_equal_scalar_solves(self, m):
         params = replace(PARAMS, nakagami_m=m)
-        tomography._capacity_column.cache_clear()
-        caps = tomography._capacity_column(NET, GRID, params)
+        tomography._channel_table.cache_clear()
+        table = tomography._channel_table(NET, GRID, params)
+        caps = table.capacity
         pairs = [pair for pair in NET.ordered_pairs() if pair[0] < pair[1]]
         assert caps.shape == (len(GRID.cells), len(pairs))
         for w, cell in enumerate(GRID.cells):
             for p, pair in enumerate(pairs):
                 assert caps[w, p] == outage_capacity(hops_via(pair, cell), params)
+        if m != 1.0:
+            assert table.rate is None and table.log_rate_sum is None
+            return
+        # the exponential rate and its per-cell log sum, as the evidence
+        # formed them from each candidate's hops
+        d_sr, d_rd = tomography._footprint(NET, GRID).hop_lengths()
+        rate = np.add(*rho_scales(HopPair(d_sr, d_rd), params))
+        assert np.array_equal(table.rate, rate)
+        assert np.array_equal(table.log_rate_sum, np.add.reduce(np.log(LN4 * rate), axis=1))
 
     def test_column_is_solved_once_and_read_only(self):
-        tomography._capacity_column.cache_clear()
-        caps = tomography._capacity_column(NET, GRID, PARAMS)
-        assert tomography._capacity_column(NET, GRID, PARAMS) is caps
-        assert not caps.flags.writeable
-        with pytest.raises(ValueError):
-            caps[0, 0] = 0.0
+        tomography._channel_table.cache_clear()
+        table = tomography._channel_table(NET, GRID, PARAMS)
+        assert tomography._channel_table(NET, GRID, PARAMS) is table
+        for column in table:
+            assert not column.flags.writeable
+            with pytest.raises(ValueError):
+                column[0] = 0.0
 
     def test_fresh_equal_grid_reuses_the_cached_tables(self):
         # a grid is its region and cell side: a new 1 m grid of the same
@@ -767,9 +809,9 @@ class TestCapacityColumn:
         scenes = [synthetic_set(sample_relays(REGION, 5, RngStream(s)), seed=s + 1)
                   for s in range(120, 126)]
         m25 = replace(PARAMS, nakagami_m=2.5)
-        tomography._capacity_column.cache_clear()
+        tomography._channel_table.cache_clear()
         cold = localize_reprs(scenes[0], mode=mode)
-        tomography._capacity_column.cache_clear()
+        tomography._channel_table.cache_clear()
         cold_m25 = localize_reprs(scenes[0], m25, mode)
         for ms in scenes[1:]:
             localize_reprs(ms, mode=mode)
@@ -801,10 +843,11 @@ class TestCapacityColumn:
         raws = np.stack([ms.raw[NET.pair_rows, l, :] for l in many])
         sizes = [len(found[l][0]) for l in many]
         valid = np.arange(max(sizes)) < np.array(sizes)[:, None]
-        cells = tomography._padded([np.asarray(found[l][0]) for l in many], valid)
-        batched = tomography._capacity_evidence(fp, cells, raws, PARAMS)
+        table = tomography._channel_table(NET, GRID, PARAMS)
+        cells = padded([np.asarray(found[l][0]) for l in many], valid)
+        batched = tomography._capacity_evidence(fp, table, cells, raws, PARAMS)
         for l, raw, log_pdf, k in zip(many, raws, batched, sizes):
-            alone, = tomography._capacity_evidence(fp, np.asarray(found[l][0])[None],
+            alone, = tomography._capacity_evidence(fp, table, np.asarray(found[l][0])[None],
                                                    raw[None], PARAMS)
             assert np.array_equal(log_pdf[:k], alone)
 
@@ -844,7 +887,7 @@ class TestCapacityColumn:
         # does, so it is finite and warns of nothing; a row whose squares are
         # finite is the plain running sum, bit for bit, whether or not a huge
         # row shares the call
-        caps = tomography._capacity_column(NET, GRID, PARAMS)
+        caps = tomography._channel_table(NET, GRID, PARAMS).capacity
         cells = [0, 7, 19, 30]
         est = RngStream(134).generator().uniform(0.0, 2.0, (len(cells), len(NET.pair_of_row)))
         plain = tomography._capacity_residuals(NET, caps, cells, est)
@@ -872,13 +915,14 @@ class TestEvidence:
         n_cells, n_pairs, n_obs = 40, 3, 30
         d_sr, d_rd = gen.uniform(2.0, 120.0, (2, n_cells, n_pairs))
         fp = SimpleNamespace(hop_lengths=lambda cells: (d_sr[cells], d_rd[cells]))
+        table = tomography._solve_table(HopPair(d_sr, d_rd), params)
         groups = [[0, 3, 7], list(range(8, 40)), [2]]
         raws = gen.exponential(0.3, (len(groups), n_pairs, n_obs))
         raws[:, :, 0] = 0.0
         raws[:, 1, 1] = 600.0
         valid = np.arange(32) < np.array([3, 32, 1])[:, None]
-        padded = tomography._padded([np.array(cells) for cells in groups], valid)
-        got = tomography._capacity_evidence(fp, padded, raws, params)
+        cells = padded([np.array(cells) for cells in groups], valid)
+        got = tomography._capacity_evidence(fp, table, cells, raws, params)
         for cells, raw, evidence in zip(groups, raws, got):
             evidence = evidence[:len(cells)]
             hops = HopPair(d_sr[cells][..., None], d_rd[cells][..., None])
@@ -895,10 +939,49 @@ class TestEvidence:
         fp = tomography._footprint(NET, GRID)
         raw = RngStream(151).generator().exponential(0.3, (len(NET.pairs), 10))
         cells = [4, 50, 51, 200]
-        evidence, = tomography._capacity_evidence(fp, np.array(cells)[None], raw[None], params)
+        evidence, = tomography._capacity_evidence(fp, tomography._channel_table(NET, GRID, params),
+                                                  np.array(cells)[None], raw[None], params)
         d_sr, d_rd = fp.hop_lengths(cells)
         want = capacity_log_pdf(raw, HopPair(d_sr[..., None], d_rd[..., None]), params)
         assert np.array_equal(evidence, want.sum(axis=1))
+
+    @pytest.mark.parametrize("scale", ["reference", "scaled", "six_nodes"])
+    def test_table_evidence_equals_gathered_hop_oracle(self, scale, monkeypatch):
+        # the m = 1 evidence read from the channel table equals, bit for bit,
+        # the evidence formed from each lane's gathered hops, padded lanes
+        # included, in the default blocks and in blocks of two relays:
+        # seeds 1000-1019 on 5 m cells, the scaled scene 0 on 1 m cells, and
+        # 5 seeds of a six-node network
+        net, grid, seeds, n_relays, n_obs = NET, GRID, range(1000, 1020), 5, 10
+        if scale == "scaled":
+            grid, seeds, n_relays, n_obs = replace(CFG, cell_side_m=1.0).cell_grid(), [0], 50, 100
+        elif scale == "six_nodes":
+            net, seeds = six_node_net(), range(1000, 1005)
+        blocks = []
+        evidence = tomography._capacity_evidence
+
+        def checked(fp, table, cells, raw, params):
+            got = evidence(fp, table, cells, raw, params)
+            assert np.array_equal(got, gathered_hop_evidence(fp, cells, raw, params))
+            blocks.append(len(cells))
+            return got
+
+        monkeypatch.setattr(tomography, "_capacity_evidence", checked)
+        tomo, cfg = TomographyConfig(grid.cell_side, "msprt"), MsprtConfig(max_observations=n_obs)
+        pairs = 0
+        for seed in seeds:
+            rng = RngStream(seed)
+            ms = simulate_measurements(net, sample_relays(REGION, n_relays, rng.child(0)),
+                                       PARAMS, n_obs, rng.child(1))
+            whole = localize_all(ms, net, grid, PARAMS, tomo, cfg)
+            widest = max(r.n_candidates for r in whole)
+            blocks.clear()
+            with monkeypatch.context() as small:
+                small.setattr(tomography, "LANE_BUDGET", 2 * widest * len(net.pairs) * n_obs)
+                assert repr(localize_all(ms, net, grid, PARAMS, tomo, cfg)) == repr(whole)
+            assert max(blocks) <= 2
+            pairs += blocks.count(2)
+        assert pairs >= len(seeds)
 
     def test_negative_capacity_rejected(self):
         raw = np.full((len(NET.pairs), 2), 0.5)
@@ -958,10 +1041,10 @@ class TestPaddedSet:
         grid = self.CFG1.cell_grid()
         fp = tomography._footprint(NET, grid)
         bins = {}
-        for key, span in fp.joint.items():
-            bins.setdefault(span.stop - span.start, key)
+        for key, (_, count, _, _) in fp.joint.items():
+            bins.setdefault(count, key)
         keys = [bins[k] for k in self.SIZES]
-        cells = [fp.group_cells[fp.joint[key]][0] for key in keys]
+        cells = [fp.group_cells[fp.joint[key][0]] for key in keys]
         ms = simulate_measurements(NET, [grid.cells[w] for w in cells], params, 10, RngStream(160))
         aoa = np.array([[key[q2] * NET.resolution for key in keys] for _, q2 in ms.pairs])
         raw = ms.raw.copy()
@@ -986,8 +1069,9 @@ class TestPaddedSet:
             alone = msprt_localize(candidates, ms.raw[:, l], NET, grid, params, cfg,
                                    angle_weights=weights)
             assert (alone.cell_index, alone.kind, alone.stopped_at, alone.degenerate) == decision
-            evidence, = tomography._capacity_evidence(fp, np.array(candidates)[None],
-                                                      raw[None], params)
+            evidence, = tomography._capacity_evidence(
+                fp, tomography._channel_table(NET, grid, params), np.array(candidates)[None],
+                raw[None], params)
             assert sequential_tests([candidates], [weights], [evidence],
                                     cfg.threshold) == [decision]
         assert decisions[0] == (found[0][0][0], KIND_THRESHOLD, 0, False)
@@ -1018,12 +1102,48 @@ class TestPaddedSet:
         kinds = Counter(r.kind for r in got)
         assert kinds[KIND_ARGMIN if mode == "argmin" else KIND_THRESHOLD] >= 2
 
+    @pytest.mark.parametrize("budget", [tomography.LANE_BUDGET, 1])
+    @pytest.mark.parametrize("scale", ["reference", "scaled"])
+    def test_argmin_picks_the_center_rules_first_minimum(self, scale, budget, monkeypatch):
+        # argmin's table gathered from the center cells gives each relay the
+        # scan's center-rule cells as its count, and the first of them of
+        # least scalar residual as its pick and e_capacity, in one block or
+        # one relay a block: seeds 1000-1019 on 5 m cells, the scaled scene 0
+        # on 1 m cells
+        grid, seeds, n_relays, n_obs = GRID, range(1000, 1020), 5, 10
+        if scale == "scaled":
+            grid, seeds, n_relays, n_obs = self.CFG1.cell_grid(), [0], 50, 100
+        monkeypatch.setattr(tomography, "LANE_BUDGET", budget)
+        scan, d = footprint_scan(NET, grid), NET.distances(*grid.xy.T)
+        tomo, tested = TomographyConfig(grid.cell_side, "argmin"), 0
+        for seed in seeds:
+            rng = RngStream(seed)
+            ms = simulate_measurements(NET, sample_relays(REGION, n_relays, rng.child(0)),
+                                       PARAMS, n_obs, rng.child(1))
+            for l, r in enumerate(localize_all(ms, NET, grid, PARAMS, tomo)):
+                bins = {q2: quantize_angle(float(ms.aoa[p, l]), NET.resolution)[0]
+                        for p, (_, q2) in enumerate(ms.pairs)}
+                _, _, centers = scan(np.array([bins[q] for q in range(NET.n_nodes)]))
+                if not centers:
+                    assert r.kind == KIND_UNLOCALIZED
+                    continue
+                errs = [l2_oracle(float(ms.cap_est[p, l])
+                                  - outage_capacity(HopPair(float(d[w, q1]), float(d[w, q2])),
+                                                    PARAMS)
+                                  for p, (q1, q2) in enumerate(ms.pairs)) for w in centers]
+                k = errs.index(min(errs))
+                assert (r.cell_index, r.n_candidates, r.e_capacity) == (centers[k], len(centers),
+                                                                        errs[k])
+                tested += len(centers) > 1
+        assert tested >= (10 if scale == "scaled" else 30)
+
     @pytest.mark.parametrize("side", [5.0, 1.0])
     def test_group_priors_are_each_joint_bins_log_shares(self, side):
         # the sequential test's prior, read from the table, is the log of each
         # share over its joint bin's own total, as a relay's shares give it
         fp = tomography._footprint(NET, replace(CFG, cell_side_m=side).cell_grid())
-        for span in fp.joint.values():
+        for start, count, _, _ in fp.joint.values():
+            span = slice(start, start + count)
             shares = fp.group_shares[span]
             assert np.array_equal(fp.group_priors[span], np.log(shares / shares.sum()))
 
