@@ -8,10 +8,12 @@ workload and end-to-end metric of BENCHMARK.json it records the median and
 quartiles of both sides and the number of pairs in which the change is
 better; per seed, every `loc_rate_*` on both sides and whether the output
 digests (`answers_sha256`, or the `cli` workload's `digests`) are equal.
-Both sides' git SHAs and `src_lines` are recorded, and every run with a
-failed operation is listed with its problems.  A pair takes each side's
-one complete run of its workload and seed; a seed whose run failed on
-either side enters no statistic.  Nothing is run and no input is changed.
+Both sides' git SHAs and `src_lines` are recorded, every run with a
+failed operation is listed with its problems, and each workload's failed
+and attempted operations are summed per side over all its runs, complete
+or not.  A pair takes each side's one complete run of its workload and
+seed; a seed whose run failed on either side enters no statistic.
+Nothing is run and no input is changed.
 
 Usage: python scripts/bench_pairs.py PARENT_OUT CHANGE_OUT --pr N [--out DIR]
 """
@@ -65,6 +67,13 @@ def failed_runs(runs: list[dict], side: str, complete: dict) -> list[dict]:
             for run in runs if not run["result"]["correct"]]
 
 
+def operations(runs: list[dict], workload: str) -> dict[str, int]:
+    """Failed and attempted operations of one workload, summed over all its runs."""
+    results = [run["result"] for run in runs if run["workload"] == workload]
+    return {"failed": sum(r["failed"] for r in results),
+            "attempted": sum(r["attempted"] for r in results)}
+
+
 def quartiles(values: list[float]) -> dict[str, float]:
     if len(values) == 1:
         q1 = median = q3 = values[0]
@@ -91,7 +100,8 @@ def compare(parent_runs: list[dict], change_runs: list[dict], pr: int,
     parent = complete_runs(parent_runs, "parent")
     change = complete_runs(change_runs, "change")
     workloads = {}
-    for workload in sorted({w for w, _ in parent} | {w for w, _ in change}):
+    runs = parent_runs + change_runs
+    for workload in sorted({run["workload"] for run in runs}):
         seeds = sorted(s for w, s in parent if w == workload and (w, s) in change)
         pairs = [(parent[(workload, s)], change[(workload, s)]) for s in seeds]
         metrics = {}
@@ -111,6 +121,8 @@ def compare(parent_runs: list[dict], change_runs: list[dict], pr: int,
                 if before["median"] else None,
             }
         workloads[workload] = {
+            "operations": {"parent": operations(parent_runs, workload),
+                           "change": operations(change_runs, workload)},
             "seeds": seeds,
             "unpaired": sorted(s for w, s in (parent.keys() ^ change.keys()) if w == workload),
             "metrics": metrics,
@@ -144,6 +156,9 @@ def main(argv=None) -> int:
     path.write_text(json.dumps(report, indent=2) + "\n")
     for workload, entry in report["workloads"].items():
         print(f"{workload}: {len(entry['seeds'])} pairs")
+        ops = entry["operations"]
+        print("  failed/attempted operations: " + ", ".join(
+            f"{side} {ops[side]['failed']}/{ops[side]['attempted']}" for side in ops))
         for name, m in entry["metrics"].items():
             if m["median_change"] is not None:
                 print(f"  {name}: {m['parent']['median']:.6g} -> {m['change']['median']:.6g} "

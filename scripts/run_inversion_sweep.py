@@ -6,24 +6,36 @@ sequential-test objective, and score the fraction of relays landing within
 one cell side of their true position.  Prints per-seed scores and the mean,
 optionally comparing against the capacity-residual argmin objective.
 
+--table prints one row per solver mode and set instead: the rate within one
+cell, the mean error of the localized relays, the warm cost per relay (the
+median of 3 passes of `localize_all` over the set, by `process_time`), and
+the early stops, relays of several candidates the sequential test decided
+on its margin (kind threshold, stopped_at > 0).  The sets are seeds
+1000-1199, seeds 1000-1099 at Nakagami m = 2.5, and the scaled scene 0 (50
+relays, 100 observations, 1 m cells); scene k samples its relays and draws
+from RngStream(k).
+
 Usage: python scripts/run_inversion_sweep.py [--seeds N] [--base B] [--compare-argmin]
+       python scripts/run_inversion_sweep.py --table
 """
 
 import argparse
 import math
+import statistics
+import time
 
 import numpy as np
 
 from relaytomo.config import default_config_dict, scenario_from_dict
-from relaytomo.geometry import sample_relays
+from relaytomo.geometry import dist, sample_relays
 from relaytomo.measurement import simulate_measurements
 from relaytomo.numerics import RngStream
-from relaytomo.tomography import TomographyConfig, localize_all, score_results
+from relaytomo.tomography import KIND_THRESHOLD, TomographyConfig, localize_all, score_results
 
 
 def run(n_seeds: int, base: int, compare_argmin: bool) -> tuple[list[float], list[float]]:
     """Per-seed fractions within one cell: msprt, and argmin (empty unless compared)."""
-    cfg = scenario_from_dict(default_config_dict())
+    cfg = scenario()
     net, grid, params = cfg.network(), cfg.cell_grid(), cfg.channel_params()
     region = cfg.region()
     mcfg = cfg.msprt()
@@ -55,10 +67,67 @@ def run(n_seeds: int, base: int, compare_argmin: bool) -> tuple[list[float], lis
     return scores_m, scores_a
 
 
+def scenario(nakagami_m: float = 1.0, scaled: bool = False):
+    """The default scenario at Nakagami m; scaled: 50 relays, 100 observations, 1 m cells."""
+    raw = default_config_dict()
+    raw["channel"]["nakagami_m"] = nakagami_m
+    if scaled:
+        raw["experiment"].update(relays=50, observations=100)
+        raw["grid"]["cell_side_m"] = 1.0
+    return scenario_from_dict(raw)
+
+
+def table(seeds, m25_seeds, scaled_scenes, passes: int = 3) -> list[dict]:
+    """Print and return one row per set and solver mode: rate, mean error,
+    warm µs per relay and early stops."""
+    sets = [(f"seeds {seeds[0]}-{seeds[-1]}", scenario(), seeds),
+            (f"m = 2.5, seeds {m25_seeds[0]}-{m25_seeds[-1]}", scenario(2.5), m25_seeds),
+            ("scaled scenes " + ",".join(map(str, scaled_scenes)), scenario(scaled=True),
+             scaled_scenes)]
+    rows = []
+    print(f"{'set':32s} {'mode':6s} {'rate':>6s} {'mean err m':>10s} {'us/relay':>9s} "
+          f"{'early stops':>11s}")
+    for name, cfg, scenes in sets:
+        net, grid, params = cfg.network(), cfg.cell_grid(), cfg.channel_params()
+        drawn = []
+        for k in scenes:
+            rng = RngStream(k)
+            relays = sample_relays(cfg.region(), cfg.relays, rng.child(0))
+            drawn.append((simulate_measurements(net, relays, params, cfg.observations,
+                                                rng.child(1)), relays))
+        n_relays = sum(len(relays) for _, relays in drawn)
+        for mode in ("msprt", "argmin"):
+            tomo = TomographyConfig(cell_side=cfg.cell_side_m, mode=mode)
+            results = [localize_all(ms, net, grid, params, tomo, cfg.msprt()) for ms, _ in drawn]
+            times = []
+            for _ in range(passes):
+                start = time.process_time()
+                for ms, _ in drawn:
+                    localize_all(ms, net, grid, params, tomo, cfg.msprt())
+                times.append(time.process_time() - start)
+            errors = [dist(r.position, relays[r.relay]) for res, (_, relays) in zip(results, drawn)
+                      for r in res if r.position is not None]
+            row = {"set": name, "mode": mode,
+                   "rate": sum(err <= cfg.cell_side_m for err in errors) / n_relays,
+                   "mean_error_m": statistics.fmean(errors) if errors else math.nan,
+                   "us_per_relay": 1e6 * statistics.median(times) / n_relays,
+                   "early_stops": sum(r.kind == KIND_THRESHOLD and r.stopped_at > 0
+                                      for res in results for r in res)}
+            rows.append(row)
+            print(f"{name:32s} {mode:6s} {row['rate']:6.3f} {row['mean_error_m']:10.3f} "
+                  f"{row['us_per_relay']:9.1f} {row['early_stops']:11d}")
+    return rows
+
+
 if __name__ == "__main__":
     ap = argparse.ArgumentParser()
     ap.add_argument("--seeds", type=int, default=20)
     ap.add_argument("--base", type=int, default=0)
     ap.add_argument("--compare-argmin", action="store_true")
+    ap.add_argument("--table", action="store_true",
+                    help="the accuracy and cost table of both modes on the fixed sets")
     args = ap.parse_args()
-    run(args.seeds, args.base, args.compare_argmin)
+    if args.table:
+        table(range(1000, 1200), range(1000, 1100), [0])
+    else:
+        run(args.seeds, args.base, args.compare_argmin)

@@ -22,6 +22,20 @@ def test_inversion_sweep(capsys):
     assert out.startswith("seed 0: msprt ") and "argmin mean fraction" in out
 
 
+def test_inversion_table(capsys):
+    rows = load("run_inversion_sweep").table(range(1000, 1002), range(1000, 1002), [0], passes=1)
+    assert [(r["set"], r["mode"]) for r in rows] == [
+        (name, mode) for name in ("seeds 1000-1001", "m = 2.5, seeds 1000-1001", "scaled scenes 0")
+        for mode in ("msprt", "argmin")]
+    for r in rows:
+        assert 0.0 <= r["rate"] <= 1.0 and r["mean_error_m"] >= 0.0 and r["us_per_relay"] > 0.0
+        assert r["early_stops"] == 0 or r["mode"] == "msprt"
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].split() == ["set", "mode", "rate", "mean", "err", "m", "us/relay", "early",
+                              "stops"]
+    assert len(out) == 7 and out[-1].startswith("scaled scenes 0")
+
+
 def test_sequential_scaling(capsys):
     rates = load("run_sequential_scaling").run(3, [1, 10])
     assert len(rates) == 2 and all(0.0 <= r <= 1.0 for r in rates)
@@ -51,7 +65,7 @@ def write_run(directory: Path, name: str, seed: int, values: dict, correct: bool
            "environment": {"git_sha": sha, "src_lines": 100},
            "problems": [] if correct else ["scene 1 simulate: no speed probe"],
            "answers_sha256": answers,
-           "result": {"correct": correct, "failed": 0 if correct else 2,
+           "result": {"correct": correct, "attempted": 10, "failed": 0 if correct else 2,
                       "metrics": {n: {"value": values.get(n, 1.0)} for n in names}}}
     (directory / f"result-{name}.json").write_text(json.dumps(run))
 
@@ -68,7 +82,10 @@ def test_bench_pairs(tmp_path, capsys):
     write_run(parent, "s1-traced", 1, {"selftest_s": 50.0}, trace=1)
     assert load("bench_pairs").main([str(parent), str(change), "--pr", "7",
                                      "--out", str(tmp_path)]) == 0
-    assert "selftest_s: 1.1 -> 1 (-9.1%), change better in 2/3" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "selftest_s: 1.1 -> 1 (-9.1%), change better in 2/3" in out
+    # every run counts, the failed and the rerun ones too
+    assert "failed/attempted operations: parent 2/40, change 2/50" in out
     report = json.loads((tmp_path / "BENCH_7.json").read_text())
     assert report["parent"] == {"git_sha": "p", "src_lines": 100}
     assert report["change"] == {"git_sha": "c", "src_lines": 100}
@@ -84,3 +101,13 @@ def test_bench_pairs(tmp_path, capsys):
     assert failed.keys() == {("change", 2), ("parent", 4)}
     assert failed[("change", 2)]["rerun"] and not failed[("parent", 4)]["rerun"]
     assert failed[("parent", 4)]["problems"] == ["scene 1 simulate: no speed probe"]
+    assert sweep["operations"] == {"parent": {"failed": 2, "attempted": 40},
+                                   "change": {"failed": 2, "attempted": 50}}
+    # a workload whose every run failed still reports its operations
+    write_run(parent, "cli1", 1, {}, correct=False, workload="cli")
+    assert load("bench_pairs").main([str(parent), str(change), "--pr", "7",
+                                     "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "BENCH_7.json").read_text())
+    assert report["workloads"]["cli"]["seeds"] == []
+    assert report["workloads"]["cli"]["operations"] == {"parent": {"failed": 2, "attempted": 10},
+                                                        "change": {"failed": 0, "attempted": 0}}
