@@ -115,10 +115,11 @@ class MeasurementNetwork:
 
     def hop_lengths(self, x, y) -> tuple[np.ndarray, np.ndarray]:
         """Hop lengths lo -> point and point -> hi of each point (x, y) per
-        unordered pair (lo, hi) of `pairs`: x's shape, pairs last, each."""
+        unordered pair (lo, hi) of `pairs`: x's shape, pairs last, each, in C
+        order, so numpy sums a point's pairs as it sums a gathered table's."""
         d = self.distances(x, y)
         lo, hi = np.array(self.pairs).T
-        return d[..., lo], d[..., hi]
+        return np.take(d, lo, axis=-1), np.take(d, hi, axis=-1)
 
     def angles(self, x, y) -> np.ndarray:
         """Signed angle of each point (x, y) from each node's reference ray, in

@@ -8,15 +8,17 @@ for the simulator and this solver alike: the node pairs and the rows they
 label, each point's hop lengths per pair and angle at every node, and the
 angle bins.  `_Footprint`, one per (network, grid), holds the cell
 centers' hop lengths and angles and the joint-bin table: every footprint
-lattice point grouped by its joint bin, one bin per node.  The channel
+lattice point grouped by its joint bin, one bin per node, as sorted arrays
+under one int64 key per joint bin (`_joint_keys`).  The channel
 table, one per (network, grid, channel), holds each cell center's outage
 capacity per unordered pair and, at m = 1, its exponential rate and summed
 log rate, solved for every cell in one call on first use.
 
 Pipeline per measurement set, each stage run once for all its relays:
 (1) the angle step puts the set's rows in the network's pair order and
-keeps the cells the measured arrival angles allow, one lookup of each
-relay's joint bin in that table; (2) one array pass over the set's padded
+keeps the cells the measured arrival angles allow, every relay's joint
+bin keyed and found in that table by one `searchsorted`; (2) one array
+pass over the set's padded
 (relay x candidate) table, gathered from the relays' spans in one index
 step, picks each relay's cell, by the least l2 capacity residual against
 the empirical outage estimates among the cells whose *center* quantizes
@@ -146,8 +148,17 @@ def feasible_cells(
     too coarse or inconsistent data (the caller decides how to proceed).
     """
     ms, fp = ms.in_pair_order(net.ordered_pairs()), _footprint(net, grid)
-    (_, _, start, count), = _angle_step(ms, [relay], net, fp)
-    return fp.center_cells[start:start + count].tolist()
+    ((start, count),), cells = _candidates(ms, [relay], net, fp, "argmin")
+    return cells[start:start + count].tolist()
+
+
+def _candidates(ms: MeasurementSet, relays, net: MeasurementNetwork, fp, mode: str):
+    """Each relay's (first, count) span of its candidates in a solver mode, and
+    the cells the spans index: fp's center cells for argmin (the center rule
+    of `feasible_cells`), its joint-bin groups for msprt (as do group_shares
+    and group_priors), from one `_angle_step`."""
+    spans = _angle_step(ms, relays, net, fp)
+    return (spans[:, 2:], fp.center_cells) if mode == "argmin" else (spans[:, :2], fp.group_cells)
 
 
 def _angle_step(ms: MeasurementSet, relays, net: MeasurementNetwork, fp) -> np.ndarray:
@@ -158,9 +169,10 @@ def _angle_step(ms: MeasurementSet, relays, net: MeasurementNetwork, fp) -> np.n
     The rows of ms are in `net.ordered_pairs()` order (the callers'
     `MeasurementSet.in_pair_order`, which raises MeasurementError for any
     other pair set); relays are column indices of ms, binned in one
-    `angle_bins` call.  The counts are 0 where a node's rows disagree on
-    its bin or no lattice point lies in its joint bin.  An angle beyond
-    pi + resolution / 2, where no node angle quantizes, raises
+    `angle_bins` call, keyed in one `_joint_keys` call and found in fp's
+    sorted keys by one `searchsorted`.  The counts are 0 where a node's rows
+    disagree on its bin or no lattice point lies in its joint bin.  An angle
+    beyond pi + resolution / 2, where no node angle quantizes, raises
     MeasurementError naming the pair and relay.
     """
     aoa = ms.aoa[:, relays]
@@ -172,12 +184,47 @@ def _angle_step(ms: MeasurementSet, relays, net: MeasurementNetwork, fp) -> np.n
             f"deg lies beyond 180 deg plus half the node resolution, where no node "
             f"angle quantizes")
     bins = angle_bins(aoa, net.resolution)  # (rows, relays)
-    keys = bins[fp.first_rows]
-    agree = (bins == keys[net.receivers]).all(axis=0)
-    none = (0, 0, 0, 0)
-    spans = [fp.joint.get(tuple(key), none) if ok else none
-             for key, ok in zip(keys.T.tolist(), agree.tolist())]
-    return np.array(spans, dtype=np.intp).reshape(-1, 4)
+    node_bins = bins[fp.first_rows]
+    agree = (bins == node_bins[net.receivers]).all(axis=0)
+    key = _joint_keys(node_bins, fp.radix, fp.key_steps)
+    at = fp.joint_keys.searchsorted(key)
+    found = agree & (fp.joint_keys.take(at, mode="clip") == key)
+    return fp.joint_spans.take(at, axis=0, mode="clip") * found[:, None]
+
+
+def _joint_keys(bins: np.ndarray, radix: int, steps: list) -> np.ndarray:
+    """The int64 key of each column of bins (nodes, columns), a joint bin.
+
+    Each node's bin is one balanced digit of the odd radix, node 0 leading;
+    every admitted bin lies within +-(radix - 1) / 2, so no digit carries,
+    distinct columns get distinct keys, and keys sort as columns do.  Each
+    step packs, in one product, as many nodes as int64 holds; between steps
+    the key so far becomes its rank among the lattice's sorted distinct keys
+    so far, or -1, below every lattice key, where it is none of them.
+
+    steps is the format: each step's places and, but for the last, those
+    sorted keys.  The build passes the lattice's bins and an empty list,
+    which this fills; the angle step passes the filled list.
+    """
+    key, q = 0, 0
+    for i in range(len(bins)):
+        if i == len(steps):  # the build: as many nodes as int64 holds
+            span = len(steps[-1][1]) + 1 if steps else 1  # |key| < span * radix**k
+            k = 1
+            while q + k < len(bins) and span * radix ** (k + 1) < 2**63:
+                k += 1
+            steps.append([radix ** np.arange(k - 1, -1, -1, dtype=np.int64), None])
+        place, known = steps[i]
+        part = place @ bins[q:q + len(place)]
+        key = part if i == 0 else key * (int(place[0]) * radix) + part
+        q += len(place)
+        if q == len(bins):
+            break
+        if known is None:
+            known = steps[i][1] = np.unique(key)
+        at = known.searchsorted(key)
+        key = np.where(known.take(at, mode="clip") == key, at, -1)
+    return key
 
 
 class _Footprint:
@@ -193,17 +240,18 @@ class _Footprint:
     bin per node: group_cells are the cells whose footprint reaches it (sorted),
     group_shares each one's share of its lattice (group_priors: its log over the
     bin's total), and center_cells, in the same order, the cells of the groups
-    whose center lies in their joint bin (the center rule).  `joint` maps each
-    joint bin to its span of both: (first group, group count, first center
-    cell, center count).  The lattice's angles exist only during the build.
+    whose center lies in their joint bin (the center rule).  joint_keys holds
+    each joint bin's key (`_joint_keys` under radix and key_steps), sorted, and
+    joint_spans, row by row, its span of both: (first group, group count, first
+    center cell, center count).  The lattice's angles exist only during the build.
     """
 
     def __init__(self, net: MeasurementNetwork, grid: CellGrid) -> None:
         x, y = grid.xy.T
         self.hops, self.angle = net.hop_lengths(x, y), net.angles(x, y)[:, net.receivers]
         self.first_rows = np.array([net.receivers.tolist().index(q) for q in range(net.n_nodes)])
-        (self.joint, self.group_cells, self.group_shares, self.group_priors,
-         self.center_cells) = _joint_bin_groups(net, grid)
+        (self.radix, self.key_steps, self.joint_keys, self.joint_spans, self.group_cells,
+         self.group_shares, self.group_priors, self.center_cells) = _joint_bin_groups(net, grid)
 
     def hop_lengths(self, cells=slice(None)) -> tuple[np.ndarray, np.ndarray]:
         """Hop lengths of each cell center's path per unordered pair, (cells, pairs)."""
@@ -212,12 +260,14 @@ class _Footprint:
 
 
 def _joint_bin_groups(net: MeasurementNetwork, grid: CellGrid):
-    """`_Footprint`'s joint, group_cells, group_shares, group_priors and center_cells.
+    """`_Footprint`'s radix, key_steps, joint_keys, joint_spans, group_cells,
+    group_shares, group_priors and center_cells.
 
-    One stable lexsort orders the in-disc lattice points by joint bin, cell
-    order holding within a bin, so each run of one joint bin and one cell is
-    a group: its count is a run length, its center flag one reduceat.  A
-    bin's total sums its own shares alone, as `np.sum` of a relay's would."""
+    One stable argsort of the in-disc lattice points' keys orders them by
+    joint bin, cell order holding within a bin, so each run of one key and
+    one cell is a group: its count is a run length, its center flag one
+    reduceat.  A bin's total sums its own shares alone, as `np.sum` of a
+    relay's would."""
     n = FOOTPRINT_SAMPLES
     offsets = ((np.arange(n) + 0.5) / n - 0.5) * grid.cell_side
     ox, oy = np.meshgrid(offsets, offsets)
@@ -227,36 +277,29 @@ def _joint_bin_groups(net: MeasurementNetwork, grid: CellGrid):
     inside = np.hypot(px - region.center.x, py - region.center.y) <= region.radius
     cell, point = np.nonzero(inside)
     angle = net.angles(px, py)
-    keys = angle_bins(np.moveaxis(angle, -1, 0), net.resolution)[:, inside]  # (nodes, points)
+    bins = angle_bins(np.moveaxis(angle, -1, 0), net.resolution)[:, inside]  # (nodes, points)
 
-    order = np.lexsort(keys[::-1])  # stable: a joint bin's points stay in cell order
-    keys, cell, point = keys[:, order], cell[order], point[order]
-    new_key = _run_starts(*keys)
-    groups = np.flatnonzero(new_key | _run_starts(cell))
+    # every admitted angle bins within +-top, the bin of pi + resolution / 2
+    radix, steps = 2 * int(angle_bins(math.pi + net.resolution / 2, net.resolution)) + 1, []
+    key = _joint_keys(bins, radix, steps)
+    order = np.argsort(key, kind="stable")  # a joint bin's points stay in cell order
+    key, cell, point = key[order], cell[order], point[order]
+    new_key = np.concatenate(([True], key[1:] != key[:-1]))
+    groups = np.flatnonzero(new_key | np.concatenate(([True], cell[1:] != cell[:-1])))
     counts = np.diff(groups, append=len(cell))
     # the middle point of a cell's lattice is its center
     center = np.logical_or.reduceat(point == n * n // 2, groups)
     first = np.flatnonzero(new_key[groups])  # each joint bin's first group
-    bounds = first.tolist() + [len(groups)]
-    heads = keys[:, groups[first]].T.tolist()
+    bounds = np.append(first, len(groups))
     # the center cells before each joint bin's first group, and their total
-    centers = np.concatenate(([0], np.cumsum(center)))[bounds].tolist()
-    joint = {tuple(head): (a, b - a, c, d - c) for head, a, b, c, d in
-             zip(heads, bounds, bounds[1:], centers, centers[1:])}
+    centers = np.concatenate(([0], np.cumsum(center)))[bounds]
+    spans = np.stack((first, np.diff(bounds), centers[:-1], np.diff(centers)), axis=1)
     shares = counts / n**2
-    totals = np.repeat([shares[a:b].sum() for a, b in zip(bounds, bounds[1:])],
+    totals = np.repeat([shares[a:b].sum() for a, b in zip(first.tolist(), bounds[1:].tolist())],
                        np.diff(bounds))
     cells = cell[groups]
-    return joint, cells, shares, np.log(shares / totals), cells[center]
-
-
-def _run_starts(*columns: np.ndarray) -> np.ndarray:
-    """True at each row where a run of rows equal in every column starts."""
-    start = np.zeros(len(columns[0]), dtype=bool)
-    start[0] = True
-    for column in columns:
-        start[1:] |= column[1:] != column[:-1]
-    return start
+    return (radix, steps, key[groups[first]], spans, cells, shares, np.log(shares / totals),
+            cells[center])
 
 
 _footprint = lru_cache(maxsize=8)(_Footprint)  # one per (network, grid)
@@ -288,9 +331,7 @@ def _solve_table(hops: HopPair, params) -> _ChannelTable:
     solved in one `outage_capacity_array` call."""
     columns = [outage_capacity_array(hops, params), None, None]
     if params.nakagami_m == 1.0:
-        # in C order, so numpy sums each cell's pairs along its row, pairwise
-        # past 8 pairs, as it sums a gathered (relay, candidate, pair) table
-        rate = np.add(*rho_scales(hops, params), order="C")
+        rate = np.add(*rho_scales(hops, params))
         columns[1:] = rate, np.add.reduce(np.log(LN4 * rate), axis=-1)
     for column in columns:
         if column is not None:
@@ -488,9 +529,9 @@ def localize_all(
     do not depend on the order of the records; a pair set that differs
     from the network's raises MeasurementError, and both modes read the
     set cut to the test's window (`first_observations`).  Each stage then
-    runs once for the whole set: one `_angle_step` gives argmin mode each
-    relay's span of the center cells, those of `feasible_cells`, and msprt
-    mode its span of the joint-bin groups (relays left with none are
+    runs once for the whole set: one `_candidates` call gives argmin mode
+    each relay's span of the center cells, those of `feasible_cells`, and
+    msprt mode its span of the joint-bin groups (relays left with none are
     unlocalized).  Decided in blocks of at most LANE_BUDGET elements, each
     block's padded (relay x candidate) table of cells, and msprt's priors,
     is one index gather from those spans, padded lanes repeating the relay's
@@ -506,12 +547,10 @@ def localize_all(
     ms = ms.in_pair_order(net.ordered_pairs()).first_observations(
         mcfg.max_observations, params.outage_prob)
     fp, table = _footprint(net, grid), _channel_table(net, grid, params)
-    spans = _angle_step(ms, np.arange(ms.n_relays), net, fp)
+    spans, candidates = _candidates(ms, np.arange(ms.n_relays), net, fp, cfg.mode)
     argmin = cfg.mode == "argmin"
-    # each relay's (first, count) of its mode's candidates
-    spans, candidates = (spans[:, 2:], fp.center_cells) if argmin else (spans, fp.group_cells)
     relays = spans[:, 1].nonzero()[0]
-    (start, count), cap_est = spans[relays, :2].T, ms.cap_est[:, relays]
+    (start, count), cap_est = spans[relays].T, ms.cap_est[:, relays]
     sizes = count.tolist()
     decisions, e_capacity = [], []
     width = len(net.row_of) if argmin else len(net.pair_rows) * ms.n_observations

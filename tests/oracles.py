@@ -270,24 +270,31 @@ def cell_centers(region, cell_side: float) -> np.ndarray:
     return np.array(centers).reshape(-1, 2)
 
 
-def footprint_scan(net, grid, n: int = 9):
-    """The angle step as a scan over every cell, for one (network, grid).
-
-    Each cell is sub-sampled on an n x n lattice of its square (its center,
-    at offset exactly 0, in the middle), and every point and every center
-    is binned at each node.  Returns scan(measured), for one measured bin
-    per node in node order: the cells some of whose points lie in the
-    region disc and fall in every measured bin, each one's share of the
-    n * n points, and the cells whose center falls in every measured bin.
-    """
+def footprint_lattice(net, grid, n: int = 9) -> tuple[np.ndarray, np.ndarray]:
+    """Every cell's n x n lattice of its square (its center, at offset exactly
+    0, in the middle): each point's bin at each node, (cells, n * n, nodes),
+    and whether it lies in the region disc, (cells, n * n)."""
     x, y = grid.xy.T
     offsets = ((np.arange(n) + 0.5) / n - 0.5) * grid.cell_side
     ox, oy = np.meshgrid(offsets, offsets)
     px, py = x[:, None] + ox.ravel(), y[:, None] + oy.ravel()
     c, radius = net.region.center, net.region.radius
     inside = np.hypot(px - c.x, py - c.y) <= radius
-    points = angle_bins(net.angles(px, py), net.resolution)  # (cells, n * n, nodes)
-    centers = angle_bins(net.angles(x, y), net.resolution)   # (cells, nodes)
+    return angle_bins(net.angles(px, py), net.resolution), inside
+
+
+def footprint_scan(net, grid, n: int = 9):
+    """The angle step as a scan over every cell, for one (network, grid).
+
+    Each cell is sub-sampled on its lattice (`footprint_lattice`), and
+    every point and every center is binned at each node.  Returns
+    scan(measured), for one measured bin per node in node order: the cells
+    some of whose points lie in the region disc and fall in every measured
+    bin, each one's share of the n * n points, and the cells whose center
+    falls in every measured bin.
+    """
+    points, inside = footprint_lattice(net, grid, n)
+    centers = angle_bins(net.angles(*grid.xy.T), net.resolution)  # (cells, nodes)
 
     def scan(measured):
         share = (inside & (points == measured).all(axis=2)).sum(axis=1) / n**2

@@ -23,17 +23,25 @@ def test_inversion_sweep(capsys):
 
 
 def test_inversion_table(capsys):
-    rows = load("run_inversion_sweep").table(range(1000, 1002), range(1000, 1002), [0], passes=1)
+    sets = [("seeds 1000-1001", 1.0, False, range(1000, 1002)),
+            ("m = 2.5, seeds 1000-1001", 2.5, False, range(1000, 1002)),
+            ("scaled scene 0", 1.0, True, [0])]
+    rows = load("run_inversion_sweep").table(sets, passes=1)
     assert [(r["set"], r["mode"]) for r in rows] == [
-        (name, mode) for name in ("seeds 1000-1001", "m = 2.5, seeds 1000-1001", "scaled scenes 0")
-        for mode in ("msprt", "argmin")]
+        (name, mode) for name, *_ in sets for mode in ("msprt", "argmin")]
     for r in rows:
         assert 0.0 <= r["rate"] <= 1.0 and r["mean_error_m"] >= 0.0 and r["us_per_relay"] > 0.0
         assert r["early_stops"] == 0 or r["mode"] == "msprt"
+        # every relay is a hit or one kind of miss
+        missed = r["no_cell"] + r["wrong_pick"] + r["unlocalized"]
+        assert round(r["rate"] * r["relays"]) + missed == r["relays"]
+    assert sum(r["wrong_pick"] for r in rows) > 0 and sum(r["unlocalized"] for r in rows) > 0
     out = capsys.readouterr().out.splitlines()
     assert out[0].split() == ["set", "mode", "rate", "mean", "err", "m", "us/relay", "early",
-                              "stops"]
-    assert len(out) == 7 and out[-1].startswith("scaled scenes 0")
+                              "stops", "miss:", "no", "cell", "wrong", "pick", "unlocalized"]
+    assert len(out) == 7 and out[-1].startswith("scaled scene 0")
+    assert out[2].split()[-3:] == [str(rows[1][k]) for k in ("no_cell", "wrong_pick",
+                                                              "unlocalized")]
 
 
 def test_sequential_scaling(capsys):

@@ -6,9 +6,12 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     first_stop,
+    footprint_lattice,
     footprint_scan,
     gathered_hop_evidence,
     node_angle,
@@ -27,8 +30,10 @@ from relaytomo.config import default_config_dict, scenario_from_dict
 from relaytomo.errors import DomainError, LocalizationError, MeasurementError
 from relaytomo.geometry import CellGrid, Point, RelayRegion, dist, sample_relays
 from relaytomo.measurement import (
+    MAX_NODES,
     MeasurementNetwork,
     MeasurementSet,
+    angle_bins,
     simulate_measurements,
 )
 from relaytomo.numerics import RngStream
@@ -60,11 +65,37 @@ REGION = CFG.region()
 def footprint_support(ms: MeasurementSet, relay: int, net: MeasurementNetwork,
                       grid: CellGrid) -> tuple[list[int], np.ndarray]:
     """The cells msprt mode weighs for one relay, with their footprint shares:
-    the groups of its joint bin, from the angle step `localize_all` runs."""
+    the groups of its joint bin, from the candidate step `localize_all` runs."""
     ms, fp = ms.in_pair_order(net.ordered_pairs()), tomography._footprint(net, grid)
-    (start, count, _, _), = tomography._angle_step(ms, [relay], net, fp)
+    ((start, count),), cells = tomography._candidates(ms, [relay], net, fp, "msprt")
     group = slice(start, start + count)
-    return fp.group_cells[group].tolist(), fp.group_shares[group].copy()
+    return cells[group].tolist(), fp.group_shares[group].copy()
+
+
+def joint_bin_columns(net: MeasurementNetwork, grid: CellGrid) -> dict[int, tuple]:
+    """Each joint bin's node bins by its key in the footprint's table: every
+    in-disc lattice point of the oracle's scan, keyed as the table keys it."""
+    points, inside = footprint_lattice(net, grid)
+    bins = points[inside]  # (points, nodes)
+    fp = tomography._footprint(net, grid)
+    keys = tomography._joint_keys(bins.T, fp.radix, fp.key_steps)
+    return dict(zip(keys.tolist(), map(tuple, bins.tolist())))
+
+
+def ring_net(n_nodes: int, resolution_deg: float) -> MeasurementNetwork:
+    """n_nodes evenly on a ring of 1.6 region radii around the region center."""
+    c, ring = REGION.center, 1.6 * REGION.radius
+    phases = 2 * math.pi * np.arange(n_nodes) / n_nodes
+    nodes = tuple(Point(c.x + ring * math.cos(a), c.y + ring * math.sin(a)) for a in phases)
+    return MeasurementNetwork(nodes, math.radians(resolution_deg), REGION)
+
+
+def binned_set(net: MeasurementNetwork, bins: np.ndarray) -> MeasurementSet:
+    """A set whose relay l measures node bin bins[q, l] on every row node q
+    receives, with zero capacities."""
+    aoa = bins[net.receivers] * net.resolution
+    return MeasurementSet(tuple(net.ordered_pairs()), aoa, np.zeros(aoa.shape),
+                          np.zeros(aoa.shape + (1,)))
 
 
 def padded(rows, valid: np.ndarray) -> np.ndarray:
@@ -1040,11 +1071,13 @@ class TestPaddedSet:
         # each relay's angles are its joint bin's own, measured at a cell of it
         grid = self.CFG1.cell_grid()
         fp = tomography._footprint(NET, grid)
-        bins = {}
-        for key, (_, count, _, _) in fp.joint.items():
-            bins.setdefault(count, key)
-        keys = [bins[k] for k in self.SIZES]
-        cells = [fp.group_cells[fp.joint[key][0]] for key in keys]
+        first = {}
+        for joint, (_, count, _, _) in enumerate(fp.joint_spans.tolist()):
+            first.setdefault(count, joint)
+        joints = [first[k] for k in self.SIZES]
+        columns = joint_bin_columns(NET, grid)
+        keys = [columns[key] for key in fp.joint_keys[joints].tolist()]
+        cells = fp.group_cells[fp.joint_spans[joints, 0]].tolist()
         ms = simulate_measurements(NET, [grid.cells[w] for w in cells], params, 10, RngStream(160))
         aoa = np.array([[key[q2] * NET.resolution for key in keys] for _, q2 in ms.pairs])
         raw = ms.raw.copy()
@@ -1142,10 +1175,118 @@ class TestPaddedSet:
         # the sequential test's prior, read from the table, is the log of each
         # share over its joint bin's own total, as a relay's shares give it
         fp = tomography._footprint(NET, replace(CFG, cell_side_m=side).cell_grid())
-        for start, count, _, _ in fp.joint.values():
+        for start, count, _, _ in fp.joint_spans.tolist():
             span = slice(start, start + count)
             shares = fp.group_shares[span]
             assert np.array_equal(fp.group_priors[span], np.log(shares / shares.sum()))
+
+
+class TestJointKey:
+    """The joint-bin key past int64: MAX_NODES nodes on a ring of 1.6 region
+    radii at 1 degree, on 5 m cells, where int64 holds the bins of 7 nodes at
+    once and the key takes three steps; and the key at the admitted edge,
+    the bin of pi + resolution / 2."""
+
+    NET16 = ring_net(MAX_NODES, 1.0)
+
+    def test_angle_step_equals_the_scan_past_int64(self):
+        # 20 seeded relays and 20 cell centers (a center is a lattice point,
+        # so its joint bin holds one), and copies of each with one node's bin
+        # moved by -3, -1, +1 and +3: each one's cells, shares and center
+        # cells are the scan's, and a joint bin that no lattice point lies in
+        # gets none
+        net, fp = self.NET16, tomography._footprint(self.NET16, GRID)
+        assert len(fp.key_steps) == 3
+        relays = sample_relays(REGION, 20, RngStream(170))
+        xy = np.vstack(([(p.x, p.y) for p in relays], GRID.xy[::10][:20]))
+        base = angle_bins(net.angles(*xy.T), net.resolution).T  # (nodes, 40)
+        moved = np.tile(base, 5)
+        for k, shift in enumerate((-3, -1, 1, 3), start=1):
+            moved[np.arange(40) % net.n_nodes, 40 * k + np.arange(40)] += shift
+        ms, scan = binned_set(net, moved), footprint_scan(net, GRID)
+        spans = tomography._angle_step(ms, np.arange(ms.n_relays), net, fp)
+        for l, (start, count, first, centers) in enumerate(spans.tolist()):
+            cells, shares, center_rule = scan(moved[:, l])
+            assert fp.group_cells[start:start + count].tolist() == cells
+            assert fp.group_shares[start:start + count].tobytes() == shares.tobytes()
+            assert fp.center_cells[first:first + centers].tolist() == center_rule
+        assert spans[20:40, 3].all() and (spans[:, 1] == 0).sum() >= 100
+
+    @pytest.mark.parametrize("mode", ["msprt", "argmin"])
+    def test_localize_all_past_int64(self, mode):
+        # 240 ordered pairs: the relays at cell centers localize, each into
+        # one of its candidates, the others as their joint bins allow
+        net, grid = self.NET16, GRID
+        centers = [grid.cells[w] for w in (30, 100, 170)]
+        relays = sample_relays(REGION, 3, RngStream(171)) + centers
+        ms = simulate_measurements(net, relays, PARAMS, 10, RngStream(172))
+        got = localize_all(ms, net, grid, PARAMS, TomographyConfig(grid.cell_side, mode))
+        assert [r.relay for r in got] == list(range(6))
+        for l, r in enumerate(got):
+            support = (footprint_support(ms, l, net, grid)[0] if mode == "msprt" else
+                       feasible_cells(ms, l, net, grid))
+            assert r.n_candidates == len(support)
+            assert r.cell_index in support if support else r.kind == KIND_UNLOCALIZED
+        assert all(r.kind != KIND_UNLOCALIZED for r in got[3:])
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_distinct_columns_get_distinct_keys(self, data):
+        # columns of admitted bins, the edge bins +-top among them: keyed as
+        # the build keys the lattice, equal keys mark equal columns and keys
+        # sort as the columns do; keyed again from the filled format, they
+        # keep their keys, and a column outside them gets none of theirs
+        n_nodes = data.draw(st.integers(3, MAX_NODES))
+        resolution = math.radians(data.draw(st.sampled_from([10.0, 1.0, 1e-3, 1e-7])))
+        top = int(angle_bins(math.pi + resolution / 2, resolution))
+        digit = st.one_of(st.sampled_from([-top, top]), st.integers(-top, top))
+        column = st.tuples(*[digit] * n_nodes)
+        lattice = data.draw(st.lists(column, min_size=1, max_size=25))
+        others = data.draw(st.lists(column, min_size=1, max_size=10))
+        steps = []
+        keys = tomography._joint_keys(np.array(lattice, np.int32).T, 2 * top + 1, steps)
+        assert keys.dtype == np.int64 and len(steps) >= 1
+        ordered = sorted(range(len(lattice)), key=lambda l: (lattice[l], l))
+        assert keys[ordered].tolist() == sorted(keys.tolist())
+        for a, b in zip(ordered, ordered[1:]):
+            assert (keys[a] == keys[b]) == (lattice[a] == lattice[b])
+        again = tomography._joint_keys(np.array(lattice + others, np.int32).T, 2 * top + 1, steps)
+        assert again[:len(lattice)].tolist() == keys.tolist()
+        for column, key in zip(others, again[len(lattice):].tolist()):
+            assert (key in keys.tolist()) == (column in lattice)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("mode", ["msprt", "argmin"])
+    @pytest.mark.parametrize("ring", [False, True])
+    def test_edge_angle_is_unlocalized(self, ring, mode, sign):
+        # an angle of exactly pi + resolution / 2 is admitted and bins to
+        # +-top, past every node's lattice bins: the key's radix holds that
+        # digit, so it carries into no other node's, and relays at cell
+        # centers that measure it at one node find no joint bin
+        net = self.NET16 if ring else NET
+        grid, edge = GRID, sign * (math.pi + net.resolution / 2)
+        top = int(angle_bins(edge, net.resolution)) * int(sign)
+        assert tomography._footprint(net, grid).radix == 2 * top + 1
+        cells = [grid.cells[w] for w in (30, 100, 170)]
+        ms = simulate_measurements(net, cells, PARAMS, 10, RngStream(173))
+        aoa = ms.aoa.copy()
+        for l in (1, 2):  # relay l at node l
+            aoa[net.receivers == l, l] = edge
+        got = localize_all(MeasurementSet(ms.pairs, aoa, ms.cap_est, ms.raw), net, grid, PARAMS,
+                           TomographyConfig(grid.cell_side, mode))
+        assert got[0].kind != KIND_UNLOCALIZED
+        assert [r.kind for r in got[1:]] == [KIND_UNLOCALIZED] * 2
+
+    def test_hop_lengths_sum_pairs_as_gathered_rows(self):
+        # a per-cell sum over the 120 unordered pairs of rates formed from
+        # `hop_lengths` equals, bit for bit, the same sum over the rows
+        # gathered into a (cells, 1, pairs) table, as the evidence gathers
+        # them: numpy sums both pairwise
+        x, y = GRID.xy.T
+        rate = np.add(*rho_scales(HopPair(*self.NET16.hop_lengths(x, y)), PARAMS))
+        gathered = rate[np.arange(len(rate))[:, None]]
+        assert np.array_equal(np.add.reduce(rate, axis=-1),
+                              np.add.reduce(gathered, axis=-1)[:, 0])
 
 
 def mixed_scene() -> tuple[MeasurementSet, list]:
