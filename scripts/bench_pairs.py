@@ -148,10 +148,12 @@ def main(argv=None) -> int:
     ap.add_argument("parent_out", type=Path, help="the parent's .perfbench_out directory")
     ap.add_argument("change_out", type=Path, help="the change's .perfbench_out directory")
     ap.add_argument("--pr", type=int, required=True, help="N of the BENCH_<N>.json written")
-    ap.add_argument("--out", type=Path, default=Path("."), help="directory to write it in")
+    ap.add_argument("--out", type=Path, default=Path("."),
+                    help="directory to write it in, made with its parents if missing")
     args = ap.parse_args(argv)
     report = compare(load_runs(args.parent_out), load_runs(args.change_out), args.pr,
                      end_to_end())
+    args.out.mkdir(parents=True, exist_ok=True)
     path = args.out / f"BENCH_{args.pr}.json"
     path.write_text(json.dumps(report, indent=2) + "\n")
     for workload, entry in report["workloads"].items():

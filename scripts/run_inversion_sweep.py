@@ -136,7 +136,7 @@ def misses(drawn, results, net, grid, mode: str) -> dict[str, int]:
     fp = tomography._footprint(net, grid)
     counts = {"no_cell": 0, "wrong_pick": 0, "unlocalized": 0}
     for (ms, relays), res in zip(drawn, results):
-        ms = ms.in_pair_order(net.ordered_pairs())
+        ms = ms.in_pair_order(net.row_pairs)
         spans, cells = tomography._candidates(ms, np.arange(ms.n_relays), net, fp, mode)
         for r, p, (start, count) in zip(res, relays, spans.tolist()):
             if r.position is None:

@@ -133,7 +133,7 @@ class RelayRegion:
 class CellGrid:
     """Square cells of side `cell_side` tiling a region's bounding box, kept
     where their center lies in the region disc.  A value: its fields alone
-    hash and compare it."""
+    hash and compare it, and its hash is computed once, on first use."""
 
     region: RelayRegion
     cell_side: float
@@ -142,6 +142,13 @@ class CellGrid:
         if not len(self.xy):  # `box_shape` checks the side first
             raise EmptyGridError(
                 f"cell side {self.cell_side} m leaves no cell center inside the region")
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.region, self.cell_side))
 
     @cached_property
     def xy(self) -> np.ndarray:

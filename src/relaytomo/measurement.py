@@ -14,6 +14,7 @@ ray, which points at the region center.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -47,7 +48,9 @@ MAX_NODES = 16
 class MeasurementNetwork:
     """Q measuring nodes placed outside the relay region, and the forward
     model the simulator and the inverse solver share: the node pairs and
-    the rows they label, and each point's distance, angle and bin at a node."""
+    the rows they label, and each point's distance, angle and bin at a node.
+    A value: its fields alone hash and compare it, and its hash is computed
+    once, on first use."""
 
     nodes: tuple[Point, ...]
     resolution: float
@@ -67,18 +70,31 @@ class MeasurementNetwork:
             if dist(node, self.region.center) <= self.region.radius:
                 raise GeometryError(f"measuring node {q} lies inside the relay region")
 
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.nodes, self.resolution, self.region))
+
     @property
     def n_nodes(self) -> int:
         return len(self.nodes)
 
     def ordered_pairs(self) -> list[tuple[int, int]]:
+        """`row_pairs` as a new list."""
+        return list(self.row_pairs)
+
+    @cached_property
+    def row_pairs(self) -> tuple[tuple[int, int], ...]:
+        """The ordered pair (q1, q2) of each row, q1 leading: `ordered_pairs()` as a tuple."""
         q = self.n_nodes
-        return [(q1, q2) for q1 in range(q) for q2 in range(q) if q2 != q1]
+        return tuple((q1, q2) for q1 in range(q) for q2 in range(q) if q2 != q1)
 
     @cached_property
     def row_of(self) -> dict[tuple[int, int], int]:
         """The row of each ordered pair (q1, q2), in `ordered_pairs()` order."""
-        return {pair: k for k, pair in enumerate(self.ordered_pairs())}
+        return {pair: k for k, pair in enumerate(self.row_pairs)}
 
     @cached_property
     def pairs(self) -> tuple[tuple[int, int], ...]:
@@ -86,9 +102,9 @@ class MeasurementNetwork:
         return tuple(combinations(range(self.n_nodes), 2))
 
     @cached_property
-    def pair_rows(self) -> list[int]:
+    def pair_rows(self) -> np.ndarray:
         """The row (lo, hi) of each unordered pair."""
-        return [self.row_of[pair] for pair in self.pairs]
+        return np.array([self.row_of[pair] for pair in self.pairs])
 
     @cached_property
     def pair_of_row(self) -> np.ndarray:
@@ -168,7 +184,7 @@ class MeasurementSet:
     def n_observations(self) -> int:
         return self.raw.shape[2]
 
-    def in_pair_order(self, pairs: list[tuple[int, int]]) -> MeasurementSet:
+    def in_pair_order(self, pairs: Sequence[tuple[int, int]]) -> MeasurementSet:
         """This set with its rows in the given pair order.
 
         Raises MeasurementError unless the set holds exactly these pairs,
@@ -252,7 +268,7 @@ def simulate_measurements(
     raw = _capacities(gains, d, params)[net.pair_of_row]
     del gains  # before the estimate's sort: the ordered rows are a copy
     aoa = (angle_bins(net.angles(x, y), net.resolution) * net.resolution).T[net.receivers]
-    return MeasurementSet(tuple(net.ordered_pairs()), aoa,
+    return MeasurementSet(net.row_pairs, aoa,
                           estimate_outage_capacity(raw, params.outage_prob), raw)
 
 

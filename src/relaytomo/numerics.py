@@ -9,6 +9,7 @@ nodes/weights and bit-generator plumbing.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -49,11 +50,33 @@ class RngStream:
     path: tuple[int, ...] = field(default=())
 
     def generator(self) -> np.random.Generator:
-        seq = np.random.SeedSequence(entropy=self.seed, spawn_key=self.path)
+        """The stream of `SeedSequence(seed, spawn_key=path)`, built from the
+        words that constructor assembles into its pool: the seed's, padded
+        with zeros to the pool size of 4 where a path follows, then each path
+        element's.  numpy hashes them into the same pool, at a third of the
+        cost.  A negative seed or path element raises ValueError."""
+        words = _uint32_words(self.seed)
+        if self.path:
+            words += [0] * (4 - len(words))
+            for value in self.path:
+                words += _uint32_words(value)
+        seq = np.random.SeedSequence(np.array(words, dtype=np.uint32))
         return np.random.Generator(np.random.Philox(seq))
 
     def child(self, index: int) -> "RngStream":
         return RngStream(self.seed, self.path + (index,))
+
+
+def _uint32_words(value) -> list[int]:
+    """A non-negative integer's little-endian 32-bit words, [0] for 0, as
+    `SeedSequence` splits it; ValueError for a negative one, as it raises."""
+    value = operator.index(value)
+    if value < 0:
+        raise ValueError("expected non-negative integer")
+    words = [value & 0xFFFFFFFF]
+    while value := value >> 32:
+        words.append(value & 0xFFFFFFFF)
+    return words
 
 
 def log_upper_gamma(a: float, x) -> tuple[np.ndarray, np.ndarray]:

@@ -12,7 +12,9 @@ lattice point grouped by its joint bin, one bin per node, as sorted arrays
 under one int64 key per joint bin (`_joint_keys`).  The channel
 table, one per (network, grid, channel), holds each cell center's outage
 capacity per unordered pair and, at m = 1, its exponential rate and summed
-log rate, solved for every cell in one call on first use.
+log rate, solved for every cell in one call on first use.  A solve finds
+both in one cache lookup keyed by the three values (`_tables`), whose
+hashes each object computes once.
 
 Pipeline per measurement set, each stage run once for all its relays:
 (1) the angle step puts the set's rows in the network's pair order and
@@ -147,7 +149,7 @@ def feasible_cells(
     lies in it.  Returns sorted cell indices; an empty list signals a grid
     too coarse or inconsistent data (the caller decides how to proceed).
     """
-    ms, fp = ms.in_pair_order(net.ordered_pairs()), _footprint(net, grid)
+    ms, fp = ms.in_pair_order(net.row_pairs), _footprint(net, grid)
     ((start, count),), cells = _candidates(ms, [relay], net, fp, "argmin")
     return cells[start:start + count].tolist()
 
@@ -176,17 +178,16 @@ def _angle_step(ms: MeasurementSet, relays, net: MeasurementNetwork, fp) -> np.n
     MeasurementError naming the pair and relay.
     """
     aoa = ms.aoa[:, relays]
-    far = np.abs(aoa) > math.pi + net.resolution / 2
-    if far.any():
-        p, l = np.argwhere(far)[0]
+    edge = math.pi + net.resolution / 2
+    if np.maximum.reduce(np.abs(aoa), axis=None, initial=0.0) > edge:
+        p, l = np.argwhere(np.abs(aoa) > edge)[0]
         raise MeasurementError(
             f"pair {ms.pairs[p]}, relay {relays[l]}: measured angle {math.degrees(aoa[p, l]):g} "
             f"deg lies beyond 180 deg plus half the node resolution, where no node "
             f"angle quantizes")
     bins = angle_bins(aoa, net.resolution)  # (rows, relays)
-    node_bins = bins[fp.first_rows]
-    agree = (bins == node_bins[net.receivers]).all(axis=0)
-    key = _joint_keys(node_bins, fp.radix, fp.key_steps)
+    agree = np.logical_and.reduce(bins == bins.take(fp.lead_rows, axis=0), axis=0)
+    key = _joint_keys(bins.take(fp.first_rows, axis=0), fp.radix, fp.key_steps)
     at = fp.joint_keys.searchsorted(key)
     found = agree & (fp.joint_keys.take(at, mode="clip") == key)
     return fp.joint_spans.take(at, axis=0, mode="clip") * found[:, None]
@@ -232,6 +233,7 @@ class _Footprint:
 
     angle[w, r] is cell w's center's angle at the receiving node of row r of
     `net.ordered_pairs()`, first_rows[q] the first row received at node q,
+    lead_rows[r] the first row received at row r's receiving node,
     and `hop_lengths` its center's path per unordered pair
     (`MeasurementNetwork.hop_lengths`).  A cell's footprint is the in-disc
     points of a FOOTPRINT_SAMPLES squared lattice of its square, its center
@@ -248,8 +250,9 @@ class _Footprint:
 
     def __init__(self, net: MeasurementNetwork, grid: CellGrid) -> None:
         x, y = grid.xy.T
-        self.hops, self.angle = net.hop_lengths(x, y), net.angles(x, y)[:, net.receivers]
+        self.hops, self.angle = net.hop_lengths(x, y), net.angles(x, y).take(net.receivers, axis=1)
         self.first_rows = np.array([net.receivers.tolist().index(q) for q in range(net.n_nodes)])
+        self.lead_rows = self.first_rows[net.receivers]
         (self.radix, self.key_steps, self.joint_keys, self.joint_spans, self.group_cells,
          self.group_shares, self.group_priors, self.center_cells) = _joint_bin_groups(net, grid)
 
@@ -340,9 +343,12 @@ def _solve_table(hops: HopPair, params) -> _ChannelTable:
 
 
 @lru_cache(maxsize=8)
-def _channel_table(net, grid, params) -> _ChannelTable:
-    """The channel table of every cell center's paths, solved on first use."""
-    return _solve_table(HopPair(*_footprint(net, grid).hop_lengths()), params)
+def _tables(net, grid, params) -> tuple[_Footprint, _ChannelTable]:
+    """(net, grid)'s footprint and the channel table of every cell center's
+    paths under params, solved on first use: a solve's one lookup, keyed by
+    the three values, whose hashes are computed once per object."""
+    fp = _footprint(net, grid)
+    return fp, _solve_table(HopPair(*fp.hop_lengths()), params)
 
 
 def _capacity_residuals(net, caps, cells, cap_rows: np.ndarray) -> np.ndarray:
@@ -352,7 +358,7 @@ def _capacity_residuals(net, caps, cells, cap_rows: np.ndarray) -> np.ndarray:
     last axis; both orderings of a pair share one solve of caps, the channel
     table's capacities.
     """
-    diff = cap_rows - caps[np.asarray(cells)[..., None], net.pair_of_row]
+    diff = cap_rows - caps.take(cells, axis=0).take(net.pair_of_row, axis=-1)
     # estimates and capacities are non-negative, and capacities small
     if not np.maximum.reduce(cap_rows, axis=None, initial=0.0) > _SQUARE_SAFE:
         return _l2_norms(diff)
@@ -410,7 +416,7 @@ def localize_argmin(
     if not candidates:
         raise LocalizationError("argmin localization needs a non-empty candidate set")
     cells = np.asarray(candidates)[None]
-    caps, own = _channel_table(net, grid, params).capacity, np.ones(cells.shape, bool)
+    caps, own = _tables(net, grid, params)[1].capacity, np.ones(cells.shape, bool)
     (decision,), (e_capacity,) = _argmin_decisions(net, caps, cells, own, cap_row[:, None])
     return _result(relay, len(candidates), decision, grid.xy[decision[0]].tolist(), 0.0,
                    e_capacity)
@@ -425,7 +431,7 @@ def _argmin_decisions(net, caps, cells, valid, cap_est) -> tuple[list[tuple], li
     stopped_at, degenerate) and that cell's residual.
     """
     errs = _capacity_residuals(net, caps, cells, cap_est.T[:, None])
-    errs[~valid] = np.inf
+    np.copyto(errs, np.inf, where=~valid)
     rows, best = np.arange(len(cells)), errs.argmin(axis=1)
     return ([(w, KIND_ARGMIN, 0, False) for w in cells[rows, best].tolist()],
             errs[rows, best].tolist())
@@ -462,7 +468,7 @@ def msprt_localize(
     raw = raw[None, net.pair_rows, :cfg.max_observations]
     if np.any(raw < 0.0):
         raise DomainError("spectral efficiency must be non-negative")
-    fp, table = _footprint(net, grid), _channel_table(net, grid, params)
+    fp, table = _tables(net, grid, params)
     evidence = _capacity_evidence(fp, table, cells, raw, params)
     decision, = _sequential_tests(cells, own, log_prior[None], evidence, cfg.threshold)
     return _result(relay, k, decision, grid.xy[decision[0]].tolist(), 0.0, 0.0)
@@ -544,13 +550,13 @@ def localize_all(
         raise LocalizationError(f"the solver's cell side {cfg.cell_side} m differs from the "
                                 f"grid's {grid.cell_side} m")
     mcfg = msprt_cfg or MsprtConfig(max_observations=ms.n_observations)
-    ms = ms.in_pair_order(net.ordered_pairs()).first_observations(
+    ms = ms.in_pair_order(net.row_pairs).first_observations(
         mcfg.max_observations, params.outage_prob)
-    fp, table = _footprint(net, grid), _channel_table(net, grid, params)
+    fp, table = _tables(net, grid, params)
     spans, candidates = _candidates(ms, np.arange(ms.n_relays), net, fp, cfg.mode)
     argmin = cfg.mode == "argmin"
     relays = spans[:, 1].nonzero()[0]
-    (start, count), cap_est = spans[relays].T, ms.cap_est[:, relays]
+    (start, count), cap_est = spans.take(relays, axis=0).T, ms.cap_est[:, relays]
     sizes = count.tolist()
     decisions, e_capacity = [], []
     width = len(net.row_of) if argmin else len(net.pair_rows) * ms.n_observations
@@ -563,7 +569,7 @@ def localize_all(
         if argmin:
             picks, errs = _argmin_decisions(net, table.capacity, cells, valid, cap_est[:, part])
         else:
-            raw = np.ascontiguousarray(ms.raw.transpose(1, 0, 2)[block][:, net.pair_rows])
+            raw = np.ascontiguousarray(ms.raw[net.pair_rows[:, None], block].transpose(1, 0, 2))
             evidence = _capacity_evidence(fp, table, cells, raw, params)
             picks = _sequential_tests(cells, valid, fp.group_priors[index], evidence,
                                       mcfg.threshold)
@@ -572,9 +578,9 @@ def localize_all(
         decisions += picks
         e_capacity += errs
     cells = [d[0] for d in decisions]
-    e_angle = _l2_norms(ms.aoa[:, relays].T - fp.angle[cells]).tolist()
-    located = dict(zip(relays.tolist(), zip(sizes, decisions, grid.xy[cells].tolist(),
-                                             e_angle, e_capacity)))
+    e_angle = _l2_norms(ms.aoa[:, relays].T - fp.angle.take(cells, axis=0)).tolist()
+    xy = grid.xy.take(cells, axis=0).tolist()
+    located = dict(zip(relays.tolist(), zip(sizes, decisions, xy, e_angle, e_capacity)))
     return [_result(l, *located[l]) if l in located else
             LocalizationResult(l, None, None, 0, KIND_UNLOCALIZED, math.nan, math.nan, 0)
             for l in range(ms.n_relays)]

@@ -251,3 +251,28 @@ class TestRngStream:
         a = parent.child(0).generator().random(8)
         b = parent.child(1).generator().random(8)
         assert not np.array_equal(a, b)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**130), st.lists(st.integers(0, 2**70), max_size=4))
+    def test_streams_equal_numpys_spawned_seed_sequence(self, seed, path):
+        # the words given to SeedSequence make the pool its (seed, spawn_key)
+        # form makes: seeds of one to five words, paths empty or not
+        want = np.random.Generator(np.random.Philox(
+            np.random.SeedSequence(seed, spawn_key=path))).integers(0, 2**63, 4)
+        got = RngStream(seed, tuple(path)).generator().integers(0, 2**63, 4)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("seed, path", [
+        (0, ()), (0, (0,)), (2**32 - 1, (2**32 - 1,)), (2**32, (2**32, 0)), (2**63, (2**40, 7)),
+        (2**128 - 1, (1,)), (2**128, (1, 2, 3)), (np.int64(5), (np.int64(3),))])
+    def test_streams_at_word_edges(self, seed, path):
+        want = np.random.Generator(np.random.Philox(
+            np.random.SeedSequence(seed, spawn_key=path))).random(4)
+        assert np.array_equal(RngStream(seed, path).generator().random(4), want)
+
+    @pytest.mark.parametrize("seed, path", [(-1, ()), (-1, (2,)), (3, (-1,)), (3, (1, -2**40))])
+    def test_negative_seed_or_path_element_raises_as_numpy_does(self, seed, path):
+        with pytest.raises(ValueError):
+            np.random.SeedSequence(seed, spawn_key=path)
+        with pytest.raises(ValueError):
+            RngStream(seed, path).generator()

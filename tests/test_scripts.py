@@ -111,11 +111,13 @@ def test_bench_pairs(tmp_path, capsys):
     assert failed[("parent", 4)]["problems"] == ["scene 1 simulate: no speed probe"]
     assert sweep["operations"] == {"parent": {"failed": 2, "attempted": 40},
                                    "change": {"failed": 2, "attempted": 50}}
-    # a workload whose every run failed still reports its operations
+    # a workload whose every run failed still reports its operations; a
+    # missing output directory is made, with its parents
     write_run(parent, "cli1", 1, {}, correct=False, workload="cli")
+    out = tmp_path / "new" / "nested"
     assert load("bench_pairs").main([str(parent), str(change), "--pr", "7",
-                                     "--out", str(tmp_path)]) == 0
-    report = json.loads((tmp_path / "BENCH_7.json").read_text())
+                                     "--out", str(out)]) == 0
+    report = json.loads((out / "BENCH_7.json").read_text())
     assert report["workloads"]["cli"]["seeds"] == []
     assert report["workloads"]["cli"]["operations"] == {"parent": {"failed": 2, "attempted": 10},
                                                         "change": {"failed": 0, "attempted": 0}}

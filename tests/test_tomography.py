@@ -185,7 +185,7 @@ def set_decisions(found, raws, params, threshold, grid=GRID):
     priors = [np.full(len(c), -math.log(len(c))) if w is None else np.log(w / w.sum())
               for c, w in found]
     evidence = tomography._capacity_evidence(tomography._footprint(NET, grid),
-                                             tomography._channel_table(NET, grid, params), cells,
+                                             tomography._tables(NET, grid, params)[1], cells,
                                              np.stack(raws), params)
     return tomography._sequential_tests(cells, valid, padded(priors, valid), evidence, threshold)
 
@@ -454,7 +454,7 @@ class TestArgmin:
     def test_padded_lanes_never_win(self):
         # estimates that a padded lane's cell fits exactly do not pull a relay
         # whose candidates lack it there: each pick is the relay's pick alone
-        caps = tomography._channel_table(NET, GRID, PARAMS).capacity
+        caps = tomography._tables(NET, GRID, PARAMS)[1].capacity
         exact = caps[0][NET.pair_of_row]
         cells = np.array([[5, 9, 0], [7, 0, 0]])
         valid = np.array([[True, True, False], [True, False, False]])
@@ -750,7 +750,7 @@ class TestLocalizeAll:
 
     @pytest.mark.parametrize("mode", ["argmin", "msprt"])
     def test_each_stage_runs_once_per_set(self, mode, monkeypatch):
-        # one angle step, one cache lookup of each table, one decision pass
+        # one angle step, one cache lookup of both tables, one decision pass
         # (evidence and sequential test, or argmin pick) and one
         # capacity-residual call per set, and each result built once: no
         # stage runs relay by relay
@@ -758,7 +758,7 @@ class TestLocalizeAll:
         tomo = TomographyConfig(cell_side=CFG.cell_side_m, mode=mode)
         want = repr(localize_all(ms, NET, GRID, PARAMS, tomo, CFG.msprt()))  # warm caches
         calls = Counter()
-        for name in ("_angle_step", "_footprint", "_channel_table", "_capacity_residuals",
+        for name in ("_angle_step", "_footprint", "_tables", "_capacity_residuals",
                      "_capacity_evidence", "_sequential_tests", "_argmin_decisions",
                      "LocalizationResult"):
             def counted(*args, _name=name, _fn=getattr(tomography, name), **kwargs):
@@ -768,7 +768,7 @@ class TestLocalizeAll:
         assert repr(localize_all(ms, NET, GRID, PARAMS, tomo, CFG.msprt())) == want
         decision = ({"_capacity_evidence": 1, "_sequential_tests": 1} if mode == "msprt"
                     else {"_argmin_decisions": 1})
-        assert calls == {"_angle_step": 1, "_footprint": 1, "_channel_table": 1,
+        assert calls == {"_angle_step": 1, "_tables": 1,
                          "_capacity_residuals": 1, **decision, "LocalizationResult": 5}
 
     def test_scoring_summary(self):
@@ -790,8 +790,8 @@ class TestCapacityColumn:
     @pytest.mark.parametrize("m", [1.0, 2.5])
     def test_entries_equal_scalar_solves(self, m):
         params = replace(PARAMS, nakagami_m=m)
-        tomography._channel_table.cache_clear()
-        table = tomography._channel_table(NET, GRID, params)
+        tomography._tables.cache_clear()
+        table = tomography._tables(NET, GRID, params)[1]
         caps = table.capacity
         pairs = [pair for pair in NET.ordered_pairs() if pair[0] < pair[1]]
         assert caps.shape == (len(GRID.cells), len(pairs))
@@ -809,9 +809,9 @@ class TestCapacityColumn:
         assert np.array_equal(table.log_rate_sum, np.add.reduce(np.log(LN4 * rate), axis=1))
 
     def test_column_is_solved_once_and_read_only(self):
-        tomography._channel_table.cache_clear()
-        table = tomography._channel_table(NET, GRID, PARAMS)
-        assert tomography._channel_table(NET, GRID, PARAMS) is table
+        tomography._tables.cache_clear()
+        table = tomography._tables(NET, GRID, PARAMS)[1]
+        assert tomography._tables(NET, GRID, PARAMS)[1] is table
         for column in table:
             assert not column.flags.writeable
             with pytest.raises(ValueError):
@@ -826,12 +826,15 @@ class TestCapacityColumn:
         assert grid is not fresh and grid == fresh
         ms = synthetic_set(sample_relays(REGION, 3, RngStream(130)), seed=131)
         tomography._footprint.cache_clear()
-        cached = tomography._footprint(NET, grid)
+        tomography._tables.cache_clear()
+        cached = tomography._tables(NET, grid, PARAMS)
         for mode in ("msprt", "argmin"):
             results = localize_all(ms, NET, fresh, PARAMS, TomographyConfig(1.0, mode),
                                    cfg.msprt())
             assert any(r.position is not None for r in results)
-        assert tomography._footprint(NET, fresh) is cached
+        assert tomography._tables(NET, fresh, PARAMS) is cached
+        assert tomography._footprint(NET, fresh) is cached[0]
+        assert tomography._tables.cache_info().misses == 1
         assert tomography._footprint.cache_info().misses == 1
         assert "cells" not in vars(grid) and "cells" not in vars(fresh)
 
@@ -840,9 +843,9 @@ class TestCapacityColumn:
         scenes = [synthetic_set(sample_relays(REGION, 5, RngStream(s)), seed=s + 1)
                   for s in range(120, 126)]
         m25 = replace(PARAMS, nakagami_m=2.5)
-        tomography._channel_table.cache_clear()
+        tomography._tables.cache_clear()
         cold = localize_reprs(scenes[0], mode=mode)
-        tomography._channel_table.cache_clear()
+        tomography._tables.cache_clear()
         cold_m25 = localize_reprs(scenes[0], m25, mode)
         for ms in scenes[1:]:
             localize_reprs(ms, mode=mode)
@@ -874,7 +877,7 @@ class TestCapacityColumn:
         raws = np.stack([ms.raw[NET.pair_rows, l, :] for l in many])
         sizes = [len(found[l][0]) for l in many]
         valid = np.arange(max(sizes)) < np.array(sizes)[:, None]
-        table = tomography._channel_table(NET, GRID, PARAMS)
+        table = tomography._tables(NET, GRID, PARAMS)[1]
         cells = padded([np.asarray(found[l][0]) for l in many], valid)
         batched = tomography._capacity_evidence(fp, table, cells, raws, PARAMS)
         for l, raw, log_pdf, k in zip(many, raws, batched, sizes):
@@ -918,7 +921,7 @@ class TestCapacityColumn:
         # does, so it is finite and warns of nothing; a row whose squares are
         # finite is the plain running sum, bit for bit, whether or not a huge
         # row shares the call
-        caps = tomography._channel_table(NET, GRID, PARAMS).capacity
+        caps = tomography._tables(NET, GRID, PARAMS)[1].capacity
         cells = [0, 7, 19, 30]
         est = RngStream(134).generator().uniform(0.0, 2.0, (len(cells), len(NET.pair_of_row)))
         plain = tomography._capacity_residuals(NET, caps, cells, est)
@@ -932,6 +935,69 @@ class TestCapacityColumn:
         for k in (1, 3):
             assert math.isfinite(got[k])
             assert got[k] == pytest.approx(math.hypot(*diff[k]), rel=1e-15)
+
+
+class TestTableLookup:
+    """A solve's one lookup of its tables, keyed by the network, grid and
+    channel as values, each hash computed once per object."""
+
+    def test_rebuilt_values_find_the_very_same_tables(self, monkeypatch):
+        first, again = (scenario_from_dict(default_config_dict()) for _ in range(2))
+        values = [(cfg.network(), cfg.cell_grid(), cfg.channel_params()) for cfg in (first, again)]
+        for a, b in zip(*values):
+            assert a is not b and a == b and hash(a) == hash(b)
+        net, grid, _ = values[0]
+        fresh = MeasurementNetwork(net.nodes, net.resolution, net.region), replace(grid)
+        assert hash(fresh[0]) == hash(net) and hash(fresh[1]) == hash(grid)
+        tables = tomography._tables(*values[0])
+        assert tomography._tables(*values[1]) is tables
+        ms = synthetic_set(sample_relays(REGION, 3, RngStream(136)), seed=137)
+        calls = Counter()
+        for name in ("_footprint", "_solve_table"):
+            def counted(*args, _name=name, _fn=getattr(tomography, name)):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(tomography, name, counted)
+        for mode in ("msprt", "argmin"):
+            localize_all(ms, *values[1], TomographyConfig(grid.cell_side, mode), first.msprt())
+        assert not calls
+
+    def test_each_hash_is_computed_once_per_object(self, monkeypatch):
+        # the region is a field of both: hashing a network or grid again
+        # reads its first hash, which is its fields' hash, as a fresh equal
+        # object's is
+        region_hashes = Counter()
+        region_hash = RelayRegion.__hash__
+
+        def counted(region):
+            region_hashes["calls"] += 1
+            return region_hash(region)
+        monkeypatch.setattr(RelayRegion, "__hash__", counted)
+        net, grid = CFG.network(), CFG.cell_grid()
+        hashes = [hash(net), hash(grid)]
+        for _ in range(3):
+            assert [hash(net), hash(grid)] == hashes
+        assert region_hashes["calls"] == 2
+        assert hashes == [hash((net.nodes, net.resolution, net.region)),
+                          hash((grid.region, grid.cell_side))]
+        assert hashes == [hash(CFG.network()), hash(CFG.cell_grid())]
+
+    def test_a_new_network_gets_its_own_tables(self):
+        # a network with other nodes, built once the first is gone (so it may
+        # take the first one's id), finds none of the first one's tables
+        shifted = tuple(Point(p.x + 7.0, p.y - 3.0) for p in NET.nodes)
+        net = MeasurementNetwork(shifted, NET.resolution, REGION)
+        fp, table = tomography._tables(net, GRID, PARAMS)
+        nodes = tuple(Point(p.x - 5.0, p.y + 4.0) for p in NET.nodes)
+        del net
+        other = MeasurementNetwork(nodes, NET.resolution, REGION)
+        own_fp, own_table = tomography._tables(other, GRID, PARAMS)
+        assert own_fp is not fp and own_table is not table
+        x, y = GRID.xy.T
+        assert np.array_equal(own_fp.angle, other.angles(x, y)[:, other.receivers])
+        d_lo, d_hi = own_fp.hop_lengths()
+        assert all(np.array_equal(a, b) for a, b in zip((d_lo, d_hi), other.hop_lengths(x, y)))
+        assert not np.array_equal(own_table.capacity, table.capacity)
 
 
 class TestEvidence:
@@ -970,7 +1036,7 @@ class TestEvidence:
         fp = tomography._footprint(NET, GRID)
         raw = RngStream(151).generator().exponential(0.3, (len(NET.pairs), 10))
         cells = [4, 50, 51, 200]
-        evidence, = tomography._capacity_evidence(fp, tomography._channel_table(NET, GRID, params),
+        evidence, = tomography._capacity_evidence(fp, tomography._tables(NET, GRID, params)[1],
                                                   np.array(cells)[None], raw[None], params)
         d_sr, d_rd = fp.hop_lengths(cells)
         want = capacity_log_pdf(raw, HopPair(d_sr[..., None], d_rd[..., None]), params)
@@ -1103,7 +1169,7 @@ class TestPaddedSet:
                                    angle_weights=weights)
             assert (alone.cell_index, alone.kind, alone.stopped_at, alone.degenerate) == decision
             evidence, = tomography._capacity_evidence(
-                fp, tomography._channel_table(NET, grid, params), np.array(candidates)[None],
+                fp, tomography._tables(NET, grid, params)[1], np.array(candidates)[None],
                 raw[None], params)
             assert sequential_tests([candidates], [weights], [evidence],
                                     cfg.threshold) == [decision]
@@ -1287,6 +1353,26 @@ class TestJointKey:
         gathered = rate[np.arange(len(rate))[:, None]]
         assert np.array_equal(np.add.reduce(rate, axis=-1),
                               np.add.reduce(gathered, axis=-1)[:, 0])
+
+    def test_residual_gather_equals_the_broadcast_index(self):
+        # the residuals gather the per-pair capacities with two takes, cells
+        # then each row's pair: on 240 rows and a padded (relays, candidates)
+        # table, whose padded lanes repeat each relay's last candidate, the
+        # norms equal those of the table's broadcast index, bit for bit
+        net = self.NET16
+        caps = tomography._tables(net, GRID, PARAMS)[1].capacity
+        relays = sample_relays(REGION, 6, RngStream(174))
+        ms = simulate_measurements(net, relays, PARAMS, 10, RngStream(175))
+        gen = RngStream(176).generator()
+        sizes = np.array([1, 4, 2, 7, 3, 5])
+        lanes = np.arange(sizes.max())
+        cells = gen.integers(0, len(GRID.xy), (6, sizes.max()))
+        cells = np.take_along_axis(cells, np.minimum(lanes, sizes[:, None] - 1), axis=1)
+        cap_rows = ms.cap_est.T[:, None]
+        got = tomography._capacity_residuals(net, caps, cells, cap_rows)
+        broadcast = tomography._l2_norms(cap_rows - caps[cells[..., None], net.pair_of_row])
+        assert len(net.pair_of_row) == 240 and got.shape == (6, sizes.max())
+        assert np.array_equal(got, broadcast)
 
 
 def mixed_scene() -> tuple[MeasurementSet, list]:
