@@ -30,7 +30,6 @@ from .config import (
     default_config_dict,
     load_scenario,
     scenario_from_dict,
-    validate_scenario,
     write_config,
 )
 from .errors import ConfigError, MeasurementError, RelayTomoError
@@ -58,10 +57,7 @@ def _load(args) -> ScenarioConfig:
         cfg = load_scenario(args.config)
     overrides = {name: getattr(args, name) for name in ("seed", "observations", "mode")
                  if getattr(args, name, None) is not None}
-    if overrides:
-        cfg = replace(cfg, **overrides)
-        validate_scenario(cfg)
-    return cfg
+    return replace(cfg, **overrides) if overrides else cfg
 
 
 def _write_manifest(out: Path, cfg: ScenarioConfig, outputs: list[str]) -> None:

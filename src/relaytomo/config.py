@@ -3,7 +3,11 @@
 Angles are degrees and SNR is dB in the file; both are converted exactly
 once at load.  `ScenarioConfig`'s fields are the file's keys: parsing,
 serialization and the key path every ConfigError names all read them.
-Validation reuses the domain types' own invariants.
+A `ScenarioConfig` is validated when it is built, `dataclasses.replace`
+included: validation builds each domain object once, and each bound is
+checked by the object it bounds, so the config only labels the keys.
+Of the bounds, only MAX_DRAWS is checked here: it bounds relays x
+observations, which no one domain object holds.
 """
 
 from __future__ import annotations
@@ -20,12 +24,11 @@ from .geometry import (
     CellGrid,
     Point,
     RelayRegion,
-    check_cells_inside,
     check_region_clear_of_baseline,
     discretize_region,
 )
-from .ias import MAX_GRID_CELLS, AngularGrid, build_grid
-from .measurement import MAX_DRAWS, MAX_NODES, MeasurementNetwork
+from .ias import AngularGrid, build_grid
+from .measurement import MAX_DRAWS, MeasurementNetwork
 from .numerics import QuadratureSpec, RngStream
 from .tomography import MsprtConfig, TomographyConfig
 
@@ -41,6 +44,7 @@ class ScenarioConfig:
 
     Each field names its JSON section; `mode`, `msprt_error` and
     `quad_order` may be left out of the file and take their defaults.
+    Built, it is valid (`_validate`), or a ConfigError names its keys.
     """
 
     source: Point = _key("geometry")
@@ -62,6 +66,9 @@ class ScenarioConfig:
     mode: str = _key("experiment", default="msprt")
     msprt_error: float = _key("experiment", default=0.01)
     quad_order: int = _key("experiment", default=16)
+
+    def __post_init__(self) -> None:
+        _validate(self)
 
     def baseline(self) -> Baseline:
         return Baseline(self.source, self.destination)
@@ -181,9 +188,6 @@ def _reference() -> ScenarioConfig:
         cell_side_m=5.0, relays=5, observations=10, seed=20240901)
 
 
-_REFERENCE = _reference()
-
-
 def default_config_dict() -> dict:
     """The reference scenario (`_reference`) as a new scenario-file dict."""
     return _REFERENCE.as_dict()
@@ -208,9 +212,7 @@ def scenario_from_dict(raw: dict) -> ScenarioConfig:
             values[name] = read(body[name], label)
         elif default is MISSING:
             raise ConfigError(f"missing config key {label}")
-    cfg = ScenarioConfig(**values)
-    validate_scenario(cfg)
-    return cfg
+    return ScenarioConfig(**values)
 
 
 def _step(names: str, build, *args):
@@ -238,22 +240,9 @@ def _radians(degrees: float) -> float:
     return radians
 
 
-def _bounded_angular_grid(region, baseline, d_aod: float, d_aoa: float) -> AngularGrid:
-    grid = build_grid(region, baseline, d_aod, d_aoa)
-    if grid.n_aod * grid.n_aoa > MAX_GRID_CELLS:
-        raise DomainError(f"an angular grid of {grid.n_aod} x {grid.n_aoa} cells, more than "
-                          f"the {MAX_GRID_CELLS:,} allowed")
-    return grid
-
-
 def _non_negative(value: int) -> None:
     if value < 0:
         raise DomainError(f"must be non-negative, got {value}")
-
-
-def _bounded_nodes(nodes: tuple[Point, ...]) -> None:
-    if len(nodes) > MAX_NODES:
-        raise DomainError(f"{len(nodes)} measuring nodes, more than the {MAX_NODES} allowed")
 
 
 def _bounded_draws(nodes: int, relays: int, observations: int) -> None:
@@ -264,18 +253,16 @@ def _bounded_draws(nodes: int, relays: int, observations: int) -> None:
                           f"allowed")
 
 
-def validate_scenario(cfg: ScenarioConfig) -> None:
-    """Build every domain object once, so its invariants fire at load time;
-    each ConfigError names the keys the failing object is built from.
+def _validate(cfg: ScenarioConfig) -> None:
+    """Build every domain object once, so its invariants fire when cfg is
+    built; each ConfigError names the keys the failing object is built from.
 
-    The angular grid is built as its index ranges alone, and one of more
-    than MAX_GRID_CELLS cells is rejected before anything allocates it.
-    The cell grid is never built: a side that tiles the bounding box with
-    more than MAX_BOX_CELLS cells (`box_shape`), or that leaves no cell
-    center in the region (`check_cells_inside`), is rejected.
-    The node count is bounded by MAX_NODES before any pair table exists,
-    and ordered pairs x relays x observations, the capacity draws a
-    simulation makes, by MAX_DRAWS.
+    Each object checks its own bounds: the network its node count
+    (MAX_NODES), the angular grid its cells, counted from its index ranges
+    (MAX_GRID_CELLS), and the cell grid its bounding box (MAX_BOX_CELLS)
+    and emptiness, none of them laying out a cell.  Ordered pairs x relays
+    x observations, the capacity draws a simulation makes, are bounded
+    here, by MAX_DRAWS.
     """
     baseline = _step("source destination", Baseline, cfg.source, cfg.destination)
     region = _step("region_center region_radius", _clear_region,
@@ -283,17 +270,18 @@ def validate_scenario(cfg: ScenarioConfig) -> None:
     _step("snr_db nakagami_m path_loss_exp outage_prob", cfg.channel_params)
     d_node, d_aod, d_aoa = (_step(name, _radians, getattr(cfg, name)) for name in
                             ("node_resolution_deg", "aod_resolution_deg", "aoa_resolution_deg"))
-    _step("nodes", _bounded_nodes, cfg.nodes)
     _step("nodes node_resolution_deg", MeasurementNetwork, cfg.nodes, d_node, region)
-    _step("aod_resolution_deg aoa_resolution_deg", _bounded_angular_grid,
-          region, baseline, d_aod, d_aoa)
-    _step("cell_side_m", check_cells_inside, region, cfg.cell_side_m)
+    _step("aod_resolution_deg aoa_resolution_deg", build_grid, region, baseline, d_aod, d_aoa)
+    _step("cell_side_m", cfg.cell_grid)
     _step("cell_side_m mode", cfg.tomography)
     _step("quad_order", cfg.quadrature)
     _step("msprt_error observations", cfg.msprt)
     _step("relays", _non_negative, cfg.relays)
     _step("seed", _non_negative, cfg.seed)
     _step("relays observations", _bounded_draws, len(cfg.nodes), cfg.relays, cfg.observations)
+
+
+_REFERENCE = _reference()
 
 
 def load_scenario(path) -> ScenarioConfig:

@@ -133,15 +133,26 @@ class RelayRegion:
 class CellGrid:
     """Square cells of side `cell_side` tiling a region's bounding box, kept
     where their center lies in the region disc.  A value: its fields alone
-    hash and compare it, and its hash is computed once, on first use."""
+    hash and compare it, and its hash is computed once, on first use.
+
+    Built, it has been checked to tile the box with at most MAX_BOX_CELLS
+    cells (`box_shape`) and to keep at least one; its centers (`xy`,
+    `cells`) are built on first use."""
 
     region: RelayRegion
     cell_side: float
 
     def __post_init__(self) -> None:
-        if not len(self.xy):  # `box_shape` checks the side first
-            raise EmptyGridError(
-                f"cell side {self.cell_side} m leaves no cell center inside the region")
+        # A box of more than one cell on an axis has a side below about 2 r,
+        # and then the centers nearest the region center lie within 0.95 r of
+        # it, so only a box of one cell can be empty; its center is tested
+        # with `xy`'s arithmetic, and no center is built.
+        if box_shape(self.region, self.cell_side) == (1, 1):
+            x0, _, y0, _ = self.region.bounding_box()
+            c, half = self.region.center, 0.5 * self.cell_side
+            if not np.hypot(x0 + half - c.x, y0 + half - c.y) <= self.region.radius:
+                raise EmptyGridError(
+                    f"cell side {self.cell_side} m leaves no cell center inside the region")
 
     def __hash__(self) -> int:
         return self._hash
@@ -187,21 +198,6 @@ def box_shape(region: RelayRegion, cell_side: float) -> tuple[int, int]:
         raise DomainError(f"cell side {cell_side} m tiles the region's bounding box with "
                           f"{nx} x {ny} cells, more than the {MAX_BOX_CELLS:,} allowed")
     return nx, ny
-
-
-def check_cells_inside(region: RelayRegion, cell_side: float) -> None:
-    """EmptyGridError unless `CellGrid(region, cell_side)` has a cell, decided
-    without building it.  A box of more than one cell on an axis has a side
-    below about 2 r, and then the centers nearest the region center lie
-    within 0.95 r of it, so only a box of one cell can be empty; its center
-    is tested with `CellGrid.xy`'s arithmetic.  `box_shape` checks the side
-    first."""
-    if box_shape(region, cell_side) == (1, 1):
-        x0, _, y0, _ = region.bounding_box()
-        c = region.center
-        if not np.hypot(x0 + 0.5 * cell_side - c.x, y0 + 0.5 * cell_side - c.y) <= region.radius:
-            raise EmptyGridError(
-                f"cell side {cell_side} m leaves no cell center inside the region")
 
 
 def _unit(dx: float, dy: float) -> tuple[float, float]:

@@ -50,7 +50,7 @@ from .numerics import QuadratureSpec, RngStream, gauss_legendre
 
 SINGULAR_TOL = 1e-12
 DEFAULT_MASS_FLOOR = 1e-12
-MAX_GRID_CELLS = 100_000  # angular cells a scenario may ask `discrete_ias` for
+MAX_GRID_CELLS = 100_000  # cells an `AngularGrid` (so `discrete_ias`) may hold; the grid checks it
 
 
 @dataclass(frozen=True)
@@ -70,7 +70,10 @@ class FlowAtom:
 
 @dataclass(frozen=True)
 class AngularGrid:
-    """Uniform angular sampling lattice with floor/ceil index bounds."""
+    """Uniform angular sampling lattice with floor/ceil index bounds.
+
+    Built, it holds at most MAX_GRID_CELLS cells, counted from its index
+    ranges, so no grid too large to integrate is ever laid out."""
 
     d_aod: float
     d_aoa: float
@@ -84,6 +87,9 @@ class AngularGrid:
             raise DomainError("angular resolutions must be positive")
         if self.i_hi < self.i_lo or self.j_hi < self.j_lo:
             raise DomainError("angular index ranges must be non-empty")
+        if self.n_aod * self.n_aoa > MAX_GRID_CELLS:
+            raise DomainError(f"an angular grid of {self.n_aod} x {self.n_aoa} cells, more than "
+                              f"the {MAX_GRID_CELLS:,} allowed")
 
     @property
     def n_aod(self) -> int:

@@ -34,7 +34,8 @@ RELAY_HEADER = "# relaytomo relay-positions v1"
 # then their capacities copied per ordered pair and the quantile estimate's
 # sort), 170 MB at the bound, and about 26 B each as text in the file
 MAX_DRAWS = 10_000_000
-# measuring nodes a scenario may place: the solver's joint-bin table is built
+# measuring nodes a `MeasurementNetwork` may hold, checked by the network
+# before any pair table exists: the solver's joint-bin table is built
 # from 81 float64 footprint angles per cell and node (65 MB per node at
 # MAX_BOX_CELLS cells, during the build only), its cached channel table holds
 # two float64 per cell and each of up to 120 unordered pairs (the outage
@@ -50,13 +51,17 @@ class MeasurementNetwork:
     model the simulator and the inverse solver share: the node pairs and
     the rows they label, and each point's distance, angle and bin at a node.
     A value: its fields alone hash and compare it, and its hash is computed
-    once, on first use."""
+    once, on first use.  Built, it holds 3 to MAX_NODES nodes, each outside
+    the region, and a resolution whose bins fit 32 bits."""
 
     nodes: tuple[Point, ...]
     resolution: float
     region: RelayRegion
 
     def __post_init__(self) -> None:
+        if len(self.nodes) > MAX_NODES:
+            raise DomainError(
+                f"{len(self.nodes)} measuring nodes, more than the {MAX_NODES} allowed")
         if len(self.nodes) < 3:
             raise GeometryError(
                 f"need at least 3 measuring nodes for unambiguous triangulation, got {len(self.nodes)}"

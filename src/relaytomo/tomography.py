@@ -231,6 +231,8 @@ def _joint_keys(bins: np.ndarray, radix: int, steps: list) -> np.ndarray:
 class _Footprint:
     """Per (network, grid): the geometry of every cell's hypothesis.
 
+    xy is the grid's cell centers, which the solver reads positions from, so a
+    fresh but equal grid never builds its own;
     angle[w, r] is cell w's center's angle at the receiving node of row r of
     `net.ordered_pairs()`, first_rows[q] the first row received at node q,
     lead_rows[r] the first row received at row r's receiving node,
@@ -249,7 +251,8 @@ class _Footprint:
     """
 
     def __init__(self, net: MeasurementNetwork, grid: CellGrid) -> None:
-        x, y = grid.xy.T
+        self.xy = grid.xy
+        x, y = self.xy.T
         self.hops, self.angle = net.hop_lengths(x, y), net.angles(x, y).take(net.receivers, axis=1)
         self.first_rows = np.array([net.receivers.tolist().index(q) for q in range(net.n_nodes)])
         self.lead_rows = self.first_rows[net.receivers]
@@ -416,9 +419,10 @@ def localize_argmin(
     if not candidates:
         raise LocalizationError("argmin localization needs a non-empty candidate set")
     cells = np.asarray(candidates)[None]
-    caps, own = _tables(net, grid, params)[1].capacity, np.ones(cells.shape, bool)
-    (decision,), (e_capacity,) = _argmin_decisions(net, caps, cells, own, cap_row[:, None])
-    return _result(relay, len(candidates), decision, grid.xy[decision[0]].tolist(), 0.0,
+    fp, table = _tables(net, grid, params)
+    (decision,), (e_capacity,) = _argmin_decisions(
+        net, table.capacity, cells, np.ones(cells.shape, bool), cap_row[:, None])
+    return _result(relay, len(candidates), decision, fp.xy[decision[0]].tolist(), 0.0,
                    e_capacity)
 
 
@@ -471,7 +475,7 @@ def msprt_localize(
     fp, table = _tables(net, grid, params)
     evidence = _capacity_evidence(fp, table, cells, raw, params)
     decision, = _sequential_tests(cells, own, log_prior[None], evidence, cfg.threshold)
-    return _result(relay, k, decision, grid.xy[decision[0]].tolist(), 0.0, 0.0)
+    return _result(relay, k, decision, fp.xy[decision[0]].tolist(), 0.0, 0.0)
 
 
 def _sequential_tests(cells, valid, log_prior, evidence, threshold: float) -> list[tuple]:
@@ -579,7 +583,7 @@ def localize_all(
         e_capacity += errs
     cells = [d[0] for d in decisions]
     e_angle = _l2_norms(ms.aoa[:, relays].T - fp.angle.take(cells, axis=0)).tolist()
-    xy = grid.xy.take(cells, axis=0).tolist()
+    xy = fp.xy.take(cells, axis=0).tolist()
     located = dict(zip(relays.tolist(), zip(sizes, decisions, xy, e_angle, e_capacity)))
     return [_result(l, *located[l]) if l in located else
             LocalizationResult(l, None, None, 0, KIND_UNLOCALIZED, math.nan, math.nan, 0)

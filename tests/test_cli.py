@@ -5,6 +5,7 @@ import resource
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import relaytomo
-from relaytomo import config
+from relaytomo import config, ias
 from relaytomo.cli import main
 from relaytomo.config import (
     default_config_dict,
@@ -156,9 +157,9 @@ class TestConfig:
         # ranges alone, so a 1e-6 deg grid (about 330M cells) is never built
         grid = scenario_from_dict(default_config_dict()).angular_grid()
         assert grid.n_aod * grid.n_aoa == 49
-        monkeypatch.setattr(config, "MAX_GRID_CELLS", 49)
+        monkeypatch.setattr(ias, "MAX_GRID_CELLS", 49)
         scenario_from_dict(default_config_dict())
-        monkeypatch.setattr(config, "MAX_GRID_CELLS", 48)
+        monkeypatch.setattr(ias, "MAX_GRID_CELLS", 48)
         with pytest.raises(ConfigError, match="grid.aod_resolution_deg and grid.aoa_resolution_deg"):
             scenario_from_dict(default_config_dict())
         monkeypatch.undo()
@@ -166,6 +167,25 @@ class TestConfig:
         raw["grid"][key] = 1e-6
         with pytest.raises(ConfigError, match=f"more than the {MAX_GRID_CELLS:,} allowed"):
             scenario_from_dict(raw)
+
+    def test_node_bound_is_labelled_with_the_network_keys(self):
+        raw = default_config_dict()
+        (x, y), r = raw["geometry"]["region_center"], 1.6 * raw["geometry"]["region_radius"]
+        raw["geometry"]["nodes"] = [[x + r * math.cos(2 * math.pi * k / 17),
+                                     y + r * math.sin(2 * math.pi * k / 17)] for k in range(17)]
+        with pytest.raises(ConfigError, match="^geometry.nodes and grid.node_resolution_deg: "
+                                              "17 measuring nodes, more than the 16 allowed$"):
+            scenario_from_dict(raw)
+
+    @pytest.mark.parametrize("change, match", [
+        ({"relays": -1}, "^experiment.relays: must be non-negative, got -1$"),
+        ({"cell_side_m": 137.0}, "^grid.cell_side_m: cell side 137.0 m leaves no cell center "
+                                 "inside the region$"),
+    ])
+    def test_replace_validates_the_new_config(self, change, match):
+        cfg = scenario_from_dict(default_config_dict())
+        with pytest.raises(ConfigError, match=match):
+            replace(cfg, **change)
 
 
 class TestDirect:

@@ -237,9 +237,9 @@ class TestDiscretize:
         assert min(sizes) == 0 and max(sizes) > 2000
 
     def test_emptiness_check_agrees_with_the_grid_on_random_regions(self):
-        # `check_cells_inside` tests only the one center of a one-cell box;
-        # sides are drawn across the range and within 1e-9 of (2 + sqrt 2) r,
-        # where that center leaves the disc
+        # `CellGrid` tests only the one center of a one-cell box; sides are
+        # drawn across the range and within 1e-9 of (2 + sqrt 2) r, where that
+        # center leaves the disc
         rng = np.random.default_rng(23)
         outcomes = set()
         for k in range(2000):
@@ -247,16 +247,20 @@ class TestDiscretize:
             ratio = (2.0 + math.sqrt(2.0)) * (1.0 + rng.uniform(-1e-9, 1e-9)) if k % 2 \
                 else 10 ** rng.uniform(-1.5, 0.7)
             side = region.radius * ratio
-            try:
+            has_cells = len(oracles.cell_centers(region, side)) > 0
+            if has_cells:
                 CellGrid(region, side)
-            except EmptyGridError:
-                with pytest.raises(EmptyGridError, match="leaves no cell center inside"):
-                    geometry.check_cells_inside(region, side)
-                outcomes.add(False)
             else:
-                geometry.check_cells_inside(region, side)
-                outcomes.add(True)
+                with pytest.raises(EmptyGridError, match="leaves no cell center inside"):
+                    CellGrid(region, side)
+            outcomes.add(has_cells)
         assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("side", [5.0, 1.0, 100.0])
+    def test_centers_are_built_on_first_use(self, side):
+        grid = CellGrid(REGION, side)
+        assert "xy" not in vars(grid) and "cells" not in vars(grid)
+        assert grid.xy.tobytes() == oracles.cell_centers(REGION, side).tobytes()
 
     def test_equality_is_by_value(self):
         # grids key the solver's cache: a grid is its region and cell side

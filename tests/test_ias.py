@@ -422,6 +422,13 @@ class TestBuildGrid:
         with pytest.raises(DomainError):
             AngularGrid(0.1, 0.1, 2, 1, 0, 1)
 
+    def test_grid_bounds_its_cells_by_its_index_ranges(self):
+        # a direct build is bounded as a configured one is; no cell is laid out
+        assert AngularGrid(0.1, 0.1, 0, ias.MAX_GRID_CELLS - 1, 5, 5).n_aod == ias.MAX_GRID_CELLS
+        for shape in ((0, ias.MAX_GRID_CELLS, 5, 5), (-3, 3, 0, ias.MAX_GRID_CELLS // 7)):
+            with pytest.raises(DomainError, match=f"more than the {ias.MAX_GRID_CELLS:,} allowed"):
+                AngularGrid(0.1, 0.1, *shape)
+
 
 def scalar_spectrum(grid: AngularGrid, params: ChannelParams, quad: QuadratureSpec):
     """The per-node scalar oracle of discrete_ias: one outage solve per node,

@@ -13,6 +13,7 @@ from relaytomo.config import default_config_dict, scenario_from_dict
 from relaytomo.errors import DomainError, GeometryError, MeasurementError
 from relaytomo.geometry import Point, RelayRegion, dist, sample_relays
 from relaytomo.measurement import (
+    MAX_NODES,
     MeasurementNetwork,
     MeasurementSet,
     angle_bins,
@@ -149,6 +150,15 @@ class TestNetwork:
     def test_rejects_interior_node(self):
         with pytest.raises(GeometryError):
             MeasurementNetwork((Point(CX, 50), Point(0, 0), Point(300, 0)), 0.1, REGION)
+
+    def test_node_count_is_bounded_first(self):
+        # the bound fires before any per-node check: these nodes all lie
+        # inside the region and the resolution is invalid
+        inside = (REGION.center,) * (MAX_NODES + 1)
+        for resolution in (0.1, 0.0):
+            with pytest.raises(DomainError, match=f"^{MAX_NODES + 1} measuring nodes, "
+                                                 f"more than the {MAX_NODES} allowed$"):
+                MeasurementNetwork(inside, resolution, REGION)
 
     def test_ordered_pairs_enumeration(self):
         net = three_node_net()

@@ -962,6 +962,24 @@ class TestTableLookup:
             localize_all(ms, *values[1], TomographyConfig(grid.cell_side, mode), first.msprt())
         assert not calls
 
+    def test_a_fresh_equal_grid_builds_no_centers(self):
+        # the solver reads positions from the cached footprint, so a warm
+        # solve on a fresh grid (as each benchmark round builds) lays out none
+        ms = synthetic_set(sample_relays(REGION, 4, RngStream(138)), seed=139)
+        row, raw = ms.cap_est[:, 0], ms.raw[:, 0, :]
+        cfg = MsprtConfig(max_observations=ms.n_observations)
+
+        def solves(grid):
+            candidates = feasible_cells(ms, 0, NET, grid)
+            solved = [localize_all(ms, NET, grid, PARAMS, TomographyConfig(grid.cell_side, mode),
+                                   cfg) for mode in ("msprt", "argmin")]
+            return repr(solved + [localize_argmin(candidates, row, NET, grid, PARAMS),
+                                  msprt_localize(candidates, raw, NET, grid, PARAMS, cfg)])
+        want = solves(GRID)
+        fresh = replace(GRID)
+        assert fresh is not GRID and solves(fresh) == want
+        assert "xy" not in vars(fresh) and "cells" not in vars(fresh)
+
     def test_each_hash_is_computed_once_per_object(self, monkeypatch):
         # the region is a field of both: hashing a network or grid again
         # reads its first hash, which is its fields' hash, as a fresh equal
