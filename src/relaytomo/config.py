@@ -4,8 +4,9 @@ Angles are degrees and SNR is dB in the file; both are converted exactly
 once at load.  `ScenarioConfig`'s fields are the file's keys: parsing,
 serialization and the key path every ConfigError names all read them.
 A `ScenarioConfig` is validated when it is built, `dataclasses.replace`
-included: validation builds each domain object once, and each bound is
-checked by the object it bounds, so the config only labels the keys.
+included: validation builds each domain object once, and the config keeps
+the geometry, channel and grids it built.  Each bound is checked by the
+object it bounds, so the config only labels the keys.
 Of the bounds, only MAX_DRAWS is checked here: it bounds relays x
 observations, which no one domain object holds.
 """
@@ -38,13 +39,20 @@ def _key(section: str, **default):
     return field(metadata={"section": section}, **default)
 
 
+def _built():
+    """A domain object a `ScenarioConfig` keeps: no key, and out of its init,
+    repr, equality and hash."""
+    return field(init=False, repr=False, compare=False)
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """The scenario file's keys, one field each, in the file's order.
 
     Each field names its JSON section; `mode`, `msprt_error` and
     `quad_order` may be left out of the file and take their defaults.
-    Built, it is valid (`_validate`), or a ConfigError names its keys.
+    Built, it is valid (`_validate`), or a ConfigError names its keys, and
+    its accessors return the domain objects validation built.
     """
 
     source: Point = _key("geometry")
@@ -66,36 +74,35 @@ class ScenarioConfig:
     mode: str = _key("experiment", default="msprt")
     msprt_error: float = _key("experiment", default=0.01)
     quad_order: int = _key("experiment", default=16)
+    # the domain objects `_validate` builds, set once by __post_init__
+    _baseline: Baseline = _built()
+    _region: RelayRegion = _built()
+    _params: ChannelParams = _built()
+    _network: MeasurementNetwork = _built()
+    _angular_grid: AngularGrid = _built()
+    _cell_grid: CellGrid = _built()
 
     def __post_init__(self) -> None:
-        _validate(self)
+        for name, value in _validate(self).items():
+            object.__setattr__(self, name, value)
 
     def baseline(self) -> Baseline:
-        return Baseline(self.source, self.destination)
+        return self._baseline
 
     def region(self) -> RelayRegion:
-        return RelayRegion(self.region_center, self.region_radius)
+        return self._region
 
     def channel_params(self) -> ChannelParams:
-        return ChannelParams.from_db(
-            self.snr_db, self.nakagami_m, self.path_loss_exp, self.outage_prob
-        )
+        return self._params
 
     def network(self) -> MeasurementNetwork:
-        return MeasurementNetwork(
-            self.nodes, math.radians(self.node_resolution_deg), self.region()
-        )
+        return self._network
 
     def angular_grid(self) -> AngularGrid:
-        return build_grid(
-            self.region(),
-            self.baseline(),
-            math.radians(self.aod_resolution_deg),
-            math.radians(self.aoa_resolution_deg),
-        )
+        return self._angular_grid
 
     def cell_grid(self) -> CellGrid:
-        return discretize_region(self.region(), self.cell_side_m)
+        return self._cell_grid
 
     def quadrature(self) -> QuadratureSpec:
         return QuadratureSpec(self.quad_order)
@@ -162,7 +169,7 @@ _CODECS = {
 }
 # per field, in file order: name, section, "section.name", read, write, default (or MISSING)
 _KEYS = tuple((f.name, f.metadata["section"], f"{f.metadata['section']}.{f.name}",
-               *_CODECS[f.type], f.default) for f in fields(ScenarioConfig))
+               *_CODECS[f.type], f.default) for f in fields(ScenarioConfig) if f.init)
 _SECTIONS = {sec: {name for name, section, *_ in _KEYS if section == sec} for _, sec, *_ in _KEYS}
 _LABELS = {name: label for name, _, label, *_ in _KEYS}
 
@@ -253,9 +260,10 @@ def _bounded_draws(nodes: int, relays: int, observations: int) -> None:
                           f"allowed")
 
 
-def _validate(cfg: ScenarioConfig) -> None:
+def _validate(cfg: ScenarioConfig) -> dict:
     """Build every domain object once, so its invariants fire when cfg is
     built; each ConfigError names the keys the failing object is built from.
+    Returns the objects cfg keeps, by field name.
 
     Each object checks its own bounds: the network its node count
     (MAX_NODES), the angular grid its cells, counted from its index ranges
@@ -267,18 +275,22 @@ def _validate(cfg: ScenarioConfig) -> None:
     baseline = _step("source destination", Baseline, cfg.source, cfg.destination)
     region = _step("region_center region_radius", _clear_region,
                    cfg.region_center, cfg.region_radius, baseline)
-    _step("snr_db nakagami_m path_loss_exp outage_prob", cfg.channel_params)
+    params = _step("snr_db nakagami_m path_loss_exp outage_prob", ChannelParams.from_db,
+                   cfg.snr_db, cfg.nakagami_m, cfg.path_loss_exp, cfg.outage_prob)
     d_node, d_aod, d_aoa = (_step(name, _radians, getattr(cfg, name)) for name in
                             ("node_resolution_deg", "aod_resolution_deg", "aoa_resolution_deg"))
-    _step("nodes node_resolution_deg", MeasurementNetwork, cfg.nodes, d_node, region)
-    _step("aod_resolution_deg aoa_resolution_deg", build_grid, region, baseline, d_aod, d_aoa)
-    _step("cell_side_m", cfg.cell_grid)
+    network = _step("nodes node_resolution_deg", MeasurementNetwork, cfg.nodes, d_node, region)
+    angular_grid = _step("aod_resolution_deg aoa_resolution_deg", build_grid,
+                         region, baseline, d_aod, d_aoa)
+    cell_grid = _step("cell_side_m", discretize_region, region, cfg.cell_side_m)
     _step("cell_side_m mode", cfg.tomography)
     _step("quad_order", cfg.quadrature)
     _step("msprt_error observations", cfg.msprt)
     _step("relays", _non_negative, cfg.relays)
     _step("seed", _non_negative, cfg.seed)
     _step("relays observations", _bounded_draws, len(cfg.nodes), cfg.relays, cfg.observations)
+    return {"_baseline": baseline, "_region": region, "_params": params, "_network": network,
+            "_angular_grid": angular_grid, "_cell_grid": cell_grid}
 
 
 _REFERENCE = _reference()

@@ -31,8 +31,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelParams, HopPair, outage_capacity_array
-from .errors import DegenerateGeometryError, DomainError
+from .errors import DegenerateGeometryError, DomainError, GeometryError
 from .geometry import (
+    COLLINEAR_TOL,
     AnglePair,
     Baseline,
     Point,
@@ -42,6 +43,7 @@ from .geometry import (
     angles_from_points,
     angular_span,
     check_region_clear_of_baseline,
+    dist,
     dist_relay_destination,
     dist_source_relay,
     plane_xy,
@@ -207,10 +209,16 @@ _MAX_INTERVALS = 13
 # every cell of a block at _MAX_INTERVALS intervals; one cell at the largest
 # quadrature order holds 13 * 64^2 = 53,248
 NODE_BUDGET = 1 << 20
-# relays `angle_pdf_check` maps, checks and bins at once.  A block's float64
-# arrays take 256 KiB each, so the few alive at a time stay in a core's L2
-# cache; whole arrays of its 10^6 relays (8 MB each) stream through memory
+# relays the cheap pass of `angle_pdf_check` maps, checks and bins at once;
+# its exact path reports the failure of the first failing block.  A block's
+# float64 arrays take 256 KiB each (blocks of 2^13 and 2^14 relays time the
+# same in a `selftest` process); whole arrays of its 10^6 relays (8 MB each)
+# would stream through memory
 SAMPLE_BLOCK = 1 << 15
+# bounds |cos32(fl32(t)) - cos t| and the same for sin over t in [0, 2 pi):
+# numpy's float32 kernels miss by 2.6e-7 there, the rounding of t included
+# (`tests/test_ias.py` pins the bound)
+E_TRIG = 1e-6
 
 
 def _ray_disc(region: RelayRegion, origin: Point, rx, ry) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -383,30 +391,97 @@ def _uniform_bins(v: np.ndarray, edges: np.ndarray) -> np.ndarray:
     return np.where((edges[0] <= v) & (v <= edges[-1]), k, n)
 
 
-def _uniform_histogram2d(x: np.ndarray, y: np.ndarray, x_edges: np.ndarray,
-                         y_edges: np.ndarray) -> np.ndarray:
-    """np.histogram2d's counts of (x, y) for uniform edges, from one bincount."""
-    nx, ny = x_edges.size - 1, y_edges.size - 1
-    flat = _uniform_bins(x, x_edges) * (ny + 1) + _uniform_bins(y, y_edges)
-    return np.bincount(flat, minlength=(nx + 1) * (ny + 1)).reshape(nx + 1, ny + 1)[:nx, :ny]
+def _angle_margin(region: RelayRegion, baseline: Baseline) -> float:
+    """Twice the most by which `_sampled_angle_counts`' cheap angles can miss the exact ones.
+
+    The cheap cos and sin are within E_TRIG of the exact ones, so a cheap
+    point lies within delta = sqrt(2) R E_TRIG of the exact one, plus both
+    paths' float64 rounding (64 eps of the largest coordinate).  Seen from
+    the source or destination, the point turns by at most delta over its
+    distance from that node, which is at least the node's distance to the
+    disc less delta.  64 eps pi covers the angles' own rounding.  So each
+    cheap angle is within half the margin of its exact one, and aod + aoa
+    within the margin.  inf (every relay goes the exact way) when a node
+    lies within delta of the disc or the scene overflows.
+    """
+    c, r, s, d = region.center, region.radius, baseline.source, baseline.destination
+    eps = np.finfo(float).eps
+    reach = max(abs(c.x), abs(c.y), abs(s.x), abs(s.y), abs(d.x), abs(d.y)) + 2.0 * r
+    delta = math.sqrt(2.0) * r * E_TRIG + 64.0 * eps * reach
+    least = min(dist(s, c), dist(d, c)) - r - delta
+    return 2.0 * (delta / least + 64.0 * eps * math.pi) if least > 0.0 else math.inf
+
+
+def _far_bins(v: np.ndarray, edges: np.ndarray, margin: float) -> tuple[np.ndarray, np.ndarray]:
+    """Each v's bin among uniform `edges` as a float, and whether v lies inside the
+    edges and more than `margin` from each; the bin is `_uniform_bins`' there.
+
+    f = (v - edges[0]) n / (edges[-1] - edges[0]) counts bin widths from the
+    first edge, so v's distance to the nearest edge is the distance from f
+    to the nearest integer, over the scale.  The edges' own rounding (64 eps
+    of the larger outer edge) widens the margin.  A NaN v is never far.
+    """
+    n = edges.size - 1
+    scale = n / (edges[-1] - edges[0])
+    tol = (margin + 64.0 * np.finfo(float).eps * max(abs(edges[0]), abs(edges[-1]))) * scale
+    f = (v - edges[0]) * scale
+    k = np.floor(f)
+    return k, (np.abs(f - k - 0.5) < 0.5 - tol) & (0.0 <= k) & (k < n)
 
 
 def _sampled_angle_counts(region: RelayRegion, baseline: Baseline, rng: RngStream, n: int,
                           w_edges: np.ndarray, p_edges: np.ndarray) -> np.ndarray:
-    """`_uniform_histogram2d` of the angles of n relays drawn as `RelayRegion.sample_xy` draws.
+    """np.histogram2d's counts of the angles of n relays drawn as `RelayRegion.sample_xy` draws.
 
-    The uniforms are drawn whole, as `sample_xy` draws them; mapping them
-    to the disc and to angles, with every check of `angles_from_points`,
-    and binning them go SAMPLE_BLOCK relays at a time.
+    The uniforms are drawn whole, as `sample_xy` draws them.  A cheap pass
+    maps SAMPLE_BLOCK relays at a time with float32 cos and sin of the
+    float32-rounded disc angle (numpy vectorizes these; float64 trig runs
+    as scalar libm), takes float64 angles from the offsets along and
+    across the baseline, and bins them.  It leaves to the exact path
+    (`disc_xy`, `angles_from_points`, `_uniform_bins`, in relay order) each
+    relay with a cheap angle off the edges, not finite or within
+    `_angle_margin` of an edge, or within it of a check of
+    `angles_from_points`: min(aod, aoa) > COLLINEAR_TOL and aod + aoa < pi,
+    which bound max(aod, aoa) too.  Every other relay's exact angles lie on
+    the same side of every edge and check, so the counts are the exact
+    path's, and so is the failure reported: the first failing block's.
     """
     gen = rng.generator()
     u_radius, u_angle = gen.random(n), gen.random(n)
-    counts = np.zeros((w_edges.size - 1, p_edges.size - 1), dtype=np.intp)
+    margin = _angle_margin(region, baseline)
+    ux, uy, nx, ny = baseline.axes
+    cx, cy = region.center.x - baseline.destination.x, region.center.y - baseline.destination.y
+    n_p = p_edges.size
+    counts = np.zeros(w_edges.size * n_p, dtype=np.intp)
+    far = np.empty(n, dtype=bool)
     for start in range(0, n, SAMPLE_BLOCK):
         part = slice(start, start + SAMPLE_BLOCK)
-        aod, aoa = angles_from_points(baseline, *region.disc_xy(u_radius[part], u_angle[part]))
-        counts += _uniform_histogram2d(aod, aoa, w_edges, p_edges)
-    return counts
+        radii = region.radius * np.sqrt(u_radius[part])
+        theta = (2.0 * math.pi * u_angle[part]).astype(np.float32)
+        rx, ry = radii * np.cos(theta), radii * np.sin(theta)
+        # the relay's offset from the destination, along and across the baseline
+        along = (ux * cx + uy * cy) + ux * rx + uy * ry
+        across = np.abs((nx * cx + ny * cy) + nx * rx + ny * ry)
+        aod, aoa = np.arctan2(across, baseline.length - along), np.arctan2(across, along)
+        i, far_w = _far_bins(aod, w_edges, margin)
+        j, far_p = _far_bins(aoa, p_edges, margin)
+        far[part] = far_w & far_p & (np.minimum(aod, aoa) > COLLINEAR_TOL + margin) & (
+            aod + aoa < math.pi - margin)
+        # an undecided relay goes to the last slot, off both edge ranges
+        flat = np.where(far[part], i * n_p + j, counts.size - 1).astype(np.intp)
+        counts += np.bincount(flat, minlength=counts.size)
+    near = np.flatnonzero(~far)
+    try:
+        aod, aoa = angles_from_points(baseline, *region.disc_xy(u_radius[near], u_angle[near]))
+    except GeometryError:
+        # report the failure of the first block that fails, as the exact path does
+        for start in range(0, n, SAMPLE_BLOCK):
+            part = near[(start <= near) & (near < start + SAMPLE_BLOCK)]
+            angles_from_points(baseline, *region.disc_xy(u_radius[part], u_angle[part]))
+        raise
+    counts += np.bincount(_uniform_bins(aod, w_edges) * n_p + _uniform_bins(aoa, p_edges),
+                          minlength=counts.size)
+    return counts.reshape(w_edges.size, n_p)[:-1, :-1]
 
 
 def angle_pdf_check(

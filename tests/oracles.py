@@ -18,6 +18,9 @@ array form, with `first_stop` its stopping rule: the bitwise reference for
 the set-level pass.
 `integrate_angle_cell` is the spectrum's cell quadrature one cell at a
 time, with `chord_kinks` its kink solve for that cell.
+`sampled_angle_counts` is the selftest's angle histogram with every relay
+mapped the exact way, block by block, and `uniform_histogram2d` its
+binning: the bitwise reference for the cheap pass.
 """
 
 import math
@@ -29,7 +32,16 @@ import scipy.special
 
 from relaytomo.channel import ChannelParams, HopPair
 from relaytomo.errors import DomainError, MeasurementError, RelayTomoError
-from relaytomo.geometry import Point, _interior_angles, _unit, angular_span, dist, signed_angle
+from relaytomo import ias
+from relaytomo.geometry import (
+    Point,
+    _interior_angles,
+    _unit,
+    angles_from_points,
+    angular_span,
+    dist,
+    signed_angle,
+)
 from relaytomo.ias import (
     _MIN_INTERVAL,
     _TANGENCY_SPLITS,
@@ -37,6 +49,7 @@ from relaytomo.ias import (
     _aoa_chord,
     _ray_disc,
     _region_axes,
+    _uniform_bins,
 )
 from relaytomo.measurement import MeasurementSet, angle_bins
 from relaytomo.numerics import gauss_legendre
@@ -420,3 +433,30 @@ def integrate_angle_cell(region, baseline, cell, order: int = 16):
     # a running sum adds the nodes in order, as a scalar loop would
     mass = float(np.cumsum(weighted)[-1]) if weighted.size else 0.0
     return mass, np.stack((omega, psi, weighted), axis=-1).reshape(-1, 3)
+
+
+def uniform_histogram2d(x: np.ndarray, y: np.ndarray, x_edges: np.ndarray,
+                        y_edges: np.ndarray) -> np.ndarray:
+    """np.histogram2d's counts of (x, y) for uniform edges, from one bincount."""
+    nx, ny = x_edges.size - 1, y_edges.size - 1
+    flat = _uniform_bins(x, x_edges) * (ny + 1) + _uniform_bins(y, y_edges)
+    return np.bincount(flat, minlength=(nx + 1) * (ny + 1)).reshape(nx + 1, ny + 1)[:nx, :ny]
+
+
+def sampled_angle_counts(region, baseline, rng, n: int, w_edges: np.ndarray,
+                         p_edges: np.ndarray) -> np.ndarray:
+    """`ias._sampled_angle_counts` with every relay mapped the exact way.
+
+    The uniforms are drawn whole, as `RelayRegion.sample_xy` draws them;
+    then each block of `ias.SAMPLE_BLOCK` relays goes through `disc_xy`,
+    `angles_from_points` (so its checks fail in the first failing block)
+    and `uniform_histogram2d`.
+    """
+    gen = rng.generator()
+    u_radius, u_angle = gen.random(n), gen.random(n)
+    counts = np.zeros((w_edges.size - 1, p_edges.size - 1), dtype=np.intp)
+    for start in range(0, n, ias.SAMPLE_BLOCK):
+        part = slice(start, start + ias.SAMPLE_BLOCK)
+        aod, aoa = angles_from_points(baseline, *region.disc_xy(u_radius[part], u_angle[part]))
+        counts += uniform_histogram2d(aod, aoa, w_edges, p_edges)
+    return counts

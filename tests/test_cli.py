@@ -187,6 +187,26 @@ class TestConfig:
         with pytest.raises(ConfigError, match=match):
             replace(cfg, **change)
 
+    def test_domain_objects_are_built_once_and_kept(self):
+        cfg = scenario_from_dict(default_config_dict())
+        for accessor in ("baseline", "region", "channel_params", "network", "angular_grid",
+                         "cell_grid"):
+            assert getattr(cfg, accessor)() is getattr(cfg, accessor)(), accessor
+        assert cfg.network().region is cfg.region()
+        # the kept objects are no keys: the file, repr, equality and hash are the keys'
+        again = scenario_from_dict(cfg.as_dict())
+        assert again.as_dict() == cfg.as_dict() == default_config_dict()
+        assert again == cfg and hash(again) == hash(cfg) and repr(again) == repr(cfg)
+        assert "_network" not in repr(cfg) and again.network() is not cfg.network()
+        assert again.network() == cfg.network() and again.cell_grid() == cfg.cell_grid()
+        # a replaced config builds its own objects, from its own keys
+        finer = replace(cfg, cell_side_m=1.0)
+        assert finer.cell_grid().cell_side == 1.0 and finer.network() is not cfg.network()
+        with pytest.raises(ConfigError, match="^experiment.relays: must be non-negative"):
+            replace(cfg, relays=-1)
+        with pytest.raises((TypeError, ValueError), match="_network"):
+            replace(cfg, _network=None)
+
 
 class TestDirect:
     def test_reference_grid_shape(self, tmp_path, config_path):

@@ -1,12 +1,14 @@
 import math
+import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from oracles import integrate_angle_cell
+from oracles import integrate_angle_cell, sampled_angle_counts, uniform_histogram2d
 from relaytomo import ias
 from relaytomo.channel import ChannelParams, HopPair, outage_capacity, outage_capacity_array
-from relaytomo.errors import DegenerateGeometryError, DomainError
+from relaytomo.errors import DegenerateGeometryError, DomainError, GeometryError
 from relaytomo.geometry import (
     Baseline,
     Point,
@@ -21,10 +23,10 @@ from relaytomo.ias import (
     AngularGrid,
     DiscreteIas,
     FlowAtom,
+    _angle_margin,
     _chord_kinks,
     _sampled_angle_counts,
     _uniform_bins,
-    _uniform_histogram2d,
     angle_cell_mass,
     build_grid,
     continuous_ias,
@@ -349,49 +351,170 @@ class TestUniformBins:
         x_edges, y_edges = np.linspace(-0.35, 1.2, 21), np.linspace(0.1, 0.7, 8)
         x, y = (g.ravel() for g in np.meshgrid(self.probes(x_edges), self.probes(y_edges)))
         want, _, _ = np.histogram2d(x, y, bins=[x_edges, y_edges])
-        got = _uniform_histogram2d(x, y, x_edges, y_edges)
+        got = uniform_histogram2d(x, y, x_edges, y_edges)
         assert want.sum() < x.size and np.array_equal(got, want)
 
 
+class StubStream:
+    """An `RngStream` stand-in whose generator hands out the given uniforms in turn."""
+
+    def __init__(self, *draws):
+        self.draws = draws
+
+    def generator(self):
+        draws = iter(self.draws)
+
+        def random(n):
+            u = next(draws)
+            assert u.size == n
+            return u
+
+        return SimpleNamespace(random=random)
+
+
+def selftest_edges(region: RelayRegion):
+    """`angle_pdf_check`'s 20 x 20 edges over the region's 10 degree grid."""
+    w_lo, w_hi, p_lo, p_hi = spans_box(build_grid(region, BASELINE, math.radians(10),
+                                                  math.radians(10)))
+    return np.linspace(w_lo, w_hi, 21), np.linspace(p_lo, p_hi, 21)
+
+
 class TestSampledAngleCounts:
-    """The selftest's blocked counts against one whole-array histogram."""
+    """The selftest's counts, from the cheap pass, against the exact path's."""
 
     BLOCK = 64
 
-    @pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, 3 * BLOCK + 17])
-    def test_blocks_match_whole_histogram(self, monkeypatch, n):
-        w_lo, w_hi, p_lo, p_hi = spans_box(build_grid(REGION, BASELINE, math.radians(10),
-                                                      math.radians(10)))
-        w_edges, p_edges = np.linspace(w_lo, w_hi, 21), np.linspace(p_lo, p_hi, 21)
-        want, _, _ = np.histogram2d(*angles_from_points(BASELINE, *REGION.sample_xy(
-            RngStream(53), n)), bins=[w_edges, p_edges])
-        sizes = []
+    @pytest.mark.parametrize("region", [REGION, MIRRORED, RelayRegion(Point(CX, 50.0), 47.5)],
+                             ids=["reference", "mirrored", "radius-47.5"])
+    def test_counts_equal_the_exact_paths(self, monkeypatch, region):
+        # a 47.5 m disc leaves the 48 m nodes outside and clears the axis at 50 m
+        w_edges, p_edges = selftest_edges(region)
+        n = 1_000_000
+        want = sampled_angle_counts(region, BASELINE, RngStream(1002), n, w_edges, p_edges)
+        exact = []
 
         def angles(baseline, x, y):
-            sizes.append(x.size)
+            exact.append(x.size)
             return angles_from_points(baseline, x, y)
 
-        monkeypatch.setattr(ias, "SAMPLE_BLOCK", self.BLOCK)
         monkeypatch.setattr(ias, "angles_from_points", angles)
+        got = _sampled_angle_counts(region, BASELINE, RngStream(1002), n, w_edges, p_edges)
+        assert np.array_equal(got, want) and got.sum() == n
+        # the cheap pass decides all but a few relays
+        assert 0 < sum(exact) < n // 1000
+
+    @pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, 3 * BLOCK + 17])
+    def test_blocks_match_the_exact_path_and_one_histogram(self, monkeypatch, n):
+        w_edges, p_edges = selftest_edges(REGION)
+        whole, _, _ = np.histogram2d(*angles_from_points(BASELINE, *REGION.sample_xy(
+            RngStream(53), n)), bins=[w_edges, p_edges])
+        monkeypatch.setattr(ias, "SAMPLE_BLOCK", self.BLOCK)
+        want = sampled_angle_counts(REGION, BASELINE, RngStream(53), n, w_edges, p_edges)
         got = _sampled_angle_counts(REGION, BASELINE, RngStream(53), n, w_edges, p_edges)
-        assert np.array_equal(got, want)
-        assert sum(sizes) == n and max(sizes) <= self.BLOCK
-        assert len(sizes) == -(-n // self.BLOCK)
+        assert np.array_equal(got, want) and np.array_equal(got, whole)
 
-    def test_blocks_keep_the_angle_checks(self, monkeypatch):
-        block = self.BLOCK
+    def test_relays_off_the_edges_are_dropped(self):
+        # edges over the middle of the region's angles, so relays fall off both ends
+        w_edges, p_edges = np.linspace(0.3, 0.7, 9), np.linspace(0.35, 0.6, 6)
+        n = 20_000
+        whole, _, _ = np.histogram2d(*angles_from_points(BASELINE, *REGION.sample_xy(
+            RngStream(55), n)), bins=[w_edges, p_edges])
+        got = _sampled_angle_counts(REGION, BASELINE, RngStream(55), n, w_edges, p_edges)
+        assert np.array_equal(got, whole) and 0 < got.sum() < n // 2
 
-        def disc_xy(region, u_radius, u_angle):
-            # only the short last block maps onto the baseline
-            return np.full(u_radius.size, CX), np.full(u_radius.size,
-                                                       50.0 if u_radius.size == block else 0.0)
+    @pytest.mark.parametrize("axis", [0, 1], ids=["aod", "aoa"])
+    def test_relays_straddling_an_edge_land_in_the_exact_bin(self, axis):
+        edges = selftest_edges(REGION)
 
-        monkeypatch.setattr(ias, "SAMPLE_BLOCK", block)
-        monkeypatch.setattr(RelayRegion, "disc_xy", disc_xy)
-        edges = np.linspace(0.0, 1.0, 3)
-        with pytest.raises(DegenerateGeometryError, match="collinear"):
-            _sampled_angle_counts(REGION, BASELINE, RngStream(54), 3 * self.BLOCK + 17,
-                                  edges, edges)
+        def exact_bin(u_radius, u_angle):
+            angles = angles_from_points(BASELINE, *REGION.disc_xy(np.array([u_radius]),
+                                                                  np.array([u_angle])))
+            return int(_uniform_bins(angles[axis], edges[axis])[0])
+
+        crossings = 0
+        for u_radius in (0.3, 0.9):
+            grid = np.linspace(0.0, 1.0, 98)[:-1]
+            for lo, hi in zip(grid[:-1], grid[1:]):
+                below = exact_bin(u_radius, lo)
+                if below == exact_bin(u_radius, hi):
+                    continue
+                # bisect to the two neighbouring floats whose bins differ
+                while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+                    lo, hi = (mid, hi) if exact_bin(u_radius, mid) == below else (lo, mid)
+                crossings += 1
+                probes = [lo, hi]
+                for _ in range(4):
+                    probes += [np.nextafter(probes[-2], -np.inf), np.nextafter(probes[-1], np.inf)]
+                for u_angle in probes:
+                    draws = np.array([u_radius]), np.array([u_angle])
+                    want = sampled_angle_counts(REGION, BASELINE, StubStream(*draws), 1, *edges)
+                    got = _sampled_angle_counts(REGION, BASELINE, StubStream(*draws), 1, *edges)
+                    assert np.array_equal(got, want), (u_radius, u_angle)
+        assert crossings >= 20
+
+    # Scenes whose exact path fails, each with edges that leave the cheap
+    # angles far from every edge, and the index of the odd relay.
+    # collinear: a disc across the axis; relays at angles 0 and pi lie on it.
+    # triangle: a disc 1e20 m off the baseline, which every relay subtends
+    #   at an angle too small for aod + aoa to round below pi.
+    # non-finite / first block: a disc near the largest float, across the
+    #   axis at angle pi; a relay at angle 0 and radius 0.995 R overflows.
+    #   In the second, the collinear relays of the first block fail first.
+    FAILING = {
+        "collinear": (RelayRegion(Point(CX, 0.0), 20.0), BASELINE, 0.25,
+                      3 * BLOCK + 5, DegenerateGeometryError, "collinear"),
+        "triangle": (RelayRegion(Point(CX, 1e20), 1e19), BASELINE, 0.25, 0,
+                     GeometryError, "triangle condition"),
+        "non-finite": (RelayRegion(Point(1e308, 0.0), 9e307), Baseline(Point(1.0, 0.0),
+                       Point(0.0, 0.0)), 0.5, 5, GeometryError, "must be finite"),
+        "first block": (RelayRegion(Point(1e308, 0.0), 9e307), Baseline(Point(1.0, 0.0),
+                        Point(0.0, 0.0)), 0.5, 3 * BLOCK + 5, DegenerateGeometryError,
+                        r"relay at \(5"),
+    }
+
+    @pytest.mark.parametrize("case", FAILING)
+    def test_failures_are_the_exact_paths(self, monkeypatch, case):
+        region, baseline, u_angle, odd, kind, message = self.FAILING[case]
+        n = 3 * self.BLOCK + 17
+        u_radius, u_angles = np.full(n, 0.25), np.full(n, u_angle)
+        if case == "collinear":
+            u_angles[[odd, odd + 4]] = 0.0, 0.5
+        elif case != "triangle":
+            u_radius[odd], u_angles[odd] = 0.99, 0.0
+        edges = np.linspace(-0.5, 2.5, 4)
+        monkeypatch.setattr(ias, "SAMPLE_BLOCK", self.BLOCK)
+        raised = []
+        for counts in (sampled_angle_counts, _sampled_angle_counts):
+            with pytest.raises(GeometryError) as info, np.errstate(over="ignore",
+                                                                   invalid="ignore"):
+                counts(region, baseline, StubStream(u_radius, u_angles), n, edges, edges)
+            raised.append((type(info.value), str(info.value)))
+        assert raised[1] == raised[0]
+        assert raised[0][0] is kind and re.search(message, raised[0][1])
+        if case == "collinear":
+            assert f"({region.center.x + 10.0}, 0.0)" in raised[0][1]
+
+
+class TestTrigBound:
+    def test_float32_trig_of_the_rounded_angle_stays_within_e_trig(self):
+        # the kernel's angle, 2 pi u, for u on a grid of 10 x 2^20 points of [0, 1)
+        worst = 0.0
+        size = 1 << 20
+        for k in range(10):
+            theta = 2.0 * math.pi * (np.arange(k * size, (k + 1) * size) / (10 * size))
+            rounded = theta.astype(np.float32)
+            for trig in (np.cos, np.sin):
+                worst = max(worst, float(np.abs(trig(rounded) - trig(theta)).max()))
+        assert 1e-7 < worst <= ias.E_TRIG
+
+    def test_margin_follows_the_scene(self):
+        reference = _angle_margin(REGION, BASELINE)
+        assert 1e-6 < reference < 3e-6
+        assert _angle_margin(MIRRORED, BASELINE) == reference
+        # a wider disc comes nearer the source and destination
+        assert _angle_margin(RelayRegion(Point(CX, 50.0), 47.5), BASELINE) > reference
+        assert _angle_margin(RelayRegion(Point(CX, 50.0), 100.0), BASELINE) == math.inf
+        assert _angle_margin(RelayRegion(Point(1e308, 0.0), 9e307), BASELINE) == math.inf
 
 
 class TestBuildGrid:

@@ -822,7 +822,7 @@ class TestCapacityColumn:
         # region finds the first one's tables, and the solver never builds
         # either grid's points
         cfg = replace(CFG, cell_side_m=1.0)
-        grid, fresh = cfg.cell_grid(), cfg.cell_grid()
+        grid, fresh = cfg.cell_grid(), replace(cfg).cell_grid()
         assert grid is not fresh and grid == fresh
         ms = synthetic_set(sample_relays(REGION, 3, RngStream(130)), seed=131)
         tomography._footprint.cache_clear()
@@ -984,6 +984,8 @@ class TestTableLookup:
         # the region is a field of both: hashing a network or grid again
         # reads its first hash, which is its fields' hash, as a fresh equal
         # object's is
+        # (a config keeps the network and grid it built: a new config's are new)
+        cfg = replace(CFG)
         region_hashes = Counter()
         region_hash = RelayRegion.__hash__
 
@@ -991,7 +993,7 @@ class TestTableLookup:
             region_hashes["calls"] += 1
             return region_hash(region)
         monkeypatch.setattr(RelayRegion, "__hash__", counted)
-        net, grid = CFG.network(), CFG.cell_grid()
+        net, grid = cfg.network(), cfg.cell_grid()
         hashes = [hash(net), hash(grid)]
         for _ in range(3):
             assert [hash(net), hash(grid)] == hashes
