@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelParams, HopPair, outage_capacity_array
-from .errors import DegenerateGeometryError, DomainError, GeometryError
+from .errors import DegenerateGeometryError, DomainError
 from .geometry import (
     COLLINEAR_TOL,
     AnglePair,
@@ -209,11 +209,12 @@ _MAX_INTERVALS = 13
 # every cell of a block at _MAX_INTERVALS intervals; one cell at the largest
 # quadrature order holds 13 * 64^2 = 53,248
 NODE_BUDGET = 1 << 20
-# relays the cheap pass of `angle_pdf_check` maps, checks and bins at once;
-# its exact path reports the failure of the first failing block.  A block's
-# float64 arrays take 256 KiB each (blocks of 2^13 and 2^14 relays time the
-# same in a `selftest` process); whole arrays of its 10^6 relays (8 MB each)
-# would stream through memory
+# relays `angle_pdf_check` maps, checks and bins at once, first by its cheap
+# pass and then, for its undecided ones, by the exact path, which reports
+# the failure of the first failing block.  A block's float64 arrays take
+# 256 KiB each (blocks of 2^13 and 2^14 relays time the same in a `selftest`
+# process); whole arrays of its 10^6 relays (8 MB each) would stream through
+# memory
 SAMPLE_BLOCK = 1 << 15
 # bounds |cos32(fl32(t)) - cos t| and the same for sin over t in [0, 2 pi):
 # numpy's float32 kernels miss by 2.6e-7 there, the rounding of t included
@@ -402,85 +403,102 @@ def _angle_margin(region: RelayRegion, baseline: Baseline) -> float:
     disc less delta.  64 eps pi covers the angles' own rounding.  So each
     cheap angle is within half the margin of its exact one, and aod + aoa
     within the margin.  inf (every relay goes the exact way) when a node
-    lies within delta of the disc or the scene overflows.
+    lies within delta of the disc, or when the exact path's cross and dot
+    products of coordinate differences (below 8 reach^2, as each difference
+    is below 2 reach) may overflow.
     """
     c, r, s, d = region.center, region.radius, baseline.source, baseline.destination
     eps = np.finfo(float).eps
     reach = max(abs(c.x), abs(c.y), abs(s.x), abs(s.y), abs(d.x), abs(d.y)) + 2.0 * r
     delta = math.sqrt(2.0) * r * E_TRIG + 64.0 * eps * reach
     least = min(dist(s, c), dist(d, c)) - r - delta
-    return 2.0 * (delta / least + 64.0 * eps * math.pi) if least > 0.0 else math.inf
+    if least <= 0.0 or not math.isfinite(16.0 * reach * reach):
+        return math.inf
+    return 2.0 * (delta / least + 64.0 * eps * math.pi)
 
 
 def _far_bins(v: np.ndarray, edges: np.ndarray, margin: float) -> tuple[np.ndarray, np.ndarray]:
-    """Each v's bin among uniform `edges` as a float, and whether v lies inside the
-    edges and more than `margin` from each; the bin is `_uniform_bins`' there.
+    """Each v's bin among uniform `edges` (n, one past the last, off the edges)
+    as a float, and whether v lies more than `margin` from every edge; the
+    bin is `_uniform_bins`' there.
 
     f = (v - edges[0]) n / (edges[-1] - edges[0]) counts bin widths from the
-    first edge, so v's distance to the nearest edge is the distance from f
-    to the nearest integer, over the scale.  The edges' own rounding (64 eps
-    of the larger outer edge) widens the margin.  A NaN v is never far.
+    first edge, so v's distance to the nearest edge is at least the distance
+    from f to the nearest integer, over the scale, and equals it inside the
+    edges.  The edges' own rounding (64 eps of the larger outer edge) widens
+    the margin.  A NaN or infinite v is never far.
     """
     n = edges.size - 1
     scale = n / (edges[-1] - edges[0])
     tol = (margin + 64.0 * np.finfo(float).eps * max(abs(edges[0]), abs(edges[-1]))) * scale
     f = (v - edges[0]) * scale
     k = np.floor(f)
-    return k, (np.abs(f - k - 0.5) < 0.5 - tol) & (0.0 <= k) & (k < n)
+    return np.where((0.0 <= k) & (k < n), k, n), np.abs(f - k - 0.5) < 0.5 - tol
+
+
+def _cheap_bins(region: RelayRegion, baseline: Baseline, u_radius: np.ndarray,
+                u_angle: np.ndarray, w_edges: np.ndarray, p_edges: np.ndarray,
+                margin: float) -> tuple[np.ndarray, np.ndarray]:
+    """The relays' flat bins i (p_edges.size) + j from cheap angles, and
+    which relays those bins leave undecided (their flat bin is 0).
+
+    The cheap angles come from float32 cos and sin of the float32-rounded
+    disc angle (numpy vectorizes these; float64 trig runs as scalar libm)
+    and float64 offsets along and across the baseline.  A relay is
+    undecided when a cheap angle is not finite or lies within `margin` of
+    an edge or of a check of `angles_from_points`: min(aod, aoa) >
+    COLLINEAR_TOL and aod + aoa < pi, which bound max(aod, aoa) too.
+    """
+    radii = region.radius * np.sqrt(u_radius)
+    theta = (2.0 * math.pi * u_angle).astype(np.float32)
+    rx, ry = radii * np.cos(theta), radii * np.sin(theta)
+    ux, uy, nx, ny = baseline.axes
+    cx, cy = region.center.x - baseline.destination.x, region.center.y - baseline.destination.y
+    # the relay's offset from the destination, along and across the baseline
+    along = (ux * cx + uy * cy) + ux * rx + uy * ry
+    across = np.abs((nx * cx + ny * cy) + nx * rx + ny * ry)
+    aod, aoa = np.arctan2(across, baseline.length - along), np.arctan2(across, along)
+    i, far_w = _far_bins(aod, w_edges, margin)
+    j, far_p = _far_bins(aoa, p_edges, margin)
+    near = ~(far_w & far_p & (np.minimum(aod, aoa) > COLLINEAR_TOL + margin)
+             & (aod + aoa < math.pi - margin))
+    return np.where(near, 0, i * p_edges.size + j).astype(np.intp), near
 
 
 def _sampled_angle_counts(region: RelayRegion, baseline: Baseline, rng: RngStream, n: int,
                           w_edges: np.ndarray, p_edges: np.ndarray) -> np.ndarray:
     """np.histogram2d's counts of the angles of n relays drawn as `RelayRegion.sample_xy` draws.
 
-    The uniforms are drawn whole, as `sample_xy` draws them.  A cheap pass
-    maps SAMPLE_BLOCK relays at a time with float32 cos and sin of the
-    float32-rounded disc angle (numpy vectorizes these; float64 trig runs
-    as scalar libm), takes float64 angles from the offsets along and
-    across the baseline, and bins them.  It leaves to the exact path
-    (`disc_xy`, `angles_from_points`, `_uniform_bins`, in relay order) each
-    relay with a cheap angle off the edges, not finite or within
-    `_angle_margin` of an edge, or within it of a check of
-    `angles_from_points`: min(aod, aoa) > COLLINEAR_TOL and aod + aoa < pi,
-    which bound max(aod, aoa) too.  Every other relay's exact angles lie on
-    the same side of every edge and check, so the counts are the exact
-    path's, and so is the failure reported: the first failing block's.
+    The uniforms are drawn whole, as `sample_xy` draws them, and mapped
+    SAMPLE_BLOCK relays at a time.  `_cheap_bins` bins a block's relays
+    and leaves the undecided ones, in relay order, to the exact path:
+    `disc_xy`, `angles_from_points` and `_uniform_bins`.  Every decided
+    relay's exact angles lie on the same side of every edge and check as
+    its cheap ones, and every relay failing a check is undecided, so the
+    counts are the exact path's, and so is the failure reported: the first
+    failing block's.  A relay is undecided within the margin of either edge
+    of its bin on either axis, about 4 margin / width of them: from a
+    margin of an eighth of the narrower bin on, the cheap pass would cost
+    more than it saves, and every relay goes the exact way.
     """
     gen = rng.generator()
     u_radius, u_angle = gen.random(n), gen.random(n)
     margin = _angle_margin(region, baseline)
-    ux, uy, nx, ny = baseline.axes
-    cx, cy = region.center.x - baseline.destination.x, region.center.y - baseline.destination.y
+    cheap = 8.0 * margin < min(w_edges[1] - w_edges[0], p_edges[1] - p_edges[0])
     n_p = p_edges.size
     counts = np.zeros(w_edges.size * n_p, dtype=np.intp)
-    far = np.empty(n, dtype=bool)
     for start in range(0, n, SAMPLE_BLOCK):
         part = slice(start, start + SAMPLE_BLOCK)
-        radii = region.radius * np.sqrt(u_radius[part])
-        theta = (2.0 * math.pi * u_angle[part]).astype(np.float32)
-        rx, ry = radii * np.cos(theta), radii * np.sin(theta)
-        # the relay's offset from the destination, along and across the baseline
-        along = (ux * cx + uy * cy) + ux * rx + uy * ry
-        across = np.abs((nx * cx + ny * cy) + nx * rx + ny * ry)
-        aod, aoa = np.arctan2(across, baseline.length - along), np.arctan2(across, along)
-        i, far_w = _far_bins(aod, w_edges, margin)
-        j, far_p = _far_bins(aoa, p_edges, margin)
-        far[part] = far_w & far_p & (np.minimum(aod, aoa) > COLLINEAR_TOL + margin) & (
-            aod + aoa < math.pi - margin)
-        # an undecided relay goes to the last slot, off both edge ranges
-        flat = np.where(far[part], i * n_p + j, counts.size - 1).astype(np.intp)
+        if cheap:
+            flat, near = _cheap_bins(region, baseline, u_radius[part], u_angle[part],
+                                     w_edges, p_edges, margin)
+            exact = start + np.flatnonzero(near)
+        else:
+            flat, near, exact = np.empty(u_angle[part].size, dtype=np.intp), slice(None), part
+        aod, aoa = angles_from_points(baseline, *region.disc_xy(u_radius[exact], u_angle[exact]))
+        flat[near] = _uniform_bins(aod, w_edges) * n_p + _uniform_bins(aoa, p_edges)
         counts += np.bincount(flat, minlength=counts.size)
-    near = np.flatnonzero(~far)
-    try:
-        aod, aoa = angles_from_points(baseline, *region.disc_xy(u_radius[near], u_angle[near]))
-    except GeometryError:
-        # report the failure of the first block that fails, as the exact path does
-        for start in range(0, n, SAMPLE_BLOCK):
-            part = near[(start <= near) & (near < start + SAMPLE_BLOCK)]
-            angles_from_points(baseline, *region.disc_xy(u_radius[part], u_angle[part]))
-        raise
-    counts += np.bincount(_uniform_bins(aod, w_edges) * n_p + _uniform_bins(aoa, p_edges),
-                          minlength=counts.size)
+    # row and column n hold the relays off the edges
     return counts.reshape(w_edges.size, n_p)[:-1, :-1]
 
 

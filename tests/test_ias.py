@@ -413,6 +413,39 @@ class TestSampledAngleCounts:
         got = _sampled_angle_counts(REGION, BASELINE, RngStream(53), n, w_edges, p_edges)
         assert np.array_equal(got, want) and np.array_equal(got, whole)
 
+    @pytest.mark.parametrize("gap, cheap", [(0.05, True), (0.01, False), (1e-4, False)],
+                             ids=["wide-margin", "margin-past-an-eighth-bin", "infinite-margin"])
+    def test_exact_path_maps_one_block_at_a_time(self, monkeypatch, gap, cheap):
+        # a disc above the destination, `gap` from it and from the axis: the
+        # margin grows as the gap shrinks, and is inf within sqrt(2) R E_TRIG
+        region = RelayRegion(Point(0.0, 50.0), 50.0 - gap)
+        w_edges, p_edges = selftest_edges(region)
+        n = 3 * self.BLOCK + 17
+        monkeypatch.setattr(ias, "SAMPLE_BLOCK", self.BLOCK)
+        want = sampled_angle_counts(region, BASELINE, RngStream(59), n, w_edges, p_edges)
+        sizes, passes = [], []
+        cheap_bins = ias._cheap_bins
+
+        def angles(baseline, x, y):
+            sizes.append(x.size)
+            return angles_from_points(baseline, x, y)
+
+        def counted_cheap_bins(region, baseline, u_radius, *rest):
+            passes.append(u_radius.size)
+            return cheap_bins(region, baseline, u_radius, *rest)
+
+        monkeypatch.setattr(ias, "angles_from_points", angles)
+        monkeypatch.setattr(ias, "_cheap_bins", counted_cheap_bins)
+        got = _sampled_angle_counts(region, BASELINE, RngStream(59), n, w_edges, p_edges)
+        assert np.array_equal(got, want)
+        blocks = [self.BLOCK] * 3 + [17]
+        assert len(sizes) == len(blocks) and max(sizes) <= self.BLOCK
+        if cheap:
+            assert passes == blocks and 0 < sum(sizes) < n
+        else:
+            # the cheap pass would decide too few relays to pay for itself
+            assert passes == [] and sizes == blocks
+
     def test_relays_off_the_edges_are_dropped(self):
         # edges over the middle of the region's angles, so relays fall off both ends
         w_edges, p_edges = np.linspace(0.3, 0.7, 9), np.linspace(0.35, 0.6, 6)
@@ -515,6 +548,11 @@ class TestTrigBound:
         assert _angle_margin(RelayRegion(Point(CX, 50.0), 47.5), BASELINE) > reference
         assert _angle_margin(RelayRegion(Point(CX, 50.0), 100.0), BASELINE) == math.inf
         assert _angle_margin(RelayRegion(Point(1e308, 0.0), 9e307), BASELINE) == math.inf
+        # the exact path's cross products of coordinates near 1e155 overflow
+        huge = Baseline(Point(1e155, 0.0), Point(0.0, 0.0))
+        assert _angle_margin(RelayRegion(Point(5e154, 1e154), 1e153), huge) == math.inf
+        assert _angle_margin(RelayRegion(Point(5e152, 1e152), 1e151), Baseline(
+            Point(1e153, 0.0), Point(0.0, 0.0))) < 1e-5
 
 
 class TestBuildGrid:
