@@ -9,7 +9,10 @@ invert     localize relays from a measurement file, optionally scored
 selftest   Monte Carlo oracle checks of the angle pdf and the outage solver
 
 Exit codes: 0 success, 2 configuration error or unusable output path,
-3 numerical degeneracy.
+3 numerical degeneracy or unusable input data.
+
+Each command imports the spectrum (`ias`) or the solver (`tomography`)
+only if it runs it, so `simulate` loads neither.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ from .config import (
 )
 from .errors import ConfigError, MeasurementError, RelayTomoError
 from .geometry import sample_relays
-from .ias import angle_pdf_check, continuous_ias, discrete_ias
 from .measurement import (
     read_measurements,
     read_relays,
@@ -43,7 +45,6 @@ from .measurement import (
     write_relays,
 )
 from .numerics import RngStream
-from .tomography import localize_all, score_results, write_report
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -73,6 +74,8 @@ def _write_manifest(out: Path, cfg: ScenarioConfig, outputs: list[str]) -> None:
 
 
 def cmd_direct(args) -> int:
+    from .ias import continuous_ias, discrete_ias
+
     cfg = _load(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -125,6 +128,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_invert(args) -> int:
+    from .tomography import localize_all, score_results, write_report
+
     cfg = _load(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -188,6 +193,8 @@ def _selftest_outage_solver(cfg: ScenarioConfig, n: int = 1_000_000) -> bool:
 
 def _selftest_angle_pdf(cfg: ScenarioConfig, n: int = 1_000_000) -> bool:
     """Angle pdf normalization and a histogram match against relay sampling."""
+    from .ias import angle_pdf_check
+
     total, frac = angle_pdf_check(cfg.region(), cfg.baseline(), cfg.angular_grid(),
                                   RngStream(cfg.seed).child(102), n)
     norm_ok = abs(total - 1.0) <= 1e-4
@@ -262,6 +269,10 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except MeasurementError as exc:
+        # an unreadable, malformed or mismatched measurement or relay file
+        print(f"data error: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     except RelayTomoError as exc:
         print(f"numerical degeneracy: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -9,6 +9,9 @@ the geometry, channel and grids it built.  Each bound is checked by the
 object it bounds, so the config only labels the keys.
 Of the bounds, only MAX_DRAWS is checked here: it bounds relays x
 observations, which no one domain object holds.
+The solver's settings, `TomographyConfig` and `MsprtConfig`, live here
+too (and `relaytomo.tomography` names them), so loading a scenario loads
+neither the spectrum nor the solver.
 """
 
 from __future__ import annotations
@@ -18,20 +21,22 @@ import math
 from dataclasses import MISSING, dataclass, field, fields
 from functools import partial
 
+import numpy as np
+
 from .channel import ChannelParams
 from .errors import ConfigError, DomainError, RelayTomoError
 from .geometry import (
+    AngularGrid,
     Baseline,
     CellGrid,
     Point,
     RelayRegion,
+    build_grid,
     check_region_clear_of_baseline,
     discretize_region,
 )
-from .ias import AngularGrid, build_grid
 from .measurement import MAX_DRAWS, MeasurementNetwork
 from .numerics import QuadratureSpec, RngStream
-from .tomography import MsprtConfig, TomographyConfig
 
 
 def _key(section: str, **default):
@@ -43,6 +48,46 @@ def _built():
     """A domain object a `ScenarioConfig` keeps: no key, and out of its init,
     repr, equality and hash."""
     return field(init=False, repr=False, compare=False)
+
+
+@dataclass(frozen=True)
+class TomographyConfig:
+    """Solver settings: discretization and the localization objective."""
+
+    cell_side: float = 5.0
+    mode: str = "msprt"
+
+    def __post_init__(self) -> None:
+        if not 0.0 < self.cell_side < math.inf:
+            raise DomainError(f"cell side must be positive and finite, got {self.cell_side}")
+        if self.mode not in ("argmin", "msprt"):
+            raise DomainError(f"mode must be 'argmin' or 'msprt', got {self.mode!r}")
+
+
+@dataclass(frozen=True)
+class MsprtConfig:
+    """Sequential-test settings.
+
+    error is the tolerated probability of picking a wrong hypothesis, a
+    number in (0, 1); the test stops once the leading hypothesis beats its
+    runner-up by `threshold`.
+    """
+
+    error: float = 0.01
+    max_observations: int = 10
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.error, (int, float)) or not 0.0 < self.error < 1.0:
+            raise DomainError(f"error probability must be a number in (0, 1), got {self.error!r}")
+        count = self.max_observations
+        if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 1:
+            raise DomainError(f"max_observations must be an integer >= 1, got {count!r}")
+
+    @property
+    def threshold(self) -> float:
+        """log((1 - error) / error): the margin a decision needs."""
+        # numpy's log: math.log rounds some of these one ulp apart
+        return float(np.log((1.0 - self.error) / self.error))
 
 
 @dataclass(frozen=True)

@@ -32,9 +32,13 @@ import numpy as np
 
 from .channel import ChannelParams, HopPair, outage_capacity_array
 from .errors import DegenerateGeometryError, DomainError
+# the angular grid lives in geometry; build_grid and MAX_GRID_CELLS are
+# imported back so `relaytomo.ias` still names them
 from .geometry import (
     COLLINEAR_TOL,
+    MAX_GRID_CELLS,
     AnglePair,
+    AngularGrid,
     Baseline,
     Point,
     RelayRegion,
@@ -42,6 +46,7 @@ from .geometry import (
     angles_from_point,
     angles_from_points,
     angular_span,
+    build_grid,
     check_region_clear_of_baseline,
     dist,
     dist_relay_destination,
@@ -52,7 +57,6 @@ from .numerics import QuadratureSpec, RngStream, gauss_legendre
 
 SINGULAR_TOL = 1e-12
 DEFAULT_MASS_FLOOR = 1e-12
-MAX_GRID_CELLS = 100_000  # cells an `AngularGrid` (so `discrete_ias`) may hold; the grid checks it
 
 
 @dataclass(frozen=True)
@@ -68,46 +72,6 @@ class FlowAtom:
         AnglePair(self.aod, self.aoa)  # triangle-condition check
         if self.capacity < 0.0:
             raise DomainError(f"capacity must be non-negative, got {self.capacity}")
-
-
-@dataclass(frozen=True)
-class AngularGrid:
-    """Uniform angular sampling lattice with floor/ceil index bounds.
-
-    Built, it holds at most MAX_GRID_CELLS cells, counted from its index
-    ranges, so no grid too large to integrate is ever laid out."""
-
-    d_aod: float
-    d_aoa: float
-    i_lo: int
-    i_hi: int
-    j_lo: int
-    j_hi: int
-
-    def __post_init__(self) -> None:
-        if self.d_aod <= 0.0 or self.d_aoa <= 0.0:
-            raise DomainError("angular resolutions must be positive")
-        if self.i_hi < self.i_lo or self.j_hi < self.j_lo:
-            raise DomainError("angular index ranges must be non-empty")
-        if self.n_aod * self.n_aoa > MAX_GRID_CELLS:
-            raise DomainError(f"an angular grid of {self.n_aod} x {self.n_aoa} cells, more than "
-                              f"the {MAX_GRID_CELLS:,} allowed")
-
-    @property
-    def n_aod(self) -> int:
-        return self.i_hi - self.i_lo + 1
-
-    @property
-    def n_aoa(self) -> int:
-        return self.j_hi - self.j_lo + 1
-
-    def cell_array(self) -> np.ndarray:
-        """(aod_lo, aod_hi, aoa_lo, aoa_hi) of every cell (i, j), centered on
-        (i d_aod, j d_aoa), as a (n_aod * n_aoa, 4) array, aoa index fastest."""
-        w = np.repeat(np.arange(self.i_lo, self.i_hi + 1) * self.d_aod, self.n_aoa)
-        p = np.tile(np.arange(self.j_lo, self.j_hi + 1) * self.d_aoa, self.n_aod)
-        return np.stack((w - 0.5 * self.d_aod, w + 0.5 * self.d_aod,
-                         p - 0.5 * self.d_aoa, p + 0.5 * self.d_aoa), axis=1)
 
 
 @dataclass(frozen=True)
@@ -170,27 +134,6 @@ def joint_angle_pdf(
 def _angle_jacobian(length: float, omega, psi):
     """|d(x, y) / d(omega, psi)| = d^2 sin(omega) sin(psi) / sin^3(omega + psi), elementwise."""
     return length**2 * np.abs(np.sin(omega) * np.sin(psi)) / np.abs(np.sin(omega + psi)) ** 3
-
-
-def build_grid(
-    region: RelayRegion,
-    baseline: Baseline,
-    d_omega: float,
-    d_psi: float,
-) -> AngularGrid:
-    """Angular grid spanning the region as seen from source and destination."""
-    if d_omega <= 0.0 or d_psi <= 0.0:
-        raise DomainError("angular resolutions must be positive")
-    check_region_clear_of_baseline(region, baseline)
-    s, d = baseline.source, baseline.destination
-    omin, omax = angular_span(region, s, (d.x - s.x, d.y - s.y))
-    pmin, pmax = angular_span(region, d, (s.x - d.x, s.y - d.y))
-    ends = omin / d_omega, omax / d_omega, pmin / d_psi, pmax / d_psi
-    if not all(map(math.isfinite, ends)):  # `floor` and `ceil` refuse inf
-        raise DomainError(f"angular resolutions {d_omega}, {d_psi} rad are too fine to index")
-    i_lo, i_hi, j_lo, j_hi = ends
-    return AngularGrid(d_omega, d_psi, math.floor(i_lo), math.ceil(i_hi),
-                       math.floor(j_lo), math.ceil(j_hi))
 
 
 # ---------------------------------------------------------------------------

@@ -297,6 +297,8 @@ def _read_records(path, what: str, n_keys: int, fields: tuple[str, ...], signed:
     MeasurementError names the file, and the line and field at fault: an
     unreadable or non-UTF-8 file, a wrong width, a non-numeric, non-finite
     or negative capacity field, a negative relay index or a duplicate key.
+    It quotes at most the one bad token, never the line, whose records of
+    many observations run to kilobytes.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -311,13 +313,19 @@ def _read_records(path, what: str, n_keys: int, fields: tuple[str, ...], signed:
             continue
         tok = line.split()
         if len(tok) <= width if repeated else len(tok) != width:
-            raise MeasurementError(f"{path}, line {lineno}: malformed {what} record {line!r}")
+            need = f"at least {width + 1}" if repeated else width
+            raise MeasurementError(f"{path}, line {lineno}: malformed {what} record of "
+                                   f"{len(tok)} fields, {need} needed")
         try:
             key = tuple(int(t) for t in tok[:n_keys])
             values = [float(t) for t in tok[n_keys:]]
         except ValueError as exc:
-            raise MeasurementError(
-                f"{path}, line {lineno}: non-numeric field in {line!r}") from exc
+            for k, t in enumerate(tok):  # find the field that failed
+                try:
+                    int(t) if k < n_keys else float(t)
+                except ValueError:
+                    raise MeasurementError(f"{path}, line {lineno}: non-numeric field {t!r} "
+                                           f"(field {k + 1} of {len(tok)})") from exc
         bad = next((k for k, v in enumerate(values)
                     if not (math.isfinite(v) and (v >= 0.0 or k < signed))), None)
         if bad is not None:

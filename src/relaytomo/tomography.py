@@ -60,6 +60,7 @@ from .channel import (
     outage_capacity_array,
     rho_scales,
 )
+from .config import MsprtConfig, TomographyConfig
 from .errors import DomainError, LocalizationError, MeasurementError
 from .geometry import CellGrid, Point, dist
 from .measurement import MeasurementNetwork, MeasurementSet, angle_bins, write_records
@@ -75,46 +76,6 @@ FOOTPRINT_SAMPLES = 9  # lattice points per cell axis of the footprint: joint-bi
 # however many relays a set holds, unless one relay's own table is larger
 LANE_BUDGET = 1 << 18
 _SQUARE_SAFE = 1e150  # estimates below it keep residuals' squares and row sums finite
-
-
-@dataclass(frozen=True)
-class TomographyConfig:
-    """Solver settings: discretization and the localization objective."""
-
-    cell_side: float = 5.0
-    mode: str = "msprt"
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.cell_side < math.inf:
-            raise DomainError(f"cell side must be positive and finite, got {self.cell_side}")
-        if self.mode not in ("argmin", "msprt"):
-            raise DomainError(f"mode must be 'argmin' or 'msprt', got {self.mode!r}")
-
-
-@dataclass(frozen=True)
-class MsprtConfig:
-    """Sequential-test settings.
-
-    error is the tolerated probability of picking a wrong hypothesis, a
-    number in (0, 1); the test stops once the leading hypothesis beats its
-    runner-up by `threshold`.
-    """
-
-    error: float = 0.01
-    max_observations: int = 10
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.error, (int, float)) or not 0.0 < self.error < 1.0:
-            raise DomainError(f"error probability must be a number in (0, 1), got {self.error!r}")
-        count = self.max_observations
-        if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 1:
-            raise DomainError(f"max_observations must be an integer >= 1, got {count!r}")
-
-    @property
-    def threshold(self) -> float:
-        """log((1 - error) / error): the margin a decision needs."""
-        # numpy's log: math.log rounds some of these one ulp apart
-        return float(np.log((1.0 - self.error) / self.error))
 
 
 @dataclass(frozen=True)

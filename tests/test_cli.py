@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import relaytomo
-from relaytomo import config, ias
+from relaytomo import config, geometry
 from relaytomo.cli import main
 from relaytomo.config import (
     default_config_dict,
@@ -23,8 +23,7 @@ from relaytomo.config import (
     write_config,
 )
 from relaytomo.errors import ConfigError, EmptyGridError
-from relaytomo.geometry import CellGrid
-from relaytomo.ias import MAX_GRID_CELLS
+from relaytomo.geometry import MAX_GRID_CELLS, CellGrid
 from relaytomo.measurement import estimate_outage_capacity
 
 
@@ -157,9 +156,9 @@ class TestConfig:
         # ranges alone, so a 1e-6 deg grid (about 330M cells) is never built
         grid = scenario_from_dict(default_config_dict()).angular_grid()
         assert grid.n_aod * grid.n_aoa == 49
-        monkeypatch.setattr(ias, "MAX_GRID_CELLS", 49)
+        monkeypatch.setattr(geometry, "MAX_GRID_CELLS", 49)
         scenario_from_dict(default_config_dict())
-        monkeypatch.setattr(ias, "MAX_GRID_CELLS", 48)
+        monkeypatch.setattr(geometry, "MAX_GRID_CELLS", 48)
         with pytest.raises(ConfigError, match="grid.aod_resolution_deg and grid.aoa_resolution_deg"):
             scenario_from_dict(default_config_dict())
         monkeypatch.undo()
@@ -459,9 +458,35 @@ class TestExitCodes:
         assert err.startswith("output error: ") and str(path) in err
         assert err.count("\n") == 1
 
-    def test_numerical_error_is_3(self, tmp_path):
+    def test_missing_measurement_file_is_a_data_error(self, tmp_path, capsys):
+        # exit 3 like a numerical degeneracy, but labelled as the input's fault
         missing = tmp_path / "absent.txt"
         assert main(["invert", str(missing), "--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err.startswith(
+            f"data error: cannot read measurement file {missing}: ")
+
+    def test_long_record_errors_quote_no_line(self, tmp_path, capsys):
+        # a record of 100 observations runs past 2 KB: its errors give the
+        # field counts or the one bad token instead
+        sim = tmp_path / "sim"
+        assert main(["simulate", "--observations", "100", "--out", str(sim)]) == 0
+        measurements = sim / "measurements.txt"
+        lines = measurements.read_text().splitlines()
+        k = next(n for n, line in enumerate(lines) if not line.startswith("#"))
+        assert len(lines[k]) > 2000
+        tok = lines[k].split()
+        tok[50] = "abc"
+        lines[k] = " ".join(tok)
+        bad = tmp_path / "bad.txt"
+        bad.write_text("\n".join(lines) + "\n")
+        for argv, message in (
+                ([measurements, "--truth", measurements],
+                 f"{measurements}, line {k + 1}: malformed relay record of 105 fields, "
+                 f"3 needed"),
+                ([bad], f"{bad}, line {k + 1}: non-numeric field 'abc' (field 51 of 105)")):
+            capsys.readouterr()
+            assert main(["invert", *map(str, argv), "--out", str(tmp_path / "o")]) == 3
+            assert capsys.readouterr().err == f"data error: {message}\n"
 
     def test_non_numeric_field_is_3(self, tmp_path, capsys):
         sim = tmp_path / "sim"
@@ -644,7 +669,8 @@ class TestExitCodes:
                      "--out", str(tmp_path / "o")]) == 0
 
     @pytest.mark.parametrize("edit, message", [
-        (lambda tok: tok[:5], "{bad}, line {k}: malformed measurement record"),
+        (lambda tok: tok[:5],
+         "{bad}, line {k}: malformed measurement record of 5 fields, at least 6 needed"),
         (lambda tok: tok[:-1],
          "{bad}, line {k}: 9 observations, but the first record (line {first}) has 10"),
         (lambda tok: tok + ["\udcff"],  # written as the byte 0xff
@@ -661,6 +687,7 @@ class TestExitCodes:
         capsys.readouterr()
         assert main(["invert", str(bad), "--out", str(tmp_path / "o")]) == 3
         err = capsys.readouterr().err
+        assert err.startswith("data error: ")
         assert message.format(bad=bad, k=k + 1, first=first + 1) in err
 
     def test_unconverged_outage_model_is_3(self, tmp_path, capsys):
@@ -701,7 +728,7 @@ class TestExitCodes:
         assert main(["invert", str(sim / "measurements.txt"), "--truth", str(bad),
                      "--out", str(tmp_path / "o")]) == 3
         err = capsys.readouterr().err
-        assert str(bad) in err and message in err
+        assert err.startswith("data error: ") and str(bad) in err and message in err
 
 
 @pytest.mark.parametrize("mode", ["msprt", "argmin"])

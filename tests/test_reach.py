@@ -37,6 +37,9 @@ NEVER_RUN = {
     "ias.joint_angle_pdf",
     # an error path: the incomplete gamma not converging
     "numerics._no_convergence",
+    # the package's export hooks: library imports reach them; no command does
+    "__init__.__getattr__",
+    "__init__.__dir__",
 }
 
 CHILD = r"""
